@@ -1,9 +1,10 @@
 """Shared helpers for the experiment benchmarks.
 
-Every experiment prints the rows/series of the artifact it reconstructs
-(DESIGN.md §3) *and* records them under ``benchmarks/results/`` so the
-tables survive pytest's output capturing and can be pasted into
-EXPERIMENTS.md.
+Every experiment prints the rows/series of the tutorial artifact it
+reconstructs *and* records them under ``benchmarks/results/<name>.txt``,
+so the tables survive pytest's output capturing.  End-to-end performance
+claims are measured by the CLI benchmark suite instead
+(``benchmarks/suite/``, declared in ``BENCHMARK.json``).
 """
 
 from __future__ import annotations

@@ -106,23 +106,24 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from repro.datasets.ndjson import stream_documents
     from repro.jsonschema import compile_schema
     from repro.jsonvalue.parser import parse
 
     with open(args.schema, "r", encoding="utf-8") as handle:
         schema_doc = parse(handle.read())
     compiled = compile_schema(schema_doc)
-    docs = _read_documents(args.data)
-    invalid = 0
-    for i, doc in enumerate(docs):
+    # One document in memory at a time: a malformed line still aborts
+    # with the parser's error, after the verdicts of the lines before it.
+    count = invalid = 0
+    for count, doc in enumerate(stream_documents(args.data), 1):
         result = compiled.validate(doc)
         if not result.valid:
             invalid += 1
-            first = result.failures[0]
-            print(f"line {i + 1}: INVALID — {first}")
+            print(f"line {count}: INVALID — {result.failures[0]}")
         elif args.verbose:
-            print(f"line {i + 1}: valid")
-    print(f"# {len(docs) - invalid}/{len(docs)} valid")
+            print(f"line {count}: valid")
+    print(f"# {count - invalid}/{count} valid")
     return min(invalid, 125)
 
 

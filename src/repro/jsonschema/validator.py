@@ -22,13 +22,24 @@ substrate:
 
 Instance equality for ``enum``/``const`` follows the spec: numbers compare
 mathematically (``1 == 1.0``) but booleans are never equal to numbers.
+
+Two engines share these semantics.  The interpretive walk
+(``JsonSchema._walk``) visits every keyword and is the only code that
+builds :class:`ValidationFailure` records.  The compiled checker
+(``is_valid``) turns each schema node into a closure once, dispatches on
+the instance's Python type, and stops at the first failure without
+building pointers or failures.  ``validate`` runs the checker first and
+walks only the instances it rejects, so failures, their order, paths and
+messages are exactly the walk's.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
-from typing import Any, Optional
+import threading
+from typing import Any, Callable, Optional
 
 from repro.jsonvalue.model import JsonKind, freeze, is_integer_value, kind_of
 from repro.jsonvalue.pointer import JsonPointer
@@ -124,6 +135,7 @@ class JsonSchema:
         self.assert_formats = assert_formats
         self.max_ref_depth = max_ref_depth
         self._pattern_cache: dict[str, re.Pattern[str]] = {}
+        self._checker: Optional[Callable[[Any], bool]] = None
         reject_nested_ids(document)
         self.registry.register_root(document)
         self._check_schema(document, _ROOT)
@@ -133,16 +145,36 @@ class JsonSchema:
     # ------------------------------------------------------------------
 
     def validate(self, instance: Any) -> ValidationResult:
-        """Validate ``instance``; returns a result carrying all failures."""
-        result = ValidationResult()
-        self._validate(
-            self.document, self.document, instance, _ROOT, _ROOT, result, 0
-        )
-        return result
+        """Validate ``instance``; returns a result carrying all failures.
+
+        Instances the compiled checker accepts return an empty result at
+        once; the rest are walked, and the walk reports every failure.
+        """
+        try:
+            if self.is_valid(instance):
+                return ValidationResult()
+        except Exception:
+            pass  # the walk raises (or reports) it, in its own order
+        return self._walk(instance)
 
     def is_valid(self, instance: Any) -> bool:
-        """Fast boolean interface (stops semantics identical to validate)."""
-        return self.validate(instance).valid
+        """Whether ``instance`` is valid: the verdict of :meth:`validate`.
+
+        Runs the compiled checker, built on first use: it stops at the
+        first failing keyword and records nothing.  ``$ref`` targets are
+        resolved when first reached, so an unresolvable reference raises
+        :class:`SchemaCompileError` only if validation reaches it.
+        """
+        check = self._checker
+        if check is None:
+            check = self._checker = _CheckerCompiler(self).compile(
+                self.document, self.document
+            )
+        return bool(check(instance))
+
+    def __getstate__(self) -> dict:
+        # The checker is a web of closures; a copy rebuilds its own.
+        return {**self.__dict__, "_checker": None}
 
     def validate_or_raise(self, instance: Any) -> None:
         """Raise :class:`InstanceValidationError` if ``instance`` is invalid."""
@@ -267,6 +299,14 @@ class JsonSchema:
     # ------------------------------------------------------------------
     # validation walk
     # ------------------------------------------------------------------
+
+    def _walk(self, instance: Any) -> ValidationResult:
+        """The interpretive walk: every failure, in keyword order."""
+        result = ValidationResult()
+        self._validate(
+            self.document, self.document, instance, _ROOT, _ROOT, result, 0
+        )
+        return result
 
     def _validate(
         self,
@@ -407,18 +447,7 @@ class JsonSchema:
     def _validate_number(schema: dict, instance: Any, failure) -> None:
         if "multipleOf" in schema:
             factor = schema["multipleOf"]
-            if isinstance(instance, int) and isinstance(factor, int):
-                ok = instance % factor == 0
-            else:
-                quotient = instance / factor
-                ok = math.isfinite(quotient) and (
-                    quotient == int(quotient)
-                    or math.isclose(quotient, round(quotient), rel_tol=1e-12)
-                    and math.isclose(
-                        round(quotient) * factor, instance, rel_tol=1e-12
-                    )
-                )
-            if not ok:
+            if not _is_multiple(instance, factor):
                 failure("multipleOf", f"{instance} is not a multiple of {factor}")
         if "maximum" in schema and instance > schema["maximum"]:
             failure("maximum", f"{instance} exceeds maximum {schema['maximum']}")
@@ -465,16 +494,9 @@ class JsonSchema:
         if "minItems" in schema and len(instance) < schema["minItems"]:
             failure("minItems", f"array has fewer than {schema['minItems']} items")
         if schema.get("uniqueItems"):
-            seen: set = set()
-            for i, item in enumerate(instance):
-                key = freeze(item)
-                # freeze distinguishes 1 from 1.0, but spec equality does
-                # not; normalise integral floats to int for the key.
-                key = _numeric_normalize(key)
-                if key in seen:
-                    failure("uniqueItems", f"items are not unique (duplicate at {i})")
-                    break
-                seen.add(key)
+            i = _duplicate_index(instance)
+            if i is not None:
+                failure("uniqueItems", f"items are not unique (duplicate at {i})")
         items = schema.get("items")
         if items is not None:
             if isinstance(items, list):
@@ -616,6 +638,473 @@ class JsonSchema:
                         result,
                         ref_depth,
                     )
+
+
+def _is_multiple(instance: Any, factor: Any) -> bool:
+    if isinstance(instance, int) and isinstance(factor, int):
+        return instance % factor == 0
+    quotient = instance / factor
+    return math.isfinite(quotient) and (
+        quotient == int(quotient)
+        or math.isclose(quotient, round(quotient), rel_tol=1e-12)
+        and math.isclose(round(quotient) * factor, instance, rel_tol=1e-12)
+    )
+
+
+def _duplicate_index(items: list) -> Optional[int]:
+    """Position of the first item equal (spec equality) to an earlier one."""
+    seen: set = set()
+    for i, item in enumerate(items):
+        # freeze distinguishes 1 from 1.0, but spec equality does not;
+        # normalise integral floats to int for the key.
+        key = _numeric_normalize(freeze(item))
+        if key in seen:
+            return i
+        seen.add(key)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# compiled checker
+# ---------------------------------------------------------------------------
+
+_Check = Callable[[Any], bool]
+
+# The builtin type of each JSON kind; a checker is a table over these.
+_JSON_TYPES = (type(None), bool, int, float, str, list, dict)
+_JSON_TYPE_SET = frozenset(_JSON_TYPES)
+_KIND_TYPES = {
+    JsonKind.NULL: type(None),
+    JsonKind.BOOLEAN: bool,
+    JsonKind.STRING: str,
+    JsonKind.ARRAY: list,
+    JsonKind.OBJECT: dict,
+}
+# The builtin types each ``type`` name admits outright.  An integral
+# float is also an "integer" (draft 6+), decided per instance.
+_TYPE_ADMITS = {
+    "null": {type(None)},
+    "boolean": {bool},
+    "integer": {int},
+    "number": {int, float},
+    "string": {str},
+    "array": {list},
+    "object": {dict},
+}
+
+
+def _builtin_type(instance: Any) -> type:
+    """The builtin whose checks apply to ``instance`` (a subclass of one,
+    such as an ``OrderedDict``).  Non-JSON values raise ``TypeError`` from
+    ``kind_of``, as they do in the walk."""
+    kind = kind_of(instance)
+    if kind is JsonKind.NUMBER:
+        return int if isinstance(instance, int) else float
+    return _KIND_TYPES[kind]
+
+
+def _accept(instance: Any) -> bool:
+    return True
+
+
+def _reject(instance: Any) -> bool:
+    return False
+
+
+def _conjunction(checks: list) -> _Check:
+    if _reject in checks:
+        return _reject
+    checks = [c for c in checks if c is not _accept]
+    if not checks:
+        return _accept
+    if len(checks) == 1:
+        return checks[0]
+    steps = tuple(checks)
+
+    def all_pass(x: Any) -> bool:
+        for step in steps:
+            if not step(x):
+                return False
+        return True
+
+    return all_pass
+
+
+def _disjunction(checks: list) -> _Check:
+    if _accept in checks:
+        return _accept
+    checks = [c for c in checks if c is not _reject]
+    if not checks:
+        return _reject
+    if len(checks) == 1:
+        return checks[0]
+    branches = tuple(checks)
+
+    def any_pass(x: Any) -> bool:
+        for branch in branches:
+            if branch(x):
+                return True
+        return False
+
+    return any_pass
+
+
+def _negation(check: _Check) -> _Check:
+    if check is _accept:
+        return _reject
+    if check is _reject:
+        return _accept
+    return lambda x: not check(x)
+
+
+def _for_type(check: _Check, t: type) -> _Check:
+    """``check`` restricted to instances of builtin type ``t``."""
+    by_type = getattr(check, "by_type", None)
+    return check if by_type is None else by_type[t]
+
+
+def _dispatch(by_type: dict) -> _Check:
+    """One checker from a check per builtin type."""
+    if all(c is _accept or c is _reject for c in by_type.values()):
+        admitted = frozenset(t for t, c in by_type.items() if c is _accept)
+
+        def check(x: Any) -> bool:
+            t = type(x)
+            if t in admitted:
+                return True
+            if t in _JSON_TYPE_SET:
+                return False
+            return _builtin_type(x) in admitted
+
+    else:
+        get = by_type.get
+
+        def check(x: Any) -> bool:
+            step = get(type(x))
+            if step is None:
+                step = by_type[_builtin_type(x)]
+            return step(x)
+
+    check.by_type = by_type  # type: ignore[attr-defined]
+    return check
+
+
+def _deferred(exc: Exception) -> _Check:
+    """A node that failed to compile raises only when validation reaches it."""
+
+    def check(x: Any) -> bool:
+        raise exc
+
+    return check
+
+
+_EAGER_LEVELS = 8
+
+
+class _CheckerCompiler:
+    """Builds the boolean checker of a :class:`JsonSchema`.
+
+    Each (schema node, base document) pair compiles once into a closure
+    that returns whether an instance is valid, stopping at the first
+    failing keyword.  A dict node's closure dispatches on the instance's
+    builtin type to the conjunction of the keywords that apply to it, so
+    ``type`` is decided before any call and an ``anyOf`` whose branches
+    admit different types picks its branch by type.  A ``$ref`` resolves
+    and compiles its target on first use and counts toward
+    ``max_ref_depth`` on every expansion, as in the walk.
+
+    Compilation runs ``_EAGER_LEVELS`` schema levels deep at a time;
+    deeper nodes compile when first reached, so a deeply nested schema
+    never needs a deeper Python stack than checking an instance does.
+    """
+
+    def __init__(self, schema: JsonSchema) -> None:
+        self.schema = schema
+        self.memo: dict[tuple[int, int], tuple[_Check, Any, Any]] = {}
+        self.nesting = 0  # compile calls open on the stack
+        # $ref expansions open on the current path, per thread.
+        self.ref_depth = threading.local()
+
+    def compile(self, node: Any, document: Any) -> _Check:
+        if node is True:
+            return _accept
+        if node is False:
+            return _reject
+        key = (id(node), id(document))
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit[0]
+        if self.nesting >= _EAGER_LEVELS:
+            return self._on_first_use(node, document)
+        self.nesting += 1
+        try:
+            check = self._node(node, document)
+        except Exception as exc:  # a malformed node in a registry document
+            check = _deferred(exc)
+        finally:
+            self.nesting -= 1
+        # The memo keeps the node and document alive, so ids stay theirs.
+        self.memo[key] = (check, node, document)
+        return check
+
+    def _on_first_use(self, node: Any, document: Any) -> _Check:
+        compiled: Optional[_Check] = None
+
+        def check(x: Any) -> bool:
+            nonlocal compiled
+            if compiled is None:
+                compiled = self.compile(node, document)
+            return compiled(x)
+
+        return check
+
+    def _node(self, node: Any, document: Any) -> _Check:
+        if not isinstance(node, dict):
+            raise SchemaCompileError(f"invalid schema node {node!r}")
+        if "$ref" in node:
+            return self._ref(node["$ref"], document)
+
+        def sub(child: Any) -> _Check:
+            return self.compile(child, document)
+
+        per_type: dict[type, list] = {t: [] for t in _JSON_TYPES}
+
+        def everywhere(check: _Check) -> None:
+            for checks in per_type.values():
+                checks.append(check)
+
+        if "type" in node:
+            t = node["type"]
+            admitted: set = set()
+            for name in t if isinstance(t, list) else [t]:
+                if name not in _TYPE_ADMITS:
+                    raise SchemaCompileError(f"unknown type name {name!r}")
+                admitted |= _TYPE_ADMITS[name]
+            integral = "integer" in t if isinstance(t, list) else t == "integer"
+            for builtin, checks in per_type.items():
+                if builtin not in admitted:
+                    integral_float = builtin is float and integral
+                    checks.append(float.is_integer if integral_float else _reject)
+        if "enum" in node:
+            values = node["enum"]
+            everywhere(lambda x: any(json_schema_equal(x, v) for v in values))
+        if "const" in node:
+            const = node["const"]
+            everywhere(lambda x: json_schema_equal(x, const))
+
+        number = _conjunction(self._number(node))
+        per_type[int].append(number)
+        per_type[float].append(number)
+        per_type[str].append(_conjunction(self._string(node)))
+        per_type[list].append(_conjunction(self._array(node, sub)))
+        per_type[dict].append(_conjunction(self._object(node, sub)))
+
+        for branch in map(sub, node.get("allOf", ())):
+            for builtin, checks in per_type.items():
+                checks.append(_for_type(branch, builtin))
+        if "anyOf" in node:
+            branches = [sub(b) for b in node["anyOf"]]
+            for builtin, checks in per_type.items():
+                checks.append(_disjunction([_for_type(b, builtin) for b in branches]))
+        if "oneOf" in node:
+            everywhere(_one_of(tuple(sub(b) for b in node["oneOf"])))
+        if "not" in node:
+            negated = sub(node["not"])
+            for builtin, checks in per_type.items():
+                checks.append(_negation(_for_type(negated, builtin)))
+        if "if" in node:
+            then, otherwise = node.get("then"), node.get("else")
+            then_check = _accept if then is None else sub(then)
+            else_check = _accept if otherwise is None else sub(otherwise)
+            if then_check is not _accept or else_check is not _accept:
+                condition = sub(node["if"])
+                everywhere(
+                    lambda x: (then_check if condition(x) else else_check)(x)
+                )
+        return _dispatch({t: _conjunction(c) for t, c in per_type.items()})
+
+    def _ref(self, ref: str, document: Any) -> _Check:
+        registry = self.schema.registry
+        limit = self.schema.max_ref_depth
+        depth = self.ref_depth
+        compile_target = self.compile
+        target: Optional[_Check] = None
+
+        def expand(x: Any) -> bool:
+            nonlocal target
+            opened = getattr(depth, "open", 0)
+            if opened >= limit:
+                return False
+            if target is None:
+                target = compile_target(*registry.resolve(ref, document))
+            depth.open = opened + 1
+            try:
+                return target(x)
+            finally:
+                depth.open = opened
+
+        return expand
+
+    @staticmethod
+    def _number(node: dict) -> list:
+        checks: list = []
+        if "multipleOf" in node:
+            factor = node["multipleOf"]
+            checks.append(lambda x: _is_multiple(x, factor))
+        # Negated comparisons, as the walk fails on ``x > maximum`` etc.
+        if "maximum" in node:
+            maximum = node["maximum"]
+            checks.append(lambda x: not x > maximum)
+        if "exclusiveMaximum" in node:
+            exclusive_maximum = node["exclusiveMaximum"]
+            checks.append(lambda x: not x >= exclusive_maximum)
+        if "minimum" in node:
+            minimum = node["minimum"]
+            checks.append(lambda x: not x < minimum)
+        if "exclusiveMinimum" in node:
+            exclusive_minimum = node["exclusiveMinimum"]
+            checks.append(lambda x: not x <= exclusive_minimum)
+        return checks
+
+    def _string(self, node: dict) -> list:
+        checks: list = []
+        if "maxLength" in node:
+            max_length = node["maxLength"]
+            checks.append(lambda x: len(x) <= max_length)
+        if "minLength" in node:
+            min_length = node["minLength"]
+            checks.append(lambda x: len(x) >= min_length)
+        if "pattern" in node:
+            search = self.schema._compile_pattern(node["pattern"], _ROOT).search
+            checks.append(lambda x: search(x) is not None)
+        if self.schema.assert_formats and "format" in node:
+            check = FORMAT_CHECKS.get(node["format"])
+            if check is not None:
+                checks.append(check)
+        return checks
+
+    @staticmethod
+    def _array(node: dict, sub: Callable[[Any], _Check]) -> list:
+        checks: list = []
+        if "maxItems" in node:
+            max_items = node["maxItems"]
+            checks.append(lambda x: len(x) <= max_items)
+        if "minItems" in node:
+            min_items = node["minItems"]
+            checks.append(lambda x: len(x) >= min_items)
+        if node.get("uniqueItems"):
+            checks.append(lambda x: _duplicate_index(x) is None)
+        items = node.get("items")
+        if isinstance(items, list):
+            positional = tuple(map(sub, items))
+            additional = node.get("additionalItems")
+            extra = None if additional is None else sub(additional)
+            count = len(positional)
+
+            def tuple_items(x: list) -> bool:
+                for check, item in zip(positional, x):
+                    if not check(item):
+                        return False
+                if extra is None or len(x) <= count:
+                    return True
+                return all(map(extra, itertools.islice(x, count, None)))
+
+            checks.append(tuple_items)
+        elif items is not None:
+            each = sub(items)
+            if each is not _accept:
+                checks.append(lambda x: all(map(each, x)))
+        if "contains" in node:
+            contains = sub(node["contains"])
+            checks.append(lambda x: any(map(contains, x)))
+        return checks
+
+    def _object(self, node: dict, sub: Callable[[Any], _Check]) -> list:
+        checks: list = []
+        if "maxProperties" in node:
+            max_properties = node["maxProperties"]
+            checks.append(lambda x: len(x) <= max_properties)
+        if "minProperties" in node:
+            min_properties = node["minProperties"]
+            checks.append(lambda x: len(x) >= min_properties)
+        members = self._members(node, sub, frozenset(node.get("required", ())))
+        if members is not None:
+            checks.append(members)
+        if "propertyNames" in node:
+            names = sub(node["propertyNames"])
+            if names is not _accept:
+                checks.append(lambda x: all(map(names, x)))
+        for name, dependency in node.get("dependencies", {}).items():
+            checks.append(_dependency(name, dependency, sub))
+        return checks
+
+    def _members(
+        self, node: dict, sub: Callable[[Any], _Check], required: frozenset
+    ) -> Optional[_Check]:
+        """``required`` with ``properties`` / ``patternProperties`` /
+        ``additionalProperties`` in one closure, so checking nests no
+        deeper on the stack than the walk does."""
+        properties = {name: sub(s) for name, s in node.get("properties", {}).items()}
+        additional = node.get("additionalProperties")
+        extra = _accept if additional is None else sub(additional)
+        patterns = tuple(
+            (self.schema._compile_pattern(text, _ROOT).search, sub(s))
+            for text, s in node.get("patternProperties", {}).items()
+        )
+        if patterns:
+
+            def members(x: dict) -> bool:
+                if not x.keys() >= required:
+                    return False
+                for name, value in x.items():
+                    check = properties.get(name)
+                    matched = check is not None
+                    if matched and not check(value):
+                        return False
+                    for search, check in patterns:
+                        if search(name) is not None:
+                            matched = True
+                            if not check(value):
+                                return False
+                    if not matched and not extra(value):
+                        return False
+                return True
+
+            return members
+        if extra is _accept and all(c is _accept for c in properties.values()):
+            return (lambda x: x.keys() >= required) if required else None
+        get = properties.get
+
+        def members(x: dict) -> bool:
+            if not x.keys() >= required:
+                return False
+            for name, value in x.items():
+                if not get(name, extra)(value):
+                    return False
+            return True
+
+        return members
+
+
+def _one_of(branches: tuple) -> _Check:
+    def one_of(x: Any) -> bool:
+        matched = False
+        for branch in branches:
+            if branch(x):
+                if matched:
+                    return False
+                matched = True
+        return matched
+
+    return one_of
+
+
+def _dependency(name: str, dependency: Any, sub: Callable[[Any], _Check]) -> _Check:
+    if isinstance(dependency, list):
+        needed = frozenset(dependency)
+        return lambda x: name not in x or x.keys() >= needed
+    check = sub(dependency)
+    return lambda x: name not in x or check(x)
 
 
 def _numeric_normalize(frozen_key: Any) -> Any:

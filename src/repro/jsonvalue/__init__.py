@@ -3,8 +3,11 @@
 This package is the foundation every other subsystem builds on.  It
 implements, from scratch:
 
-- a tokenizer and recursive-descent parser for RFC 8259 JSON
-  (:mod:`repro.jsonvalue.lexer`, :mod:`repro.jsonvalue.parser`),
+- a tokenizer and iterative DOM parser for RFC 8259 JSON
+  (:mod:`repro.jsonvalue.lexer`, :mod:`repro.jsonvalue.parser`).  The
+  hand-written parser defines the semantics and every error; ``parse``
+  lets the standard library's C decoder speed up only the documents it
+  accepts, with identical values, and parses everything else by hand,
 - a constant-memory streaming event parser (:mod:`repro.jsonvalue.events`),
 - a serializer with compact and pretty modes (:mod:`repro.jsonvalue.serializer`),
 - JSON Pointer, RFC 6901 (:mod:`repro.jsonvalue.pointer`),

@@ -17,10 +17,22 @@ Behaviour is controlled by :class:`ParseOptions`:
 
 ``parse_lines`` parses newline-delimited JSON (NDJSON), the usual shape of
 the datasets the tutorial's inference tools consume.
+
+The token parser (``_parse_reference``) defines the semantics and owns
+every error.  ``parse`` first tries the standard library's C decoder
+when the options cannot tell the two apart (``duplicate_keys="last"``,
+no top-level restriction, and at most ``max_depth`` opening brackets in
+the text, an upper bound on the nesting depth).  On the inputs the C
+decoder accepts it returns the same values — ints stay ints, key order
+is kept, a repeated key keeps its first position and its last value,
+lone surrogates are preserved — and anything it rejects (``NaN``, a BOM,
+trailing data, a control character, a too-long int, ...) is parsed again
+by the token parser, which raises the positioned error.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Literal, Optional
 
@@ -80,12 +92,35 @@ _SCALARS = frozenset(
 _MISSING = object()  # distinguishes "no result yet" from a parsed None
 
 
+def _reject_constant(name: str) -> Any:
+    raise ValueError(f"{name} is not JSON")
+
+
+# The C decoder, made strict: NaN/Infinity/-Infinity raise instead of
+# decoding (control characters in strings already raise, strict=True).
+_c_decode = json.JSONDecoder(parse_constant=_reject_constant).decode
+
+
 def parse(text: str, options: ParseOptions = DEFAULT_OPTIONS) -> Any:
     """Parse one JSON document from ``text`` and return its value.
 
     Raises :class:`JsonParseError` (or :class:`~repro.jsonvalue.lexer.JsonLexError`)
     on malformed input, including trailing garbage.
     """
+    if (
+        options.duplicate_keys == "last"
+        and not options.require_top_level_container
+        and text.count("{") + text.count("[") <= options.max_depth
+    ):
+        try:
+            return _c_decode(text)
+        except (ValueError, RecursionError):
+            pass  # the token parser decides, and raises the error
+    return _parse_reference(text, options)
+
+
+def _parse_reference(text: str, options: ParseOptions = DEFAULT_OPTIONS) -> Any:
+    """The token parser: the definition of ``parse``'s results and errors."""
     scanner = _Scanner(text)
     token = scanner.next_token()
 

@@ -103,6 +103,29 @@ class TestValidate:
     def test_missing_schema_file(self, data_file, capsys):
         assert main(["validate", data_file, "--schema", "/nope.json"]) == 2
 
+    def test_malformed_line_exits_2_with_the_parser_error(
+        self, tmp_path, schema_file, capsys
+    ):
+        from repro.errors import JsonError
+        from repro.jsonvalue.parser import parse
+
+        bad = '{"type": "x", "actor": {}, "n": 01}'
+        with pytest.raises(JsonError) as caught:
+            parse(bad)
+        path = tmp_path / "malformed.ndjson"
+        path.write_text(
+            '{"type": "x", "actor": {}}\n{"nope": 1}\n'
+            + bad
+            + '\n{"type": "y", "actor": {}}\n'
+        )
+        assert main(["validate", str(path), "--schema", schema_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {caught.value}\n"
+        # Verdicts stream out as lines are read: the ones before the
+        # malformed line may be printed, nothing after it, no summary.
+        printed = captured.out.splitlines()
+        assert all(line.startswith(("line 1:", "line 2:")) for line in printed)
+
 
 class TestSkeleton:
     def test_structures_printed(self, data_file, capsys):
