@@ -11,6 +11,7 @@ slices to workers.  These helpers normalise the usual sources (paths,
 
 from __future__ import annotations
 
+import io
 import mmap
 import os
 import re
@@ -243,6 +244,24 @@ def open_corpus(path: Union[str, Path]):
     return MmapCorpus(path)
 
 
+def _iter_stdin_lines() -> Iterator[str]:
+    """Stdin's lines, decoded exactly as a file path's are: strict UTF-8
+    and universal newlines (``\\r``, ``\\n`` and ``\\r\\n`` all end a
+    line), whatever the locale.  A text stream standing in for stdin
+    with no byte buffer beneath it is read as it is."""
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:
+        for line in sys.stdin:
+            yield line.rstrip("\r\n")
+        return
+    stdin = io.TextIOWrapper(buffer, encoding="utf-8", newline=None)
+    try:
+        for line in stdin:
+            yield line.rstrip("\r\n")
+    finally:
+        stdin.detach()  # leave sys.stdin's buffer open
+
+
 def iter_ndjson_lines(source: LineSource) -> Iterator[str]:
     """Yield the raw lines of an NDJSON source, newline-stripped.
 
@@ -254,8 +273,7 @@ def iter_ndjson_lines(source: LineSource) -> Iterator[str]:
         source = str(source)
     if isinstance(source, str):
         if source == "-":
-            for line in sys.stdin:
-                yield line.rstrip("\r\n")
+            yield from _iter_stdin_lines()
             return
         from repro.datasets.compressed import (
             detect_compression,

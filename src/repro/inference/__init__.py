@@ -108,7 +108,6 @@ from repro.inference.streaming import (
     infer_report_path,
     infer_report_streaming,
     infer_type_streaming,
-    type_from_events,
     type_of_bytes,
     type_of_text,
 )
@@ -198,7 +197,6 @@ __all__ = [
     "infer_report_path",
     "infer_report_streaming",
     "infer_type_streaming",
-    "type_from_events",
     "type_of_bytes",
     "type_of_text",
     "CountingAccumulator",

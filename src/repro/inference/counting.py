@@ -367,9 +367,9 @@ def counted_type_of_bytes(
 
     The counting algebra's entry point for the bytes pipeline (mmap
     ranges, shared-memory views).  A per-token regex scan over the raw
-    bytes — the same master patterns as the plain bytes machine
-    (:meth:`repro.types.build.EventTypeEncoder.encode_bytes`), so the
-    happy path never decodes string content; object keys decode one
+    bytes — the bytes twins of the per-token scan patterns in
+    :mod:`repro.types.build`, so the happy path never decodes string
+    content; object keys decode one
     slice each, and UTF-8 validity is checked lazily once per document.
     Structurally equal to decode + :func:`counted_type_of_text`
     (pinned by the bytes-scan fuzz differential), with the exact error
@@ -396,8 +396,8 @@ def counted_type_of_bytes(
                 ws_end = ws_run(data, pos, length).end()
                 if ws_end >= length and not stack:
                     assert result is not None
-                    # Lazy UTF-8 validity, once per document (see
-                    # encode_bytes): pure ASCII returns straight away.
+                    # Lazy UTF-8 validity, once per document: pure
+                    # ASCII returns straight away.
                     if _BYTES_HIGH_BYTE.search(data, start, length) is None:
                         return result
                     run = _BYTES_UTF8_RUN.match(data, start, length)

@@ -39,7 +39,12 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.errors import InferenceError
-from repro.inference.engine import CountingAccumulator, TypeAccumulator, accumulate
+from repro.inference.engine import (
+    _SUBTREE_EXACT_LIMIT,
+    CountingAccumulator,
+    TypeAccumulator,
+    accumulate,
+)
 from repro.types import Equivalence, Type, merge_interned, type_to_string
 from repro.types.build import TypeEncoder
 
@@ -613,12 +618,12 @@ def _infer_subtree_chunks(payload) -> Optional[list]:
 
     The parent ships only ``(path, kind, [(start, end), ...], max_depth)``;
     the worker reads one covering slice, wraps each chunk in its
-    container's brackets, and runs the full bytes machine — keys,
-    escapes, UTF-8 runs and depth all get the serial scan's exact
+    container's brackets, decodes it and runs the full scan machine —
+    keys, escapes, UTF-8 and depth all get the serial scan's exact
     validation.  Returns the per-chunk contribution lists, or ``None``
     when any chunk fails: failure means the parent's speculative
     boundaries were wrong (or the document is malformed), and the parent
-    falls back to the authoritative serial scan for exact errors.
+    re-carves exactly or scans the whole document for exact errors.
     """
     path, kind, chunks, max_depth = payload
     try:
@@ -653,14 +658,17 @@ def _subtree_span_type(
     min_bytes: int,
     pool_state: dict,
     max_depth: int = 512,
+    exact_limit: int = _SUBTREE_EXACT_LIMIT,
 ):
     """Type one document span through the subtree-parallel pipeline.
 
     Returns the canonical type, or ``None`` when the span is not worth
-    (or not amenable to) splitting — the caller then runs the serial
-    ``encode_bytes``, which also owns all error reporting.  The worker
-    pool is created lazily in ``pool_state`` on the first parallel
-    dispatch and reused across spans.
+    (or not amenable to) splitting.  The worker pool is created lazily
+    in ``pool_state`` on the first parallel dispatch and reused across
+    spans.  ``exact_limit`` passes through to
+    :func:`~repro.inference.engine.plan_subtree_split`: a span no larger
+    than it is carved by the exact depth-1 scan, which cannot lie, so a
+    chunk that fails there fails for good.
     """
     from repro.inference.engine import (
         combine_subtree,
@@ -669,6 +677,7 @@ def _subtree_span_type(
     )
 
     skip = 0
+    previous = None
     for _ in range(_SUBTREE_ATTEMPTS):
         split = plan_subtree_split(
             buffer,
@@ -676,10 +685,12 @@ def _subtree_span_type(
             end,
             targets=targets,
             min_bytes=min_bytes,
+            exact_limit=exact_limit,
             skip_chunk_levels=skip,
         )
-        if split is None:
+        if split is None or split == previous:
             return None
+        previous = split
         chunk_depth = max_depth - split.spine_depth
         if chunk_depth <= 1:
             return None
@@ -744,16 +755,19 @@ def infer_subtree_text(
 
     Lines of at least ``min_split_bytes`` are carved into top-level
     subtree chunks by the bytes-native structural splitter
-    (:mod:`repro.parsing.structural`) and typed by ``encode_bytes``
-    machines in parallel workers reading their own byte ranges from the
-    backing file; the partial contributions merge back through the
-    reassembly algebra and the :class:`~repro.inference.engine.TypeAccumulator`
+    (:mod:`repro.parsing.structural`) and typed by scan machines in
+    parallel workers reading their own byte ranges from the backing
+    file; the partial contributions merge back through the reassembly
+    algebra and the :class:`~repro.inference.engine.TypeAccumulator`
     monoid.  Smaller lines fold through the batched bytes pipeline
     exactly as :func:`~repro.inference.engine.accumulate_ranges` runs
     them.  The result is interned-identical to the serial scan of every
-    line, with identical errors: any span the splitter cannot carve (or
-    whose speculative chunking fails validation) is re-scanned serially
-    by the authoritative bytes machine.
+    line, with identical errors.  A span whose speculative chunking
+    fails validation is carved again by the exact depth-1 scan and
+    typed in this process, one chunk of about 256 KiB decoded at a
+    time, so memory stays bounded; only a span that carve also declines
+    (malformed, or not a splittable container) is decoded whole and
+    scanned serially, which raises the exact error.
     """
     from repro.inference.engine import (
         _EXTRA_SPACE_BYTES,
@@ -817,7 +831,25 @@ def infer_subtree_text(
                     pool_state=pool_state,
                 )
                 if t is None:
-                    # Serial authority: exact type, exact errors.
+                    # The speculative carve declined: carve exactly, in
+                    # this process, into about 256 KiB chunks, so only
+                    # one chunk is ever decoded at a time.
+                    t = _subtree_span_type(
+                        buffer,
+                        None,
+                        start,
+                        end,
+                        encoder=encoder,
+                        table=accumulator.table,
+                        processes=1,
+                        targets=max(2, (end - start) >> 18),
+                        min_bytes=min_split_bytes,
+                        pool_state=pool_state,
+                        exact_limit=end - start,
+                    )
+                if t is None:
+                    # Malformed or unsplittable: the whole-span scan
+                    # owns the exact type or the exact serial error.
                     t = encoder.encode_bytes(buffer, start, end)
                 else:
                     split_documents += 1
@@ -1015,8 +1047,8 @@ def _infer_corpus_text(
     )
 
     if processes == 1 or len(bounds) == 1:
-        # Serial corpus fold: undecoded byte ranges straight to interned
-        # types — no per-line decode anywhere.
+        # Serial corpus fold: byte ranges through the batched line
+        # pipeline, which decodes only the lines its shape cache misses.
         from repro.inference.engine import accumulate_ranges
 
         buffer = corpus.buffer()
@@ -1168,8 +1200,8 @@ def plan_schedule(
     dominates the fold and does not depend on the equivalence — so one
     plan serves both equivalences.  An
     :class:`~repro.datasets.ndjson.MmapCorpus` is sampled through the
-    bytes-native scan (no decode); in-memory lines through the str
-    scan.  The serial fold rate is *measured*, not assumed, so the
+    batched line pipeline (shape cache over the raw bytes, decode and
+    scan on a miss); in-memory lines through the str scan.  The serial fold rate is *measured*, not assumed, so the
     decision tracks the actual machine and document shape.  When the
     modeled parallel win is under ``_PARALLEL_ADVANTAGE`` the plan is
     serial: spawning workers that lose to the serial fold (the E16
@@ -1521,7 +1553,8 @@ def infer_adaptive_text(
     fold when the timed-sample cost model says workers would lose
     (guaranteeing ``--jobs N`` is never slower than serial by more than
     the sample cost).  A mapped corpus folds serially through the
-    bytes-native pipeline — no per-line decode.  ``shared_memory`` is
+    batched line pipeline, which decodes only the lines whose shape
+    misses its cache.  ``shared_memory`` is
     ``True``, ``False``, or ``"auto"`` (the
     :func:`choose_shared_memory` heuristic).  The result is
     bit-identical to every other path.

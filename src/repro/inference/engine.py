@@ -129,11 +129,9 @@ class TypeAccumulator:
     def add_bytes(self, data, start: int = 0, end: Optional[int] = None) -> None:
         """Type one raw UTF-8 document held as bytes and absorb it.
 
-        The bytes-native analogue of :meth:`add_text`: ``data`` may be
-        ``bytes``, an mmap, or a shared-memory view, and the byte range
-        is scanned straight to a canonical interned type — no
-        ``.decode`` on the happy path, identical types *and* identical
-        errors to ``add_text(bytes(data[start:end]).decode("utf-8"))``.
+        :meth:`add_text` of the decoded range: ``data`` may be
+        ``bytes``, an mmap, or a shared-memory view; undecodable input
+        raises the decode's ``UnicodeDecodeError``.
         """
         encoder = self._event_encoder
         if encoder is None:
@@ -425,10 +423,10 @@ def accumulate_ranges(
     buffer, a shared-memory view, plain ``bytes``) and ``spans`` the
     ``(start, end)`` byte range of each line, e.g.
     ``corpus.spans`` or :func:`repro.datasets.ndjson.iter_line_spans`
-    output.  No line is ever decoded to ``str`` on the happy path: the
-    ranges run through :meth:`EventTypeEncoder.encode_lines` — the
-    batched skeleton cache plus the bytes-native structural scan — in
-    growing chunks, and blank lines (including the rare non-ASCII
+    output.  The ranges run through :meth:`EventTypeEncoder.encode_lines`
+    in growing chunks: the batched skeleton cache types repeated shapes
+    straight from the bytes, and only lines whose shape misses it are
+    decoded and scanned.  Blank lines (including the rare non-ASCII
     whitespace-only line, for exact :func:`accumulate_lines` parity)
     are skipped.  The result is interned-identical to
     ``accumulate_lines`` over the decoded lines, with identical errors.
@@ -447,13 +445,13 @@ def accumulate_ranges(
 # One huge document serializes the whole line-parallel pipeline.  The
 # functions below turn its *top-level container* into independently
 # typable byte ranges and fold the partial results back to the exact
-# interned node the serial ``encode_bytes`` would produce:
+# interned node the serial scan of the whole document would produce:
 #
 # - :func:`plan_subtree_split` descends to a splittable container
 #   (recording a *spine* of wrapper frames for each level it enters) and
 #   carves its children into contiguous chunk spans;
 # - each chunk, re-wrapped in its container's brackets, is a complete
-#   JSON document the unmodified bytes machine types and validates
+#   JSON document the unmodified scan machine types and validates
 #   (:func:`type_subtree_chunks`) — in this process or in a worker;
 # - :func:`combine_subtree` merges the per-chunk contributions (array
 #   element unions / record member maps) and re-applies the spine.
@@ -464,8 +462,9 @@ def accumulate_ranges(
 # members resolve duplicate keys last-wins, which chunk-ordered folding
 # preserves; ``rec_of`` sorts fields, erasing chunk boundaries.  Any
 # speculation failure (a separator matched inside a string, malformed
-# input, depth overflow) fails chunk validation, and the caller falls
-# back to the serial scan — exact errors, never a silently wrong type.
+# input, depth overflow) fails chunk validation, and the caller re-carves
+# exactly (then, failing that, scans the whole document) — exact errors,
+# never a silently wrong type.
 
 # Below this size the splitter runs the exact linear depth-1 scan; above
 # it, speculative separator searches keep the parent's carving cost
@@ -635,10 +634,11 @@ def type_subtree_chunks(
     *,
     max_depth: int = 512,
 ) -> list:
-    """Type each chunk span through the full bytes machine.
+    """Type each chunk span through the full scan machine.
 
-    Every chunk is wrapped in its container's brackets and scanned as a
-    complete document, so keys, escapes, UTF-8 runs, and nesting depth
+    Every chunk is wrapped in its container's brackets, decoded, and
+    scanned as a complete document (one chunk in memory at a time), so
+    keys, escapes, UTF-8 runs, and nesting depth
     get the machine's exact validation; the wrapper contributes exactly
     the one level the real container contributes.  Raises whatever the
     machine raises on an invalid chunk — callers treat any failure as

@@ -4,14 +4,12 @@ The tutorial emphasises streaming operation twice — mongodb-schema
 "processes them in a streaming fashion", and the parametric inference is
 built for "massive JSON datasets" where materialising documents is the
 wrong plan.  This module runs the *fully fused* text→type pipeline of
-:class:`repro.types.build.EventTypeEncoder`: the lexer's tokens (or a
-SAX-style event stream) drive the intern table's shape caches directly,
-so the map phase of inference goes from bytes to a canonical interned
-type with no ``JSONValue`` DOM, no per-document frame objects, and
-memory proportional to nesting depth:
+:class:`repro.types.build.EventTypeEncoder`: the lexer's tokens drive
+the intern table's shape caches directly, so the map phase of inference
+goes from text to a canonical interned type with no ``JSONValue`` DOM,
+no per-document frame objects, and memory proportional to nesting
+depth:
 
-- :func:`type_from_events` — one type per top-level document in an
-  event stream;
 - :func:`type_of_text` — the canonical type of one JSON text in a
   single lexer pass (identical by object identity to
   ``intern(type_of(parse(text)))``, with the parser's exact error
@@ -27,12 +25,11 @@ matrix (``tests/test_conformance_matrix.py``) and the fuzz differential
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from repro.errors import InferenceError
 from repro.inference.engine import accumulate_lines
 from repro.inference.parametric import InferenceReport
-from repro.jsonvalue.events import JsonEvent
 from repro.types import Equivalence, Type
 from repro.types.build import EventTypeEncoder
 from repro.types.intern import InternTable, global_table
@@ -51,11 +48,9 @@ def _shared_encoder(
     :class:`~repro.types.build.EventTypeEncoder` yourself for batch work
     so its shape caches persist across calls.
 
-    Only safe for :meth:`~repro.types.build.EventTypeEncoder.encode_text`
-    callers: that path keeps its parse state in locals, so concurrent or
-    interleaved texts cannot corrupt each other through the shared
-    instance.  The event feed keeps *cross-call* state (its frame
-    stack), so :func:`type_from_events` never shares implicitly.
+    Sharing is safe because every encoding path keeps its parse state in
+    locals, so concurrent or interleaved texts cannot corrupt each other
+    through the shared instance.
     """
     global _DEFAULT_ENCODER
     if encoder is not None:
@@ -66,44 +61,6 @@ def _shared_encoder(
             enc = _DEFAULT_ENCODER = EventTypeEncoder(global_table())
         return enc
     return EventTypeEncoder(table)
-
-
-def type_from_events(
-    events: Iterable[JsonEvent],
-    *,
-    table: Optional[InternTable] = None,
-    encoder: Optional[EventTypeEncoder] = None,
-) -> Iterator[Type]:
-    """Yield the canonical type of each top-level document in an event
-    stream.
-
-    Equivalent to ``intern(type_of(value))`` for the values the events
-    describe, but without materialising them: events feed the fused
-    encoder's shape caches directly.  Raises
-    :class:`~repro.errors.InferenceError` on ill-formed or truncated
-    streams.
-
-    With no explicit ``encoder`` a fresh one is built per call, so
-    concurrent or interleaved streams can never share a frame stack.
-    Callers that pass their own encoder (to amortize its shape caches)
-    must not interleave two streams through it.
-    """
-    enc = encoder if encoder is not None else EventTypeEncoder(table)
-    if enc.depth:
-        enc.reset()  # discard state a previously failed stream left behind
-    feed_event = enc.feed_event
-    try:
-        for event in events:
-            done = feed_event(event)
-            if done is not None:
-                yield done
-        if enc.depth:
-            raise InferenceError("event stream ended inside an unclosed container")
-    finally:
-        # A raising event source (or an abandoned generator) must not
-        # leak half-built frames into a caller-held encoder.
-        if enc.depth:
-            enc.reset()
 
 
 def type_of_text(
@@ -132,16 +89,12 @@ def type_of_bytes(
     max_depth: int = 512,
 ) -> Type:
     """The canonical interned type of one JSON document held as UTF-8
-    bytes — the bytes-native twin of :func:`type_of_text`.
+    bytes: :func:`type_of_text` of the decoded range.
 
-    ``data`` may be ``bytes``, an mmap, or a shared-memory view; the
-    byte range is scanned without decoding (string content skipped
-    structurally, keys through a bytes→str cache).  Identical by object
-    identity to ``type_of_text(bytes(data[start:end]).decode("utf-8"))``,
-    with identical errors: undecodable input raises the exact
-    ``UnicodeDecodeError`` the decode would, and malformed JSON raises
-    the parser's exact error with character offsets relative to
-    ``start``.
+    ``data`` may be ``bytes``, an mmap, or a shared-memory view.
+    Undecodable input raises the decode's ``UnicodeDecodeError``, and
+    malformed JSON raises the parser's exact error with character
+    offsets relative to ``start``.
     """
     return _shared_encoder(table, encoder).encode_bytes(
         data, start, end, max_depth=max_depth
@@ -152,10 +105,10 @@ def infer_report_corpus(
     corpus, equivalence: Equivalence = Equivalence.KIND
 ) -> InferenceReport:
     """Inference over an :class:`~repro.datasets.ndjson.MmapCorpus` via
-    the bytes-native fold: the mapped file's line ranges go straight to
-    canonical interned types (batched skeleton cache + bytes scan) with
-    zero per-line ``str`` decode.  Interned-identical to every other
-    route."""
+    the bytes-native fold: the mapped file's line ranges go to canonical
+    interned types through the batched skeleton cache, and only lines
+    whose shape misses it decode and run the scan.  Interned-identical
+    to every other route."""
     from repro.inference.engine import accumulate_ranges
 
     accumulator = accumulate_ranges(corpus.buffer(), corpus.spans, equivalence)

@@ -129,8 +129,9 @@ NUMBER_TAIL_PATTERN = r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 # --------------------------------------------------------------------------
 # Bytes mirrors of the shared fragments.
 #
-# The bytes-native structural scan (`EventTypeEncoder.encode_bytes`) runs
-# the same grammar directly over mmap / shared-memory buffers.  Every
+# The bytes scanners (the counting scan, the structural splitter, the
+# line-shape cache) run the same grammar directly over mmap /
+# shared-memory buffers.  Every
 # fragment mirrors its str twin by plain ASCII encoding — including the
 # string body: in bytes mode the very same class ``[^"\\\x00-\x1f]``
 # matches any byte ``\x20``–``\xff`` except ``"`` and ``\``, which skips
@@ -156,7 +157,7 @@ STRING_BODY_PATTERN_BYTES = STRING_BODY_PATTERN.encode("ascii")
 # preserves lone surrogates), so four hex digits suffice.
 STRING_ESCAPE_PATTERN_BYTES = rb'\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})'
 # A whole string-literal body, escapes included — used by the bytes
-# scan's per-token tier, where a match is a complete literal whose
+# scanners' per-token tier, where a match is a complete literal whose
 # decoded content would lex identically (escape validity included; only
 # UTF-8 validity remains for the lazy document-level check).
 FULL_STRING_BODY_PATTERN_BYTES = (

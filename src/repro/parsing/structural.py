@@ -297,7 +297,7 @@ class StructuralIndex:
 # record serializes the whole fold.  The splitter carves the top-level
 # container of an undecoded byte buffer (mmap, shared memory, bytes)
 # into contiguous *subtree ranges* that workers can type independently
-# with ``encode_bytes``-class machines, to be reassembled through the
+# with the scan machine, to be reassembled through the
 # merge monoid.
 #
 # Two carving strategies share one contract:
@@ -321,9 +321,9 @@ class StructuralIndex:
 # verified regions and any speculation failure (separator bytes found
 # inside a string, at the wrong depth, malformed input, …) surfaces as a
 # validation failure, never as a silently different type.  The driver
-# then falls back to the serial ``encode_bytes`` of the whole document,
-# which raises the parser-exact error (or, for under-approximated valid
-# shapes, returns the correct type).
+# then re-carves with the exact scan, and failing that scans the whole
+# document serially, which raises the parser-exact error (or, for
+# under-approximated valid shapes, returns the correct type).
 # ---------------------------------------------------------------------------
 
 _SPLIT_WS = re.compile(rb"[ \t\n\r]*")
@@ -362,7 +362,7 @@ class SubtreeScan:
     ``(key_start, key_body_start, key_body_end, value_start, value_end)``
     for an object — ``key_start`` is the opening quote (so a member span
     runs ``key_start:value_end``), the body span excludes the quotes
-    (the shape ``EventTypeEncoder._key_str`` decodes).
+    (the raw key bytes, escapes still encoded).
     """
 
     kind: str  # "object" | "array"
@@ -402,7 +402,7 @@ def scan_depth1_spans(data, start: int = 0, end: Optional[int] = None):
     Returns a :class:`SubtreeScan`, or ``None`` when the range is not a
     splittable container document (top-level scalar, malformed shape,
     trailing garbage, …) — the caller then types the range serially, so
-    errors and under-approximations resolve exactly as ``encode_bytes``
+    errors and under-approximations resolve exactly as the serial scan
     would.
     """
     if end is None:

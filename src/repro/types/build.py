@@ -16,10 +16,10 @@ law ``type_of_interned(v) is intern(type_of(v))`` is pinned by the
 differential property tests in ``tests/test_build_fused_differential.py``.
 
 :class:`EventTypeEncoder` extends the fused map phase to *text*: it
-consumes SAX-style parse events (:meth:`EventTypeEncoder.feed_event`) or
-raw JSON text (:meth:`EventTypeEncoder.encode_text`) and resolves
+consumes raw JSON text (:meth:`EventTypeEncoder.encode_text`; UTF-8
+bytes decode first, :meth:`EventTypeEncoder.encode_bytes`) and resolves
 every closing container through the same record/array shape caches —
-no ``JSONValue`` DOM, no per-document frame objects, just bytes to a
+no ``JSONValue`` DOM, no per-document frame objects, just text to a
 canonical interned type.  ``encode_text`` is a **regex-vectorized
 structural scan**: compiled phase-specific master patterns (built from
 the lexer's shared token fragments) consume the inter-token whitespace
@@ -32,12 +32,10 @@ the streaming and parsing paths fail identically.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Optional
 
 import re
 
-from repro.errors import InferenceError
-from repro.jsonvalue.events import JsonEvent, JsonEventType
 from repro.jsonvalue.lexer import (
     FULL_STRING_BODY_PATTERN_BYTES,
     INT_PATTERN,
@@ -411,98 +409,44 @@ _NUMBER_BOUNDARY = frozenset(NUMBER_BOUNDARY_CHARS)
 _NUMBER_START = "-0123456789"
 
 # --------------------------------------------------------------------------
-# The bytes-native mirror of the structural scan.
+# Bytes twins of the per-token scan patterns.
 #
-# ``encode_bytes`` runs the same phase machine directly over a raw byte
-# buffer (mmap, shared-memory view, bytes) with *no* per-line
-# ``.decode("utf-8")``: every fragment — the string-body class included —
-# mirrors its str twin by plain ASCII encoding, so in bytes mode string
-# bodies admit any byte ``\x20``–``\xff`` except ``"`` and ``\`` and
-# UTF-8 multibyte content is skipped *structurally* (multibyte sequences
-# contain no bytes below ``\x80``, so byte-level and char-level string
-# extents agree on valid UTF-8).  The only str objects the happy path
-# creates are object *keys*, resolved through a bytes→str cache so each
-# distinct key bytes decodes once per encoder.
-#
-# UTF-8 validity is checked lazily, once per document: a successful scan
-# returns directly when a C-speed search finds no high byte (the common
-# all-ASCII case), and otherwise runs one strict-validation match over
-# the range — never a decode.  The group layout of every pattern matches
-# its str twin exactly, so the fused loops emit the same small-int
-# shape-signature codes and the two machines share one set of
-# record/array shape caches.
-#
-# Anything the byte patterns decline — malformed tokens, malformed
-# UTF-8, structural errors, EOF — *delegates*: the document's byte range
-# is decoded (raising the same ``UnicodeDecodeError`` the text pipeline's
-# up-front decode would, bytes and positions identical) and re-run
-# through ``encode_text``, which raises the parser-exact error with
-# *character* offsets.  Declines happen only on documents that cannot
-# parse, so valid input never pays the decode.
+# The counting scanner (``repro.inference.counting``) runs the per-token
+# phase machine directly over raw byte buffers with these patterns.
+# Every fragment mirrors its str twin by plain ASCII encoding, with the
+# same group layout; in bytes mode string bodies admit any byte
+# ``\x20``-``\xff`` except ``"`` and ``\``, so UTF-8 validity is checked
+# once per document instead: a C-speed search for any high byte, then,
+# only when one exists, one strict-validation match.  The line-shape
+# cache below uses the same check on its cache hits.
 # --------------------------------------------------------------------------
 
 _BYTES_WS = WHITESPACE_PATTERN_BYTES
-_BYTES_NUMBER_TAIL = NUMBER_TAIL_PATTERN_BYTES
 
-# Scalar alternatives with the same relative groups as _SCALAR_GROUPS:
-# +1 string, +2 number (containing +3 tail), +4 true/false, +5 null,
-# +6 empty array, +7 empty object.
-_BYTES_SCALAR_GROUPS = (
-    b'(")' + STRING_BODY_PATTERN_BYTES + b'"'
-    + b"|(" + INT_PATTERN_BYTES + b"(" + _BYTES_NUMBER_TAIL + b"))"
-    + b"|(true|false)|(null)"
-    + rb"|(\[" + _BYTES_WS + rb"\])"
-    + rb"|(\{" + _BYTES_WS + rb"\})"
-)
-# The per-token value scan carries the *full* string pattern (escapes
-# included): a match is a complete literal whose content never matters
-# to its type, so escaped strings stay on the bytes path.
-_BYTES_FULL_SCALAR_GROUPS = (
-    b'(")' + FULL_STRING_BODY_PATTERN_BYTES + b'"'
-    + b"|(" + INT_PATTERN_BYTES + b"(" + _BYTES_NUMBER_TAIL + b"))"
-    + b"|(true|false)|(null)"
-    + rb"|(\[" + _BYTES_WS + rb"\])"
-    + rb"|(\{" + _BYTES_WS + rb"\})"
-)
+# Value-scan groups, as in _VALUE_SCAN: 1 string (escapes included),
+# 2 number (containing 3 tail), 4 true/false, 5 null, 6 empty array,
+# 7 empty object, 8 "{", 9 "[", 10 "]".
 _BYTES_VALUE_SCAN = re.compile(
     _BYTES_WS + b"(?:"
-    + _BYTES_FULL_SCALAR_GROUPS
+    + b'(")' + FULL_STRING_BODY_PATTERN_BYTES + b'"'
+    + b"|(" + INT_PATTERN_BYTES + b"(" + NUMBER_TAIL_PATTERN_BYTES + b"))"
+    + b"|(true|false)|(null)"
+    + rb"|(\[" + _BYTES_WS + rb"\])"
+    + rb"|(\{" + _BYTES_WS + rb"\})"
     + rb"|(\{)|(\[)|(\])"
     b")"
 )
 # Key scan: full string pattern, so escaped keys resolve without the
-# lexer (the decoded key comes from the bytes→str cache).
+# lexer; group 2 is the closing brace.
 _BYTES_KEY_SCAN = re.compile(
     _BYTES_WS
     + b'(?:"(' + FULL_STRING_BODY_PATTERN_BYTES + b')"' + _BYTES_WS + rb":|(\}))"
 )
 _BYTES_AFTER_SCAN = re.compile(_BYTES_WS + rb"([,\]}])")
-_BYTES_MEMBER_BODY = (
-    b'"(' + STRING_BODY_PATTERN_BYTES + b')"'
-    + _BYTES_WS + b":" + _BYTES_WS
-    + b"(?:(?:" + _BYTES_SCALAR_GROUPS + b")"
-    + _BYTES_WS + rb"[,}]|([{\[]))"
-)
-_BYTES_MEMBER_SCAN = re.compile(_BYTES_WS + _BYTES_MEMBER_BODY)
-_BYTES_ELEMENT_BODY = (
-    b"(?:(?:" + _BYTES_SCALAR_GROUPS + b")"
-    + _BYTES_WS + rb"[,\]]|([{\[]))"
-)
-_BYTES_ELEMENT_SCAN = re.compile(_BYTES_WS + _BYTES_ELEMENT_BODY)
-_BYTES_AFTER_MEMBER_SCAN = re.compile(
-    _BYTES_WS + b"," + _BYTES_WS + _BYTES_MEMBER_BODY
-)
-_BYTES_AFTER_ELEMENT_SCAN = re.compile(
-    _BYTES_WS + b"," + _BYTES_WS + _BYTES_ELEMENT_BODY
-)
 _BYTES_WS_RUN = re.compile(_BYTES_WS)
 _BYTES_NUMBER_BOUNDARY = frozenset(NUMBER_BOUNDARY_BYTES)
-# The lazy document-level UTF-8 check: one C-speed search for any high
-# byte, and — only when one exists — one strict-validation match.
 _BYTES_HIGH_BYTE = re.compile(rb"[\x80-\xff]")
 _BYTES_UTF8_RUN = re.compile(UTF8_VALIDATION_PATTERN)
-_COMMA_BYTE = 0x2C
-_LBRACE_BYTE = 0x7B
 
 # --------------------------------------------------------------------------
 # The batched line-shape cache (``encode_lines``).
@@ -604,9 +548,8 @@ def _collapse_skeleton(skeleton: bytes) -> bytes:
 
 # Shape-signature key domains.  The fused loops append their small-int
 # group code for scalar children (and 0 for floats, whose group is
-# shared with ints), while every other path — feed_event, the
-# value_scan fallback, TypeEncoder.encode, and container attaches —
-# appends ``id(child)``.  The two domains can never collide: CPython
+# shared with ints), while every other path — the value_scan
+# fallback, TypeEncoder.encode, and container attaches — appends ``id(child)``.  The two domains can never collide: CPython
 # ids are object addresses, far above the single-digit codes, so the
 # same shape reached through different paths at worst occupies two
 # cache slots resolving to the same canonical node (rec_of/arr_of are
@@ -614,51 +557,34 @@ def _collapse_skeleton(skeleton: bytes) -> bytes:
 
 
 class EventTypeEncoder(TypeEncoder):
-    """Event- and token-driven fused map phase: text → canonical type.
+    """Token-driven fused map phase: text → canonical type.
 
-    Extends :class:`TypeEncoder` with two zero-materialization inputs:
+    Extends :class:`TypeEncoder` with the compiled structural scan
+    (:meth:`encode_text`): one regex-driven pass from JSON text to the
+    canonical interned type (whole scalar members and elements per
+    C-speed match), with the exact error behaviour (class, message,
+    offset) of the DOM parser under its default options.  UTF-8 bytes
+    decode and take the same scan (:meth:`encode_bytes`); NDJSON line
+    batches resolve repeated shapes through a line-shape cache first
+    (:meth:`encode_lines`).
 
-    - :meth:`feed_event` / :meth:`feed` consume the SAX-style events of
-      :func:`repro.jsonvalue.events.iter_events` (or any well-formed
-      event stream) and build canonical interned types *directly* — no
-      DOM value, no per-document frame objects, just list frames of
-      ``(shape-signature parts, child types)`` resolved through the
-      shared record/array shape caches;
-    - :meth:`encode_text` fuses one step further and runs the compiled
-      structural scan: one regex-driven pass from JSON text to the
-      canonical interned type (whole scalar members and elements per
-      C-speed match), with the exact error behaviour (class, message,
-      offset) of the DOM parser under its default options.
-
-    Both paths produce, by object identity, the same node that
+    Every input produces, by object identity, the same node that
     ``table.intern(type_of(parse(text)))`` would — the conformance and
     fuzz suites pin this.  Duplicate object keys follow the parser's
     default last-wins policy.
     """
 
-    __slots__ = ("_stack", "_empty_rec", "_key_cache", "_line_cache", "_line_stats")
+    __slots__ = ("_empty_rec", "_line_cache", "_line_stats")
 
     def _rebind(self) -> None:
         super()._rebind()
         table = self.table
         self._empty_rec = table.rec_of([])
-        # bytes key → decoded str key, shared by every document the
-        # encoder sees (keys repeat massively in real collections, so
-        # after warmup the bytes scan decodes nothing at all).  Epoch
-        # changes rebuild it only because _rebind is the one common
-        # initialization hook; the cached strs carry no table state.
-        self._key_cache: dict = {}
         # Line-shape cache of encode_lines: skeleton bytes → canonical
         # node of this epoch, plus [attempts, hits, enabled] adaptive
         # state.  Rebuilt per epoch — the cached nodes are table state.
         self._line_cache: dict = {}
         self._line_stats: list = [0, 0, True]
-        # Open containers of the event-feed path.  Frames are plain
-        # lists ``[is_object, keyparts, child types]``: keyparts is the
-        # container's shape signature (alternating field name/child id
-        # for records, child ids for arrays), exactly the shape-cache
-        # key format of TypeEncoder.encode.
-        self._stack: list[list] = []
 
     # ------------------------------------------------------------------
     # shared close steps (shape-cache resolution)
@@ -690,98 +616,6 @@ class EventTypeEncoder(TypeEncoder):
             done = table.arr_of(table.union_of(ctypes))
             self._arr_cache[key] = done
         return done
-
-    # ------------------------------------------------------------------
-    # event-driven feed
-    # ------------------------------------------------------------------
-
-    @property
-    def depth(self) -> int:
-        """Number of containers currently open in the event feed."""
-        return len(self._stack)
-
-    def reset(self) -> None:
-        """Discard any in-flight event-feed state (after a bad stream)."""
-        del self._stack[:]
-
-    def _attach(self, done: Type) -> Optional[Type]:
-        """Store a completed child; returns the type when it was a
-        whole top-level document."""
-        stack = self._stack
-        if not stack:
-            return done
-        frame = stack[-1]
-        keyparts = frame[1]
-        if frame[0] and len(keyparts) != 2 * len(frame[2]) + 1:
-            raise InferenceError("object value without a preceding key event")
-        keyparts.append(id(done))
-        frame[2].append(done)
-        return None
-
-    def feed_event(self, event: JsonEvent) -> Optional[Type]:
-        """Absorb one parse event; returns the canonical interned type
-        each time a top-level document completes, else ``None``.
-
-        Raises :class:`~repro.errors.InferenceError` on ill-formed event
-        streams (key outside an object, unmatched container end, ...);
-        streams produced by :func:`repro.jsonvalue.events.iter_events`
-        are well-formed by construction.
-        """
-        etype = event.type
-        stack = self._stack
-        if etype is JsonEventType.KEY:
-            if not stack or not stack[-1][0]:
-                raise InferenceError("key event outside an object")
-            frame = stack[-1]
-            keyparts = frame[1]
-            if len(keyparts) != 2 * len(frame[2]):
-                raise InferenceError("two key events without a value")
-            keyparts.append(event.value)
-            return None
-        if etype is JsonEventType.VALUE:
-            if not stack and self.table.epoch() is not self._epoch:
-                self._rebind()
-                stack = self._stack
-            value = event.value
-            atom = self._scalars.get(type(value))
-            if atom is None:
-                atom = self._scalar_slow(value)
-                if atom is None:
-                    raise InferenceError(
-                        f"VALUE event carrying a container {value!r}"
-                    )
-            return self._attach(atom)
-        if etype is JsonEventType.START_OBJECT or etype is JsonEventType.START_ARRAY:
-            if not stack and self.table.epoch() is not self._epoch:
-                self._rebind()
-                stack = self._stack
-            stack.append([etype is JsonEventType.START_OBJECT, [], []])
-            return None
-        if etype is JsonEventType.END_OBJECT or etype is JsonEventType.END_ARRAY:
-            if not stack:
-                raise InferenceError("container end without start")
-            frame = stack[-1]
-            if frame[0] is not (etype is JsonEventType.END_OBJECT):
-                raise InferenceError("mismatched container end event")
-            stack.pop()
-            if frame[0]:
-                keyparts = frame[1]
-                if len(keyparts) != 2 * len(frame[2]):
-                    raise InferenceError("key event without a following value")
-                done = self._close_record(keyparts, frame[2])
-            else:
-                done = self._close_array(frame[1], frame[2])
-            return self._attach(done)
-        raise InferenceError(f"unknown event {etype!r}")  # pragma: no cover
-
-    def feed(self, events: Iterable[JsonEvent]) -> Iterator[Type]:
-        """Yield the canonical type of each top-level document in
-        ``events`` (the generator analogue of :meth:`feed_event`)."""
-        feed_event = self.feed_event
-        for event in events:
-            done = feed_event(event)
-            if done is not None:
-                yield done
 
     # ------------------------------------------------------------------
     # fused lexer loop: one pass from text to canonical type
@@ -1270,46 +1104,8 @@ class EventTypeEncoder(TypeEncoder):
             continue
 
     # ------------------------------------------------------------------
-    # bytes-native fused scan: mmap/shm byte ranges to canonical types
+    # byte buffers: decode, then the one structural scan
     # ------------------------------------------------------------------
-
-    def _key_str(self, raw: bytes) -> Optional[str]:
-        """The decoded object key for raw key-body bytes (cached).
-
-        ``raw`` is the body a byte pattern matched: escapes (if any) are
-        guaranteed valid by the pattern, but the bytes may still be
-        malformed UTF-8 — that case returns ``None`` (uncached) and the
-        caller delegates, so the document's decode raises the exact
-        ``UnicodeDecodeError`` the text pipeline would.
-        """
-        cache = self._key_cache
-        name = cache.get(raw)
-        if name is None:
-            try:
-                if b"\\" in raw:
-                    name = _Scanner(
-                        '"' + raw.decode("utf-8") + '"'
-                    ).scan_string().value
-                else:
-                    name = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return None
-            cache[raw] = name
-        return name
-
-    def _delegate_bytes(self, data, start: int, end: int, max_depth: int) -> Type:
-        """Decode the document range and re-run the str machine.
-
-        The bytes scan delegates only when the range cannot scan as
-        valid JSON: the decode raises the exact ``UnicodeDecodeError``
-        the text pipeline's up-front line decode would (same bytes,
-        same positions), and on decodable input ``encode_text`` raises
-        the parser-exact error — class, message, and *character* offset
-        relative to the range start — or, in the rare shapes the byte
-        patterns under-approximate, returns the correct type.
-        """
-        text = bytes(data[start:end]).decode("utf-8")
-        return self.encode_text(text, max_depth=max_depth)
 
     def encode_bytes(
         self,
@@ -1320,388 +1116,20 @@ class EventTypeEncoder(TypeEncoder):
         max_depth: int = 512,
     ) -> Type:
         """The canonical interned type of one JSON document held as
-        UTF-8 bytes — identical (by object identity, and by error class/
-        message/offset on malformed input) to
-        ``encode_text(bytes(data[start:end]).decode("utf-8"))``, without
-        the decode.
+        UTF-8 bytes: ``encode_text(str(memoryview(data)[start:end],
+        "utf-8"), max_depth=max_depth)``.
 
         ``data`` is anything the buffer protocol covers: ``bytes``, an
         ``mmap.mmap``, a ``memoryview`` over a shared-memory segment.
-        The scan mirrors :meth:`encode_text`'s compiled structural scan
-        with bytes master patterns (identical group layout, so both
-        machines share one set of shape caches): string *content* —
-        multibyte UTF-8 included — is skipped structurally and never
-        decoded, with UTF-8 validity checked lazily once per document
-        (a high-byte search, then a strict-validation match only when
-        one exists); object keys resolve through a bytes→str cache, so
-        each distinct key decodes once per encoder.  Anything the byte
-        patterns decline — which valid documents never hit — decodes
-        the range lazily and re-runs the str machine for the exact
-        error (character offsets relative to ``start``).
+        Undecodable input raises the decode's ``UnicodeDecodeError``;
+        malformed JSON raises the parser's exact error, with character
+        offsets relative to ``start``.  There is one structural scan, the
+        str one: a decode is cheap next to a scan, and CPython's str
+        regex engine outruns its bytes engine.
         """
-        if end is None:
-            end = len(data)
-        table = self.table
-        if table.epoch() is not self._epoch:
-            self._rebind()
-        int_atom = self._int
-        flt_atom = self._flt
-        str_atom = self._str
-        bool_atom = self._bool
-        null_atom = self._null
-        value_scan = _BYTES_VALUE_SCAN.match
-        key_scan = _BYTES_KEY_SCAN.match
-        after_scan = _BYTES_AFTER_SCAN.match
-        member_scan = _BYTES_MEMBER_SCAN.match
-        element_scan = _BYTES_ELEMENT_SCAN.match
-        after_member_scan = _BYTES_AFTER_MEMBER_SCAN.match
-        after_element_scan = _BYTES_AFTER_ELEMENT_SCAN.match
-        ws_run = _BYTES_WS_RUN.match
-        key_str = self._key_str
-        close_record = self._close_record
-        close_array = self._close_array
-        empty_arr = self._empty_arr
-        empty_rec = self._empty_rec
-        doc_start = start
-        length = end
-        pos = start
-        stack: list[list] = []
-        phase = _PHASE_VALUE
-        result: Optional[Type] = None
-        # Set when the fused loop just declined at the current position
-        # (mirrors encode_text's outer dispatch).
-        declined = False
-
-        while True:
-            fused = None
-            if phase == _PHASE_AFTER:
-                m = after_scan(data, pos, length)
-                if m is None:
-                    ws_end = ws_run(data, pos, length).end()
-                    if ws_end >= length and not stack:
-                        assert result is not None
-                        # Lazy UTF-8 validity, once per document: pure
-                        # ASCII returns straight away; high bytes run
-                        # one strict-validation match (never a decode);
-                        # malformed UTF-8 delegates for the exact
-                        # UnicodeDecodeError.
-                        if _BYTES_HIGH_BYTE.search(data, doc_start, length) is None:
-                            return result
-                        run = _BYTES_UTF8_RUN.match(data, doc_start, length)
-                        if run.end() == length:
-                            return result
-                        return self._delegate_bytes(
-                            data, doc_start, length, max_depth
-                        )
-                    # EOF inside a container, or trailing garbage.
-                    return self._delegate_bytes(data, doc_start, length, max_depth)
-                mend = m.end()
-                ch = data[mend - 1]
-                if not stack:
-                    # Trailing data after the document.
-                    return self._delegate_bytes(data, doc_start, length, max_depth)
-                frame = stack[-1]
-                if ch == _COMMA_BYTE:
-                    pos = mend
-                    phase = _PHASE_KEY if frame[0] else _PHASE_VALUE
-                    continue
-                # "}" or "]": must close the innermost container's kind.
-                if (ch == 0x7D) != frame[0]:
-                    return self._delegate_bytes(data, doc_start, length, max_depth)
-                pos = mend
-                stack.pop()
-                if frame[0]:
-                    completed = close_record(frame[1], frame[2])
-                else:
-                    completed = close_array(frame[1], frame[2])
-                if not stack:
-                    result = completed
-                    continue
-                parent = stack[-1]
-                parent[1].append(id(completed))
-                parent[2].append(completed)
-                if parent[0]:
-                    fused = after_member_scan(data, pos, length)
-                else:
-                    fused = after_element_scan(data, pos, length)
-                if fused is None:
-                    continue
-
-            elif phase == _PHASE_KEY or phase == _PHASE_KEY_OR_CLOSE:
-                if declined:
-                    declined = False
-                else:
-                    fused = member_scan(data, pos, length)
-                if fused is None:
-                    m = key_scan(data, pos, length)
-                    if m is None:
-                        # Malformed key, missing colon, EOF, garbage.
-                        return self._delegate_bytes(
-                            data, doc_start, length, max_depth
-                        )
-                    mend = m.end()
-                    if m.lastindex == 2:  # "}"
-                        if phase == _PHASE_KEY:
-                            # A comma promised another member.
-                            return self._delegate_bytes(
-                                data, doc_start, length, max_depth
-                            )
-                        pos = mend
-                        stack.pop()
-                        completed = empty_rec
-                        if stack:
-                            parent = stack[-1]
-                            parent[1].append(id(completed))
-                            parent[2].append(completed)
-                        else:
-                            result = completed
-                        phase = _PHASE_AFTER
-                        continue
-                    # Key string (escapes included) and its colon.
-                    name = key_str(m.group(1))
-                    if name is None:  # malformed UTF-8 in the key
-                        return self._delegate_bytes(
-                            data, doc_start, length, max_depth
-                        )
-                    stack[-1][1].append(name)
-                    pos = mend
-                    phase = _PHASE_VALUE
-                    continue
-
-            elif stack and not stack[-1][0]:
-                if declined:
-                    declined = False
-                else:
-                    fused = element_scan(data, pos, length)
-
-            if fused is not None:
-                # The unified fused loop, one iteration per member or
-                # element — byte-identical control flow to encode_text.
-                m = fused
-                frame = stack[-1]
-                keyparts = frame[1]
-                ctypes = frame[2]
-                in_object = frame[0]
-                while True:
-                    if in_object:
-                        name = key_str(m.group(1))
-                        if name is None:  # malformed UTF-8 in the key
-                            return self._delegate_bytes(
-                                data, doc_start, length, max_depth
-                            )
-                        keyparts.append(name)
-                        kind = m.lastindex
-                        pos = m.end()
-                        if kind == 2:
-                            atom = str_atom
-                        elif kind == 3:
-                            tail_start, tail_end = m.span(4)
-                            if tail_start == tail_end:
-                                atom = int_atom
-                            else:
-                                kind = 0
-                                atom = flt_atom
-                        elif kind == 5:
-                            atom = bool_atom
-                        elif kind == 6:
-                            atom = null_atom
-                        elif kind == 7:  # empty array value
-                            if len(stack) >= max_depth:
-                                return self._delegate_bytes(
-                                    data, doc_start, length, max_depth
-                                )
-                            atom = empty_arr
-                        elif kind == 8:  # empty object value
-                            if len(stack) >= max_depth:
-                                return self._delegate_bytes(
-                                    data, doc_start, length, max_depth
-                                )
-                            atom = empty_rec
-                        else:  # kind == 9: the value opens a container
-                            in_object = data[pos - 1] == _LBRACE_BYTE
-                            if len(stack) >= max_depth:
-                                return self._delegate_bytes(
-                                    data, doc_start, length, max_depth
-                                )
-                            frame = [in_object, [], []]
-                            stack.append(frame)
-                            keyparts = frame[1]
-                            ctypes = frame[2]
-                            if in_object:
-                                m = member_scan(data, pos, length)
-                                if m is None:
-                                    declined = True
-                                    phase = _PHASE_KEY_OR_CLOSE
-                                    break
-                            else:
-                                m = element_scan(data, pos, length)
-                                if m is None:
-                                    declined = True
-                                    phase = _PHASE_VALUE_OR_CLOSE
-                                    break
-                            continue
-                        keyparts.append(kind)
-                        ctypes.append(atom)
-                        if data[pos - 1] == _COMMA_BYTE:
-                            m = member_scan(data, pos, length)
-                            if m is not None:
-                                continue
-                            declined = True
-                            phase = _PHASE_KEY
-                            break
-                        # "}" — the record is complete.
-                        stack.pop()
-                        completed = close_record(keyparts, ctypes)
-                    else:
-                        kind = m.lastindex
-                        pos = m.end()
-                        if kind == 1:
-                            atom = str_atom
-                        elif kind == 2:
-                            tail_start, tail_end = m.span(3)
-                            if tail_start == tail_end:
-                                atom = int_atom
-                            else:
-                                kind = 0
-                                atom = flt_atom
-                        elif kind == 4:
-                            atom = bool_atom
-                        elif kind == 5:
-                            atom = null_atom
-                        elif kind == 6:  # empty array element
-                            if len(stack) >= max_depth:
-                                return self._delegate_bytes(
-                                    data, doc_start, length, max_depth
-                                )
-                            atom = empty_arr
-                        elif kind == 7:  # empty object element
-                            if len(stack) >= max_depth:
-                                return self._delegate_bytes(
-                                    data, doc_start, length, max_depth
-                                )
-                            atom = empty_rec
-                        else:  # kind == 8: the element opens a container
-                            in_object = data[pos - 1] == _LBRACE_BYTE
-                            if len(stack) >= max_depth:
-                                return self._delegate_bytes(
-                                    data, doc_start, length, max_depth
-                                )
-                            frame = [in_object, [], []]
-                            stack.append(frame)
-                            keyparts = frame[1]
-                            ctypes = frame[2]
-                            if in_object:
-                                m = member_scan(data, pos, length)
-                                if m is None:
-                                    declined = True
-                                    phase = _PHASE_KEY_OR_CLOSE
-                                    break
-                            else:
-                                m = element_scan(data, pos, length)
-                                if m is None:
-                                    declined = True
-                                    phase = _PHASE_VALUE_OR_CLOSE
-                                    break
-                            continue
-                        keyparts.append(kind)
-                        ctypes.append(atom)
-                        if data[pos - 1] == _COMMA_BYTE:
-                            m = element_scan(data, pos, length)
-                            if m is not None:
-                                continue
-                            declined = True
-                            phase = _PHASE_VALUE
-                            break
-                        # "]" — the array is complete.
-                        stack.pop()
-                        completed = close_array(keyparts, ctypes)
-                    # Attach the closed container and continue with its
-                    # parent's next sibling, comma fused into the match.
-                    if not stack:
-                        result = completed
-                        phase = _PHASE_AFTER
-                        break
-                    frame = stack[-1]
-                    keyparts = frame[1]
-                    ctypes = frame[2]
-                    in_object = frame[0]
-                    keyparts.append(id(completed))
-                    ctypes.append(completed)
-                    if in_object:
-                        m = after_member_scan(data, pos, length)
-                    else:
-                        m = after_element_scan(data, pos, length)
-                    if m is None:
-                        phase = _PHASE_AFTER
-                        break
-                continue
-
-            # _PHASE_VALUE / _PHASE_VALUE_OR_CLOSE, per-token scan.
-            m = value_scan(data, pos, length)
-            if m is None:
-                # Malformed token, malformed UTF-8, EOF, or garbage —
-                # the decode + str machine resolves with the exact error.
-                return self._delegate_bytes(data, doc_start, length, max_depth)
-            idx = m.lastindex
-            mend = m.end()
-            if idx == 1:  # string (escapes included): content never matters
-                pos = mend
-                completed = str_atom
-            elif idx == 2:  # number
-                if mend < length and data[mend] in _BYTES_NUMBER_BOUNDARY:
-                    # The maximal match may extend into a malformed
-                    # literal ("01", "1.e5") — and even when the lexer
-                    # would re-scan a shorter valid token ("1.5.5"), the
-                    # leftover boundary char is a guaranteed structural
-                    # error: delegate for the exact outcome.
-                    return self._delegate_bytes(data, doc_start, length, max_depth)
-                pos = mend
-                tail_start, tail_end = m.span(3)
-                completed = int_atom if tail_start == tail_end else flt_atom
-            elif idx == 4:  # true / false
-                pos = mend
-                completed = bool_atom
-            elif idx == 5:  # null
-                pos = mend
-                completed = null_atom
-            elif idx == 6:  # empty array
-                if len(stack) >= max_depth:
-                    return self._delegate_bytes(data, doc_start, length, max_depth)
-                pos = mend
-                completed = empty_arr
-            elif idx == 7:  # empty object
-                if len(stack) >= max_depth:
-                    return self._delegate_bytes(data, doc_start, length, max_depth)
-                pos = mend
-                completed = empty_rec
-            elif idx == 8:  # "{"
-                if len(stack) >= max_depth:
-                    return self._delegate_bytes(data, doc_start, length, max_depth)
-                pos = mend
-                stack.append([True, [], []])
-                phase = _PHASE_KEY_OR_CLOSE
-                continue
-            elif idx == 9:  # "["
-                if len(stack) >= max_depth:
-                    return self._delegate_bytes(data, doc_start, length, max_depth)
-                pos = mend
-                stack.append([False, [], []])
-                phase = _PHASE_VALUE_OR_CLOSE
-                continue
-            else:  # idx == 10: "]"
-                if phase != _PHASE_VALUE_OR_CLOSE:
-                    return self._delegate_bytes(data, doc_start, length, max_depth)
-                pos = mend
-                stack.pop()
-                completed = empty_arr
-            if stack:
-                frame = stack[-1]
-                frame[1].append(id(completed))
-                frame[2].append(completed)
-            else:
-                result = completed
-            phase = _PHASE_AFTER
-            continue
+        return self.encode_text(
+            str(memoryview(data)[start:end], "utf-8"), max_depth=max_depth
+        )
 
     # ------------------------------------------------------------------
     # batched line-shape cache: many raw lines per C pass
@@ -1710,11 +1138,9 @@ class EventTypeEncoder(TypeEncoder):
     def _encode_line_fallback(self, line: bytes, max_depth: int) -> Type:
         """Type one raw line outside the shape cache.
 
-        Decode-then-str-machine: a line's decode is nearly free next to
-        its scan, CPython's str regex engine outruns its bytes engine,
-        and the error behaviour is *definitionally* identical (the
-        decode raises the pipeline's exact ``UnicodeDecodeError``; the
-        str machine raises the parser's exact error).
+        :meth:`encode_bytes` for a whole ``bytes`` line, without the
+        memoryview: the decode raises the pipeline's exact
+        ``UnicodeDecodeError``, the str machine the parser's exact error.
         """
         return self.encode_text(line.decode("utf-8"), max_depth=max_depth)
 
@@ -1727,7 +1153,8 @@ class EventTypeEncoder(TypeEncoder):
         types by identity, same errors — but the work is batched: a few
         whole-buffer C passes skeletonize every line at once (see the
         line-shape cache notes above), repeated shapes resolve with one
-        dict probe per line, and only novel shapes run the scan machine.
+        dict probe per line, and only novel shapes decode and run the
+        scan machine.
         The cache persists on the encoder across batches and is rebuilt
         when the backing table starts a new epoch.
 

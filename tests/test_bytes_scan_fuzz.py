@@ -1,13 +1,15 @@
-"""Fuzz differential for the bytes-native scan and the line-shape cache.
+"""Fuzz differential for byte inputs and the line-shape cache.
 
-The contract, by construction of :meth:`EventTypeEncoder.encode_bytes`
-and :meth:`EventTypeEncoder.encode_lines`:
+The contract of :meth:`EventTypeEncoder.encode_bytes` and
+:meth:`EventTypeEncoder.encode_lines`, checked against independent
+oracles:
 
 - on any byte string ``b``, ``encode_bytes(b)`` behaves exactly like
-  ``encode_text(b.decode("utf-8"))`` — the *object-identical* canonical
-  node on valid input, the identical error (class, message, character
-  offset) on malformed JSON, and the identical ``UnicodeDecodeError``
-  (object, positions, reason) on undecodable bytes;
+  the DOM parser on the decoded text — the canonical node
+  ``table.intern(type_of(parse(text)))`` on valid input, the parser's
+  error (class, message, character offset) on malformed JSON, and
+  ``bytes.decode``'s ``UnicodeDecodeError`` (object, positions, reason)
+  on undecodable bytes;
 - ``encode_lines`` (the batched skeleton cache) and
   ``accumulate_ranges`` (the bytes fold) agree with the per-line str
   feed on every line of every batch — including across batches sharing
@@ -31,8 +33,9 @@ from hypothesis import strategies as st
 
 from repro.inference.engine import accumulate_lines, accumulate_ranges
 from repro.jsonvalue.lexer import JsonLexError
-from repro.jsonvalue.parser import JsonParseError
+from repro.jsonvalue.parser import JsonParseError, parse
 from repro.jsonvalue.serializer import dumps
+from repro.types import type_of
 from repro.types.build import EventTypeEncoder
 from repro.types.intern import InternTable, global_table
 
@@ -53,17 +56,18 @@ def _failure(fn):
 
 
 def _differential(raw: bytes, encoder=None):
-    """encode_bytes(raw) must equal decode-then-encode_text in outcome."""
+    """encode_bytes(raw) must match the parser oracle in outcome: the
+    decode's error, the parser's error, or the interned DOM type."""
     enc = encoder if encoder is not None else EventTypeEncoder(InternTable())
 
-    def str_path():
-        return enc.encode_text(raw.decode("utf-8"))
+    def oracle():
+        return enc.table.intern(type_of(parse(raw.decode("utf-8"))))
 
-    reference = _failure(str_path)
+    reference = _failure(oracle)
     observed = _failure(lambda: enc.encode_bytes(raw))
     assert observed == reference, (raw, observed, reference)
     if reference is None:
-        assert enc.encode_bytes(raw) is str_path()
+        assert enc.encode_bytes(raw) is oracle()
 
 
 @given(json_values(max_leaves=30))
@@ -162,9 +166,8 @@ def test_edge_bytes_vs_str(raw):
 
 
 def test_edge_cases_share_one_encoder_and_its_caches():
-    """All edge shapes through a single encoder: the key cache, shape
-    caches and line cache must never leak a wrong answer across
-    documents."""
+    """All edge shapes through a single encoder: the shape caches must
+    never leak a wrong answer across documents."""
     enc = EventTypeEncoder(InternTable())
     for text in _EDGE_TEXTS:
         _differential(text.encode("utf-8"), enc)

@@ -186,3 +186,79 @@ class TestStdin:
         monkeypatch.setattr("sys.stdin", io.StringIO('{"a": 1}\n{"a": 2}\n'))
         assert main(["infer", "-"]) == 0
         assert "{a: Int}" in capsys.readouterr().out
+
+
+def _run_cli(args, *, stdin=None, env_extra=None):
+    """``python -m repro ARGS`` in a fresh interpreter, stdin as bytes."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(env_extra or {})
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        input=stdin,
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestStdinMatchesFile:
+    @pytest.mark.parametrize(
+        "raw",
+        [b'{"a": 1}\r{"b": 2}\n', b'{"a": "\xff"}\n'],
+        ids=["lone-cr", "invalid-utf8"],
+    )
+    @pytest.mark.parametrize("locale", [None, "C"])
+    def test_same_output_from_stdin_and_file(self, tmp_path, raw, locale):
+        path = tmp_path / "data.ndjson"
+        path.write_bytes(raw)
+        env = {"LC_ALL": locale} if locale else None
+        from_file = _run_cli(["infer", str(path)], env_extra=env)
+        from_stdin = _run_cli(["infer", "-"], stdin=raw, env_extra=env)
+        assert from_stdin == from_file
+        if raw.startswith(b'{"a": 1}'):
+            assert from_file[0] == 0
+            assert b"2 documents" in from_file[1]
+        else:
+            assert from_file[0] == 2
+            assert from_file[2].startswith(b"error: ")
+
+
+class TestInvalidUtf8:
+    @pytest.fixture()
+    def bad_file(self, tmp_path):
+        path = tmp_path / "bad.ndjson"
+        path.write_bytes(b'{"a": "\xff"}\n')
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["infer"],
+            ["infer", "--jobs", "auto"],
+            ["validate", "--schema", "SCHEMA"],
+            ["translate"],
+            ["skeleton", "--k", "4"],
+        ],
+        ids=["infer", "infer-jobs", "validate", "translate", "skeleton"],
+    )
+    def test_exits_2_with_an_error_line(
+        self, bad_file, schema_file, argv, capsys
+    ):
+        argv = [schema_file if arg == "SCHEMA" else arg for arg in argv]
+        assert main([argv[0], bad_file, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 7: "
+            "invalid start byte\n"
+        )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import pickle
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import open_corpus
@@ -176,6 +176,8 @@ def _report_outcome(fn):
         report = fn()
     except ReproError as exc:
         return ("error", type(exc).__name__, str(exc))
+    except UnicodeDecodeError as exc:
+        return ("unicode", exc.reason, exc.start, exc.end)
     table = global_table()
     return ("ok", table.canonical(report.inferred), report.document_count)
 
@@ -191,6 +193,13 @@ def _report_outcome(fn):
             st.integers(min_value=0, max_value=7),
         ),
     ),
+)
+@example(
+    # Truncated to a valid two-member gzip whose last line ends
+    # mid-character: both routes raise the same UnicodeDecodeError.
+    raw=b'{"blob": "' + b"\xc3\xa9" * 1100 + b'"}\n',
+    cuts=[13, 19],
+    damage=("truncate", 58),
 )
 @settings(max_examples=80, deadline=None)
 def test_damaged_streams_same_outcome_serial_and_parallel(

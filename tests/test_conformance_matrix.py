@@ -1,8 +1,8 @@
 """Cross-path conformance matrix: every inference route, one interned answer.
 
 The paper's map/reduce design means there are many ways to compute "the
-type of this collection" — DOM fold, fused batch, streaming text, event
-stream, counting (stripped of counts), the distributed simulator, the
+type of this collection" — DOM fold, fused batch, streaming text,
+counting (stripped of counts), the distributed simulator, the
 real multiprocessing modes (document pickles, batched text, shared
 memory), and the schema repository's per-structure groups.  The monoid
 laws say they must all agree; hash-consing sharpens "agree" to *object
@@ -30,10 +30,8 @@ from repro.inference import (
     infer_distributed_text,
     infer_type,
     infer_type_streaming,
-    type_from_events,
 )
 from repro.inference.engine import TypeAccumulator
-from repro.jsonvalue.events import iter_line_events
 from repro.repository import SchemaRepository
 from repro.types import Equivalence, type_of, type_of_interned
 from repro.types.intern import global_table
@@ -73,13 +71,6 @@ def _route_streaming_text(docs, lines, equivalence):
 def _route_engine_lines(docs, lines, equivalence):
     """TypeAccumulator.add_text fold (the engine's own text feed)."""
     return accumulate_lines(lines, equivalence).result()
-
-
-def _route_event_stream(docs, lines, equivalence):
-    """SAX events of every line through the event-driven encoder."""
-    return accumulate_types(
-        type_from_events(iter_line_events(lines)), equivalence
-    ).result()
 
 
 def _route_counting(docs, lines, equivalence):
@@ -334,7 +325,6 @@ ROUTES = {
     "fused-batch": _route_fused_batch,
     "streaming-text": _route_streaming_text,
     "engine-lines": _route_engine_lines,
-    "event-stream": _route_event_stream,
     "counting": _route_counting,
     "counting-text": _route_counting_text,
     "distributed-serial": _route_distributed_serial,

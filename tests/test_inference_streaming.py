@@ -1,4 +1,4 @@
-"""Tests for streaming (event-based) type inference."""
+"""Tests for streaming (text-to-type) inference."""
 
 import pytest
 
@@ -9,12 +9,10 @@ from repro.errors import InferenceError
 from repro.inference import infer_type
 from repro.inference.streaming import (
     infer_type_streaming,
-    type_from_events,
     type_of_text,
 )
-from repro.jsonvalue.events import iter_events
 from repro.jsonvalue.serializer import dumps
-from repro.types import ArrType, BOT, Equivalence, INT, RecType, STR, type_of
+from repro.types import ArrType, BOT, Equivalence, INT, RecType, type_of
 
 from tests.strategies import json_values
 
@@ -52,18 +50,6 @@ class TestTypeOfText:
             type_of_text("")
 
 
-class TestTypeFromEvents:
-    def test_multiple_documents(self):
-        stream = list(iter_events('{"a": 1}')) + list(iter_events('["x"]'))
-        types = list(type_from_events(stream))
-        assert types == [RecType.of({"a": INT}), ArrType(STR)]
-
-    def test_truncated_stream(self):
-        events = list(iter_events('{"a": 1}'))[:-1]
-        with pytest.raises(InferenceError):
-            list(type_from_events(events))
-
-
 class TestInferStreaming:
     def test_equals_batch_inference(self):
         docs = github_events(150, seed=21)
@@ -78,40 +64,6 @@ class TestInferStreaming:
     def test_empty_stream(self):
         with pytest.raises(InferenceError):
             infer_type_streaming([])
-
-
-def _dying_events(text: str, keep: int):
-    """The first ``keep`` events of ``text``, then a source failure."""
-    yield from list(iter_events(text))[:keep]
-    raise ValueError("source died")
-
-
-class TestStreamIsolation:
-    def test_interleaved_streams_do_not_share_state(self):
-        # Drive two generators alternately: each must keep its own
-        # frame stack (a fresh encoder per call).
-        first = type_from_events(iter_events("[1, 2]"))
-        second = type_from_events(iter_events('{"a": 1}'))
-        assert next(second) == RecType.of({"a": INT})
-        assert next(first) == ArrType(INT)
-
-    def test_failing_event_source_does_not_poison_other_streams(self):
-        survivor = type_from_events(iter_events('{"a": 1}'))
-        with pytest.raises(ValueError):
-            # Dies mid-document (after START_OBJECT, KEY).
-            list(type_from_events(_dying_events('{"a": 1}', keep=2)))
-        assert list(survivor) == [RecType.of({"a": INT})]
-
-    def test_caller_held_encoder_is_reset_after_a_failing_stream(self):
-        from repro.types import EventTypeEncoder
-
-        encoder = EventTypeEncoder()
-        with pytest.raises(ValueError):
-            list(type_from_events(_dying_events("[1, 2]", keep=2), encoder=encoder))
-        assert encoder.depth == 0  # no half-built frames leak
-        assert list(type_from_events(iter_events("[1]"), encoder=encoder)) == [
-            ArrType(INT)
-        ]
 
 
 @given(json_values(max_leaves=20))

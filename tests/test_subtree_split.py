@@ -1,11 +1,12 @@
 """The intra-document splitter: carve, type, reassemble — identically.
 
 The subtree-parallel pipeline types one huge document as parallel
-top-level chunks and must be indistinguishable from the serial bytes
-machine: the *interned-identical* type on every valid document (the
-speculative chunker may decline or fail validation, falling back to the
-serial fold — never to a wrong answer), and the exact serial error on
-every malformed one (the fallback path IS the serial machine).
+top-level chunks and must be indistinguishable from the serial scan:
+the *interned-identical* type on every valid document (the speculative
+chunker may decline or fail validation, falling back to the exact carve
+and then the serial scan — never to a wrong answer), and the exact
+serial error on every malformed one (the last fallback IS the serial
+scan).
 
 Covers the scanner (``scan_depth1_spans``), the planner
 (``plan_subtree_split`` + ``combine_subtree``), the driver
@@ -282,6 +283,71 @@ def test_driver_error_parity_with_serial_fold(tmp_path):
             with pytest.raises(serial_exc[0]) as caught:
                 infer_subtree_text(corpus, processes=1, min_split_bytes=0)
         assert str(caught.value) == serial_exc[1]
+
+
+def _declined_array_line() -> str:
+    """A 4.4 MiB one-line array of records whose nested arrays of records
+    hold nearly all of its bytes: every separator the speculative carver
+    snaps to sits inside a nested array, so its chunks fail validation."""
+    rows = [{"n": i, "s": "x" * 8, "t": [i, "y"]} for i in range(8000)]
+    return json.dumps([{"rows": rows, "id": k} for k in range(12)])
+
+
+def _observe_decline_route(monkeypatch):
+    """Record, per ``_subtree_span_type`` call, whether it carved and the
+    widest byte span an ``encode_bytes`` call decoded during it; the
+    second list holds the widest decode since the last call began."""
+    from repro.inference import distributed
+
+    calls: list = []
+    widest: list = [0]
+    span_type = distributed._subtree_span_type
+    encode_bytes = EventTypeEncoder.encode_bytes
+
+    def observed_span_type(*args, **kwargs):
+        widest[0] = 0
+        result = span_type(*args, **kwargs)
+        calls.append((result is not None, widest[0]))
+        return result
+
+    def observed_encode_bytes(self, data, start=0, end=None, **kwargs):
+        stop = len(data) if end is None else end
+        widest[0] = max(widest[0], stop - start)
+        return encode_bytes(self, data, start, end, **kwargs)
+
+    monkeypatch.setattr(distributed, "_subtree_span_type", observed_span_type)
+    monkeypatch.setattr(EventTypeEncoder, "encode_bytes", observed_encode_bytes)
+    return calls, widest
+
+
+def test_declined_huge_array_types_through_the_exact_carve(tmp_path, monkeypatch):
+    line = _declined_array_line()
+    assert len(line) >= 4 << 20
+    calls, widest = _observe_decline_route(monkeypatch)
+    with open_corpus(_corpus_path(tmp_path, [line])) as corpus:
+        run = infer_subtree_text(corpus, processes=1)
+    # The speculative carve fails and the exact carve succeeds: it never
+    # decodes more than one chunk group (twelve elements, twelve groups),
+    # and nothing decodes the whole line afterwards.
+    assert [carved for carved, _ in calls] == [False, True]
+    assert calls[1][1] < len(line) // 8
+    assert widest[0] == calls[1][1]
+    table = InternTable()
+    assert table.canonical(run.result) is _reference([line], table)
+
+
+def test_malformed_huge_array_raises_the_serial_error(tmp_path, monkeypatch):
+    line = _declined_array_line().replace('"id": 0}', '"id": 01}', 1)
+    path = _corpus_path(tmp_path, [line])
+    with open_corpus(path) as corpus:
+        with pytest.raises(Exception) as serial:
+            accumulate_ranges(corpus.buffer(), corpus.spans, table=InternTable())
+    calls, _ = _observe_decline_route(monkeypatch)
+    with open_corpus(path) as corpus:
+        with pytest.raises(serial.type) as caught:
+            infer_subtree_text(corpus, processes=1)
+    assert [carved for carved, _ in calls] == [False, False]
+    assert str(caught.value) == str(serial.value)
 
 
 def test_driver_both_equivalences(tmp_path):
