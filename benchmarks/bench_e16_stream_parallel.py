@@ -18,8 +18,8 @@ Three measurements over NDJSON tweet corpora:
   :meth:`TypeAccumulator.add_text`), nothing materialised in between.
 
 The parallel rows compare the serial fused fold against
-``infer_distributed_text`` with 2 and 4 workers, batched-pickle and
-shared-memory feeds.
+``infer_distributed_text`` with 2 and 4 workers on the batched-pickle
+feed.
 
 Emits ``BENCH_stream.json`` under ``benchmarks/results/``.  Timing
 ratios are asserted only under ``REPRO_BENCH_ASSERT=1`` (wall clock on
@@ -219,7 +219,6 @@ def _bench_parallel(rows, records):
     reference = global_table().canonical(serial_acc.result())
 
     cpu = multiprocessing.cpu_count()
-    configs = [(2, False), (4, False), (4, True)]
     records.append(
         {
             "feed": "serial",
@@ -231,15 +230,13 @@ def _bench_parallel(rows, records):
         }
     )
     rows.append([n, "serial", 1, round(n / seconds_serial), "  1.0x"])
-    for jobs, shm in configs:
+    feed = "batched-pickle"
+    for jobs in (2, 4):
         start = time.perf_counter()
-        run = infer_distributed_text(
-            lines, partitions=jobs, processes=jobs, shared_memory=shm
-        )
+        run = infer_distributed_text(lines, partitions=jobs, processes=jobs)
         seconds = time.perf_counter() - start
         assert global_table().canonical(run.result) is reference
         assert run.document_count == n
-        feed = "shared-memory" if shm else "batched-pickle"
         speedup = seconds_serial / seconds
         records.append(
             {

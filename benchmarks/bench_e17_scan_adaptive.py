@@ -448,14 +448,13 @@ def _bench_adaptive(rows, records, path):
                 best_seconds, best_run = elapsed, outcome
         return best_seconds, best_run
 
-    for jobs, shm in ((2, False), (4, False), (4, True)):
+    for jobs in (2, 4):
         seconds, run = _timed(
-            lambda jobs=jobs, shm=shm: infer_distributed_text(
-                lines, partitions=jobs, processes=jobs, shared_memory=shm
+            lambda jobs=jobs: infer_distributed_text(
+                lines, partitions=jobs, processes=jobs
             )
         )
-        feed = "fixed-shm" if shm else "fixed-pickle"
-        row(feed, jobs, seconds, run=run)
+        row("fixed-pickle", jobs, seconds, run=run)
 
     # Adaptive over in-memory lines and over the mmap corpus.
     seconds, run = _timed(lambda: infer_adaptive_text(lines, jobs=4))
@@ -463,7 +462,7 @@ def _bench_adaptive(rows, records, path):
 
     with open_corpus(path) as corpus:
         seconds, run = _timed(
-            lambda: infer_adaptive_text(corpus, jobs=None, shared_memory=True)
+            lambda: infer_adaptive_text(corpus, jobs=None)
         )
     row("adaptive-mmap", "auto", seconds, run=run, plan=run.plan)
 

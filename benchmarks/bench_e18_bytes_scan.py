@@ -6,10 +6,9 @@ bytes-native pipeline — ``accumulate_ranges`` runs the batched
 line-shape skeleton cache plus the ``encode_bytes`` structural scan
 straight over the mapped file's byte ranges, so repeated line shapes
 resolve with one dict probe per line and *no* line is decoded to
-``str`` on the happy path — and the parallel shared-memory feed whose
-workers now fold the shared buffer's bytes directly (zero decoded
-intermediaries between the one corpus memcpy and the interned
-partials).
+``str`` on the happy path — and the parallel file-range feed whose
+workers read and fold their own byte range of the file (zero decoded
+intermediaries between the file and the interned partials).
 
 Three sections, all recorded in ``BENCH_bytes.json``:
 
@@ -18,8 +17,8 @@ Three sections, all recorded in ``BENCH_bytes.json``:
   vs. the bytes fold — on the generator corpora, a non-ASCII corpus,
   and the numeric corpus (whose digit-bearing keys disable the line
   cache: the adaptive fallback's floor);
-- **parallel**: the shared-memory and file-range byte feeds at fixed
-  worker counts, with the per-worker transport recorded;
+- **parallel**: the file-range byte feed at a fixed worker count, with
+  the per-worker transport recorded;
 - **calibration**: the scheduler plan consuming the persisted
   per-machine profile (startup/shipping constants loaded, not
   re-sampled or defaulted).
@@ -178,26 +177,23 @@ def _bench_parallel(rows, records, tmp_dir):
     verify = global_table()
     with open_corpus(path) as corpus:
         reference = verify.canonical(_bytes_fold(corpus).result())
-        for feed, shm in (("shm-bytes", True), ("file-range-bytes", False)):
-            with open_corpus(path) as corpus_run:
-                seconds, run = _timed(
-                    lambda c=corpus_run, s=shm: infer_distributed_text(
-                        c, partitions=2, processes=2, shared_memory=s
-                    )
-                )
-            assert verify.canonical(run.result) is reference
-            assert run.document_count == n
-            record = {
-                "feed": feed,
-                "jobs": 2,
-                "documents": n,
-                "docs_per_sec": round(n / seconds),
-                # Workers fold raw byte ranges; nothing is decoded
-                # between the transport and the interned partials.
-                "decoded_intermediaries": 0,
-            }
-            records.append(record)
-            rows.append([feed, 2, record["docs_per_sec"], 0])
+        seconds, run = _timed(
+            lambda: infer_distributed_text(corpus, partitions=2, processes=2)
+        )
+    assert verify.canonical(run.result) is reference
+    assert run.document_count == n
+    feed = "file-range-bytes"
+    record = {
+        "feed": feed,
+        "jobs": 2,
+        "documents": n,
+        "docs_per_sec": round(n / seconds),
+        # Workers fold raw byte ranges; nothing is decoded between the
+        # transport and the interned partials.
+        "decoded_intermediaries": 0,
+    }
+    records.append(record)
+    rows.append([feed, 2, record["docs_per_sec"], 0])
     os.unlink(path)
 
 

@@ -70,9 +70,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     equivalence = Equivalence(args.equivalence)
     needs_documents = args.format in ("typescript", "swift")
     lines = _read_lines(args.data) if needs_documents else None
-    shared_memory = {"always": True, "never": False}.get(
-        args.shared_memory, "auto"
-    )
     if lines is not None and args.jobs == 1:
         # Codegen already pulled the corpus into memory: stream it.
         report = infer_report_streaming(lines, equivalence)
@@ -86,7 +83,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
             lines if lines is not None else args.data,
             equivalence,
             jobs=args.jobs,
-            shared_memory=shared_memory,
         )
     print(f"# {report.document_count} documents, schema size {report.schema_size}")
     if args.format == "type":
@@ -234,15 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
         "'auto' sizes the pool from CPU affinity; N and 'auto' both route "
         "through the adaptive scheduler, which picks one of three modes: "
         "'serial' (the mmap bytes fold), 'parallel' (line-parallel — "
-        "byte-range line batches to workers), or 'subtree' (intra-document "
-        "parallel — a corpus dominated by one huge single-line document is "
-        "split into top-level subtree byte ranges, typed by workers, and "
-        "merged through the same monoid, yielding the identical interned "
-        "type). The scheduler times a small sample of the corpus (adjusted "
-        "by the measured line-shape-cache hit rate), models each mode "
-        "(per-worker startup + the fold split across usable CPUs + corpus "
-        "shipping or splitting, with the constants loaded from the "
-        "per-machine calibration profile at ~/.cache/repro/sched.json — "
+        "each worker reads its own byte range of the file; lines from stdin "
+        "or --format typescript|swift ship as one pickled batch per "
+        "worker), or 'subtree' (intra-document parallel — a corpus "
+        "dominated by one huge single-line document is split into "
+        "top-level subtree byte ranges, typed by workers, and merged "
+        "through the same monoid, yielding the identical interned type). "
+        "The scheduler times a small sample of the corpus (adjusted by the "
+        "measured line-shape-cache hit rate), models each mode (per-worker "
+        "startup + the fold split across usable CPUs + pickling in-memory "
+        "lines or splitting huge documents, with the constants loaded from "
+        "the per-machine calibration profile at ~/.cache/repro/sched.json — "
         "measured once, REPRO_SCHED_PROFILE overrides the path), and falls "
         "back to the serial fold whenever the modeled win is negative — so "
         "small corpora and single-CPU machines never pay for a worker pool. "
@@ -255,21 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(REPRO_DECOMPRESS_BYTES_PER_SECOND overrides) — single-member "
         "streams are inherently sequential and stay serial.",
     )
-    p_infer.add_argument(
-        "--shared-memory", nargs="?", const="always", default="auto",
-        choices=["auto", "always", "never"],
-        help="with --jobs: corpus transport to the workers. 'always' ships "
-        "one shared-memory buffer (for mmap corpora, one memcpy of the "
-        "raw file bytes plus per-worker byte ranges; workers fold the "
-        "shared bytes directly) instead of per-batch pickles; 'never' "
-        "keeps pickles (or, for mapped files, per-worker byte-range "
-        "reads). The default 'auto' lets the scheduler decide from "
-        "corpus size and worker count: shared memory when in-memory "
-        "lines total at least 4 MiB with more than one worker (batch "
-        "pickles would dominate), never for mapped files (their workers "
-        "already read byte ranges straight from the file, shipping "
-        "nothing). Bare --shared-memory means 'always'.",
-    )
+    # No --shared-memory flag; benchmarks/suite/trace_job.py reads the attribute.
+    p_infer.set_defaults(shared_memory="auto")
     p_infer.set_defaults(func=_cmd_infer)
 
     p_validate = sub.add_parser("validate", help="validate NDJSON against a JSON Schema")

@@ -26,7 +26,7 @@ from repro.types.intern import InternTable
 LineSource = Union[str, Path, Iterable[str]]
 
 # Line-break grammar shared by the byte-range index and the worker-side
-# re-split of shared-memory byte ranges: "\r\n" first (one break, not
+# re-split of file byte ranges: "\r\n" first (one break, not
 # two), then the universal-newline singles — matching the translation
 # Python's text mode applies in :func:`iter_ndjson_lines`.
 LINE_BREAK_PATTERN = r"\r\n|\r|\n"
@@ -39,7 +39,7 @@ def split_corpus_lines(text: str) -> list[str]:
 
     Inverse of the byte-range index: for any contiguous range of corpus
     lines (original separators included), returns exactly those lines —
-    the worker-side step of the zero-copy shared-memory feed.
+    the str form of the worker-side re-split of a file byte range.
     """
     return _LINE_BREAK_STR.split(text)
 
@@ -60,7 +60,7 @@ def iter_line_spans(data, start: int = 0, end: Optional[int] = None):
     """Yield the ``(start, end)`` byte span of every line in a range.
 
     The in-place form of :func:`split_corpus_bytes` for buffers that
-    should not be sliced up front (mmap, shared memory): spans exclude
+    should not be sliced up front (an mmap): spans exclude
     the separators, blank segments are preserved, and the final segment
     is yielded even when empty — exactly the segments the split
     functions return for the same bytes.
@@ -85,12 +85,11 @@ class MmapCorpus(Sequence[str]):
     newlines, terminators stripped, blank lines preserved), which the
     round-trip tests pin.
 
-    The raw buffer and the index are what the distributed text feed
-    consumes: :func:`repro.inference.distributed.infer_distributed_text`
-    copies the bytes *once* into a ``multiprocessing.shared_memory``
-    segment and ships ``(start, end)`` line-aligned byte ranges to the
-    workers, so the parent process never splits, decodes, or pickles the
-    corpus line-by-line.
+    The path and the index are what the distributed text feed consumes:
+    :func:`repro.inference.distributed.infer_distributed_text` ships
+    ``(path, start, end)`` line-aligned byte ranges to the workers, which
+    read their own slice of the file, so the parent process never
+    splits, decodes, or pickles the corpus line-by-line.
     """
 
     __slots__ = ("path", "_file", "_mm", "_spans")

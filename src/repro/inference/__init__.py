@@ -19,7 +19,8 @@ One module per surveyed system:
   schema profiles (Inf. Syst. '18);
 - :mod:`repro.inference.distributed` — the map/combine/reduce cost
   simulator plus a real multiprocessing execution of the distributed
-  variant;
+  variant (workers read file byte ranges or receive pickled line
+  batches);
 - :mod:`repro.inference.engine` — the hash-consed incremental merge
   accumulator the parametric/streaming/distributed/counting paths run
   through.
@@ -86,18 +87,15 @@ from repro.inference.distributed import (
     ParallelRun,
     SchedulePlan,
     auto_jobs,
-    choose_shared_memory,
     infer_adaptive_text,
     infer_compressed_parallel,
     infer_counted_parallel,
     infer_distributed,
-    infer_distributed_parallel,
     infer_distributed_text,
     infer_subtree_text,
     partition,
     partition_bounds,
     partition_contiguous,
-    partition_lines,
     plan_compressed_schedule,
     plan_schedule,
 )
@@ -177,20 +175,17 @@ __all__ = [
     "SchedCalibration",
     "SchedulePlan",
     "auto_jobs",
-    "choose_shared_memory",
     "load_calibration",
     "measure_calibration",
     "infer_adaptive_text",
     "infer_compressed_parallel",
     "infer_counted_parallel",
     "infer_distributed",
-    "infer_distributed_parallel",
     "infer_distributed_text",
     "infer_subtree_text",
     "partition",
     "partition_bounds",
     "partition_contiguous",
-    "partition_lines",
     "plan_compressed_schedule",
     "plan_schedule",
     "infer_report_corpus",

@@ -26,20 +26,6 @@ from repro.errors import InferenceError
 from repro.jsonvalue.events import JsonEventType, iter_events
 from repro.jsonvalue.model import JsonKind, is_integer_value, kind_of
 from repro.types import Equivalence, Type, union
-from repro.types.build import (
-    _BYTES_AFTER_SCAN,
-    _BYTES_HIGH_BYTE,
-    _BYTES_KEY_SCAN,
-    _BYTES_NUMBER_BOUNDARY,
-    _BYTES_UTF8_RUN,
-    _BYTES_VALUE_SCAN,
-    _BYTES_WS_RUN,
-    _PHASE_AFTER,
-    _PHASE_KEY,
-    _PHASE_KEY_OR_CLOSE,
-    _PHASE_VALUE,
-    _PHASE_VALUE_OR_CLOSE,
-)
 from repro.types.terms import (
     ArrType,
     AtomType,
@@ -338,23 +324,6 @@ def counted_type_of_text(
     return result
 
 
-def _delegate_counted(
-    data, start: int, end: int, equivalence: Equivalence, max_depth: int
-) -> CUnion:
-    """Decode the document range and re-run the counting text machine.
-
-    The bytes scan delegates only when the range cannot scan as valid
-    JSON (or hits a shape the byte patterns under-approximate, like an
-    escaped key): the decode raises the exact ``UnicodeDecodeError``
-    the text pipeline's up-front decode would, and on decodable input
-    :func:`counted_type_of_text` raises the parser-exact error or
-    returns the correct counted type.
-    """
-    return counted_type_of_text(
-        bytes(data[start:end]).decode("utf-8"), equivalence, max_depth=max_depth
-    )
-
-
 def counted_type_of_bytes(
     data,
     start: int = 0,
@@ -363,170 +332,18 @@ def counted_type_of_bytes(
     *,
     max_depth: int = 512,
 ) -> CUnion:
-    """Counted type of one JSON document held as UTF-8 bytes.
+    """Counted type of one JSON document held as UTF-8 bytes:
+    ``counted_type_of_text(str(memoryview(data)[start:end], "utf-8"),
+    equivalence, max_depth=max_depth)``.
 
-    The counting algebra's entry point for the bytes pipeline (mmap
-    ranges, shared-memory views).  A per-token regex scan over the raw
-    bytes — the bytes twins of the per-token scan patterns in
-    :mod:`repro.types.build`, so the happy path never decodes string
-    content; object keys decode one
-    slice each, and UTF-8 validity is checked lazily once per document.
-    Structurally equal to decode + :func:`counted_type_of_text`
-    (pinned by the bytes-scan fuzz differential), with the exact error
-    on malformed input via delegation to the text machine.
+    ``data`` is anything the buffer protocol covers (``bytes``, an mmap,
+    a ``memoryview``).  Undecodable input raises the decode's
+    ``UnicodeDecodeError``; malformed JSON raises the parser's exact
+    error, with character offsets relative to ``start``.
     """
-    if end is None:
-        end = len(data)
-    value_scan = _BYTES_VALUE_SCAN.match
-    key_scan = _BYTES_KEY_SCAN.match
-    after_scan = _BYTES_AFTER_SCAN.match
-    ws_run = _BYTES_WS_RUN.match
-    pos = start
-    length = end
-    # Frames: [is_object, parts, pending field name] — the same layout
-    # (and the same _close_counted) as counted_type_of_text's frames.
-    stack: list[list] = []
-    phase = _PHASE_VALUE
-    result: CUnion | None = None
-
-    while True:
-        if phase == _PHASE_AFTER:
-            m = after_scan(data, pos, length)
-            if m is None:
-                ws_end = ws_run(data, pos, length).end()
-                if ws_end >= length and not stack:
-                    assert result is not None
-                    # Lazy UTF-8 validity, once per document: pure
-                    # ASCII returns straight away.
-                    if _BYTES_HIGH_BYTE.search(data, start, length) is None:
-                        return result
-                    run = _BYTES_UTF8_RUN.match(data, start, length)
-                    if run.end() == length:
-                        return result
-                    return _delegate_counted(
-                        data, start, length, equivalence, max_depth
-                    )
-                # EOF inside a container, or trailing garbage.
-                return _delegate_counted(data, start, length, equivalence, max_depth)
-            mend = m.end()
-            ch = data[mend - 1]
-            if not stack:
-                # Trailing data after the document.
-                return _delegate_counted(data, start, length, equivalence, max_depth)
-            frame = stack[-1]
-            if ch == 0x2C:  # ","
-                pos = mend
-                phase = _PHASE_KEY if frame[0] else _PHASE_VALUE
-                continue
-            # "}" or "]": must close the innermost container's kind.
-            if (ch == 0x7D) != frame[0]:
-                return _delegate_counted(data, start, length, equivalence, max_depth)
-            pos = mend
-            done = _close_counted(stack.pop(), equivalence)
-        elif phase == _PHASE_KEY or phase == _PHASE_KEY_OR_CLOSE:
-            m = key_scan(data, pos, length)
-            if m is None:
-                # Malformed key, missing colon, EOF, garbage.
-                return _delegate_counted(data, start, length, equivalence, max_depth)
-            mend = m.end()
-            if m.lastindex == 2:  # "}"
-                if phase == _PHASE_KEY:
-                    # A comma promised another member.
-                    return _delegate_counted(
-                        data, start, length, equivalence, max_depth
-                    )
-                pos = mend
-                done = _close_counted(stack.pop(), equivalence)
-                phase = _PHASE_AFTER
-            else:
-                raw = m.group(1)
-                if b"\\" in raw:
-                    # Escaped key: the text machine resolves the escape
-                    # (and the duplicate-key policy) exactly.
-                    return _delegate_counted(
-                        data, start, length, equivalence, max_depth
-                    )
-                try:
-                    stack[-1][2] = raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    return _delegate_counted(
-                        data, start, length, equivalence, max_depth
-                    )
-                pos = mend
-                phase = _PHASE_VALUE
-                continue
-        else:  # _PHASE_VALUE / _PHASE_VALUE_OR_CLOSE: one token
-            m = value_scan(data, pos, length)
-            if m is None:
-                # Malformed token, malformed UTF-8, EOF, or garbage.
-                return _delegate_counted(data, start, length, equivalence, max_depth)
-            idx = m.lastindex
-            mend = m.end()
-            if idx == 1:  # string (escapes included): content never matters
-                done = CUnion((CAtom("str", 1),))
-            elif idx == 2:  # number
-                if mend < length and data[mend] in _BYTES_NUMBER_BOUNDARY:
-                    # Maximal match may hide a malformed literal ("01",
-                    # "1.e5") — delegate for the exact outcome.
-                    return _delegate_counted(
-                        data, start, length, equivalence, max_depth
-                    )
-                tail_start, tail_end = m.span(3)
-                done = CUnion(
-                    (CAtom("int" if tail_start == tail_end else "flt", 1),)
-                )
-            elif idx == 4:  # true / false
-                done = CUnion((CAtom("bool", 1),))
-            elif idx == 5:  # null
-                done = CUnion((CAtom("null", 1),))
-            elif idx == 6:  # empty array
-                if len(stack) >= max_depth:
-                    return _delegate_counted(
-                        data, start, length, equivalence, max_depth
-                    )
-                done = CUnion((CArr(CUnion(()), 1, 0),))
-            elif idx == 7:  # empty object
-                if len(stack) >= max_depth:
-                    return _delegate_counted(
-                        data, start, length, equivalence, max_depth
-                    )
-                done = CUnion((CRec((), 1),))
-            elif idx == 8:  # "{"
-                if len(stack) >= max_depth:
-                    return _delegate_counted(
-                        data, start, length, equivalence, max_depth
-                    )
-                pos = mend
-                stack.append([True, [], None])
-                phase = _PHASE_KEY_OR_CLOSE
-                continue
-            elif idx == 9:  # "["
-                if len(stack) >= max_depth:
-                    return _delegate_counted(
-                        data, start, length, equivalence, max_depth
-                    )
-                pos = mend
-                stack.append([False, [], None])
-                phase = _PHASE_VALUE_OR_CLOSE
-                continue
-            else:  # idx == 10: "]" closing a just-opened array
-                if phase != _PHASE_VALUE_OR_CLOSE:
-                    return _delegate_counted(
-                        data, start, length, equivalence, max_depth
-                    )
-                done = _close_counted(stack.pop(), equivalence)
-            pos = mend
-            phase = _PHASE_AFTER
-        # Attach the completed counted union to the parent (or finish).
-        if stack:
-            frame = stack[-1]
-            if frame[0]:
-                frame[1].append(CField(frame[2], done, 1))
-                frame[2] = None
-            else:
-                frame[1].append(done)
-        else:
-            result = done
+    return counted_type_of_text(
+        str(memoryview(data)[start:end], "utf-8"), equivalence, max_depth=max_depth
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +468,29 @@ def infer_counted_streaming(
     return accumulator.result()
 
 
+def _add_counted_spans(accumulator, data: bytes, spans) -> None:
+    """Fold the line spans of ``data`` into a counting accumulator, one
+    :func:`counted_type_of_bytes` per line; blank lines are skipped with
+    the bytes folds' exact ``str.isspace`` parity, so counts reconcile
+    with every serial path."""
+    from repro.inference.engine import _BYTES_WS_RUN, _EXTRA_SPACE_BYTES
+
+    equivalence = accumulator.equivalence
+    ws_run = _BYTES_WS_RUN.match
+    for start, end in spans:
+        if end <= start:
+            continue
+        ws_end = ws_run(data, start, end).end()
+        if ws_end >= end:
+            continue
+        if data[ws_end] >= 0x80 or data[ws_end] in _EXTRA_SPACE_BYTES:
+            if data[start:end].decode("utf-8").isspace():
+                continue
+        accumulator.add_counted(
+            counted_type_of_bytes(data, start, end, equivalence)
+        )
+
+
 def infer_counted_compressed(
     source,
     equivalence: Equivalence = Equivalence.KIND,
@@ -661,29 +501,16 @@ def infer_counted_compressed(
 
     The compressed twin of :func:`infer_counted_streaming`: the chunked
     decompression reader yields line-aligned byte blocks and every line
-    span runs the bytes-native counted scan
-    (:func:`counted_type_of_bytes`) — no decompressed corpus, no
-    per-line ``str`` decode.  Blank lines are skipped with the bytes
+    span is typed by :func:`counted_type_of_bytes` — no decompressed
+    corpus is ever held whole.  Blank lines are skipped with the bytes
     fold's exact ``str.isspace`` parity.
     """
     from repro.datasets.compressed import iter_block_line_spans, iter_line_blocks
-    from repro.inference.engine import CountingAccumulator, _EXTRA_SPACE_BYTES
+    from repro.inference.engine import CountingAccumulator
 
     accumulator = CountingAccumulator(equivalence)
-    ws_run = _BYTES_WS_RUN.match
     for block in iter_line_blocks(source, format=format):
-        for start, end in iter_block_line_spans(block):
-            if end <= start:
-                continue
-            ws_end = ws_run(block, start, end).end()
-            if ws_end >= end:
-                continue
-            if block[ws_end] >= 0x80 or block[ws_end] in _EXTRA_SPACE_BYTES:
-                if block[start:end].decode("utf-8").isspace():
-                    continue
-            accumulator.add_counted(
-                counted_type_of_bytes(block, start, end, equivalence)
-            )
+        _add_counted_spans(accumulator, block, iter_block_line_spans(block))
     if accumulator.is_empty():
         raise InferenceError("cannot infer a counted schema from an empty stream")
     return accumulator.result()

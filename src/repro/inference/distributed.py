@@ -19,12 +19,25 @@ Two execution modes share the partitioned dataflow:
   - the simulated *makespan*: the critical path through the tree,
     charging each stage the maximum cost among its parallel tasks.
 
-- :func:`infer_distributed_parallel` — a **real** ``multiprocessing``
-  execution: one :class:`~repro.inference.engine.TypeAccumulator` per
-  partition runs in a worker process, the partial types come back over
-  the pipe (pickling strips intern marks), and the parent combines them.
+- **real** ``multiprocessing`` runs, behind the adaptive scheduler
+  (:func:`plan_schedule`, :func:`infer_adaptive_text`).  Work reaches a
+  worker by one of two transports:
 
-Both produce a result bit-identical to the sequential
+  - **file byte ranges** — the worker reads its own slice of the corpus
+    file: line ranges (:func:`infer_distributed_text` on an
+    :class:`~repro.datasets.ndjson.MmapCorpus`), counted ranges
+    (:func:`infer_counted_parallel`), subtree chunk groups
+    (:func:`infer_subtree_text`) and compressed member ranges
+    (:func:`infer_compressed_parallel`);
+  - **pickled line batches** — one contiguous slice of in-memory lines
+    per worker (:func:`infer_distributed_text` on a line list: stdin and
+    codegen inputs).
+
+  Each worker folds its share through its own accumulator, and only the
+  interned partial (pickling strips intern marks) comes back for the
+  parent to combine.
+
+Both modes produce a result bit-identical to the sequential
 :func:`repro.inference.parametric.infer_type` (associativity property),
 which the tests assert — that equivalence is what makes either execution
 a faithful substitute for the cluster.
@@ -43,7 +56,6 @@ from repro.inference.engine import (
     _SUBTREE_EXACT_LIMIT,
     CountingAccumulator,
     TypeAccumulator,
-    accumulate,
 )
 from repro.types import Equivalence, Type, merge_interned, type_to_string
 from repro.types.build import TypeEncoder
@@ -207,63 +219,8 @@ class ParallelRun:
         return sum(self.partition_documents)
 
 
-def _infer_partition(payload: tuple[list[Any], str]) -> tuple[Type, int]:
-    """Worker: fold one partition through an accumulator (picklable I/O)."""
-    documents, equivalence_value = payload
-    accumulator = accumulate(documents, Equivalence(equivalence_value))
-    return accumulator.result(), accumulator.document_count
-
-
-def infer_distributed_parallel(
-    documents: Sequence[Any],
-    partitions: int,
-    equivalence: Equivalence = Equivalence.KIND,
-    *,
-    processes: Optional[int] = None,
-) -> ParallelRun:
-    """Run the partitioned inference on real worker processes.
-
-    One :class:`~repro.inference.engine.TypeAccumulator` per partition,
-    executed by a ``multiprocessing.Pool``; the parent folds the partial
-    types with the same memoized merge the simulator uses.  The result is
-    bit-identical to :func:`infer_distributed` and the sequential path.
-
-    ``processes`` defaults to ``min(partitions, cpu_count)``; with one
-    partition (or one process and one partition) the pool is skipped.
-    """
-    docs = list(documents)
-    if not docs:
-        raise InferenceError("cannot infer a schema from an empty collection")
-    buckets = partition(docs, partitions)
-    payloads = [(bucket, equivalence.value) for bucket in buckets]
-
-    if processes is None:
-        processes = min(len(buckets), auto_jobs())
-    processes = max(1, processes)
-
-    if processes == 1 or len(buckets) == 1:
-        partials = [_infer_partition(p) for p in payloads]
-        processes = 1
-    else:
-        with multiprocessing.Pool(processes=processes) as pool:
-            partials = pool.map(_infer_partition, payloads)
-
-    combined = TypeAccumulator(equivalence)
-    counts: list[int] = []
-    for partial_type, count in partials:
-        combined.add_type(partial_type)
-        counts.append(count)
-    return ParallelRun(
-        result=combined.result(),
-        partitions=len(buckets),
-        processes=processes,
-        equivalence=equivalence,
-        partition_documents=counts,
-    )
-
-
 # ---------------------------------------------------------------------------
-# batched text feed: raw NDJSON lines to the workers, types back
+# the two transports: file byte ranges and pickled line batches
 # ---------------------------------------------------------------------------
 
 
@@ -288,16 +245,15 @@ def partition_bounds(total: int, partitions: int) -> list[tuple[int, int]]:
 
 
 def partition_contiguous(items: Sequence[Any], partitions: int) -> list[list[Any]]:
-    """Contiguous, balanced slices (deterministic).
+    """Contiguous, balanced slices (deterministic): the batches of the
+    pickle transport, one pickle per worker.
 
-    The text feed ships each worker one pickle containing its whole
-    slice (or a byte range into a shared-memory buffer), so slices are
-    contiguous rather than round-robin.  For the plain type monoid any
-    partitioning yields the identical result; the *counting* algebra is
-    commutative only up to union member order (members keep
-    first-appearance order), and contiguous slices reproduce the serial
-    fold's appearance order exactly — so the parallel counting reduce is
-    equal member-for-member, not merely up to permutation.
+    For the plain type monoid any partitioning yields the identical
+    result; the *counting* algebra is commutative only up to union
+    member order (members keep first-appearance order), and contiguous
+    partitions reproduce the serial fold's appearance order exactly —
+    which is why :func:`infer_counted_parallel` splits its byte ranges
+    the same way.
     """
     return [
         list(items[start:stop])
@@ -305,9 +261,32 @@ def partition_contiguous(items: Sequence[Any], partitions: int) -> list[list[Any
     ]
 
 
-def partition_lines(lines: Sequence[str], partitions: int) -> list[list[str]]:
-    """Contiguous slices of a line corpus (the text feed's batch shape)."""
-    return partition_contiguous(lines, partitions)
+def _map_partitions(worker, payloads: list, processes: int) -> list:
+    """Run ``worker`` over ``payloads``: inline when ``processes == 1``
+    or there is one payload, on a ``multiprocessing.Pool`` of
+    ``processes`` workers otherwise.  Results keep payload order."""
+    if processes == 1 or len(payloads) == 1:
+        return [worker(payload) for payload in payloads]
+    with multiprocessing.Pool(processes=processes) as pool:
+        return pool.map(worker, payloads)
+
+
+def _read_range(path: str, start: int, end: int) -> bytes:
+    """The file transport: a worker reads its own byte range."""
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        return handle.read(end - start)
+
+
+def _file_range_payloads(
+    corpus, partitions: int, equivalence: Equivalence
+) -> list:
+    """One ``(path, start, end, equivalence)`` payload per contiguous
+    partition of a mapped corpus's lines — all the file transport ships."""
+    return [
+        (corpus.path, *corpus.byte_range(start, stop), equivalence.value)
+        for start, stop in partition_bounds(len(corpus), partitions)
+    ]
 
 
 def _infer_lines_partition(payload: tuple[list[str], str]) -> tuple[Type, int]:
@@ -324,80 +303,24 @@ def _infer_lines_partition(payload: tuple[list[str], str]) -> tuple[Type, int]:
     return accumulator.result(), accumulator.document_count
 
 
-def _attach_shared(name: str):
-    """Attach a shared-memory segment without adopting its lifetime."""
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(name=name)
-    if multiprocessing.get_start_method(allow_none=True) == "spawn":
-        # Under spawn each worker runs its own resource tracker, which
-        # would "clean up" (unlink) the parent's segment when the
-        # worker exits; tell it this attach is not ours to free.  Under
-        # fork the tracker is shared with the parent, whose own
-        # registration must stay — attaching registrations collapse
-        # into it (the tracker cache is a set).
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals moved
-            pass
-    return segment
-
-
-def _fold_bytes_range(data, start: int, end: int, equivalence_value: str):
-    """Fold one undecoded byte range of corpus lines — the worker-side
-    bytes feed.  Lines are recovered as byte spans with the corpus
-    line-break grammar and typed by the bytes-native pipeline; no
-    decoded line ever exists in the worker."""
-    from repro.datasets.ndjson import iter_line_spans
-    from repro.inference.engine import accumulate_ranges
-
-    accumulator = accumulate_ranges(
-        data, list(iter_line_spans(data, start, end)), Equivalence(equivalence_value)
-    )
-    return accumulator.result(), accumulator.document_count
-
-
-def _infer_shm_partition(payload: tuple[str, int, int, str]) -> tuple[Type, int]:
-    """Worker: fold one byte range of the shared corpus buffer.
-
-    The parent pickles only ``(segment name, start, end, equivalence)``
-    per partition — the corpus itself crosses the process boundary once,
-    through :mod:`multiprocessing.shared_memory` — and the worker runs
-    the bytes-native fold directly on the attached buffer: zero decoded
-    intermediaries between the shared bytes and the interned partial.
-    """
-    name, start, end, equivalence_value = payload
-    segment = _attach_shared(name)
-    try:
-        buf = segment.buf
-        try:
-            return _fold_bytes_range(buf, start, end, equivalence_value)
-        finally:
-            del buf
-    finally:
-        segment.close()
-
-
-# The mmap-corpus shared-memory worker is the same fold: byte ranges of
-# the one shared buffer, lines recovered by the corpus grammar.
-_infer_shm_corpus_partition = _infer_shm_partition
-
-
 def _infer_file_range_partition(
     payload: tuple[str, int, int, str]
 ) -> tuple[Type, int]:
-    """Worker: read one byte range of the corpus file directly.
+    """Worker: fold one byte range of the corpus file.
 
     The parent ships only ``(path, start, end, equivalence)`` — no
     parent-side decode, no per-line pickles; the worker reads its own
-    slice and folds the raw bytes."""
-    file_path, start, end, equivalence_value = payload
-    with open(file_path, "rb") as handle:
-        handle.seek(start)
-        data = handle.read(end - start)
-    return _fold_bytes_range(data, 0, len(data), equivalence_value)
+    slice, recovers lines as byte spans with the corpus line-break
+    grammar and folds them through the batched bytes pipeline."""
+    from repro.datasets.ndjson import iter_line_spans
+    from repro.inference.engine import accumulate_ranges
+
+    path, start, end, equivalence_value = payload
+    data = _read_range(path, start, end)
+    accumulator = accumulate_ranges(
+        data, list(iter_line_spans(data)), Equivalence(equivalence_value)
+    )
+    return accumulator.result(), accumulator.document_count
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +480,7 @@ def infer_compressed_parallel(
         (path, start, end, fmt, equivalence.value) for start, end in ranges
     ]
     try:
-        with multiprocessing.Pool(processes=groups) as pool:
-            results = pool.map(_compressed_range_worker, payloads)
+        results = _map_partitions(_compressed_range_worker, payloads, groups)
     except Exception:
         return None
     if any(result is None for result in results):
@@ -632,10 +554,7 @@ def _infer_subtree_chunks(payload) -> Optional[list]:
         from repro.types.intern import InternTable
 
         lo = min(start for start, _ in chunks)
-        hi = max(end for _, end in chunks)
-        with open(path, "rb") as handle:
-            handle.seek(lo)
-            data = handle.read(hi - lo)
+        data = _read_range(path, lo, max(end for _, end in chunks))
         encoder = EventTypeEncoder(InternTable())
         relative = [(start - lo, end - lo) for start, end in chunks]
         return type_subtree_chunks(
@@ -867,7 +786,7 @@ def infer_subtree_text(
             pool.join()
 
     if accumulator.is_empty():
-        raise InferenceError("cannot infer a schema from an empty collection")
+        raise InferenceError("cannot infer a schema from an empty stream")
     return ParallelRun(
         result=accumulator.result(),
         partitions=max(1, split_documents),
@@ -877,228 +796,54 @@ def infer_subtree_text(
     )
 
 
-# Auto shared-memory heuristic: below this corpus size the per-batch
-# pickles are cheap enough that a shared segment (create + one memcpy +
-# per-worker attach) is not worth its setup.
-_SHM_AUTO_MIN_BYTES = 4 << 20
-
-
-def choose_shared_memory(corpus_bytes: int, jobs: int, *, file_backed: bool = False) -> bool:
-    """The ``--shared-memory auto`` decision.
-
-    Use one shared-memory segment when the corpus would otherwise be
-    *pickled* to workers and is big enough (≥ 4 MiB) that batch pickles
-    dominate the segment's setup cost, with more than one worker to
-    share it.  File-backed corpora (mmap) default to ``False``: their
-    workers already read byte ranges straight from the file, shipping
-    nothing, so a segment would only add a memcpy.
-    """
-    if jobs <= 1 or file_backed:
-        return False
-    return corpus_bytes >= _SHM_AUTO_MIN_BYTES
-
-
-def _resolve_shared_memory(shared_memory, corpus_bytes: int, jobs: int,
-                           *, file_backed: bool = False) -> bool:
-    """Normalise a ``True``/``False``/``"auto"`` transport request."""
-    if shared_memory == "auto":
-        return choose_shared_memory(corpus_bytes, jobs, file_backed=file_backed)
-    return bool(shared_memory)
-
-
 def infer_distributed_text(
     lines: Sequence[str],
     partitions: int,
     equivalence: Equivalence = Equivalence.KIND,
     *,
     processes: Optional[int] = None,
-    shared_memory="auto",
+    shared_memory=None,  # unread; benchmarks/suite/trace_job.py passes it
 ) -> ParallelRun:
     """Run the partitioned inference on raw NDJSON lines.
 
-    The batched text feed closes the last materialization gap of the
-    multi-process mode: instead of parsing every document in the parent
-    and re-pickling the DOMs to the workers, each worker receives a
-    contiguous slice of raw lines (one pickle per batch, or — with
-    ``shared_memory=True`` — a byte range into one
-    :class:`multiprocessing.shared_memory.SharedMemory` buffer holding
-    the whole corpus) and runs the fused text→type pipeline locally,
-    folding through its own :class:`~repro.inference.engine.TypeAccumulator`.
-    Only the interned partition types come back; the parent combines
-    them, bit-identical to every serial path.  Blank lines are skipped.
+    Each worker folds one contiguous partition through the fused
+    text→type pipeline and its own
+    :class:`~repro.inference.engine.TypeAccumulator`; only the interned
+    partition types come back, and the parent combines them,
+    bit-identical to every serial path.  Blank lines are skipped.
 
-    ``shared_memory`` is a transport hint — ``True``, ``False``, or
-    ``"auto"`` (default), which applies
-    :func:`choose_shared_memory`'s size/jobs heuristic.  Workers
-    recover line boundaries from the newline-joined buffer with the
-    corpus line-break grammar, so when any "line" itself contains a
-    line break (legal JSON, not legal NDJSON) the feed silently falls
-    back to per-batch pickles — the result is identical either way.
-
-    An :class:`~repro.datasets.ndjson.MmapCorpus` input takes the
-    zero-copy route: the parent copies the raw file bytes *once* into
-    the shared segment and ships line-aligned byte ranges from the
-    corpus index — it never splits, decodes, or pickles lines itself
-    (and corpus lines cannot contain line breaks by construction, so
-    there is no fallback case).
+    An :class:`~repro.datasets.ndjson.MmapCorpus` takes the file
+    transport: the parent ships line-aligned byte ranges from the corpus
+    index, and each worker reads its own slice of the file — the parent
+    never splits, decodes, or pickles lines.  Any other line sequence
+    takes the pickle transport: one pickled batch of lines per worker.
     """
     from repro.datasets.ndjson import MmapCorpus
 
     if isinstance(lines, MmapCorpus):
-        return _infer_corpus_text(
-            lines,
-            partitions,
-            equivalence,
-            processes=processes,
-            shared_memory=shared_memory,
-        )
-    lines = list(lines)
-    if not any(line and not line.isspace() for line in lines):
-        raise InferenceError("cannot infer a schema from an empty collection")
-    buckets = partition_lines(lines, partitions)
-
-    if processes is None:
-        processes = min(len(buckets), auto_jobs())
-    processes = max(1, processes)
-
-    shared_memory = _resolve_shared_memory(
-        shared_memory, sum(map(len, lines)), processes
-    )
-    if shared_memory and any("\n" in line or "\r" in line for line in lines):
-        # Workers re-split the joined buffer with the line-break
-        # grammar; embedded breaks would change the line count.
-        shared_memory = False
-
-    if processes == 1 or len(buckets) == 1:
-        partials = [
-            _infer_lines_partition((bucket, equivalence.value)) for bucket in buckets
-        ]
-        processes = 1
-    elif shared_memory:
-        from multiprocessing import shared_memory as shm
-
-        encoded = [line.encode("utf-8") for line in lines]
-        data = b"\n".join(encoded)
-        spans: list[tuple[int, int]] = []
-        cursor = 0
-        index = 0
-        for bucket in buckets:
-            size = sum(len(encoded[index + j]) for j in range(len(bucket)))
-            size += len(bucket) - 1  # newlines joining the bucket's lines
-            spans.append((cursor, cursor + size))
-            cursor += size + 1  # the newline separating adjacent buckets
-            index += len(bucket)
-        segment = shm.SharedMemory(create=True, size=max(1, len(data)))
-        try:
-            segment.buf[: len(data)] = data
-            payloads = [
-                (segment.name, start, end, equivalence.value) for start, end in spans
-            ]
-            with multiprocessing.Pool(processes=processes) as pool:
-                partials = pool.map(_infer_shm_partition, payloads)
-        finally:
-            segment.close()
-            segment.unlink()
+        worker = _infer_file_range_partition
+        payloads = _file_range_payloads(lines, partitions, equivalence)
     else:
-        batch_payloads = [(bucket, equivalence.value) for bucket in buckets]
-        with multiprocessing.Pool(processes=processes) as pool:
-            partials = pool.map(_infer_lines_partition, batch_payloads)
+        worker = _infer_lines_partition
+        payloads = [
+            (batch, equivalence.value)
+            for batch in partition_contiguous(list(lines), partitions)
+        ]
+    if processes is None:
+        processes = min(len(payloads), auto_jobs())
+    processes = max(1, processes)
 
     combined = TypeAccumulator(equivalence)
     counts: list[int] = []
-    for partial_type, count in partials:
-        combined.add_type(partial_type)
+    for partial, count in _map_partitions(worker, payloads, processes):
+        combined.add_type(partial)
         counts.append(count)
+    if not any(counts):
+        raise InferenceError("cannot infer a schema from an empty stream")
     return ParallelRun(
         result=combined.result(),
-        partitions=len(buckets),
-        processes=processes,
-        equivalence=equivalence,
-        partition_documents=counts,
-    )
-
-
-def _infer_corpus_text(
-    corpus,
-    partitions: int,
-    equivalence: Equivalence,
-    *,
-    processes: Optional[int],
-    shared_memory,
-) -> ParallelRun:
-    """The mmap-corpus execution of :func:`infer_distributed_text`."""
-    total = len(corpus)
-    has_content = False
-    for index, (start, end) in enumerate(corpus.spans):
-        if end > start:
-            line = corpus[index]
-            if line and not line.isspace():
-                has_content = True
-                break
-    if not has_content:
-        raise InferenceError("cannot infer a schema from an empty collection")
-    bounds = partition_bounds(total, partitions)
-
-    if processes is None:
-        processes = min(len(bounds), auto_jobs())
-    processes = max(1, processes)
-    shared_memory = _resolve_shared_memory(
-        shared_memory, corpus.size_bytes, processes, file_backed=True
-    )
-
-    if processes == 1 or len(bounds) == 1:
-        # Serial corpus fold: byte ranges through the batched line
-        # pipeline, which decodes only the lines its shape cache misses.
-        from repro.inference.engine import accumulate_ranges
-
-        buffer = corpus.buffer()
-        spans = corpus.spans
-        partials = []
-        for start, stop in bounds:
-            accumulator = accumulate_ranges(
-                buffer, spans[start:stop], equivalence
-            )
-            partials.append((accumulator.result(), accumulator.document_count))
-        processes = 1
-    elif shared_memory:
-        from multiprocessing import shared_memory as shm
-
-        size = corpus.size_bytes
-        segment = shm.SharedMemory(create=True, size=max(1, size))
-        try:
-            # The corpus crosses the process boundary as one memcpy of
-            # the raw file bytes; workers slice it by line-aligned byte
-            # ranges from the index.
-            segment.buf[:size] = corpus.buffer()
-            payloads = [
-                (segment.name, *corpus.byte_range(start, stop), equivalence.value)
-                for start, stop in bounds
-            ]
-            with multiprocessing.Pool(processes=processes) as pool:
-                partials = pool.map(_infer_shm_corpus_partition, payloads)
-        finally:
-            segment.close()
-            segment.unlink()
-    else:
-        # No shared memory requested: workers still avoid any
-        # parent-side decode by reading their own byte range straight
-        # from the backing file.
-        range_payloads = [
-            (corpus.path, *corpus.byte_range(start, stop), equivalence.value)
-            for start, stop in bounds
-        ]
-        with multiprocessing.Pool(processes=processes) as pool:
-            partials = pool.map(_infer_file_range_partition, range_payloads)
-
-    combined = TypeAccumulator(equivalence)
-    counts: list[int] = []
-    for partial_type, count in partials:
-        combined.add_type(partial_type)
-        counts.append(count)
-    return ParallelRun(
-        result=combined.result(),
-        partitions=len(bounds),
-        processes=processes,
+        partitions=len(payloads),
+        processes=processes if len(payloads) > 1 else 1,
         equivalence=equivalence,
         partition_documents=counts,
     )
@@ -1162,9 +907,8 @@ class SchedulePlan:
 
 
 # Cost-model constants.  Startup covers fork + pool handshake + module
-# import per worker; shipping covers pickling line batches to workers
-# (the shared-memory feed pays one memcpy instead, but modelling the
-# pickle cost keeps the decision conservative).  Both constants resolve
+# import per worker; shipping covers pickling line batches to workers.
+# Both constants resolve
 # through :mod:`repro.inference.calibration`: env override first, then
 # the persisted per-machine profile (measured once and cached in
 # ``~/.cache/repro/sched.json``), then the built-in defaults.
@@ -1185,23 +929,24 @@ def plan_schedule(
     lines: Sequence[str],
     *,
     jobs: Optional[int] = None,
-    shared_memory="auto",
+    shared_memory=None,  # unread; benchmarks/suite/trace_job.py passes it
     sample_size: int = _SAMPLE_SIZE,
 ) -> SchedulePlan:
     """Decide serial vs. parallel execution for a line corpus.
 
     The model: parallel wall-clock is per-worker startup, plus the
     serial fold divided across the CPUs that can really run (requested
-    jobs capped by :func:`auto_jobs`), plus corpus shipping.  The
-    startup and shipping constants come from the persisted per-machine
-    calibration profile (:mod:`repro.inference.calibration` — measured
-    once, env-overridable) rather than per-plan guesses.  The timed
-    sample measures the *map* rate (text to canonical type), which
-    dominates the fold and does not depend on the equivalence — so one
-    plan serves both equivalences.  An
-    :class:`~repro.datasets.ndjson.MmapCorpus` is sampled through the
-    batched line pipeline (shape cache over the raw bytes, decode and
-    scan on a miss); in-memory lines through the str scan.  The serial fold rate is *measured*, not assumed, so the
+    jobs capped by :func:`auto_jobs`), plus shipping for in-memory lines
+    (the only input that is pickled to workers).  The startup and
+    shipping constants come from the persisted per-machine calibration
+    profile (:mod:`repro.inference.calibration` — measured once,
+    env-overridable) rather than per-plan guesses.  The timed sample
+    measures the *map* rate (text to canonical type), which dominates
+    the fold and does not depend on the equivalence — so one plan serves
+    both equivalences.  An :class:`~repro.datasets.ndjson.MmapCorpus` is
+    sampled through the batched line pipeline (shape cache over the raw
+    bytes, decode and scan on a miss); in-memory lines through the str
+    scan.  The serial fold rate is *measured*, not assumed, so the
     decision tracks the actual machine and document shape.  When the
     modeled parallel win is under ``_PARALLEL_ADVANTAGE`` the plan is
     serial: spawning workers that lose to the serial fold (the E16
@@ -1385,15 +1130,10 @@ def plan_schedule(
                 serial_seconds = (documents / rate) * (full_cost / sample_cost)
     effective = min(requested, cpus)
     total_bytes = sample_bytes * (documents / sampled)
-    # Shipping: per-batch pickles for in-memory line lists only.  Both
-    # corpus transports avoid it — workers read their own byte ranges
-    # from the file or from one shared-memory memcpy.
-    use_shm = _resolve_shared_memory(
-        shared_memory, total_bytes, effective, file_backed=is_corpus
-    )
-    ships_lines = not use_shm and not is_corpus
+    # Shipping: in-memory lines go to workers as pickled batches; a
+    # corpus ships nothing — workers read their own byte ranges.
     ship_seconds = (
-        total_bytes / calibration.ship_bytes_per_second() if ships_lines else 0.0
+        0.0 if is_corpus else total_bytes / calibration.ship_bytes_per_second()
     )
     source = calibration.calibration_source()
     parallel_seconds = (
@@ -1541,7 +1281,6 @@ def infer_adaptive_text(
     equivalence: Equivalence = Equivalence.KIND,
     *,
     jobs: Optional[int] = None,
-    shared_memory="auto",
     sample_size: int = _SAMPLE_SIZE,
 ) -> ParallelRun:
     """The batched text feed behind the adaptive scheduler.
@@ -1554,17 +1293,9 @@ def infer_adaptive_text(
     (guaranteeing ``--jobs N`` is never slower than serial by more than
     the sample cost).  A mapped corpus folds serially through the
     batched line pipeline, which decodes only the lines whose shape
-    misses its cache.  ``shared_memory`` is
-    ``True``, ``False``, or ``"auto"`` (the
-    :func:`choose_shared_memory` heuristic).  The result is
-    bit-identical to every other path.
+    misses its cache.  The result is bit-identical to every other path.
     """
-    plan = plan_schedule(
-        lines,
-        jobs=jobs,
-        shared_memory=shared_memory,
-        sample_size=sample_size,
-    )
+    plan = plan_schedule(lines, jobs=jobs, sample_size=sample_size)
     if plan.subtree:
         run = infer_subtree_text(lines, equivalence, processes=plan.jobs)
         run.plan = plan
@@ -1580,9 +1311,7 @@ def infer_adaptive_text(
         else:
             accumulator = accumulate_lines(lines, equivalence)
         if accumulator.is_empty():
-            raise InferenceError(
-                "cannot infer a schema from an empty collection"
-            )
+            raise InferenceError("cannot infer a schema from an empty stream")
         return ParallelRun(
             result=accumulator.result(),
             partitions=1,
@@ -1596,7 +1325,6 @@ def infer_adaptive_text(
         partitions=plan.partitions,
         equivalence=equivalence,
         processes=plan.jobs,
-        shared_memory=shared_memory,
     )
     run.plan = plan
     return run
@@ -1618,171 +1346,60 @@ class CountedParallelRun:
     document_count: int
 
 
-def _infer_counted_partition(payload: tuple[list[Any], str]) -> tuple[Any, int]:
-    """Worker: fold one partition through a counting accumulator."""
-    documents, equivalence_value = payload
-    accumulator = CountingAccumulator(Equivalence(equivalence_value))
-    for document in documents:
-        accumulator.add(document)
-    return accumulator.result(), accumulator.document_count
-
-
-def _fold_counted_bytes_range(data, start: int, end: int, equivalence_value: str):
-    """Fold one undecoded byte range through the counting algebra — the
-    counted analogue of :func:`_fold_bytes_range`.  Lines are recovered
-    as byte spans and typed by :func:`~repro.inference.counting.
-    counted_type_of_bytes`; blanks are skipped with the bytes folds'
-    exact whitespace rule, so counts reconcile with every serial path.
-    """
-    from repro.datasets.ndjson import iter_line_spans
-    from repro.inference.counting import counted_type_of_bytes
-    from repro.inference.engine import _EXTRA_SPACE_BYTES, _BYTES_WS_RUN
-
-    equivalence = Equivalence(equivalence_value)
-    accumulator = CountingAccumulator(equivalence)
-    add_counted = accumulator.add_counted
-    ws_match = _BYTES_WS_RUN.match
-    for s, e in iter_line_spans(data, start, end):
-        if e <= s:
-            continue
-        ws_end = ws_match(data, s, e).end()
-        if ws_end >= e:
-            continue
-        if data[ws_end] >= 0x80 or data[ws_end] in _EXTRA_SPACE_BYTES:
-            if bytes(data[s:e]).decode("utf-8").isspace():
-                continue
-        add_counted(counted_type_of_bytes(data, s, e, equivalence))
-    return accumulator.result(), accumulator.document_count
-
-
 def _infer_counted_file_range_partition(
     payload: tuple[str, int, int, str]
 ) -> tuple[Any, int]:
     """Worker: counting fold over one byte range read from the file.
 
-    Mirrors :func:`_infer_file_range_partition`: the parent ships only
-    ``(path, start, end, equivalence)`` — no decoded lines, no document
-    pickles; only the counted partial (and its document count) returns.
+    The counted twin of :func:`_infer_file_range_partition`; only the
+    counted partial (and its document count) returns.
     """
-    file_path, start, end, equivalence_value = payload
-    with open(file_path, "rb") as handle:
-        handle.seek(start)
-        data = handle.read(end - start)
-    return _fold_counted_bytes_range(data, 0, len(data), equivalence_value)
+    from repro.datasets.ndjson import iter_line_spans
+    from repro.inference.counting import _add_counted_spans
 
-
-def _infer_counted_corpus(
-    corpus,
-    partitions: int,
-    equivalence: Equivalence,
-    *,
-    processes: Optional[int],
-) -> CountedParallelRun:
-    """The mmap-corpus execution of :func:`infer_counted_parallel`.
-
-    Contiguous byte ranges from the corpus index go to workers that read
-    their own file slice and run the bytes-native counting fold; the
-    counted algebra's merge adds the per-range cardinalities back
-    together.  Contiguous ranges (like :func:`partition_contiguous`)
-    keep union member first-appearance order identical to the serial
-    fold.
-    """
-    total = len(corpus)
-    if total == 0:
-        raise InferenceError(
-            "cannot infer a counted schema from an empty collection"
-        )
-    bounds = partition_bounds(total, partitions)
-
-    if processes is None:
-        processes = min(len(bounds), auto_jobs())
-    processes = max(1, processes)
-
-    if processes == 1 or len(bounds) == 1:
-        buffer = corpus.buffer()
-        partials = [
-            _fold_counted_bytes_range(
-                buffer, *corpus.byte_range(start, stop), equivalence.value
-            )
-            for start, stop in bounds
-        ]
-        processes = 1
-    else:
-        payloads = [
-            (corpus.path, *corpus.byte_range(start, stop), equivalence.value)
-            for start, stop in bounds
-        ]
-        with multiprocessing.Pool(processes=processes) as pool:
-            partials = pool.map(_infer_counted_file_range_partition, payloads)
-
-    combined = CountingAccumulator(equivalence)
-    for counted, count in partials:
-        combined.add_counted(counted, documents=count)
-    if combined.is_empty():
-        raise InferenceError(
-            "cannot infer a counted schema from an empty collection"
-        )
-    return CountedParallelRun(
-        result=combined.result(),
-        partitions=len(bounds),
-        processes=processes,
-        equivalence=equivalence,
-        document_count=combined.document_count,
-    )
+    path, start, end, equivalence_value = payload
+    data = _read_range(path, start, end)
+    accumulator = CountingAccumulator(Equivalence(equivalence_value))
+    _add_counted_spans(accumulator, data, iter_line_spans(data))
+    return accumulator.result(), accumulator.document_count
 
 
 def infer_counted_parallel(
-    documents: Sequence[Any],
+    corpus,
     partitions: int,
     equivalence: Equivalence = Equivalence.KIND,
     *,
     processes: Optional[int] = None,
 ) -> CountedParallelRun:
-    """Counting-types inference over real worker processes.
+    """Counting-types inference over an
+    :class:`~repro.datasets.ndjson.MmapCorpus` on real worker processes.
 
     The counted algebra is a monoid too: per-partition counted unions
     merge by adding counts, so the parallel reduce preserves every
     cardinality exactly (pinned by the process-boundary regression
-    tests).
-
-    An :class:`~repro.datasets.ndjson.MmapCorpus` input takes the raw
-    byte-range route (:func:`_infer_counted_corpus`): workers read their
-    own contiguous file slice and fold undecoded line spans through the
-    bytes-native :func:`~repro.inference.counting.counted_type_of_bytes`
-    — no decoded line or document ever crosses the pipe.
+    tests).  Contiguous byte ranges from the corpus index go to workers
+    that read their own file slice and run the counting fold; contiguous
+    ranges (like :func:`partition_contiguous`) keep union member
+    first-appearance order identical to the serial fold.
     """
-    from repro.datasets.ndjson import MmapCorpus
-
-    if isinstance(documents, MmapCorpus):
-        return _infer_counted_corpus(
-            documents, partitions, equivalence, processes=processes
-        )
-    docs = list(documents)
-    if not docs:
-        raise InferenceError("cannot infer a counted schema from an empty collection")
-    # Contiguous (not round-robin) so union member order — which follows
-    # first appearance — matches the serial fold exactly.
-    buckets = partition_contiguous(docs, partitions)
-    payloads = [(bucket, equivalence.value) for bucket in buckets]
-
+    payloads = _file_range_payloads(corpus, partitions, equivalence)
     if processes is None:
-        processes = min(len(buckets), auto_jobs())
+        processes = min(len(payloads), auto_jobs())
     processes = max(1, processes)
 
-    if processes == 1 or len(buckets) == 1:
-        partials = [_infer_counted_partition(p) for p in payloads]
-        processes = 1
-    else:
-        with multiprocessing.Pool(processes=processes) as pool:
-            partials = pool.map(_infer_counted_partition, payloads)
-
     combined = CountingAccumulator(equivalence)
-    for counted, count in partials:
+    for counted, count in _map_partitions(
+        _infer_counted_file_range_partition, payloads, processes
+    ):
         combined.add_counted(counted, documents=count)
+    if combined.is_empty():
+        raise InferenceError(
+            "cannot infer a counted schema from an empty stream"
+        )
     return CountedParallelRun(
         result=combined.result(),
-        partitions=len(buckets),
-        processes=processes,
+        partitions=len(payloads),
+        processes=processes if len(payloads) > 1 else 1,
         equivalence=equivalence,
         document_count=combined.document_count,
     )

@@ -130,7 +130,7 @@ class TypeAccumulator:
         """Type one raw UTF-8 document held as bytes and absorb it.
 
         :meth:`add_text` of the decoded range: ``data`` may be
-        ``bytes``, an mmap, or a shared-memory view; undecodable input
+        ``bytes``, an mmap, or a memoryview; undecodable input
         raises the decode's ``UnicodeDecodeError``.
         """
         encoder = self._event_encoder
@@ -420,7 +420,7 @@ def accumulate_ranges(
     """Fold undecoded byte ranges of an NDJSON buffer — the bytes feed.
 
     ``data`` is any byte buffer (an :class:`~repro.datasets.ndjson.MmapCorpus`
-    buffer, a shared-memory view, plain ``bytes``) and ``spans`` the
+    buffer, a memoryview, plain ``bytes``) and ``spans`` the
     ``(start, end)`` byte range of each line, e.g.
     ``corpus.spans`` or :func:`repro.datasets.ndjson.iter_line_spans`
     output.  The ranges run through :meth:`EventTypeEncoder.encode_lines`

@@ -91,7 +91,7 @@ def type_of_bytes(
     """The canonical interned type of one JSON document held as UTF-8
     bytes: :func:`type_of_text` of the decoded range.
 
-    ``data`` may be ``bytes``, an mmap, or a shared-memory view.
+    ``data`` may be ``bytes``, an mmap, or a memoryview.
     Undecodable input raises the decode's ``UnicodeDecodeError``, and
     malformed JSON raises the parser's exact error with character
     offsets relative to ``start``.
@@ -266,7 +266,6 @@ def infer_report_path(
     equivalence: Equivalence = Equivalence.KIND,
     *,
     jobs: Optional[int] = 1,
-    shared_memory="auto",
 ) -> InferenceReport:
     """One-stop inference over an NDJSON source — the CLI's entry point.
 
@@ -285,11 +284,8 @@ def infer_report_path(
     ``jobs=None`` sizes the worker pool from CPU affinity, ``jobs=N``
     caps it at N, and either way the scheduler falls back to a serial
     fold when its timed-sample cost model says workers would lose.
-
-    ``shared_memory`` is ``True``, ``False``, or ``"auto"`` (default):
-    auto lets the scheduler pick the corpus transport from corpus size
-    and worker count (see
-    :func:`repro.inference.distributed.choose_shared_memory`).
+    Workers read byte ranges of a regular file themselves; lines from
+    any other source reach them as pickled batches.
     """
     import os
 
@@ -324,9 +320,7 @@ def infer_report_path(
     corpus = open_corpus(source) if is_file else None
     try:
         lines = corpus if corpus is not None else list(iter_ndjson_lines(source))
-        run = infer_adaptive_text(
-            lines, equivalence, jobs=jobs, shared_memory=shared_memory
-        )
+        run = infer_adaptive_text(lines, equivalence, jobs=jobs)
     finally:
         if corpus is not None:
             corpus.close()
@@ -343,7 +337,6 @@ def report_with_lines(
     equivalence: Equivalence = Equivalence.KIND,
     *,
     jobs: Optional[int] = 1,
-    shared_memory="auto",
 ):
     """Infer over ``source``, then hand its lines back for a second pass.
 
@@ -386,9 +379,7 @@ def report_with_lines(
             else:
                 from repro.inference.distributed import infer_adaptive_text
 
-                run = infer_adaptive_text(
-                    corpus, equivalence, jobs=jobs, shared_memory=shared_memory
-                )
+                run = infer_adaptive_text(corpus, equivalence, jobs=jobs)
                 report = InferenceReport(
                     inferred=run.result,
                     equivalence=equivalence,
@@ -407,7 +398,6 @@ def report_with_spans(
     equivalence: Equivalence = Equivalence.KIND,
     *,
     jobs: Optional[int] = 1,
-    shared_memory="auto",
 ):
     """Infer over a corpus *file*, then hand back its raw line spans.
 
@@ -459,9 +449,7 @@ def report_with_spans(
         else:
             from repro.inference.distributed import infer_adaptive_text
 
-            run = infer_adaptive_text(
-                corpus, equivalence, jobs=jobs, shared_memory=shared_memory
-            )
+            run = infer_adaptive_text(corpus, equivalence, jobs=jobs)
             report = InferenceReport(
                 inferred=run.result,
                 equivalence=equivalence,

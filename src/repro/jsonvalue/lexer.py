@@ -129,10 +129,9 @@ NUMBER_TAIL_PATTERN = r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 # --------------------------------------------------------------------------
 # Bytes mirrors of the shared fragments.
 #
-# The bytes scanners (the counting scan, the structural splitter, the
-# line-shape cache) run the same grammar directly over mmap /
-# shared-memory buffers.  Every
-# fragment mirrors its str twin by plain ASCII encoding — including the
+# The bytes scanners (the structural splitter, the stream translator,
+# the line-shape cache) run the same grammar directly over mmap
+# buffers.  Every fragment mirrors its str twin by plain ASCII encoding — including the
 # string body: in bytes mode the very same class ``[^"\\\x00-\x1f]``
 # matches any byte ``\x20``–``\xff`` except ``"`` and ``\``, which skips
 # UTF-8 multibyte content *structurally* (multibyte sequences contain no
@@ -149,7 +148,6 @@ NUMBER_TAIL_PATTERN = r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 INT_PATTERN_BYTES = INT_PATTERN.encode("ascii")
 FLOAT_PATTERN_BYTES = FLOAT_PATTERN.encode("ascii")
 WHITESPACE_PATTERN_BYTES = WHITESPACE_PATTERN.encode("ascii")
-NUMBER_BOUNDARY_BYTES = NUMBER_BOUNDARY_CHARS.encode("ascii")
 NUMBER_TAIL_PATTERN_BYTES = NUMBER_TAIL_PATTERN.encode("ascii")
 STRING_BODY_PATTERN_BYTES = STRING_BODY_PATTERN.encode("ascii")
 

@@ -295,7 +295,7 @@ class StructuralIndex:
 #
 # The line-parallel pipeline dies on one huge document: a single 500 MB
 # record serializes the whole fold.  The splitter carves the top-level
-# container of an undecoded byte buffer (mmap, shared memory, bytes)
+# container of an undecoded byte buffer (mmap, memoryview, bytes)
 # into contiguous *subtree ranges* that workers can type independently
 # with the scan machine, to be reassembled through the
 # merge monoid.

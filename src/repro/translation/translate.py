@@ -557,7 +557,6 @@ def translate_report_path(
     equivalence: Equivalence = Equivalence.KIND,
     *,
     jobs: Optional[int] = 1,
-    shared_memory="auto",
     table: Optional[InternTable] = None,
     engine: str = "stream",
     out=None,
@@ -611,9 +610,8 @@ def translate_report_path(
     sink = _RowSink(rows_path)
     try:
         if engine == "stream" and is_file:
-            with report_with_spans(
-                source, equivalence, jobs=jobs, shared_memory=shared_memory
-            ) as (report, sections):
+            inferring = report_with_spans(source, equivalence, jobs=jobs)
+            with inferring as (report, sections):
                 inferred = table.canonical(report.inferred)
                 resolution = resolve_interned(inferred, table=table)
                 shredder = Shredder(
@@ -626,9 +624,8 @@ def translate_report_path(
                     sections, resolution, shredder, encoder, sink
                 )
         else:
-            with report_with_lines(
-                source, equivalence, jobs=jobs, shared_memory=shared_memory
-            ) as (report, lines):
+            inferring = report_with_lines(source, equivalence, jobs=jobs)
+            with inferring as (report, lines):
                 inferred = table.canonical(report.inferred)
                 resolution = resolve_interned(inferred, table=table)
                 shredder = Shredder(

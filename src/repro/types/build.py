@@ -39,15 +39,11 @@ import re
 from repro.jsonvalue.lexer import (
     FULL_STRING_BODY_PATTERN_BYTES,
     INT_PATTERN,
-    INT_PATTERN_BYTES,
-    NUMBER_BOUNDARY_BYTES,
     NUMBER_BOUNDARY_CHARS,
-    NUMBER_TAIL_PATTERN_BYTES,
     STRING_BODY_PATTERN,
     STRING_BODY_PATTERN_BYTES,
     UTF8_VALIDATION_PATTERN,
     WHITESPACE_PATTERN,
-    WHITESPACE_PATTERN_BYTES,
     Token,
     TokenType,
     _Scanner,
@@ -408,43 +404,9 @@ _WS_RUN = re.compile(WHITESPACE_PATTERN)
 _NUMBER_BOUNDARY = frozenset(NUMBER_BOUNDARY_CHARS)
 _NUMBER_START = "-0123456789"
 
-# --------------------------------------------------------------------------
-# Bytes twins of the per-token scan patterns.
-#
-# The counting scanner (``repro.inference.counting``) runs the per-token
-# phase machine directly over raw byte buffers with these patterns.
-# Every fragment mirrors its str twin by plain ASCII encoding, with the
-# same group layout; in bytes mode string bodies admit any byte
-# ``\x20``-``\xff`` except ``"`` and ``\``, so UTF-8 validity is checked
-# once per document instead: a C-speed search for any high byte, then,
-# only when one exists, one strict-validation match.  The line-shape
-# cache below uses the same check on its cache hits.
-# --------------------------------------------------------------------------
-
-_BYTES_WS = WHITESPACE_PATTERN_BYTES
-
-# Value-scan groups, as in _VALUE_SCAN: 1 string (escapes included),
-# 2 number (containing 3 tail), 4 true/false, 5 null, 6 empty array,
-# 7 empty object, 8 "{", 9 "[", 10 "]".
-_BYTES_VALUE_SCAN = re.compile(
-    _BYTES_WS + b"(?:"
-    + b'(")' + FULL_STRING_BODY_PATTERN_BYTES + b'"'
-    + b"|(" + INT_PATTERN_BYTES + b"(" + NUMBER_TAIL_PATTERN_BYTES + b"))"
-    + b"|(true|false)|(null)"
-    + rb"|(\[" + _BYTES_WS + rb"\])"
-    + rb"|(\{" + _BYTES_WS + rb"\})"
-    + rb"|(\{)|(\[)|(\])"
-    b")"
-)
-# Key scan: full string pattern, so escaped keys resolve without the
-# lexer; group 2 is the closing brace.
-_BYTES_KEY_SCAN = re.compile(
-    _BYTES_WS
-    + b'(?:"(' + FULL_STRING_BODY_PATTERN_BYTES + b')"' + _BYTES_WS + rb":|(\}))"
-)
-_BYTES_AFTER_SCAN = re.compile(_BYTES_WS + rb"([,\]}])")
-_BYTES_WS_RUN = re.compile(_BYTES_WS)
-_BYTES_NUMBER_BOUNDARY = frozenset(NUMBER_BOUNDARY_BYTES)
+# UTF-8 validity of raw bytes, checked lazily: a C-speed search for any
+# high byte, then, only when one exists, one strict-validation match.
+# The line-shape cache below runs this check on its cache hits.
 _BYTES_HIGH_BYTE = re.compile(rb"[\x80-\xff]")
 _BYTES_UTF8_RUN = re.compile(UTF8_VALIDATION_PATTERN)
 
@@ -1120,7 +1082,7 @@ class EventTypeEncoder(TypeEncoder):
         "utf-8"), max_depth=max_depth)``.
 
         ``data`` is anything the buffer protocol covers: ``bytes``, an
-        ``mmap.mmap``, a ``memoryview`` over a shared-memory segment.
+        ``mmap.mmap``, a ``memoryview``.
         Undecodable input raises the decode's ``UnicodeDecodeError``;
         malformed JSON raises the parser's exact error, with character
         offsets relative to ``start``.  There is one structural scan, the

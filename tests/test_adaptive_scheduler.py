@@ -85,7 +85,7 @@ def test_tiny_corpus_falls_back_to_serial(monkeypatch):
 
 def test_large_corpus_plans_parallel_when_cpus_are_free(many_cpus):
     lines = ndjson_lines(tweets(400, seed=3)) * 50  # 20k docs
-    plan = plan_schedule(lines, jobs=4, shared_memory=True)
+    plan = plan_schedule(lines, jobs=4)
     assert plan.mode == "parallel"
     assert plan.jobs == 4  # the request caps the pool below the 8 CPUs
     assert plan.partitions == plan.jobs
@@ -95,9 +95,25 @@ def test_large_corpus_plans_parallel_when_cpus_are_free(many_cpus):
 
 def test_requested_jobs_cap_at_usable_cpus(many_cpus):
     lines = ndjson_lines(tweets(400, seed=3)) * 50
-    plan = plan_schedule(lines, jobs=64, shared_memory=True)
+    plan = plan_schedule(lines, jobs=64)
     assert plan.mode == "parallel"
     assert plan.jobs == 8  # capped by affinity, not the request
+
+
+def test_shipping_is_charged_only_for_in_memory_lines(
+    many_cpus, monkeypatch, tmp_path
+):
+    """Only in-memory lines are pickled to workers; a mapped corpus
+    ships nothing, so a crawling pickle rate cannot stop its pool."""
+    from repro.datasets import open_corpus
+
+    monkeypatch.setenv("REPRO_SHIP_BYTES_PER_SECOND", "1")
+    lines = ndjson_lines(tweets(400, seed=3)) * 10
+    assert plan_schedule(lines, jobs=4).mode == "serial"
+    path = tmp_path / "corpus.ndjson"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open_corpus(path) as corpus:
+        assert plan_schedule(corpus, jobs=4).mode == "parallel"
 
 
 def test_adaptive_serial_route_is_identical():

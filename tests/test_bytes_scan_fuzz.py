@@ -10,6 +10,8 @@ oracles:
   error (class, message, character offset) on malformed JSON, and
   ``bytes.decode``'s ``UnicodeDecodeError`` (object, positions, reason)
   on undecodable bytes;
+- ``counted_type_of_bytes(b)`` likewise: a counted type equal to
+  ``counted_type_of(parse(text))``, or the same parser or decode error;
 - ``encode_lines`` (the batched skeleton cache) and
   ``accumulate_ranges`` (the bytes fold) agree with the per-line str
   feed on every line of every batch — including across batches sharing
@@ -179,31 +181,32 @@ def test_edge_cases_share_one_encoder_and_its_caches():
 
 
 # ---------------------------------------------------------------------------
-# the counting bytes scan (counted_type_of_bytes)
+# the counting bytes entry (counted_type_of_bytes)
 # ---------------------------------------------------------------------------
 
 
 def _counted_differential(raw: bytes):
-    """counted_type_of_bytes(raw) must equal decode + counted_type_of_text
-    in outcome: structurally equal counted type, or the identical error."""
-    from repro.inference.counting import counted_type_of_bytes, counted_type_of_text
+    """counted_type_of_bytes(raw) must match the parser oracle in
+    outcome: the decode's error, the parser's error, or a counted type
+    structurally equal to ``counted_type_of`` of the parsed document."""
+    from repro.inference.counting import counted_type_of, counted_type_of_bytes
     from repro.types import Equivalence
 
     for equivalence in (Equivalence.KIND, Equivalence.LABEL):
 
-        def str_path():
-            return counted_type_of_text(raw.decode("utf-8"), equivalence)
+        def oracle():
+            return counted_type_of(parse(raw.decode("utf-8")), equivalence)
 
-        reference = _failure(str_path)
+        reference = _failure(oracle)
         observed = _failure(lambda: counted_type_of_bytes(raw, equivalence=equivalence))
         assert observed == reference, (raw, observed, reference)
         if reference is None:
-            assert counted_type_of_bytes(raw, equivalence=equivalence) == str_path()
+            assert counted_type_of_bytes(raw, equivalence=equivalence) == oracle()
 
 
 @given(json_values(max_leaves=25))
 @settings(max_examples=100, deadline=None)
-def test_counted_bytes_matches_counted_text(value):
+def test_counted_bytes_matches_counted_dom(value):
     _counted_differential(dumps(value).encode("utf-8"))
 
 
@@ -224,19 +227,20 @@ def test_counted_bytes_edge_bytes(raw):
 
 
 def test_counted_bytes_range_offsets_and_depth():
-    from repro.inference.counting import counted_type_of_bytes, counted_type_of_text
-    from repro.jsonvalue.parser import JsonParseError as ParseError
+    from repro.inference.counting import counted_type_of, counted_type_of_bytes
+    from repro.jsonvalue.parser import ParseOptions
 
     buf = b'xxx{"a": [1, 2.5, "s"]}yyy'
-    assert counted_type_of_bytes(buf, 3, len(buf) - 3) == counted_type_of_text(
-        '{"a": [1, 2.5, "s"]}'
+    assert counted_type_of_bytes(buf, 3, len(buf) - 3) == counted_type_of(
+        parse('{"a": [1, 2.5, "s"]}')
     )
     deep = b"[" * 8 + b"1" + b"]" * 8
-    assert counted_type_of_bytes(deep, max_depth=8) == counted_type_of_text(
-        deep.decode(), max_depth=8
+    assert counted_type_of_bytes(deep, max_depth=8) == counted_type_of(
+        parse(deep.decode(), ParseOptions(max_depth=8))
     )
-    with pytest.raises(ParseError):
-        counted_type_of_bytes(deep, max_depth=7)
+    expected = _failure(lambda: parse(deep.decode(), ParseOptions(max_depth=7)))
+    assert expected is not None
+    assert _failure(lambda: counted_type_of_bytes(deep, max_depth=7)) == expected
 
 
 # ---------------------------------------------------------------------------

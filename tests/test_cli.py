@@ -58,8 +58,14 @@ class TestInfer:
         serial_out = capsys.readouterr().out
         assert main(["infer", data_file, "--jobs", "4"]) == 0
         assert capsys.readouterr().out == serial_out
-        assert main(["infer", data_file, "--jobs", "auto", "--shared-memory"]) == 0
+        assert main(["infer", data_file, "--jobs", "auto"]) == 0
         assert capsys.readouterr().out == serial_out
+
+    def test_shared_memory_is_not_an_option(self, data_file, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["infer", data_file, "--shared-memory"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --shared-memory" in capsys.readouterr().err
 
     def test_jobs_rejects_non_numeric_values(self, data_file, capsys):
         with pytest.raises(SystemExit):
@@ -84,6 +90,56 @@ class TestInfer:
         assert "adaptive scheduler" in flat
         assert "falls back to the serial fold" in flat
         assert "mmap" in flat
+
+
+class TestEmptyInput:
+    """Every route reports an empty or all-blank input with the serial
+    fold's one message, whether or not workers would run."""
+
+    @pytest.fixture(autouse=True)
+    def workers_always_win(self, monkeypatch):
+        # Two usable CPUs and free worker start-up: every --jobs plan
+        # over a non-empty line list or corpus starts a pool.
+        from repro.inference import distributed
+
+        monkeypatch.setattr(distributed, "auto_jobs", lambda: 2)
+        monkeypatch.setenv("REPRO_WORKER_STARTUP_SECONDS", "0")
+
+    @pytest.mark.parametrize("content", [b"", b"\n  \n\t\n"], ids=["empty", "blank"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["infer", "FILE"],
+            ["infer", "FILE", "--jobs", "2"],
+            ["infer", "FILE", "--jobs", "auto"],
+            ["infer", "-"],
+            ["infer", "-", "--jobs", "2"],
+            ["infer", "FILE", "--format", "typescript"],
+            ["infer", "FILE", "--format", "typescript", "--jobs", "2"],
+            ["infer", "GZIP", "--jobs", "2"],
+            ["translate", "FILE"],
+            ["translate", "FILE", "--jobs", "2"],
+            ["translate", "FILE", "--jobs", "auto"],
+            ["translate", "-", "--jobs", "2"],
+        ],
+        ids=" ".join,
+    )
+    def test_one_message(self, tmp_path, monkeypatch, capsys, argv, content):
+        import gzip
+        import io
+
+        plain = tmp_path / "data.ndjson"
+        plain.write_bytes(content)
+        packed = tmp_path / "data.ndjson.gz"
+        packed.write_bytes(gzip.compress(content))
+        monkeypatch.setattr("sys.stdin", io.StringIO(content.decode()))
+        paths = {"FILE": str(plain), "GZIP": str(packed)}
+        assert main([paths.get(arg, arg) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot infer a schema from an empty stream\n"
+        )
 
 
 class TestValidate:

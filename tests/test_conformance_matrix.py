@@ -3,8 +3,9 @@
 The paper's map/reduce design means there are many ways to compute "the
 type of this collection" — DOM fold, fused batch, streaming text,
 counting (stripped of counts), the distributed simulator, the
-real multiprocessing modes (document pickles, batched text, shared
-memory), and the schema repository's per-structure groups.  The monoid
+real multiprocessing modes (pickled line batches, file byte ranges,
+subtree chunks, compressed members), and the schema repository's
+per-structure groups.  The monoid
 laws say they must all agree; hash-consing sharpens "agree" to *object
 identity* once each answer is canonicalized into one intern table.
 
@@ -26,7 +27,6 @@ from repro.inference import (
     infer_counted,
     infer_counted_streaming,
     infer_distributed,
-    infer_distributed_parallel,
     infer_distributed_text,
     infer_type,
     infer_type_streaming,
@@ -88,49 +88,11 @@ def _route_distributed_serial(docs, lines, equivalence):
     return infer_distributed(docs, partitions=4, equivalence=equivalence).result
 
 
-def _route_distributed_parallel(docs, lines, equivalence):
-    """Real multiprocessing over document pickles."""
-    return infer_distributed_parallel(
-        docs, partitions=3, equivalence=equivalence, processes=2
-    ).result
-
-
 def _route_distributed_text(docs, lines, equivalence):
-    """Real multiprocessing over the batched raw-line feed."""
+    """Real multiprocessing over pickled raw-line batches."""
     return infer_distributed_text(
         lines, partitions=3, equivalence=equivalence, processes=2
     ).result
-
-
-def _route_distributed_shm(docs, lines, equivalence):
-    """Real multiprocessing over one shared-memory corpus buffer."""
-    return infer_distributed_text(
-        lines,
-        partitions=3,
-        equivalence=equivalence,
-        processes=2,
-        shared_memory=True,
-    ).result
-
-
-def _route_mmap_corpus(docs, lines, equivalence):
-    """Zero-copy mmap corpus through the shared-memory byte-range feed."""
-    import tempfile
-    from pathlib import Path as _Path
-
-    from repro.datasets import open_corpus
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = _Path(tmp) / "corpus.ndjson"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with open_corpus(path) as corpus:
-            return infer_distributed_text(
-                corpus,
-                partitions=3,
-                equivalence=equivalence,
-                processes=2,
-                shared_memory=True,
-            ).result
 
 
 def _route_adaptive(docs, lines, equivalence):
@@ -167,16 +129,21 @@ def _route_bytes_serial(docs, lines, equivalence):
 
 def _route_bytes_parallel(docs, lines, equivalence):
     """Bytes-native workers reading their own byte ranges from the file
-    (no shared memory, no parent-side decode, no per-line pickles)."""
+    (no parent-side decode, no per-line pickles)."""
     return _with_corpus(
         lines,
         lambda corpus: infer_distributed_text(
-            corpus,
-            partitions=3,
-            equivalence=equivalence,
-            processes=2,
-            shared_memory=False,
+            corpus, partitions=3, equivalence=equivalence, processes=2
         ).result,
+    )
+
+
+def _route_adaptive_corpus(docs, lines, equivalence):
+    """The adaptive scheduler over an mmap corpus — the ``repro infer
+    FILE --jobs N`` route (serial fold or file-range workers)."""
+    return _with_corpus(
+        lines,
+        lambda corpus: infer_adaptive_text(corpus, equivalence, jobs=2).result,
     )
 
 
@@ -208,7 +175,7 @@ def _route_subtree_parallel(docs, lines, equivalence):
 
 
 def _route_counting_bytes(docs, lines, equivalence):
-    """Counting types via the bytes-native counted scan, counts stripped."""
+    """Counting types via counted_type_of_bytes, counts stripped."""
     from repro.inference import counted_type_of_bytes
     from repro.inference.engine import CountingAccumulator
 
@@ -218,6 +185,19 @@ def _route_counting_bytes(docs, lines, equivalence):
             continue
         accumulator.add_counted(counted_type_of_bytes(line.encode("utf-8"), equivalence=equivalence))
     return accumulator.result().plain()
+
+
+def _route_counting_parallel(docs, lines, equivalence):
+    """Counting types over file byte ranges on two worker processes,
+    counts stripped."""
+    from repro.inference import infer_counted_parallel
+
+    return _with_corpus(
+        lines,
+        lambda corpus: infer_counted_parallel(
+            corpus, partitions=3, equivalence=equivalence, processes=2
+        ).result.plain(),
+    )
 
 
 def _route_repository(docs, lines, equivalence):
@@ -328,16 +308,15 @@ ROUTES = {
     "counting": _route_counting,
     "counting-text": _route_counting_text,
     "distributed-serial": _route_distributed_serial,
-    "distributed-parallel": _route_distributed_parallel,
     "distributed-text": _route_distributed_text,
-    "distributed-shm": _route_distributed_shm,
-    "mmap-corpus": _route_mmap_corpus,
     "adaptive": _route_adaptive,
+    "adaptive-corpus": _route_adaptive_corpus,
     "bytes-serial": _route_bytes_serial,
     "bytes-parallel": _route_bytes_parallel,
     "subtree-serial": _route_subtree_serial,
     "subtree-parallel": _route_subtree_parallel,
     "counting-bytes": _route_counting_bytes,
+    "counting-parallel": _route_counting_parallel,
     "repository": _route_repository,
 }
 

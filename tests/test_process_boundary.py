@@ -22,7 +22,6 @@ from repro.inference import (
     field_presence_ratios,
     infer_counted,
     infer_counted_parallel,
-    infer_distributed_parallel,
     infer_distributed_text,
     infer_type,
 )
@@ -52,34 +51,23 @@ def test_pickled_interned_terms_strip_marks_and_reintern_to_identity():
 def test_parallel_partials_reintern_to_the_serial_result():
     docs = github_events(150, seed=11)
     reference = infer_type(docs)
-    run = infer_distributed_parallel(docs, partitions=4, processes=2)
+    lines = ndjson_lines(docs)
+    run = infer_distributed_text(lines, partitions=4, processes=2)
     assert run.result is reference  # interned identity, not mere equality
     assert run.document_count == len(docs)
     assert run.processes == 2
 
-    lines = ndjson_lines(docs)
-    text_run = infer_distributed_text(lines, partitions=4, processes=2)
-    assert text_run.result is reference
-    assert text_run.document_count == len(docs)
 
-    shm_run = infer_distributed_text(
-        lines, partitions=4, processes=2, shared_memory=True
-    )
-    assert shm_run.result is reference
-    assert shm_run.document_count == len(docs)
+def test_pickle_feed_handles_embedded_newlines():
+    """Multi-line JSON texts are legal inputs to the batched feed: each
+    pickled line stays one document, never re-split at its breaks."""
+    from repro.inference import accumulate_lines
 
-
-def test_shared_memory_feed_handles_embedded_newlines():
-    """Multi-line JSON texts are legal inputs to the batched feed; the
-    shared-memory transport cannot delimit them, so it must fall back to
-    pickles and produce the identical result rather than mis-split."""
     lines = ['{"a":\n1}', '{"a": 2}'] * 3
-    plain = infer_distributed_text(lines, partitions=2, processes=2)
-    shm = infer_distributed_text(
-        lines, partitions=2, processes=2, shared_memory=True
-    )
-    assert shm.result is plain.result
-    assert shm.document_count == plain.document_count == len(lines)
+    serial = accumulate_lines(lines)
+    run = infer_distributed_text(lines, partitions=2, processes=2)
+    assert run.result is serial.result()
+    assert run.document_count == serial.document_count == len(lines)
 
 
 def test_single_process_fallback_matches_pool_execution():
@@ -92,10 +80,20 @@ def test_single_process_fallback_matches_pool_execution():
     assert serial.document_count == len(docs)
 
 
-def test_counting_counts_survive_the_parallel_reduce():
+def _written_corpus(tmp_path, docs):
+    from repro.datasets import open_corpus, write_ndjson
+
+    path = tmp_path / "corpus.ndjson"
+    write_ndjson(path, docs)
+    return open_corpus(path)
+
+
+def test_counting_counts_survive_the_parallel_reduce(tmp_path):
     docs = tweets(120, seed=4)
     serial = infer_counted(docs)
-    run = infer_counted_parallel(docs, partitions=4, processes=2)
+    with _written_corpus(tmp_path, docs) as corpus:
+        run = infer_counted_parallel(corpus, partitions=4, processes=2)
+    assert run.processes == 2
     assert run.result == serial  # every cardinality identical
     assert run.result.count == serial.count == len(docs)
     assert run.document_count == len(docs)
@@ -138,32 +136,26 @@ def test_parser_errors_cross_the_process_boundary_intact():
     assert "unterminated string" in str(caught.value)
 
 
-def test_counting_parallel_single_process_fallback():
+def test_counting_parallel_single_process_fallback(tmp_path):
     docs = tweets(50, seed=13)
-    run = infer_counted_parallel(docs, partitions=2, processes=1)
+    with _written_corpus(tmp_path, docs) as corpus:
+        run = infer_counted_parallel(corpus, partitions=2, processes=1)
     assert run.processes == 1
     assert run.result == infer_counted(docs)
     assert run.document_count == len(docs)
 
 
 def test_mmap_corpus_survives_the_process_boundary(tmp_path):
-    """The zero-copy corpus feed — byte ranges into one shared-memory
-    segment, workers re-splitting with the corpus line-break grammar —
-    must land on the identical canonical node for every transport."""
-    from repro.datasets import open_corpus, write_ndjson
-
+    """The file transport — workers read their own byte range and
+    re-split it with the corpus line-break grammar — must land on the
+    identical canonical node, in a pool or inline."""
     docs = tweets(90, seed=17)
-    path = tmp_path / "corpus.ndjson"
-    write_ndjson(path, docs)
     reference = infer_type(docs)
-    with open_corpus(path) as corpus:
-        for shared in (False, True):
-            run = infer_distributed_text(
-                corpus, partitions=3, processes=2, shared_memory=shared
-            )
-            assert run.result is reference
-            assert run.document_count == len(docs)
-            assert run.partitions == 3
+    with _written_corpus(tmp_path, docs) as corpus:
+        run = infer_distributed_text(corpus, partitions=3, processes=2)
+        assert run.result is reference
+        assert run.document_count == len(docs)
+        assert run.partitions == 3
         serial = infer_distributed_text(corpus, partitions=3, processes=1)
         assert serial.processes == 1
         assert serial.result is reference
@@ -181,9 +173,7 @@ def test_mmap_corpus_crlf_and_blanks_across_processes(tmp_path):
     path.write_bytes(content.encode("utf-8"))
     reference = infer_type(docs)
     with open_corpus(path) as corpus:
-        run = infer_distributed_text(
-            corpus, partitions=4, processes=2, shared_memory=True
-        )
+        run = infer_distributed_text(corpus, partitions=4, processes=2)
     assert run.result is reference
     assert run.document_count == len(docs)
 
@@ -191,7 +181,6 @@ def test_mmap_corpus_crlf_and_blanks_across_processes(tmp_path):
 def test_adaptive_feed_is_identical_across_the_boundary(tmp_path):
     """infer_adaptive_text must produce the canonical node whether the
     scheduler lands on the serial fold or a worker pool."""
-    from repro.datasets import ndjson_lines, open_corpus, write_ndjson
     from repro.inference import infer_adaptive_text
 
     docs = tweets(70, seed=29)
@@ -202,9 +191,7 @@ def test_adaptive_feed_is_identical_across_the_boundary(tmp_path):
     assert adaptive.document_count == len(docs)
     assert adaptive.plan is not None and adaptive.plan.mode in ("serial", "parallel")
 
-    path = tmp_path / "corpus.ndjson"
-    write_ndjson(path, docs)
-    with open_corpus(path) as corpus:
-        from_corpus = infer_adaptive_text(corpus, jobs=None, shared_memory=True)
+    with _written_corpus(tmp_path, docs) as corpus:
+        from_corpus = infer_adaptive_text(corpus, jobs=None)
     assert from_corpus.result is reference
     assert from_corpus.document_count == len(docs)

@@ -1,5 +1,5 @@
-"""Tests for the persisted scheduler calibration and the auto
-shared-memory heuristic (`repro.inference.calibration` /
+"""Tests for the persisted scheduler calibration and the plans that
+consume it (`repro.inference.calibration` /
 `repro.inference.distributed`)."""
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import pytest
 
 from repro.inference import calibration as calibration_module
 from repro.inference import distributed as distributed_module
-from repro.inference.distributed import choose_shared_memory, plan_schedule
+from repro.inference.distributed import plan_schedule
 from repro.datasets import ndjson_lines, open_corpus, tweets, write_ndjson
 
 
@@ -133,50 +133,3 @@ class TestPlanConsumesCalibration:
             plan = plan_schedule(corpus, jobs=2)
             assert plan.sample_docs_per_sec > 0
             assert plan.documents == 2000
-
-
-class TestAutoSharedMemory:
-    def test_heuristic(self):
-        big, small = 10 << 20, 1 << 20
-        assert choose_shared_memory(big, 4)
-        assert not choose_shared_memory(small, 4)
-        assert not choose_shared_memory(big, 1)
-        assert not choose_shared_memory(big, 4, file_backed=True)
-
-    def test_resolver_passes_booleans_through(self):
-        resolve = distributed_module._resolve_shared_memory
-        assert resolve(True, 0, 1) is True
-        assert resolve(False, 1 << 30, 8) is False
-        assert resolve("auto", 10 << 20, 4) is True
-        assert resolve("auto", 10 << 20, 4, file_backed=True) is False
-
-    def test_auto_is_identical_to_explicit(self):
-        from repro.inference import infer_distributed_text, infer_type
-        from repro.types.intern import global_table
-
-        docs = tweets(120, seed=11)
-        lines = ndjson_lines(docs)
-        reference = infer_type(docs)
-        for shared in ("auto", True, False):
-            run = infer_distributed_text(
-                lines, partitions=3, processes=2, shared_memory=shared
-            )
-            assert global_table().canonical(run.result) is reference
-
-    def test_cli_shared_memory_choices(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        assert parser.parse_args(["infer", "x"]).shared_memory == "auto"
-        assert (
-            parser.parse_args(["infer", "x", "--shared-memory"]).shared_memory
-            == "always"
-        )
-        assert (
-            parser.parse_args(
-                ["infer", "x", "--shared-memory", "never"]
-            ).shared_memory
-            == "never"
-        )
-        with pytest.raises(SystemExit):
-            parser.parse_args(["infer", "x", "--shared-memory", "bogus"])

@@ -223,7 +223,8 @@ def test_counted_parallel_corpus_matches_serial(
     tmp_path_factory, docs, equivalence
 ):
     tmp_path = tmp_path_factory.mktemp("counted")
-    lines = [dumps(d) + "\n" for d in docs] + ["  \n"]
+    # Blank lines, including ones only str.isspace calls blank.
+    lines = [dumps(d) + "\n" for d in docs] + ["  \n", "\u3000\n", "\x0c\n"]
     path = _write_corpus(tmp_path, lines)
     corpus = open_corpus(path)
     try:
