@@ -37,26 +37,34 @@ def _read_lines(path: str) -> list[str]:
     return read_ndjson_lines(path)
 
 
+def _positive_int(flag: str, value: str, alternatives: str = "") -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{flag} expects a positive integer{alternatives}, got {value!r}"
+        ) from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"{flag} must be at least 1")
+    return number
+
+
 def _jobs_arg(value: str):
     """Parse ``--jobs``: a positive worker count, or ``auto`` (None) to
     size the pool from CPU affinity."""
     if value == "auto":
         return None
-    try:
-        jobs = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--jobs expects a positive integer or 'auto', got {value!r}"
-        ) from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError("--jobs must be at least 1")
-    return jobs
+    return _positive_int("--jobs", value, " or 'auto'")
+
+
+def _k_arg(value: str) -> int:
+    """Parse ``--k``: a positive skeleton order."""
+    return _positive_int("--k", value)
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
     from repro.inference import infer_report_path, infer_report_streaming
     from repro.jsonvalue.serializer import PRETTY, dumps
-    from repro.pl import swift_declaration_for, typescript_declaration_for
     from repro.types import Equivalence, type_to_string
 
     # Both routes below run the fused text→type pipeline on raw lines:
@@ -92,6 +100,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     else:
         # Codegen renders from the documents; parse them only here.
         from repro.jsonvalue.parser import parse_lines
+        from repro.pl.codegen import swift_declaration_for, typescript_declaration_for
 
         docs = list(parse_lines(lines))
         if args.format == "typescript":
@@ -178,8 +187,11 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         source_bytes = schema_oblivious_translate(docs).total_bytes
     print(f"documents:        {aware.document_count}")
     print(f"JSON text bytes:  {source_bytes}")
-    ratio = source_bytes / aware.columnar_bytes
-    print(f"columnar bytes:   {aware.columnar_bytes} ({ratio:.2f}x smaller)")
+    if aware.columnar_bytes:
+        ratio = source_bytes / aware.columnar_bytes
+        print(f"columnar bytes:   {aware.columnar_bytes} ({ratio:.2f}x smaller)")
+    else:  # documents with no paths shred to no columns
+        print("columnar bytes:   0")
     print(f"avro row bytes:   {aware.avro_bytes}")
     print(f"typed columns:    {aware.typed_fraction:6.1%}")
     print(f"union fallbacks:  {aware.fallback_count}")
@@ -265,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_skeleton = sub.add_parser("skeleton", help="mine the top-k structures")
     p_skeleton.add_argument("data", help="NDJSON file, or - for stdin")
-    p_skeleton.add_argument("--k", type=int, default=5, help="skeleton order (default 5)")
+    p_skeleton.add_argument("--k", type=_k_arg, default=5, help="skeleton order (default 5)")
     p_skeleton.set_defaults(func=_cmd_skeleton)
 
     p_translate = sub.add_parser(

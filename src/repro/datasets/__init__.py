@@ -5,72 +5,37 @@ GitHub, NYT, data.gov) — see DESIGN.md §1 for the substitution argument.
 All generators are deterministic under ``seed``.
 """
 
-from repro.datasets.generator import (
-    CollectionSpec,
-    Rng,
-    generate_collection,
-    heterogeneous_collection,
-    ndjson_lines,
-)
-from repro.datasets.compressed import (
-    CompressedCorpus,
-    CompressedCorpusError,
-    CorruptStreamError,
-    TruncatedStreamError,
-    compress_corpus,
-    compress_member,
-    detect_compression,
-    iter_compressed_lines,
-    iter_line_blocks,
-    member_candidates,
-    zstd_available,
-)
-from repro.datasets.ndjson import (
-    MmapCorpus,
-    iter_line_spans,
-    iter_ndjson_lines,
-    open_corpus,
-    read_ndjson_lines,
-    split_corpus_bytes,
-    split_corpus_lines,
-    stream_documents,
-    stream_types,
-    write_ndjson,
-)
-from repro.datasets.twitter import tweets
-from repro.datasets.github import events as github_events
-from repro.datasets.nyt import articles as nyt_articles
-from repro.datasets.opendata import catalog as opendata_catalog
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CollectionSpec",
-    "Rng",
-    "generate_collection",
-    "heterogeneous_collection",
-    "ndjson_lines",
-    "CompressedCorpus",
-    "CompressedCorpusError",
-    "CorruptStreamError",
-    "TruncatedStreamError",
-    "compress_corpus",
-    "compress_member",
-    "detect_compression",
-    "iter_compressed_lines",
-    "iter_line_blocks",
-    "member_candidates",
-    "zstd_available",
-    "MmapCorpus",
-    "iter_line_spans",
-    "iter_ndjson_lines",
-    "open_corpus",
-    "read_ndjson_lines",
-    "split_corpus_bytes",
-    "split_corpus_lines",
-    "stream_documents",
-    "stream_types",
-    "write_ndjson",
-    "tweets",
-    "github_events",
-    "nyt_articles",
-    "opendata_catalog",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CollectionSpec": "generator",
+    "Rng": "generator",
+    "generate_collection": "generator",
+    "heterogeneous_collection": "generator",
+    "ndjson_lines": "generator",
+    "CompressedCorpus": "compressed",
+    "CompressedCorpusError": "compressed",
+    "CorruptStreamError": "compressed",
+    "TruncatedStreamError": "compressed",
+    "compress_corpus": "compressed",
+    "compress_member": "compressed",
+    "detect_compression": "compressed",
+    "iter_compressed_lines": "compressed",
+    "iter_line_blocks": "compressed",
+    "member_candidates": "compressed",
+    "zstd_available": "compressed",
+    "MmapCorpus": "ndjson",
+    "iter_line_spans": "ndjson",
+    "iter_ndjson_lines": "ndjson",
+    "open_corpus": "ndjson",
+    "read_ndjson_lines": "ndjson",
+    "split_corpus_bytes": "ndjson",
+    "split_corpus_lines": "ndjson",
+    "stream_documents": "ndjson",
+    "stream_types": "ndjson",
+    "write_ndjson": "ndjson",
+    "tweets": "twitter",
+    "github_events": "github:events",
+    "nyt_articles": "nyt:articles",
+    "opendata_catalog": "opendata:catalog",
+})

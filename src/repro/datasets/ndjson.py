@@ -17,11 +17,11 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence, Union
 
-from repro.types import Type
-from repro.types.build import EventTypeEncoder
-from repro.types.intern import InternTable
+if TYPE_CHECKING:
+    from repro.types import Type
+    from repro.types.intern import InternTable
 
 LineSource = Union[str, Path, Iterable[str]]
 
@@ -311,6 +311,8 @@ def stream_types(
     Zero-materialization: every line runs the fused lexer→type pipeline;
     no document DOM is ever built.  Blank lines are skipped.
     """
+    from repro.types.build import EventTypeEncoder
+
     encoder = EventTypeEncoder(table)
     encode_text = encoder.encode_text
     for line in iter_ndjson_lines(source):

@@ -26,181 +26,90 @@ One module per surveyed system:
   through.
 """
 
-from repro.inference.parametric import InferenceReport, infer, infer_type, precision_against
-from repro.inference.counting import (
-    CArr,
-    CAtom,
-    CField,
-    CRec,
-    CUnion,
-    counted_type_of,
-    counted_type_of_bytes,
-    counted_type_of_text,
-    field_presence_ratios,
-    infer_counted,
-    infer_counted_compressed,
-    infer_counted_streaming,
-    merge_counted,
-)
-from repro.inference.spark import (
-    infer_spark_schema,
-    render_schema as render_spark_schema,
-    count_string_collapses,
-)
-from repro.inference.mongodb import StreamingAnalyzer, analyze as mongodb_analyze
-from repro.inference.skinfer import (
-    infer_schema as skinfer_infer_schema,
-    merge_schemas as skinfer_merge_schemas,
-    schema_from_object,
-    schema_size as jsonschema_size,
-)
-from repro.inference.studio3t import Studio3TAnalysis, analyze as studio3t_analyze, shape_of
-from repro.inference.couchbase import Flavor, discover_flavors
-from repro.inference.skeleton import (
-    Skeleton,
-    Structure,
-    build_skeleton,
-    document_coverage,
-    mine_structures,
-    path_coverage,
-    structure_of,
-)
-from repro.inference.relational import (
-    Decomposition,
-    FunctionalDependency,
-    NormalizationReport,
-    Table,
-    decompose,
-    flatten,
-    mine_fds,
-    normalize,
-)
-from repro.inference.profiling import SchemaProfile, candidate_features, train_profile
-from repro.inference.calibration import (
-    SchedCalibration,
-    load_calibration,
-    measure_calibration,
-)
-from repro.inference.distributed import (
-    CountedParallelRun,
-    DistributedRun,
-    ParallelRun,
-    SchedulePlan,
-    auto_jobs,
-    infer_adaptive_text,
-    infer_compressed_parallel,
-    infer_counted_parallel,
-    infer_distributed,
-    infer_distributed_text,
-    infer_subtree_text,
-    partition,
-    partition_bounds,
-    partition_contiguous,
-    plan_compressed_schedule,
-    plan_schedule,
-)
-from repro.inference.streaming import (
-    fold_compressed,
-    infer_report_compressed,
-    infer_report_corpus,
-    infer_report_path,
-    infer_report_streaming,
-    infer_type_streaming,
-    type_of_bytes,
-    type_of_text,
-)
-from repro.inference.engine import (
-    CountingAccumulator,
-    RangeFolder,
-    TypeAccumulator,
-    accumulate,
-    accumulate_lines,
-    accumulate_ranges,
-    accumulate_types,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "InferenceReport",
-    "infer",
-    "infer_type",
-    "precision_against",
-    "CArr",
-    "CAtom",
-    "CField",
-    "CRec",
-    "CUnion",
-    "counted_type_of",
-    "counted_type_of_bytes",
-    "counted_type_of_text",
-    "field_presence_ratios",
-    "infer_counted",
-    "infer_counted_compressed",
-    "infer_counted_streaming",
-    "merge_counted",
-    "infer_spark_schema",
-    "render_spark_schema",
-    "count_string_collapses",
-    "StreamingAnalyzer",
-    "mongodb_analyze",
-    "skinfer_infer_schema",
-    "skinfer_merge_schemas",
-    "schema_from_object",
-    "jsonschema_size",
-    "Studio3TAnalysis",
-    "studio3t_analyze",
-    "shape_of",
-    "Flavor",
-    "discover_flavors",
-    "Skeleton",
-    "Structure",
-    "build_skeleton",
-    "document_coverage",
-    "mine_structures",
-    "path_coverage",
-    "structure_of",
-    "Decomposition",
-    "FunctionalDependency",
-    "NormalizationReport",
-    "Table",
-    "decompose",
-    "flatten",
-    "mine_fds",
-    "normalize",
-    "SchemaProfile",
-    "candidate_features",
-    "train_profile",
-    "CountedParallelRun",
-    "DistributedRun",
-    "ParallelRun",
-    "SchedCalibration",
-    "SchedulePlan",
-    "auto_jobs",
-    "load_calibration",
-    "measure_calibration",
-    "infer_adaptive_text",
-    "infer_compressed_parallel",
-    "infer_counted_parallel",
-    "infer_distributed",
-    "infer_distributed_text",
-    "infer_subtree_text",
-    "partition",
-    "partition_bounds",
-    "partition_contiguous",
-    "plan_compressed_schedule",
-    "plan_schedule",
-    "infer_report_corpus",
-    "infer_report_path",
-    "infer_report_streaming",
-    "infer_type_streaming",
-    "type_of_bytes",
-    "type_of_text",
-    "CountingAccumulator",
-    "TypeAccumulator",
-    "accumulate",
-    "accumulate_lines",
-    "accumulate_ranges",
-    "RangeFolder",
-    "fold_compressed",
-    "infer_report_compressed",
-    "accumulate_types",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "InferenceReport": "parametric",
+    "infer": "parametric",
+    "infer_type": "parametric",
+    "precision_against": "parametric",
+    "CArr": "counting",
+    "CAtom": "counting",
+    "CField": "counting",
+    "CRec": "counting",
+    "CUnion": "counting",
+    "counted_type_of": "counting",
+    "counted_type_of_bytes": "counting",
+    "counted_type_of_text": "counting",
+    "field_presence_ratios": "counting",
+    "infer_counted": "counting",
+    "infer_counted_compressed": "counting",
+    "infer_counted_streaming": "counting",
+    "merge_counted": "counting",
+    "infer_spark_schema": "spark",
+    "render_spark_schema": "spark:render_schema",
+    "count_string_collapses": "spark",
+    "StreamingAnalyzer": "mongodb",
+    "mongodb_analyze": "mongodb:analyze",
+    "skinfer_infer_schema": "skinfer:infer_schema",
+    "skinfer_merge_schemas": "skinfer:merge_schemas",
+    "schema_from_object": "skinfer",
+    "jsonschema_size": "skinfer:schema_size",
+    "Studio3TAnalysis": "studio3t",
+    "studio3t_analyze": "studio3t:analyze",
+    "shape_of": "studio3t",
+    "Flavor": "couchbase",
+    "discover_flavors": "couchbase",
+    "Skeleton": "skeleton",
+    "Structure": "skeleton",
+    "build_skeleton": "skeleton",
+    "document_coverage": "skeleton",
+    "mine_structures": "skeleton",
+    "path_coverage": "skeleton",
+    "structure_of": "skeleton",
+    "Decomposition": "relational",
+    "FunctionalDependency": "relational",
+    "NormalizationReport": "relational",
+    "Table": "relational",
+    "decompose": "relational",
+    "flatten": "relational",
+    "mine_fds": "relational",
+    "normalize": "relational",
+    "SchemaProfile": "profiling",
+    "candidate_features": "profiling",
+    "train_profile": "profiling",
+    "CountedParallelRun": "distributed",
+    "DistributedRun": "distributed",
+    "ParallelRun": "distributed",
+    "SchedCalibration": "calibration",
+    "SchedulePlan": "distributed",
+    "auto_jobs": "distributed",
+    "load_calibration": "calibration",
+    "measure_calibration": "calibration",
+    "infer_adaptive_text": "distributed",
+    "infer_compressed_parallel": "distributed",
+    "infer_counted_parallel": "distributed",
+    "infer_distributed": "distributed",
+    "infer_distributed_text": "distributed",
+    "infer_subtree_text": "distributed",
+    "partition": "distributed",
+    "partition_bounds": "distributed",
+    "partition_contiguous": "distributed",
+    "plan_compressed_schedule": "distributed",
+    "plan_schedule": "distributed",
+    "infer_report_corpus": "streaming",
+    "infer_report_path": "streaming",
+    "infer_report_streaming": "streaming",
+    "infer_type_streaming": "streaming",
+    "type_of_bytes": "streaming",
+    "type_of_text": "streaming",
+    "CountingAccumulator": "engine",
+    "TypeAccumulator": "engine",
+    "accumulate": "engine",
+    "accumulate_lines": "engine",
+    "accumulate_ranges": "engine",
+    "RangeFolder": "engine",
+    "fold_compressed": "streaming",
+    "infer_report_compressed": "streaming",
+    "accumulate_types": "engine",
+})

@@ -7,36 +7,21 @@ Compile with :func:`compile_schema`, validate with
 :mod:`repro.jsonschema.generate`.
 """
 
-from repro.jsonschema.errors import (
-    InstanceValidationError,
-    SchemaCompileError,
-    ValidationFailure,
-    ValidationResult,
-)
-from repro.jsonschema.formats import FORMAT_CHECKS
-from repro.jsonschema.generate import GenerationError, InstanceGenerator, generate_instance
-from repro.jsonschema.refs import SchemaRegistry
-from repro.jsonschema.validator import (
-    JsonSchema,
-    compile_schema,
-    is_valid,
-    json_schema_equal,
-    validate,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "InstanceValidationError",
-    "SchemaCompileError",
-    "ValidationFailure",
-    "ValidationResult",
-    "FORMAT_CHECKS",
-    "GenerationError",
-    "InstanceGenerator",
-    "generate_instance",
-    "SchemaRegistry",
-    "JsonSchema",
-    "compile_schema",
-    "is_valid",
-    "json_schema_equal",
-    "validate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "InstanceValidationError": "errors",
+    "SchemaCompileError": "errors",
+    "ValidationFailure": "errors",
+    "ValidationResult": "errors",
+    "FORMAT_CHECKS": "formats",
+    "GenerationError": "generate",
+    "InstanceGenerator": "generate",
+    "generate_instance": "generate",
+    "SchemaRegistry": "refs",
+    "JsonSchema": "validator",
+    "compile_schema": "validator",
+    "is_valid": "validator",
+    "json_schema_equal": "validator",
+    "validate": "validator",
+})

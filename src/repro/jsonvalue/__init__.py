@@ -22,57 +22,40 @@ and ``None``.  ``int`` and ``float`` are deliberately kept distinct, and
 ``bool`` is never conflated with numbers.
 """
 
-from repro.jsonvalue.model import (
-    JsonKind,
-    kind_of,
-    is_json_value,
-    strict_equal,
-    freeze,
-    unfreeze,
-    structural_stats,
-    StructuralStats,
-    iter_paths,
-    sort_keys_deep,
-)
-from repro.jsonvalue.lexer import JsonLexError, Token, TokenType, tokenize
-from repro.jsonvalue.parser import JsonParseError, ParseOptions, parse, parse_lines
-from repro.jsonvalue.events import JsonEvent, JsonEventType, iter_events, values_from_events
-from repro.jsonvalue.serializer import DumpOptions, dumps, dump_lines
-from repro.jsonvalue.pointer import JsonPointer, JsonPointerError
-from repro.jsonvalue.path import JsonPath, JsonPathError, PathStep, Field, Index, Wildcard
+from repro._exports import lazy_exports
 
-__all__ = [
-    "JsonKind",
-    "kind_of",
-    "is_json_value",
-    "strict_equal",
-    "freeze",
-    "unfreeze",
-    "structural_stats",
-    "StructuralStats",
-    "iter_paths",
-    "sort_keys_deep",
-    "JsonLexError",
-    "Token",
-    "TokenType",
-    "tokenize",
-    "JsonParseError",
-    "ParseOptions",
-    "parse",
-    "parse_lines",
-    "JsonEvent",
-    "JsonEventType",
-    "iter_events",
-    "values_from_events",
-    "DumpOptions",
-    "dumps",
-    "dump_lines",
-    "JsonPointer",
-    "JsonPointerError",
-    "JsonPath",
-    "JsonPathError",
-    "PathStep",
-    "Field",
-    "Index",
-    "Wildcard",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "JsonKind": "model",
+    "kind_of": "model",
+    "is_json_value": "model",
+    "strict_equal": "model",
+    "freeze": "model",
+    "unfreeze": "model",
+    "structural_stats": "model",
+    "StructuralStats": "model",
+    "iter_paths": "model",
+    "sort_keys_deep": "model",
+    "JsonLexError": "lexer",
+    "Token": "lexer",
+    "TokenType": "lexer",
+    "tokenize": "lexer",
+    "JsonParseError": "parser",
+    "ParseOptions": "parser",
+    "parse": "parser",
+    "parse_lines": "parser",
+    "JsonEvent": "events",
+    "JsonEventType": "events",
+    "iter_events": "events",
+    "values_from_events": "events",
+    "DumpOptions": "serializer",
+    "dumps": "serializer",
+    "dump_lines": "serializer",
+    "JsonPointer": "pointer",
+    "JsonPointerError": "pointer",
+    "JsonPath": "path",
+    "JsonPathError": "path",
+    "PathStep": "path",
+    "Field": "path",
+    "Index": "path",
+    "Wildcard": "path",
+})

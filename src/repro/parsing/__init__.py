@@ -6,44 +6,26 @@
 - :mod:`repro.parsing.fadjs` — Fad.js-style speculative stream decoding.
 """
 
-from repro.parsing.projection import ProjectionTree, apply_projection, project_value
-from repro.parsing.structural import StructuralIndex
-from repro.parsing.mison import MisonParser, MisonStats, parse_projected
-from repro.parsing.fadjs import (
-    FadStats,
-    ShapeTemplate,
-    SpeculativeDecoder,
-    TemplateCompileError,
-    compile_template,
-    decode_stream,
-)
-from repro.parsing.fadjs_encode import (
-    EncodeStats,
-    EncodeTemplate,
-    SpeculativeEncoder,
-    compile_encode_template,
-    encode_shape_key,
-    encode_stream,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EncodeStats",
-    "EncodeTemplate",
-    "SpeculativeEncoder",
-    "compile_encode_template",
-    "encode_shape_key",
-    "encode_stream",
-    "ProjectionTree",
-    "apply_projection",
-    "project_value",
-    "StructuralIndex",
-    "MisonParser",
-    "MisonStats",
-    "parse_projected",
-    "FadStats",
-    "ShapeTemplate",
-    "SpeculativeDecoder",
-    "TemplateCompileError",
-    "compile_template",
-    "decode_stream",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "EncodeStats": "fadjs_encode",
+    "EncodeTemplate": "fadjs_encode",
+    "SpeculativeEncoder": "fadjs_encode",
+    "compile_encode_template": "fadjs_encode",
+    "encode_shape_key": "fadjs_encode",
+    "encode_stream": "fadjs_encode",
+    "ProjectionTree": "projection",
+    "apply_projection": "projection",
+    "project_value": "projection",
+    "StructuralIndex": "structural",
+    "MisonParser": "mison",
+    "MisonStats": "mison",
+    "parse_projected": "mison",
+    "FadStats": "fadjs",
+    "ShapeTemplate": "fadjs",
+    "SpeculativeDecoder": "fadjs",
+    "TemplateCompileError": "fadjs",
+    "compile_template": "fadjs",
+    "decode_stream": "fadjs",
+})

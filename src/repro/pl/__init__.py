@@ -6,42 +6,24 @@
 :mod:`repro.pl.features` — the E1 capability matrix, probe-generated.
 """
 
-from repro.pl import swift, typescript
-from repro.pl.codegen import (
-    algebra_to_swift,
-    algebra_to_typescript,
-    swift_declaration_for,
-    typescript_declaration_for,
-)
-from repro.pl.features import FEATURES, SYSTEMS, feature_matrix, render_matrix
-from repro.pl.swift_enum import (
-    SwiftEnum,
-    SwiftEnumCase,
-    algebra_to_swift_with_enums,
-    render_enum,
-)
-from repro.pl.from_jsonschema import (
-    JsonSchemaTranslationError,
-    declaration_from_jsonschema,
-    jsonschema_to_typescript,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "swift",
-    "typescript",
-    "SwiftEnum",
-    "SwiftEnumCase",
-    "algebra_to_swift_with_enums",
-    "render_enum",
-    "JsonSchemaTranslationError",
-    "declaration_from_jsonschema",
-    "jsonschema_to_typescript",
-    "algebra_to_swift",
-    "algebra_to_typescript",
-    "swift_declaration_for",
-    "typescript_declaration_for",
-    "FEATURES",
-    "SYSTEMS",
-    "feature_matrix",
-    "render_matrix",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "swift": "swift:",
+    "typescript": "typescript:",
+    "SwiftEnum": "swift_enum",
+    "SwiftEnumCase": "swift_enum",
+    "algebra_to_swift_with_enums": "swift_enum",
+    "render_enum": "swift_enum",
+    "JsonSchemaTranslationError": "from_jsonschema",
+    "declaration_from_jsonschema": "from_jsonschema",
+    "jsonschema_to_typescript": "from_jsonschema",
+    "algebra_to_swift": "codegen",
+    "algebra_to_typescript": "codegen",
+    "swift_declaration_for": "codegen",
+    "typescript_declaration_for": "codegen",
+    "FEATURES": "features",
+    "SYSTEMS": "features",
+    "feature_matrix": "features",
+    "render_matrix": "features",
+})

@@ -16,61 +16,33 @@
   from each document's byte span.
 """
 
-from repro.translation import avro
-from repro.translation.parquet import (
-    Column,
-    ColumnStore,
-    PLeaf,
-    PList,
-    PRecord,
-    Shredder,
-    assemble,
-    compile_schema,
-    shred,
-)
-from repro.translation.stream import StreamTranslator, compile_column_program
-from repro.translation.translate import (
-    ObliviousReport,
-    Resolution,
-    TextifyPlan,
-    TranslationReport,
-    TranslationRun,
-    column_store_json,
-    resolve_interned,
-    resolve_type,
-    schema_aware_translate,
-    schema_oblivious_translate,
-    textify,
-    translate_interned,
-    translate_report_path,
-    write_artifacts,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "avro",
-    "Column",
-    "ColumnStore",
-    "PLeaf",
-    "PList",
-    "PRecord",
-    "Shredder",
-    "assemble",
-    "compile_schema",
-    "shred",
-    "StreamTranslator",
-    "compile_column_program",
-    "ObliviousReport",
-    "Resolution",
-    "TextifyPlan",
-    "TranslationReport",
-    "TranslationRun",
-    "column_store_json",
-    "resolve_interned",
-    "resolve_type",
-    "schema_aware_translate",
-    "schema_oblivious_translate",
-    "textify",
-    "translate_interned",
-    "translate_report_path",
-    "write_artifacts",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "avro": "avro:",
+    "Column": "parquet",
+    "ColumnStore": "parquet",
+    "PLeaf": "parquet",
+    "PList": "parquet",
+    "PRecord": "parquet",
+    "Shredder": "parquet",
+    "assemble": "parquet",
+    "compile_schema": "parquet",
+    "shred": "parquet",
+    "StreamTranslator": "stream",
+    "compile_column_program": "stream",
+    "ObliviousReport": "translate",
+    "Resolution": "translate",
+    "TextifyPlan": "translate",
+    "TranslationReport": "translate",
+    "TranslationRun": "translate",
+    "column_store_json": "translate",
+    "resolve_interned": "translate",
+    "resolve_type": "translate",
+    "schema_aware_translate": "translate",
+    "schema_oblivious_translate": "translate",
+    "textify": "translate",
+    "translate_interned": "translate",
+    "translate_report_path": "translate",
+    "write_artifacts": "translate",
+})

@@ -7,98 +7,60 @@ parametric merging (:mod:`repro.types.merge`), subtyping and semantics
 and JSON Schema export (:mod:`repro.types.to_jsonschema`).
 """
 
-from repro.types.terms import (
-    ANY,
-    ATOMIC_TAGS,
-    AnyType,
-    ArrType,
-    AtomType,
-    BOOL,
-    BOT,
-    BotType,
-    FLT,
-    FieldType,
-    INT,
-    NULL,
-    NUM,
-    RecType,
-    STR,
-    Type,
-    UnionType,
-    walk,
-)
-from repro.types.simplify import simplify, union, union2
-from repro.types.build import (
-    EventTypeEncoder,
-    TypeEncoder,
-    type_of,
-    type_of_interned,
-)
-from repro.types.merge import Equivalence, class_key, merge, merge_all, reduce_type
-from repro.types.intern import (
-    InternTable,
-    global_table,
-    intern,
-    intern_stats,
-    merge_interned,
-    reduce_interned,
-)
-from repro.types.subtype import is_equivalent, is_subtype, matches
-from repro.types.printer import TypeSyntaxError, parse_type, type_to_string
-from repro.types.to_jsonschema import type_to_jsonschema
-from repro.types.generate import (
-    TypeWitnessGenerator,
-    UninhabitedTypeError,
-    generate_witness,
-    generate_witnesses,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ANY",
-    "ATOMIC_TAGS",
-    "AnyType",
-    "ArrType",
-    "AtomType",
-    "BOOL",
-    "BOT",
-    "BotType",
-    "FLT",
-    "FieldType",
-    "INT",
-    "NULL",
-    "NUM",
-    "RecType",
-    "STR",
-    "Type",
-    "UnionType",
-    "walk",
-    "simplify",
-    "union",
-    "union2",
-    "type_of",
-    "EventTypeEncoder",
-    "TypeEncoder",
-    "type_of_interned",
-    "Equivalence",
-    "class_key",
-    "merge",
-    "merge_all",
-    "reduce_type",
-    "InternTable",
-    "global_table",
-    "intern",
-    "intern_stats",
-    "merge_interned",
-    "reduce_interned",
-    "is_equivalent",
-    "is_subtype",
-    "matches",
-    "TypeSyntaxError",
-    "parse_type",
-    "type_to_string",
-    "type_to_jsonschema",
-    "TypeWitnessGenerator",
-    "UninhabitedTypeError",
-    "generate_witness",
-    "generate_witnesses",
-]
+# Functions named like their submodules, bound eagerly (see
+# repro._exports): a lazy import would rebind them to the modules.
+from repro.types.intern import intern
+from repro.types.merge import merge
+from repro.types.simplify import simplify
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ANY": "terms",
+    "ATOMIC_TAGS": "terms",
+    "AnyType": "terms",
+    "ArrType": "terms",
+    "AtomType": "terms",
+    "BOOL": "terms",
+    "BOT": "terms",
+    "BotType": "terms",
+    "FLT": "terms",
+    "FieldType": "terms",
+    "INT": "terms",
+    "NULL": "terms",
+    "NUM": "terms",
+    "RecType": "terms",
+    "STR": "terms",
+    "Type": "terms",
+    "UnionType": "terms",
+    "walk": "terms",
+    "simplify": "simplify",
+    "union": "simplify",
+    "union2": "simplify",
+    "type_of": "build",
+    "EventTypeEncoder": "build",
+    "TypeEncoder": "build",
+    "type_of_interned": "build",
+    "Equivalence": "merge",
+    "class_key": "merge",
+    "merge": "merge",
+    "merge_all": "merge",
+    "reduce_type": "merge",
+    "InternTable": "intern",
+    "global_table": "intern",
+    "intern": "intern",
+    "intern_stats": "intern",
+    "merge_interned": "intern",
+    "reduce_interned": "intern",
+    "is_equivalent": "subtype",
+    "is_subtype": "subtype",
+    "matches": "subtype",
+    "TypeSyntaxError": "printer",
+    "parse_type": "printer",
+    "type_to_string": "printer",
+    "type_to_jsonschema": "to_jsonschema",
+    "TypeWitnessGenerator": "generate",
+    "UninhabitedTypeError": "generate",
+    "generate_witness": "generate",
+    "generate_witnesses": "generate",
+})

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -191,6 +193,15 @@ class TestSkeleton:
         assert "structure #0" in out
         assert "document coverage" in out
 
+    @pytest.mark.parametrize("k", ["0", "-1", "two"])
+    def test_order_must_be_a_positive_integer(self, data_file, k, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["skeleton", data_file, "--k", k])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --k" in captured.err
+
 
 class TestTranslate:
     def test_size_report(self, data_file, capsys):
@@ -226,6 +237,31 @@ class TestTranslate:
         assert (out_dir / "rows.avro").exists()
         assert (out_dir / "columns.json").exists()
         assert (out_dir / "schema.txt").exists()
+
+    @pytest.mark.parametrize("engine", ["stream", "interned", "dom"])
+    def test_documents_with_no_paths(self, tmp_path, engine, capsys):
+        """``{}`` shreds to no columns: the report has no ratio to print."""
+        path = tmp_path / "empty-objects.ndjson"
+        path.write_text("{}\n{}\n")
+        assert main(["translate", str(path), "--engine", engine]) == 0
+        out = capsys.readouterr().out
+        assert "documents:        2\n" in out
+        assert "columnar bytes:   0\n" in out
+
+    def test_documents_with_no_paths_out(self, tmp_path, capsys):
+        path = tmp_path / "empty-objects.ndjson"
+        path.write_text("{}\n{}\n")
+        out_dir = tmp_path / "artifacts"
+        assert main(["translate", str(path), "--out", str(out_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "columnar bytes:   0\n" in out
+        assert out.count("wrote ") == 3
+
+    def test_ratio_line_when_columns_exist(self, data_file, capsys):
+        assert main(["translate", data_file]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^columnar bytes:   [1-9]\d* \(\d+\.\d\dx smaller\)$",
+                         out, re.MULTILINE)
 
 
 class TestMatrix:
