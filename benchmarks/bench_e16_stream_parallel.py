@@ -13,9 +13,11 @@ Three measurements over NDJSON tweet corpora:
   ``iter_events`` driving per-document ``_Frame`` objects and an
   interned builder (one ``JsonEvent`` per token, one frame per open
   container, one dict per record);
-- **fused**: the text→type pipeline — the lexer's tokens drive the
-  shape caches directly (:meth:`EventTypeEncoder.encode_text` via
-  :meth:`TypeAccumulator.add_text`), nothing materialised in between.
+- **fused**: the text→type feed (:meth:`EventTypeEncoder.encode_text`
+  via :meth:`TypeAccumulator.add_text`).  It once drove the shape
+  caches from the lexer's tokens; it now decodes with the C decoder and
+  walks the value, so it runs the **dom** path's work under another
+  name.
 
 The parallel rows compare the serial fused fold against
 ``infer_distributed_text`` with 2 and 4 workers on the batched-pickle

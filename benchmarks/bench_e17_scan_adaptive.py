@@ -13,9 +13,12 @@ Three sections, all recorded in ``BENCH_scan.json``:
 
 - **scan**: docs/sec of ``encode_text`` — the PR 3 character machine
   (reconstructed below, driving the *current* shape caches, so the
-  comparison isolates the scan itself) vs. the regex scan — on the
-  generator corpora plus a number-heavy and a whitespace-heavy corpus
-  (the shapes where per-character dispatch was most expensive);
+  comparison isolates the scan itself) vs. ``encode_text`` as it is now
+  (the regex scan when this bench was written; the C decoder plus a
+  value walk since the scan was deleted; the ``regex_scan`` record keys
+  keep their names) — on the generator corpora plus a number-heavy and a
+  whitespace-heavy corpus (the shapes where per-character dispatch was
+  most expensive);
 - **load**: mmap index+decode vs. text-mode read+split for the same
   file;
 - **adaptive**: serial fold vs. fixed ``--jobs`` pools vs. the adaptive
@@ -78,12 +81,41 @@ _STRING_SPECIAL = __import__("re").compile("[\x00-\x1f\\\\]").search
 # --------------------------------------------------------------------------
 
 
+def _close_record(enc: EventTypeEncoder, keyparts: list, ctypes: list) -> Type:
+    """Resolve a closed record through the encoder's shape cache
+    (duplicate keys last-wins, as the parser's default policy)."""
+    key = tuple(keyparts)
+    done = enc._rec_cache.get(key)
+    if done is None:
+        table = enc.table
+        fields: dict = {}
+        for name, t in zip(keyparts[0::2], ctypes):
+            fields[name] = t
+        done = table.rec_of([table.field_of(n, t) for n, t in fields.items()])
+        enc._rec_cache[key] = done
+    return done
+
+
+def _close_array(enc: EventTypeEncoder, keyparts: list, ctypes: list) -> Type:
+    """Resolve a closed array through the encoder's shape cache."""
+    if not ctypes:
+        return enc._empty_arr
+    key = tuple(keyparts)
+    done = enc._arr_cache.get(key)
+    if done is None:
+        table = enc.table
+        done = table.arr_of(table.union_of(ctypes))
+        enc._arr_cache[key] = done
+    return done
+
+
 def _pr3_encode_text(enc: EventTypeEncoder, text: str) -> Type:
     int_atom = enc._int
     flt_atom = enc._flt
     str_atom = enc._str
     bool_atom = enc._bool
     null_atom = enc._null
+    empty_rec = enc.table.rec_of([])
     find_quote = text.find
     length = len(text)
     pos = 0
@@ -129,7 +161,7 @@ def _pr3_encode_text(enc: EventTypeEncoder, text: str) -> Type:
             if ch == "}":
                 pos += 1
                 stack.pop()
-                completed = enc._empty_rec
+                completed = empty_rec
                 if stack:
                     frame = stack[-1]
                     frame[1].append(id(completed))
@@ -238,7 +270,7 @@ def _pr3_encode_text(enc: EventTypeEncoder, text: str) -> Type:
             elif ch == "}":
                 pos += 1
                 stack.pop()
-                completed = enc._close_record(frame[1], frame[2])
+                completed = _close_record(enc, frame[1], frame[2])
                 if stack:
                     parent = stack[-1]
                     parent[1].append(id(completed))
@@ -248,7 +280,7 @@ def _pr3_encode_text(enc: EventTypeEncoder, text: str) -> Type:
             else:  # "]"
                 pos += 1
                 stack.pop()
-                completed = enc._close_array(frame[1], frame[2])
+                completed = _close_array(enc, frame[1], frame[2])
                 if stack:
                     parent = stack[-1]
                     parent[1].append(id(completed))

@@ -2,21 +2,20 @@
 
 Artifact reconstructed: the serial corpus fold after PR 5 replaced the
 per-line ``mmap → slice → .decode("utf-8") → str scan`` path with the
-bytes-native pipeline — ``accumulate_ranges`` runs the batched
-line-shape skeleton cache plus the ``encode_bytes`` structural scan
-straight over the mapped file's byte ranges, so repeated line shapes
-resolve with one dict probe per line and *no* line is decoded to
-``str`` on the happy path — and the parallel file-range feed whose
-workers read and fold their own byte range of the file (zero decoded
-intermediaries between the file and the interned partials).
+bytes-native pipeline — ``accumulate_ranges`` over the mapped file's
+byte ranges in line batches — and the parallel file-range feed whose
+workers read and fold their own byte range of the file (no pickled
+lines between the file and the interned partials).
 
 Three sections, all recorded in ``BENCH_bytes.json``:
 
 - **fold**: docs/sec of the serial mmap-corpus fold — the PR 4
-  decode+scan path (iterate the corpus, decode each line, str scan)
-  vs. the bytes fold — on the generator corpora, a non-ASCII corpus,
-  and the numeric corpus (whose digit-bearing keys disable the line
-  cache: the adaptive fallback's floor);
+  decode+scan path (iterate the corpus, decode each line, type the
+  str) vs. the bytes fold — on the generator corpora, a non-ASCII corpus,
+  and the numeric corpus.  Since the line-shape cache and the regex
+  scan were deleted, both sides decode each line and type it through
+  the C decoder, so the ratio compares one route with itself and sits
+  near 1.0x;
 - **parallel**: the file-range byte feed at a fixed worker count, with
   the per-worker transport recorded;
 - **calibration**: the scheduler plan consuming the persisted
@@ -100,7 +99,7 @@ def _pr4_decode_fold(corpus) -> TypeAccumulator:
 
 
 def _bytes_fold(corpus) -> TypeAccumulator:
-    """The PR 5 serial path: undecoded byte ranges, skeleton cache."""
+    """The PR 5 serial path: byte ranges in line batches."""
     return accumulate_ranges(corpus.buffer(), corpus.spans, table=InternTable())
 
 

@@ -187,7 +187,6 @@ def _bench_scheduler(rows, records, tmp_dir):
         "REPRO_SHIP_BYTES_PER_SECOND": "150e6",
         "REPRO_SCAN_BYTES_PER_SECOND": "80e6",
         "REPRO_SPLIT_BYTES_PER_SECOND": "2e9",
-        "REPRO_CACHE_HIT_SPEEDUP": "4.0",
     }
     previous = {k: os.environ.get(k) for k in pinned}
     os.environ.update(pinned)

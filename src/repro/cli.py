@@ -248,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         "dominated by one huge single-line document is split into "
         "top-level subtree byte ranges, typed by workers, and merged "
         "through the same monoid, yielding the identical interned type). "
-        "The scheduler times a small sample of the corpus (adjusted by the "
-        "measured line-shape-cache hit rate), models each mode (per-worker "
+        "The scheduler times a small sample of the corpus, models each "
+        "mode (per-worker "
         "startup + the fold split across usable CPUs + pickling in-memory "
         "lines or splitting huge documents, with the constants loaded from "
         "the per-machine calibration profile at ~/.cache/repro/sched.json — "

@@ -1,9 +1,9 @@
 """Line-oriented NDJSON loaders: raw lines in, documents or types out.
 
 The inference stack's fastest paths consume *raw lines*, not parsed
-documents — the fused text→type pipeline
-(:class:`repro.types.build.EventTypeEncoder`) goes straight from a line
-to a canonical interned type, and the batched parallel feed
+documents — the text→type pipeline
+(:class:`repro.types.build.EventTypeEncoder`) goes from a line to a
+canonical interned type, one line's value at a time, and the batched parallel feed
 (:func:`repro.inference.distributed.infer_distributed_text`) ships line
 slices to workers.  These helpers normalise the usual sources (paths,
 ``-`` for stdin, open handles, in-memory iterables) into that shape.
@@ -308,8 +308,8 @@ def stream_types(
 ) -> Iterator[Type]:
     """The canonical interned type of each document in an NDJSON source.
 
-    Zero-materialization: every line runs the fused lexer→type pipeline;
-    no document DOM is ever built.  Blank lines are skipped.
+    One document at a time: each line is parsed and typed, and its
+    value dropped before the next.  Blank lines are skipped.
     """
     from repro.types.build import EventTypeEncoder
 

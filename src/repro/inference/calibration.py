@@ -46,9 +46,6 @@ DEFAULT_SHIP_BYTES_PER_SECOND = 150e6
 # rate (speculative separator searches — near memory bandwidth).
 DEFAULT_SCAN_BYTES_PER_SECOND = 80e6
 DEFAULT_SPLIT_BYTES_PER_SECOND = 2e9
-# Warm line-shape-cache speedup: how much faster a cached line folds
-# than a full structural scan (feeds the hit-rate-adjusted cost model).
-DEFAULT_CACHE_HIT_SPEEDUP = 4.0
 # Decompression output rate for the compressed-corpus mode
 # (zlib/zstd single-stream decode in decompressed bytes per second) —
 # prices the I/O-bound stage the member-parallel fold overlaps.
@@ -59,7 +56,6 @@ _STARTUP_ENV = "REPRO_WORKER_STARTUP_SECONDS"
 _SHIP_ENV = "REPRO_SHIP_BYTES_PER_SECOND"
 _SCAN_ENV = "REPRO_SCAN_BYTES_PER_SECOND"
 _SPLIT_ENV = "REPRO_SPLIT_BYTES_PER_SECOND"
-_CACHE_SPEEDUP_ENV = "REPRO_CACHE_HIT_SPEEDUP"
 _DECOMPRESS_ENV = "REPRO_DECOMPRESS_BYTES_PER_SECOND"
 
 _SHIP_PROBE_BYTES = 4 << 20
@@ -79,7 +75,6 @@ class SchedCalibration:
     source: str = "default"
     scan_bytes_per_second: float = DEFAULT_SCAN_BYTES_PER_SECOND
     split_bytes_per_second: float = DEFAULT_SPLIT_BYTES_PER_SECOND
-    cache_hit_speedup: float = DEFAULT_CACHE_HIT_SPEEDUP
     decompress_bytes_per_second: float = DEFAULT_DECOMPRESS_BYTES_PER_SECOND
 
 
@@ -136,12 +131,12 @@ def _read_profile(path: Path) -> Optional[SchedCalibration]:
         startup = float(raw["worker_startup_seconds"])
         ship = float(raw["ship_bytes_per_second"])
         # Newer constants default when absent so profiles written by
-        # older versions keep loading.
+        # older versions keep loading; keys no longer read (such as
+        # ``cache_hit_speedup``) are ignored.
         scan = float(raw.get("scan_bytes_per_second", DEFAULT_SCAN_BYTES_PER_SECOND))
         split = float(
             raw.get("split_bytes_per_second", DEFAULT_SPLIT_BYTES_PER_SECOND)
         )
-        speedup = float(raw.get("cache_hit_speedup", DEFAULT_CACHE_HIT_SPEEDUP))
         decompress = float(
             raw.get(
                 "decompress_bytes_per_second", DEFAULT_DECOMPRESS_BYTES_PER_SECOND
@@ -154,13 +149,10 @@ def _read_profile(path: Path) -> Optional[SchedCalibration]:
         and ship > 0
         and scan > 0
         and split > 0
-        and speedup >= 1
         and decompress > 0
     ):
         return None
-    return SchedCalibration(
-        startup, ship, "profile", scan, split, speedup, decompress
-    )
+    return SchedCalibration(startup, ship, "profile", scan, split, decompress)
 
 
 def save_calibration(calibration: SchedCalibration, path: Path) -> bool:
@@ -248,14 +240,6 @@ def split_bytes_per_second() -> float:
     return load_calibration().split_bytes_per_second
 
 
-def cache_hit_speedup() -> float:
-    """Warm line-cache speedup over a full structural scan (>= 1)."""
-    override = _env_float(_CACHE_SPEEDUP_ENV)
-    if override is not None:
-        return max(1.0, override)
-    return load_calibration().cache_hit_speedup
-
-
 def decompress_bytes_per_second() -> float:
     """Decompression output rate (compressed-corpus cost model)."""
     override = _env_float(_DECOMPRESS_ENV)
@@ -271,7 +255,6 @@ def calibration_source() -> str:
         _SHIP_ENV,
         _SCAN_ENV,
         _SPLIT_ENV,
-        _CACHE_SPEEDUP_ENV,
         _DECOMPRESS_ENV,
     )
     if any(_env_float(name) is not None for name in envs):

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Optional, Tuple
 
 from repro.errors import InferenceError
-from repro.jsonvalue.events import JsonEventType, iter_events
 from repro.jsonvalue.model import JsonKind, is_integer_value, kind_of
+from repro.jsonvalue.parser import ParseOptions, parse
 from repro.types import Equivalence, Type, union
 from repro.types.terms import (
     ArrType,
@@ -240,88 +240,21 @@ def _counted_open(value: Any, kind: JsonKind) -> list:
     return [False, iter(value), [], None, len(value)]
 
 
-def _counted_scalar_value(value: Any) -> CUnion:
-    """Counted atom for an event-stream scalar (exact-type dispatch)."""
-    if value is None:
-        return CUnion((CAtom("null", 1),))
-    cls = value.__class__
-    if cls is bool:
-        return CUnion((CAtom("bool", 1),))
-    if cls is int:
-        return CUnion((CAtom("int", 1),))
-    if cls is float:
-        return CUnion((CAtom("flt", 1),))
-    if cls is str:
-        return CUnion((CAtom("str", 1),))
-    return _counted_scalar(value, kind_of(value))  # scalar subclasses
-
-
-def _close_counted(frame: list, equivalence: Equivalence) -> CUnion:
-    """Resolve one finished container frame to its counted union."""
-    parts = frame[1]
-    if frame[0]:
-        if len({f.name for f in parts}) != len(parts):
-            # Duplicate keys: last wins, matching the plain text path and
-            # the DOM parser's default policy.
-            by_name = {f.name: f for f in parts}
-            parts = list(by_name.values())
-        return CUnion((CRec(tuple(parts), 1),))
-    if len(parts) == 1:
-        items = parts[0]  # singleton-merge skip, as in counted_type_of
-    else:
-        items = merge_counted(parts, equivalence, _empty_ok=True)
-    return CUnion((CArr(items, 1, len(parts)),))
-
-
 def counted_type_of_text(
     text: str,
     equivalence: Equivalence = Equivalence.KIND,
     *,
     max_depth: int = 512,
 ) -> CUnion:
-    """Counted type of one JSON text, straight from the event stream.
+    """Counted type of one JSON text: ``counted_type_of(parse(text),
+    equivalence)`` with the nesting limit ``max_depth``.
 
-    The counting analogue of the fused text→type pipeline: no DOM is
-    materialised, containers live as list frames holding counted parts.
-    Structurally equal to ``counted_type_of(parse(text), equivalence)``
-    (pinned by the conformance matrix); malformed text raises the event
-    parser's errors.
+    The C decoder behind :func:`repro.jsonvalue.parser.parse` builds the
+    value; malformed text raises the parser's exact error.
     """
-    # Frames: [is_object, parts, pending field name].
-    stack: list[list] = []
-    result: CUnion | None = None
-    for event in iter_events(text, max_depth=max_depth):
-        etype = event.type
-        if etype is JsonEventType.KEY:
-            stack[-1][2] = event.value
-        elif etype is JsonEventType.VALUE:
-            done = _counted_scalar_value(event.value)
-            if stack:
-                frame = stack[-1]
-                if frame[0]:
-                    frame[1].append(CField(frame[2], done, 1))
-                    frame[2] = None
-                else:
-                    frame[1].append(done)
-            else:
-                result = done
-        elif etype is JsonEventType.START_OBJECT:
-            stack.append([True, [], None])
-        elif etype is JsonEventType.START_ARRAY:
-            stack.append([False, [], None])
-        else:  # END_OBJECT / END_ARRAY
-            done = _close_counted(stack.pop(), equivalence)
-            if stack:
-                frame = stack[-1]
-                if frame[0]:
-                    frame[1].append(CField(frame[2], done, 1))
-                    frame[2] = None
-                else:
-                    frame[1].append(done)
-            else:
-                result = done
-    assert result is not None  # iter_events yields exactly one document
-    return result
+    return counted_type_of(
+        parse(text, ParseOptions(max_depth=max_depth)), equivalence
+    )
 
 
 def counted_type_of_bytes(

@@ -539,13 +539,13 @@ def _infer_subtree_chunks(payload) -> Optional[list]:
     """Worker: type one group of chunk spans read straight from the file.
 
     The parent ships only ``(path, kind, [(start, end), ...], max_depth)``;
-    the worker reads one covering slice, wraps each chunk in its
-    container's brackets, decodes it and runs the full scan machine —
-    keys, escapes, UTF-8 and depth all get the serial scan's exact
-    validation.  Returns the per-chunk contribution lists, or ``None``
-    when any chunk fails: failure means the parent's speculative
-    boundaries were wrong (or the document is malformed), and the parent
-    re-carves exactly or scans the whole document for exact errors.
+    the worker reads one covering slice and types each chunk with
+    :func:`~repro.inference.engine.type_subtree_chunks` — keys, escapes,
+    UTF-8 and depth get the serial fold's validation.  Returns the
+    per-chunk contribution lists, or ``None`` when any chunk fails:
+    failure means the parent's speculative boundaries were wrong (or
+    the document is malformed), and the parent re-carves exactly or
+    parses the whole document for exact errors.
     """
     path, kind, chunks, max_depth = payload
     try:
@@ -674,25 +674,24 @@ def infer_subtree_text(
 
     Lines of at least ``min_split_bytes`` are carved into top-level
     subtree chunks by the bytes-native structural splitter
-    (:mod:`repro.parsing.structural`) and typed by scan machines in
-    parallel workers reading their own byte ranges from the backing
+    (:mod:`repro.parsing.structural`) and typed one element at a time
+    in parallel workers reading their own byte ranges from the backing
     file; the partial contributions merge back through the reassembly
     algebra and the :class:`~repro.inference.engine.TypeAccumulator`
     monoid.  Smaller lines fold through the batched bytes pipeline
     exactly as :func:`~repro.inference.engine.accumulate_ranges` runs
-    them.  The result is interned-identical to the serial scan of every
+    them.  The result is interned-identical to the serial fold of every
     line, with identical errors.  A span whose speculative chunking
     fails validation is carved again by the exact depth-1 scan and
     typed in this process, one chunk of about 256 KiB decoded at a
     time, so memory stays bounded; only a span that carve also declines
-    (malformed, or not a splittable container) is decoded whole and
-    scanned serially, which raises the exact error.
+    (malformed, or not a splittable container) is parsed whole,
+    which raises the exact error.
     """
     from repro.inference.engine import (
         _EXTRA_SPACE_BYTES,
         _BYTES_WS_RUN,
-        _RANGE_CHUNK_LIMIT,
-        _RANGE_CHUNK_START,
+        _RANGE_BATCH_LINES,
         TypeAccumulator,
     )
     from repro.types.build import EventTypeEncoder
@@ -712,7 +711,6 @@ def infer_subtree_text(
     ws_match = _BYTES_WS_RUN.match
     pool_state: dict = {}
     batch: list[bytes] = []
-    chunk = _RANGE_CHUNK_START
     split_documents = 0
 
     def flush() -> None:
@@ -767,7 +765,7 @@ def infer_subtree_text(
                         exact_limit=end - start,
                     )
                 if t is None:
-                    # Malformed or unsplittable: the whole-span scan
+                    # Malformed or unsplittable: the whole-span parse
                     # owns the exact type or the exact serial error.
                     t = encoder.encode_bytes(buffer, start, end)
                 else:
@@ -775,9 +773,8 @@ def infer_subtree_text(
                 add_type(t)
                 continue
             batch.append(bytes(buffer[start:end]))
-            if len(batch) >= chunk:
+            if len(batch) >= _RANGE_BATCH_LINES:
                 flush()
-                chunk = min(_RANGE_CHUNK_LIMIT, chunk * 4)
         flush()
     finally:
         pool = pool_state.get("pool")
@@ -880,9 +877,7 @@ class SchedulePlan:
     chose what it chose.  ``calibration_source`` records where the
     startup/shipping constants came from (``"env"``, ``"profile"``,
     ``"measured"``, or ``"default"`` — see
-    :mod:`repro.inference.calibration`).  ``sample_cache_hit_rate`` is
-    the line-shape-cache hit rate the timed sample measured (0.0 when
-    the sample ran the str path, which has no line cache).
+    :mod:`repro.inference.calibration`).
     """
 
     mode: str
@@ -895,7 +890,6 @@ class SchedulePlan:
     estimated_parallel_seconds: float
     reason: str
     calibration_source: str = "default"
-    sample_cache_hit_rate: float = 0.0
 
     @property
     def parallel(self) -> bool:
@@ -919,10 +913,6 @@ _SAMPLE_SIZE = 200
 # the fold just to decide the plan.
 _SAMPLE_BUDGET_SECONDS = 0.05
 _SAMPLE_MINIMUM = 8
-# Corpus sampling feeds the batched line pipeline in sub-batches so the
-# line-shape cache participates (its hit rate feeds the cost model);
-# the wall-clock budget is re-checked between batches.
-_SAMPLE_BATCH_LINES = 32
 
 
 def plan_schedule(
@@ -943,12 +933,11 @@ def plan_schedule(
     env-overridable) rather than per-plan guesses.  The timed sample
     measures the *map* rate (text to canonical type), which dominates
     the fold and does not depend on the equivalence — so one plan serves
-    both equivalences.  An :class:`~repro.datasets.ndjson.MmapCorpus` is
-    sampled through the batched line pipeline (shape cache over the raw
-    bytes, decode and scan on a miss); in-memory lines through the str
-    scan.  The serial fold rate is *measured*, not assumed, so the
-    decision tracks the actual machine and document shape.  When the
-    modeled parallel win is under ``_PARALLEL_ADVANTAGE`` the plan is
+    both equivalences.  A mapped corpus and in-memory lines are sampled
+    the same way: each sampled line is decoded and typed.  The serial
+    fold rate is *measured*, not assumed, so the decision tracks the
+    actual machine and document shape.  When the modeled parallel win
+    is under ``_PARALLEL_ADVANTAGE`` the plan is
     serial: spawning workers that lose to the serial fold (the E16
     regression: 0.94x at ``--jobs 2`` on one usable CPU) is the one
     outcome this scheduler exists to prevent.
@@ -961,8 +950,7 @@ def plan_schedule(
 
     def serial_plan(reason: str, rate: float = 0.0, serial_s: float = 0.0,
                     parallel_s: float = 0.0,
-                    calibration_source: str = "default",
-                    cache_hit_rate: float = 0.0) -> SchedulePlan:
+                    calibration_source: str = "default") -> SchedulePlan:
         return SchedulePlan(
             mode="serial",
             jobs=1,
@@ -974,7 +962,6 @@ def plan_schedule(
             estimated_parallel_seconds=parallel_s,
             reason=reason,
             calibration_source=calibration_source,
-            sample_cache_hit_rate=cache_hit_rate,
         )
 
     if documents == 0:
@@ -1045,89 +1032,27 @@ def plan_schedule(
                 )
 
     sample_limit = min(documents, max(1, sample_size))
-    encoder = _sample_encoder()
+    encode_text = _sample_encoder().encode_text
     sample_bytes = 0
     sampled = 0
-    cache_hit_rate = 0.0
-    full_hit_rate = 0.0
     start_time = time.perf_counter()
-    if is_corpus:
-        # Bytes-native sampling: run undecoded ranges of the mapped file
-        # through the *batched* line pipeline — the exact code the
-        # serial fold runs, line-shape cache included, so the measured
-        # rate reflects warm-cache folding, not the cold structural
-        # scan.  Blank lines (str.isspace parity included) are skipped
-        # exactly as the fold skips them.
-        from repro.inference.engine import _EXTRA_SPACE_BYTES, _BYTES_WS_RUN
-
-        buffer = lines.buffer()
-        ws_match = _BYTES_WS_RUN.match
-        encode_lines = encoder.encode_lines
-        batch: list[bytes] = []
-        for start, end in lines.spans[:sample_limit]:
-            sample_bytes += end - start
-            if end > start:
-                ws_end = ws_match(buffer, start, end).end()
-                if ws_end < end and not (
-                    buffer[ws_end] >= 0x80
-                    or buffer[ws_end] in _EXTRA_SPACE_BYTES
-                ):
-                    batch.append(bytes(buffer[start:end]))
-                elif ws_end < end:
-                    text = bytes(buffer[start:end]).decode("utf-8")
-                    if not text.isspace():
-                        encoder.encode_text(text)
-            sampled += 1
-            if len(batch) >= _SAMPLE_BATCH_LINES:
-                for _ in encode_lines(batch):
-                    pass
-                del batch[:]
-                if (
-                    sampled >= _SAMPLE_MINIMUM
-                    and time.perf_counter() - start_time
-                    > _SAMPLE_BUDGET_SECONDS
-                ):
-                    break
-        if batch:
-            for _ in encode_lines(batch):
-                pass
-    else:
-        encode_text = encoder.encode_text
-        for index in range(sample_limit):
-            line = lines[index]
-            sample_bytes += len(line)
-            if line and not line.isspace():
-                encode_text(line)
-            sampled += 1
-            if (
-                sampled >= _SAMPLE_MINIMUM
-                and time.perf_counter() - start_time > _SAMPLE_BUDGET_SECONDS
-            ):
-                break
+    for index in range(sample_limit):
+        # A corpus decodes the line here, as the fold does; blank lines
+        # (str.isspace parity included) are skipped as the fold skips them.
+        line = lines[index]
+        sample_bytes += len(line)
+        if line and not line.isspace():
+            encode_text(line)
+        sampled += 1
+        if (
+            sampled >= _SAMPLE_MINIMUM
+            and time.perf_counter() - start_time > _SAMPLE_BUDGET_SECONDS
+        ):
+            break
     elapsed = max(time.perf_counter() - start_time, 1e-9)
     rate = sampled / elapsed
 
     serial_seconds = documents / rate
-    if is_corpus:
-        attempts, hits, _enabled = encoder.line_cache_stats
-        if attempts:
-            # Hit-rate feedback: the sample's warm-cache rate, projected
-            # to the full fold.  The sample under-measures the hit rate
-            # when most lines repeat a shape it saw once (every distinct
-            # shape costs one miss, amortized over the *whole* corpus,
-            # not the sample) — so project the full-corpus rate from the
-            # distinct-shape count and cost cached lines at the
-            # calibrated speedup.
-            speedup = calibration.cache_hit_speedup()
-            cache_hit_rate = hits / attempts
-            distinct = attempts - hits
-            full_hit_rate = max(
-                cache_hit_rate, 1.0 - distinct / max(documents, 1)
-            )
-            sample_cost = (1.0 - cache_hit_rate) + cache_hit_rate / speedup
-            full_cost = (1.0 - full_hit_rate) + full_hit_rate / speedup
-            if sample_cost > 0:
-                serial_seconds = (documents / rate) * (full_cost / sample_cost)
     effective = min(requested, cpus)
     total_bytes = sample_bytes * (documents / sampled)
     # Shipping: in-memory lines go to workers as pickled batches; a
@@ -1157,7 +1082,6 @@ def plan_schedule(
                 f"on {effective} of {cpus} CPUs"
             ),
             calibration_source=source,
-            sample_cache_hit_rate=cache_hit_rate,
         )
     return serial_plan(
         f"modeled parallel win {serial_seconds / parallel_seconds:.2f}x is "
@@ -1167,7 +1091,6 @@ def plan_schedule(
         serial_seconds,
         parallel_seconds,
         source,
-        cache_hit_rate,
     )
 
 
@@ -1183,7 +1106,7 @@ def plan_compressed_schedule(
     decompression runs), so the model prices the two pipeline stages by
     bytes rates: decompression
     (:func:`repro.inference.calibration.decompress_bytes_per_second`,
-    the new I/O-bound stage) plus the bytes-native scan, over the
+    the new I/O-bound stage) plus the serial typing rate, over the
     decompressed size estimated from a bounded first-blocks ratio probe
     (:func:`repro.datasets.compressed.estimate_ratio`).  A container
     with fewer than two member/frame candidates is inherently
@@ -1292,8 +1215,8 @@ def infer_adaptive_text(
     fold when the timed-sample cost model says workers would lose
     (guaranteeing ``--jobs N`` is never slower than serial by more than
     the sample cost).  A mapped corpus folds serially through the
-    batched line pipeline, which decodes only the lines whose shape
-    misses its cache.  The result is bit-identical to every other path.
+    batched line pipeline.  The result is bit-identical to every other
+    path.
     """
     plan = plan_schedule(lines, jobs=jobs, sample_size=sample_size)
     if plan.subtree:

@@ -32,13 +32,15 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Optional, Sequence
 
 from repro.errors import InferenceError
-from repro.jsonvalue.lexer import WHITESPACE_PATTERN_BYTES
+from repro.jsonvalue.lexer import WHITESPACE_PATTERN, WHITESPACE_PATTERN_BYTES
+from repro.jsonvalue.parser import c_scan_once, nesting_exceeds
 from repro.types import Equivalence, Type, class_key, union
 from repro.types.build import EventTypeEncoder, TypeEncoder
 from repro.types.intern import InternTable, global_table
-from repro.types.terms import ArrType, BotType, RecType, UnionType
+from repro.types.terms import UnionType
 
 _BYTES_WS_RUN = re.compile(WHITESPACE_PATTERN_BYTES)
+_WS_RUN = re.compile(WHITESPACE_PATTERN).match
 # ASCII bytes str.isspace() accepts beyond JSON's own whitespace: a line
 # of these is blank to the str feed, so the bytes feed must agree.
 _EXTRA_SPACE_BYTES = frozenset(b"\x0b\x0c\x1c\x1d\x1e\x1f")
@@ -78,7 +80,7 @@ class TypeAccumulator:
         # interned terms (no raw type_of tree), lazily so type-only
         # accumulators never pay for the encoder's leaf setup.  The
         # event encoder is the text-feed analogue (raw NDJSON lines in,
-        # canonical types out, no DOM in between).
+        # canonical types out).
         self._encoder: Optional[TypeEncoder] = None
         self._event_encoder: Optional[EventTypeEncoder] = None
         # class key -> fused, reduced, interned representative
@@ -115,11 +117,11 @@ class TypeAccumulator:
         self.add_type(encoder.encode(document))
 
     def add_text(self, text: str) -> None:
-        """Type one raw JSON text (fused lexer→type pipeline) and absorb it.
+        """Type one raw JSON text and absorb it.
 
-        The document is never materialised: the lexer's tokens build the
-        canonical interned type directly through the encoder's shape
-        caches, then merge in one ``add_type`` step.
+        The C decoder parses the text and the encoder walks the value
+        into its canonical interned type, which merges in one
+        ``add_type`` step; malformed text raises the parser's error.
         """
         encoder = self._event_encoder
         if encoder is None:
@@ -315,7 +317,7 @@ def accumulate_lines(
     table: Optional[InternTable] = None,
 ) -> TypeAccumulator:
     """Fold raw NDJSON lines into a fresh accumulator (blank lines are
-    skipped) — the zero-materialization text feed."""
+    skipped) — the str text feed."""
     acc = TypeAccumulator(equivalence, table=table)
     add_text = acc.add_text
     for line in lines:
@@ -325,11 +327,9 @@ def accumulate_lines(
     return acc
 
 
-# Line batches fed to the encoder's batched skeleton passes grow from a
-# small probe (so shape-poor corpora disable the line cache cheaply) to
-# a size that amortizes the per-batch C passes.
-_RANGE_CHUNK_START = 2048
-_RANGE_CHUNK_LIMIT = 32768
+# Lines per encode_lines call: enough to amortise the call, few enough
+# that the batch's byte copies stay small next to the corpus.
+_RANGE_BATCH_LINES = 1024
 
 
 class RangeFolder:
@@ -339,10 +339,9 @@ class RangeFolder:
     producers that materialise the corpus a *block at a time* — the
     chunked decompression reader in :mod:`repro.datasets.compressed` —
     can push successive line-aligned buffers through one batched
-    pipeline: the line batch, the escalating chunk size, and the
-    line-shape cache all persist across :meth:`feed` calls, so a corpus
-    fed in 1 MiB decompressed blocks folds exactly like one contiguous
-    mmap.  ``finish`` flushes the tail batch.
+    pipeline: the pending line batch persists across :meth:`feed`
+    calls, so a corpus fed in 1 MiB decompressed blocks folds exactly
+    like one contiguous mmap.  ``finish`` flushes the tail batch.
 
     Error ordering is the serial contract: a line surfaces its error no
     later than the first flush after it, and any line needing the
@@ -350,7 +349,7 @@ class RangeFolder:
     :func:`accumulate_ranges` over the concatenated spans.
     """
 
-    __slots__ = ("_acc", "_encoder", "_batch", "_chunk")
+    __slots__ = ("_acc", "_encoder", "_batch")
 
     def __init__(
         self,
@@ -363,7 +362,6 @@ class RangeFolder:
             encoder if encoder is not None else EventTypeEncoder(accumulator.table)
         )
         self._batch: list[bytes] = []
-        self._chunk = _RANGE_CHUNK_START
 
     @property
     def accumulator(self) -> TypeAccumulator:
@@ -401,9 +399,8 @@ class RangeFolder:
                     if text.isspace():
                         continue
                 append(bytes(data[start:end]))
-                if len(batch) >= self._chunk:
+                if len(batch) >= _RANGE_BATCH_LINES:
                     self._flush()
-                    self._chunk = min(_RANGE_CHUNK_LIMIT, self._chunk * 4)
 
     def finish(self) -> None:
         """Flush the pending batch (call once, after the last feed)."""
@@ -424,9 +421,8 @@ def accumulate_ranges(
     ``(start, end)`` byte range of each line, e.g.
     ``corpus.spans`` or :func:`repro.datasets.ndjson.iter_line_spans`
     output.  The ranges run through :meth:`EventTypeEncoder.encode_lines`
-    in growing chunks: the batched skeleton cache types repeated shapes
-    straight from the bytes, and only lines whose shape misses it are
-    decoded and scanned.  Blank lines (including the rare non-ASCII
+    in fixed batches: each line is decoded, parsed by the C decoder and
+    typed.  Blank lines (including the rare non-ASCII
     whitespace-only line, for exact :func:`accumulate_lines` parity)
     are skipped.  The result is interned-identical to
     ``accumulate_lines`` over the decoded lines, with identical errors.
@@ -445,14 +441,15 @@ def accumulate_ranges(
 # One huge document serializes the whole line-parallel pipeline.  The
 # functions below turn its *top-level container* into independently
 # typable byte ranges and fold the partial results back to the exact
-# interned node the serial scan of the whole document would produce:
+# interned node the serial typing of the whole document would produce:
 #
 # - :func:`plan_subtree_split` descends to a splittable container
 #   (recording a *spine* of wrapper frames for each level it enters) and
 #   carves its children into contiguous chunk spans;
-# - each chunk, re-wrapped in its container's brackets, is a complete
-#   JSON document the unmodified scan machine types and validates
-#   (:func:`type_subtree_chunks`) — in this process or in a worker;
+# - each chunk, read as if wrapped in its container's brackets, must be
+#   a complete JSON document; :func:`type_subtree_chunks` types it one
+#   element or member at a time through the C decoder, in this process
+#   or in a worker;
 # - :func:`combine_subtree` merges the per-chunk contributions (array
 #   element unions / record member maps) and re-applies the spine.
 #
@@ -463,7 +460,7 @@ def accumulate_ranges(
 # preserves; ``rec_of`` sorts fields, erasing chunk boundaries.  Any
 # speculation failure (a separator matched inside a string, malformed
 # input, depth overflow) fails chunk validation, and the caller re-carves
-# exactly (then, failing that, scans the whole document) — exact errors,
+# exactly (then, failing that, parses the whole document) — exact errors,
 # never a silently wrong type.
 
 # Below this size the splitter runs the exact linear depth-1 scan; above
@@ -610,22 +607,6 @@ def plan_subtree_split(
             lo, hi = vopen, vend
 
 
-def _subtree_parts(kind: str, t: Type) -> list:
-    """One typed, wrapped chunk → its mergeable contributions.
-
-    Arrays contribute their element-union members; objects contribute
-    ``(name, type, required)`` member triples.
-    """
-    if kind == "array":
-        item = t.item
-        if isinstance(item, UnionType):
-            return list(item.members)
-        if isinstance(item, BotType):
-            return []
-        return [item]
-    return [(f.name, f.type, f.required) for f in t.fields]
-
-
 def type_subtree_chunks(
     encoder: EventTypeEncoder,
     data,
@@ -634,29 +615,82 @@ def type_subtree_chunks(
     *,
     max_depth: int = 512,
 ) -> list:
-    """Type each chunk span through the full scan machine.
+    """Type each chunk span, one top-level element or member at a time.
 
-    Every chunk is wrapped in its container's brackets, decoded, and
-    scanned as a complete document (one chunk in memory at a time), so
-    keys, escapes, UTF-8 runs, and nesting depth
-    get the machine's exact validation; the wrapper contributes exactly
-    the one level the real container contributes.  Raises whatever the
-    machine raises on an invalid chunk — callers treat any failure as
-    "this speculation was wrong, go serial".
+    A chunk is valid when it parses completely once wrapped in its
+    container's brackets, with the wrapper taking the one level the
+    real container takes.  Each chunk is decoded from UTF-8, and the
+    stdlib C decoder reads one element (or one member's key and value)
+    at a time, so only one element's value is ever in memory; the
+    commas, colons and whitespace between items are checked here.
+    Returns one contribution list per chunk: the distinct element types
+    of an array chunk, the ``(name, type, required)`` member triples of
+    an object chunk (duplicate keys last-wins).  Raises on an invalid
+    chunk — callers treat any failure as "this speculation was wrong,
+    re-plan".
     """
-    wrap_open, wrap_close = (b"[", b"]") if kind == "array" else (b"{", b"}")
-    encode = encoder.encode_bytes
+    if max_depth < 1:
+        raise InferenceError("subtree chunk exceeds the nesting limit")
     out = []
-    for s, e in chunks:
-        doc = wrap_open + bytes(data[s:e]) + wrap_close
-        t = encode(doc, max_depth=max_depth)
-        if kind == "array":
-            if not isinstance(t, ArrType):  # pragma: no cover - wrap invariant
-                raise InferenceError("subtree chunk did not type as an array")
-        elif not isinstance(t, RecType):  # pragma: no cover - wrap invariant
-            raise InferenceError("subtree chunk did not type as a record")
-        out.append(_subtree_parts(kind, t))
+    with memoryview(data) as view:
+        for s, e in chunks:
+            parts = _type_chunk(
+                encoder, str(view[s:e], "utf-8"), kind == "object", max_depth - 1
+            )
+            if kind == "array":
+                out.append(list(parts.values()))
+            else:
+                out.append([(name, t, True) for name, t in parts.items()])
     return out
+
+
+def _type_chunk(encoder, text: str, is_object: bool, limit: int) -> dict:
+    """Items of one chunk → ``{name: type}`` (objects) or
+    ``{id(type): type}`` (arrays), each value at most ``limit`` deep."""
+    encode = encoder.encode
+    ws = _WS_RUN
+    end = len(text)
+    parts: dict = {}
+    pos = ws(text).end()
+    if pos == end:
+        return parts  # "[]" / "{}"
+    try:
+        while True:
+            if is_object:
+                if text[pos] != '"':
+                    raise _bad_chunk()
+                name, pos = c_scan_once(text, pos)
+                pos = ws(text, pos).end()
+                if text[pos : pos + 1] != ":":
+                    raise _bad_chunk()
+                pos = ws(text, pos + 1).end()
+            start = pos
+            value, pos = c_scan_once(text, pos)
+            if (
+                value.__class__ in (dict, list)
+                and text.count("{", start, pos) + text.count("[", start, pos) > limit
+                and nesting_exceeds(value, limit)
+            ):
+                raise _bad_chunk()
+            t = encode(value)
+            if is_object:
+                parts[name] = t
+            else:
+                parts[id(t)] = t
+            pos = ws(text, pos).end()
+            if pos == end:
+                return parts
+            if text[pos] != ",":
+                raise _bad_chunk()
+            pos = ws(text, pos + 1).end()
+            if pos == end:
+                raise _bad_chunk()  # trailing comma
+    except StopIteration:  # no value where one must start
+        raise _bad_chunk() from None
+
+
+def _bad_chunk() -> InferenceError:
+    return InferenceError("subtree chunk is not a valid element list")
 
 
 def combine_subtree(
@@ -664,12 +698,12 @@ def combine_subtree(
 ) -> Type:
     """Reassemble chunk contributions into the whole document's type.
 
-    ``chunk_parts`` is one :func:`_subtree_parts` list per chunk, in
+    ``chunk_parts`` is one :func:`type_subtree_chunks` list per chunk, in
     chunk order (possibly from other processes — everything is
     re-canonicalized into ``table``).  ``head_parts`` aligns with
     ``split.frames``: the typed member triples of each ``recw`` frame's
     head span (``None`` elsewhere).  The result is interned-identical to
-    the serial scan of the whole document.
+    the serial typing of the whole document.
     """
     canonical = table.canonical
     if split.kind == "array":
@@ -687,7 +721,7 @@ def combine_subtree(
         for parts in chunk_parts:
             for name, ftype, required in parts:
                 # Duplicate keys across (and within) chunks: last wins,
-                # matching the serial scan's dict overwrite.
+                # matching the parser's dict overwrite.
                 fields[name] = (canonical(ftype), required)
         t = table.rec_of(
             [table.field_of(n, ft, req) for n, (ft, req) in fields.items()]

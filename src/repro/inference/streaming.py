@@ -1,19 +1,17 @@
-"""Streaming schema inference: types straight from text, zero DOM.
+"""Streaming schema inference: types straight from text, one line at a time.
 
 The tutorial emphasises streaming operation twice — mongodb-schema
 "processes them in a streaming fashion", and the parametric inference is
-built for "massive JSON datasets" where materialising documents is the
-wrong plan.  This module runs the *fully fused* text→type pipeline of
-:class:`repro.types.build.EventTypeEncoder`: the lexer's tokens drive
-the intern table's shape caches directly, so the map phase of inference
-goes from text to a canonical interned type with no ``JSONValue`` DOM,
-no per-document frame objects, and memory proportional to nesting
-depth:
+built for "massive JSON datasets" where materialising a collection is
+the wrong plan.  This module runs the text→type pipeline of
+:class:`repro.types.build.EventTypeEncoder`: the stdlib C decoder
+parses one document, the fused encoder walks it into a canonical
+interned type, and the document is dropped before the next one, so
+memory holds one document and the merged state:
 
-- :func:`type_of_text` — the canonical type of one JSON text in a
-  single lexer pass (identical by object identity to
-  ``intern(type_of(parse(text)))``, with the parser's exact error
-  behaviour on malformed input);
+- :func:`type_of_text` — the canonical type of one JSON text
+  (identical by object identity to ``intern(type_of(parse(text)))``,
+  with the parser's exact error behaviour on malformed input);
 - :func:`infer_type_streaming` / :func:`infer_report_streaming` — full
   parametric inference over NDJSON lines.
 
@@ -70,7 +68,7 @@ def type_of_text(
     encoder: Optional[EventTypeEncoder] = None,
     max_depth: int = 512,
 ) -> Type:
-    """The canonical interned type of one JSON text, in one lexer pass.
+    """The canonical interned type of one JSON text.
 
     Identical (by object identity against the backing table) to
     ``table.intern(type_of(parse(text)))``; malformed input raises the
@@ -106,9 +104,8 @@ def infer_report_corpus(
 ) -> InferenceReport:
     """Inference over an :class:`~repro.datasets.ndjson.MmapCorpus` via
     the bytes-native fold: the mapped file's line ranges go to canonical
-    interned types through the batched skeleton cache, and only lines
-    whose shape misses it decode and run the scan.  Interned-identical
-    to every other route."""
+    interned types in line batches, each line decoded and parsed on its
+    own.  Interned-identical to every other route."""
     from repro.inference.engine import accumulate_ranges
 
     accumulator = accumulate_ranges(corpus.buffer(), corpus.spans, equivalence)
@@ -135,9 +132,9 @@ def fold_compressed(
     (:func:`repro.datasets.compressed.iter_line_blocks`) yields
     line-aligned decompressed blocks which feed one persistent
     :class:`~repro.inference.engine.RangeFolder` — the same batched
-    line-shape-cache + bytes-scan fold an uncompressed mmap corpus
-    runs, so the result is interned-identical to the plain-file fold of
-    the decompressed bytes.  No decompressed corpus is ever
+    fold an uncompressed mmap corpus runs, so the result is
+    interned-identical to the plain-file fold of the decompressed
+    bytes.  No decompressed corpus is ever
     materialised: memory is one block plus the longest line.
 
     This path **owns error ordering**: JSON/decode errors of earlier
@@ -230,9 +227,9 @@ def infer_report_compressed(
 def infer_type_streaming(
     lines: Iterable[str], equivalence: Equivalence = Equivalence.KIND
 ) -> Type:
-    """Parametric inference over NDJSON lines without building DOMs.
+    """Parametric inference over NDJSON lines, one document at a time.
 
-    Each line runs through the fused text→type pipeline
+    Each line runs through the text→type pipeline
     (:meth:`~repro.inference.engine.TypeAccumulator.add_text`) and merges
     incrementally: per-accumulator state is O(equivalence classes) plus a
     bounded memo, and only one document's type is in flight at a time.
@@ -250,7 +247,7 @@ def infer_report_streaming(
     lines: Iterable[str], equivalence: Equivalence = Equivalence.KIND
 ) -> InferenceReport:
     """Streaming inference plus the report the papers' tables need
-    (type, size, document count) — the CLI's zero-materialization path."""
+    (type, size, document count) — the CLI's streaming path."""
     accumulator = accumulate_lines(lines, equivalence)
     if accumulator.is_empty():
         raise InferenceError("cannot infer a schema from an empty stream")

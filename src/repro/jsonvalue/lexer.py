@@ -91,9 +91,9 @@ _DIGITS = set("0123456789")
 # --------------------------------------------------------------------------
 # Shared token patterns.
 #
-# The lexer's own fast paths and the regex-vectorized structural scan of
-# :mod:`repro.types.build` compose these fragments, so there is exactly one
-# definition of "a simple string" / "an RFC 8259 number" in the system.
+# The lexer's own fast paths and the bytes scanners below compose these
+# fragments, so there is exactly one definition of "a simple string" /
+# "an RFC 8259 number" in the system.
 #
 # - SIMPLE_STRING_PATTERN matches a string literal with no escapes and no
 #   unescaped control characters — the overwhelmingly common case, which
@@ -121,7 +121,7 @@ NUMBER_BOUNDARY_CHARS = ".eE0123456789"
 # The possibly-empty fraction/exponent tail after an INT_PATTERN match.
 # ``INT_PATTERN + "(" + NUMBER_TAIL_PATTERN + ")"`` matches every valid
 # number maximally while exposing "was it an int" as "is the tail group
-# empty" — the shape the fused scan machines key their dispatch on.  The
+# empty" — the shape the stream translator keys its dispatch on.  The
 # boundary caveat above applies unchanged: a match followed by one of
 # NUMBER_BOUNDARY_CHARS may extend into a malformed literal.
 NUMBER_TAIL_PATTERN = r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
@@ -129,24 +129,19 @@ NUMBER_TAIL_PATTERN = r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 # --------------------------------------------------------------------------
 # Bytes mirrors of the shared fragments.
 #
-# The bytes scanners (the structural splitter, the stream translator,
-# the line-shape cache) run the same grammar directly over mmap
-# buffers.  Every fragment mirrors its str twin by plain ASCII encoding — including the
-# string body: in bytes mode the very same class ``[^"\\\x00-\x1f]``
-# matches any byte ``\x20``–``\xff`` except ``"`` and ``\``, which skips
-# UTF-8 multibyte content *structurally* (multibyte sequences contain no
-# bytes below ``\x80``, so they can never hide a quote or backslash and
-# the byte-level string extent agrees with the char-level one whenever
-# the bytes are valid UTF-8).  Validity itself is checked separately and
-# lazily with UTF8_VALIDATION_PATTERN — strict RFC 3629 (no overlongs,
-# no surrogates, nothing above U+10FFFF, exactly the sequences
-# ``bytes.decode("utf-8")`` accepts), laid out as "ASCII runs separated
-# by single multibyte sequences" so every alternative is disjoint on its
-# first byte and the backtracking engine scans in one forward pass.
+# The bytes scanners (the structural splitter of
+# :mod:`repro.parsing.structural`, the stream translator) run the same
+# grammar directly over mmap buffers.  Every fragment mirrors its str
+# twin by plain ASCII encoding — including the string body: in bytes
+# mode the very same class ``[^"\\\x00-\x1f]`` matches any byte
+# ``\x20``–``\xff`` except ``"`` and ``\``, which skips UTF-8 multibyte
+# content *structurally* (multibyte sequences contain no bytes below
+# ``\x80``, so they can never hide a quote or backslash and the
+# byte-level string extent agrees with the char-level one whenever the
+# bytes are valid UTF-8).  Validity itself is the decoder's business.
 # --------------------------------------------------------------------------
 
 INT_PATTERN_BYTES = INT_PATTERN.encode("ascii")
-FLOAT_PATTERN_BYTES = FLOAT_PATTERN.encode("ascii")
 WHITESPACE_PATTERN_BYTES = WHITESPACE_PATTERN.encode("ascii")
 NUMBER_TAIL_PATTERN_BYTES = NUMBER_TAIL_PATTERN.encode("ascii")
 STRING_BODY_PATTERN_BYTES = STRING_BODY_PATTERN.encode("ascii")
@@ -165,23 +160,6 @@ FULL_STRING_BODY_PATTERN_BYTES = (
     + rb")"
     + STRING_BODY_PATTERN_BYTES
     + rb")*"
-)
-
-# One well-formed multibyte UTF-8 sequence (RFC 3629 table).
-UTF8_MULTIBYTE_PATTERN = (
-    rb"[\xc2-\xdf][\x80-\xbf]"
-    rb"|\xe0[\xa0-\xbf][\x80-\xbf]"
-    rb"|[\xe1-\xec][\x80-\xbf][\x80-\xbf]"
-    rb"|\xed[\x80-\x9f][\x80-\xbf]"
-    rb"|[\xee-\xef][\x80-\xbf][\x80-\xbf]"
-    rb"|\xf0[\x90-\xbf][\x80-\xbf][\x80-\xbf]"
-    rb"|[\xf1-\xf3][\x80-\xbf][\x80-\xbf][\x80-\xbf]"
-    rb"|\xf4[\x80-\x8f][\x80-\xbf][\x80-\xbf]"
-)
-# Maximal well-formed UTF-8 prefix: a match ending before the region's
-# end pinpoints the first invalid sequence.
-UTF8_VALIDATION_PATTERN = (
-    rb"[\x00-\x7f]*(?:(?:" + UTF8_MULTIBYTE_PATTERN + rb")[\x00-\x7f]*)*"
 )
 
 _SIMPLE_STRING_RE = re.compile(SIMPLE_STRING_PATTERN)

@@ -20,14 +20,15 @@ the datasets the tutorial's inference tools consume.
 
 The token parser (``_parse_reference``) defines the semantics and owns
 every error.  ``parse`` first tries the standard library's C decoder
-when the options cannot tell the two apart (``duplicate_keys="last"``,
-no top-level restriction, and at most ``max_depth`` opening brackets in
-the text, an upper bound on the nesting depth).  On the inputs the C
-decoder accepts it returns the same values — ints stay ints, key order
-is kept, a repeated key keeps its first position and its last value,
-lone surrogates are preserved — and anything it rejects (``NaN``, a BOM,
-trailing data, a control character, a too-long int, ...) is parsed again
-by the token parser, which raises the positioned error.
+when the options cannot tell the two apart (``duplicate_keys="last"``
+and no top-level restriction); a decoded value nested deeper than
+``max_depth`` is parsed again, so the limit raises its positioned
+error.  On the inputs the C decoder accepts it returns the same values
+— ints stay ints, key order is kept, a repeated key keeps its first
+position and its last value, lone surrogates are preserved — and
+anything it rejects (``NaN``, a BOM, trailing data, a control
+character, a too-long int, ...) is parsed again by the token parser,
+which raises the positioned error.
 """
 
 from __future__ import annotations
@@ -98,7 +99,32 @@ def _reject_constant(name: str) -> Any:
 
 # The C decoder, made strict: NaN/Infinity/-Infinity raise instead of
 # decoding (control characters in strings already raise, strict=True).
-_c_decode = json.JSONDecoder(parse_constant=_reject_constant).decode
+# ``c_scan_once(text, pos)`` decodes the one value starting exactly at
+# ``pos`` and returns ``(value, end)``; it raises ``StopIteration`` when
+# no value starts there.
+_C_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_c_decode = _C_DECODER.decode
+c_scan_once = _C_DECODER.scan_once
+
+
+def nesting_exceeds(value: Any, max_depth: int) -> bool:
+    """Whether ``value`` nests containers more than ``max_depth`` deep.
+
+    Iterative, one level at a time, so any decoded value is measured
+    without recursion; the walk stops at the first level past the limit.
+    """
+    level = [value] if value.__class__ in (dict, list) else []
+    depth = 0
+    while level:
+        depth += 1
+        if depth > max_depth:
+            return True
+        inner = []
+        for container in level:
+            items = container.values() if container.__class__ is dict else container
+            inner += [v for v in items if v.__class__ in (dict, list)]
+        level = inner
+    return False
 
 
 def parse(text: str, options: ParseOptions = DEFAULT_OPTIONS) -> Any:
@@ -107,15 +133,19 @@ def parse(text: str, options: ParseOptions = DEFAULT_OPTIONS) -> Any:
     Raises :class:`JsonParseError` (or :class:`~repro.jsonvalue.lexer.JsonLexError`)
     on malformed input, including trailing garbage.
     """
-    if (
-        options.duplicate_keys == "last"
-        and not options.require_top_level_container
-        and text.count("{") + text.count("[") <= options.max_depth
-    ):
+    if options.duplicate_keys == "last" and not options.require_top_level_container:
         try:
-            return _c_decode(text)
+            value = _c_decode(text)
         except (ValueError, RecursionError):
             pass  # the token parser decides, and raises the error
+        else:
+            # The bracket count bounds the depth, so only a document with
+            # more brackets than the limit needs its depth measured.
+            max_depth = options.max_depth
+            if text.count("{") + text.count("[") <= max_depth or not nesting_exceeds(
+                value, max_depth
+            ):
+                return value
     return _parse_reference(text, options)
 
 

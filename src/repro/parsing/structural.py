@@ -297,7 +297,7 @@ class StructuralIndex:
 # record serializes the whole fold.  The splitter carves the top-level
 # container of an undecoded byte buffer (mmap, memoryview, bytes)
 # into contiguous *subtree ranges* that workers can type independently
-# with the scan machine, to be reassembled through the
+# (one element at a time), to be reassembled through the
 # merge monoid.
 #
 # Two carving strategies share one contract:

@@ -19,12 +19,12 @@ op objects, one per schema position, each carrying
   writes, via :func:`~repro.translation.avro.missing_field_bytes`).
 
 :class:`StreamTranslator` then walks each document's **byte range** with
-compiled regex scans built from the lexer's shared fragments (the same
-master-pattern idiom as ``types/build.py``): one fused match per record
-member / array element, Parquet ``(rep, def, value)`` entries appended
-directly to the columns, Avro bytes emitted as the walk goes.  String
-values without escapes are written to the row **as the raw body bytes**
-(already UTF-8); numbers convert straight from the byte slice.
+compiled regex scans built from the lexer's shared fragments: one
+fused match per record member / array element, Parquet ``(rep, def,
+value)`` entries appended directly to the columns, Avro bytes emitted
+as the walk goes.  String values without escapes are written to the
+row **as the raw body bytes** (already UTF-8); numbers convert straight
+from the byte slice.
 
 Two ordering facts make the single walk sound:
 

@@ -161,6 +161,18 @@ class TestEncoderStrictness:
         value = {"n": MyInt(3)}
         assert type_of_interned(value, table) is table.intern(type_of(value))
 
+    def test_container_subclasses_match_seed_classification(self):
+        from collections import OrderedDict
+
+        class MyList(list):
+            pass
+
+        table = InternTable()
+        value = [OrderedDict(a=MyList([1, "x"]), b=MyList()), {"c": OrderedDict()}]
+        assert type_of_interned(value, table) is table.intern(type_of(value))
+        with pytest.raises(TypeError):
+            type_of_interned({"a": MyList([(1, 2)])}, InternTable())
+
 
 # ---------------------------------------------------------------------------
 # counted map phase vs a recursive reference

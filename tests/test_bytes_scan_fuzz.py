@@ -1,4 +1,4 @@
-"""Fuzz differential for byte inputs and the line-shape cache.
+"""Fuzz differential for byte inputs and batched lines.
 
 The contract of :meth:`EventTypeEncoder.encode_bytes` and
 :meth:`EventTypeEncoder.encode_lines`, checked against independent
@@ -12,17 +12,15 @@ oracles:
   on undecodable bytes;
 - ``counted_type_of_bytes(b)`` likewise: a counted type equal to
   ``counted_type_of(parse(text))``, or the same parser or decode error;
-- ``encode_lines`` (the batched skeleton cache) and
-  ``accumulate_ranges`` (the bytes fold) agree with the per-line str
-  feed on every line of every batch — including across batches sharing
-  one encoder, where an unsound skeleton collision would surface as a
-  wrong cached type.
+- ``encode_lines`` (the batched line feed) and ``accumulate_ranges``
+  (the bytes fold) agree with the per-line str feed on every line of
+  every batch, including across batches sharing one encoder.
 
 Hypothesis drives serialized values, raw text, and raw *bytes* (mostly
 malformed UTF-8); the parametrized cases pin the named edge shapes —
 non-ASCII keys and values, multibyte sequences truncated mid-string,
 ``\\uXXXX`` escapes and lone surrogates, overlong/surrogate/out-of-range
-UTF-8, and skeleton near-collisions (digit keys, leading zeros, spaced
+UTF-8, and near-identical shapes (digit keys, leading zeros, spaced
 keys, control bytes).
 """
 
@@ -244,7 +242,7 @@ def test_counted_bytes_range_offsets_and_depth():
 
 
 # ---------------------------------------------------------------------------
-# the batched line-shape cache (encode_lines / accumulate_ranges)
+# the batched line feed (encode_lines / accumulate_ranges)
 # ---------------------------------------------------------------------------
 
 
@@ -304,9 +302,8 @@ def test_ranges_fold_matches_lines_fold(lines):
 )
 @settings(max_examples=100, deadline=None)
 def test_encode_lines_is_sound_across_batches(batches):
-    """One encoder, many batches: every cached answer must stay the
-    canonical node of its exact line (a skeleton collision would fail
-    the identity here)."""
+    """One encoder, many batches: every batched answer is the canonical
+    node of its exact line."""
     enc = EventTypeEncoder(InternTable())
     for batch in batches:
         raw = [line.encode("utf-8") for line in batch]
@@ -378,7 +375,7 @@ def test_add_bytes_matches_add_text():
 
 def test_line_cache_rebinds_on_table_epoch():
     """A table clear must not leak stale canonical nodes out of the
-    line-shape cache."""
+    encoder's shape caches."""
     table = InternTable()
     enc = EventTypeEncoder(table)
     first = enc.encode_lines([b'{"a": 1}'])[0]
@@ -397,13 +394,11 @@ def test_non_default_max_depth_bypasses_line_cache():
 
 
 class TestReviewRegressions:
-    """Pins for review findings on the line-shape cache and bytes feeds."""
+    """Pins for review findings on the batched and bytes feeds."""
 
     def test_collapse_respects_element_boundaries(self):
-        """The repeated-element collapse must never cross token
-        boundaries: `0,0` matching a prefix of `0,0.0` *or* starting
-        mid-number in `0.0,0` would alias int/float-mixed and pure-float
-        arrays, which have different types."""
+        """Int/float-mixed and pure-float arrays keep distinct types
+        when batched (`0,0` against `0,0.0` and `0.0,0`)."""
         import itertools
 
         enc = EventTypeEncoder(InternTable())
@@ -425,8 +420,8 @@ class TestReviewRegressions:
             ), line
 
     def test_forged_markers_cannot_hit_a_cached_entry(self):
-        """A control-byte line that forges the skeleton markers must be
-        typed by the machine (here: raise), not alias a clean entry."""
+        """Control bytes and leading zeros raise in a batch, after
+        clean lines of the same shape were typed."""
         enc = EventTypeEncoder(InternTable())
         enc.encode_lines([b'{"a":"x"}'])  # seed the cache
         forged = b'{"a\x04\x03}'

@@ -390,7 +390,6 @@ class TestSchedulerSubtreeMode:
         monkeypatch.setenv("REPRO_SHIP_BYTES_PER_SECOND", "150e6")
         monkeypatch.setenv("REPRO_SCAN_BYTES_PER_SECOND", "80e6")
         monkeypatch.setenv("REPRO_SPLIT_BYTES_PER_SECOND", "2e9")
-        monkeypatch.setenv("REPRO_CACHE_HIT_SPEEDUP", "4.0")
 
     def test_huge_single_document_plans_subtree(self, tmp_path, monkeypatch):
         from repro.inference import distributed as dist
@@ -437,17 +436,37 @@ class TestCalibrationConstants:
 
         monkeypatch.setenv("REPRO_SCAN_BYTES_PER_SECOND", "123e6")
         monkeypatch.setenv("REPRO_SPLIT_BYTES_PER_SECOND", "456e6")
-        monkeypatch.setenv("REPRO_CACHE_HIT_SPEEDUP", "2.5")
         assert calibration.scan_bytes_per_second() == 123e6
         assert calibration.split_bytes_per_second() == 456e6
-        assert calibration.cache_hit_speedup() == 2.5
         assert calibration.calibration_source() == "env"
 
-    def test_cache_speedup_clamps_to_at_least_one(self, monkeypatch):
+    def test_profile_with_retired_cache_speedup_key_loads(self, tmp_path, monkeypatch):
+        # Profiles saved while the line-shape cache existed carry a
+        # ``cache_hit_speedup`` constant; it is ignored, not an error.
         from repro.inference import calibration
 
-        monkeypatch.setenv("REPRO_CACHE_HIT_SPEEDUP", "0.25")
-        assert calibration.cache_hit_speedup() == 1.0
+        profile = tmp_path / "sched.json"
+        profile.write_text(
+            json.dumps(
+                {
+                    "worker_startup_seconds": 0.05,
+                    "ship_bytes_per_second": 200e6,
+                    "source": "measured",
+                    "scan_bytes_per_second": 90e6,
+                    "split_bytes_per_second": 2e9,
+                    "cache_hit_speedup": 4.0,
+                    "decompress_bytes_per_second": 250e6,
+                    "measured_at": "2026-01-01T00:00:00",
+                }
+            ),
+            encoding="utf-8",
+        )
+        monkeypatch.setenv("REPRO_SCHED_PROFILE", str(profile))
+        loaded = calibration.load_calibration(measure_if_missing=False)
+        assert loaded.source == "profile"
+        assert loaded.worker_startup_seconds == 0.05
+        assert loaded.scan_bytes_per_second == 90e6
+        assert not hasattr(loaded, "cache_hit_speedup")
 
     def test_profile_back_compat_without_new_keys(self, tmp_path, monkeypatch):
         # A profile written before the subtree mode must still load,
@@ -471,48 +490,18 @@ class TestCalibrationConstants:
         assert loaded.worker_startup_seconds == 0.05
         assert loaded.scan_bytes_per_second == calibration.DEFAULT_SCAN_BYTES_PER_SECOND
         assert loaded.split_bytes_per_second == calibration.DEFAULT_SPLIT_BYTES_PER_SECOND
-        assert loaded.cache_hit_speedup == calibration.DEFAULT_CACHE_HIT_SPEEDUP
 
 
 # ---------------------------------------------------------------------------
-# the digit-key line-cache regression (satellite fix)
+# digit-bearing keys: batch and single-document typing agree
 # ---------------------------------------------------------------------------
 
 
-class TestDigitKeyCache:
-    def test_digit_keys_no_longer_disable_the_cache(self):
-        # Keys like "p99" used to fold into the skeleton's digit class,
-        # missing the cache on every line; now key-region digits are
-        # protected and identical shapes hit.
-        encoder = EventTypeEncoder(InternTable())
-        lines = [b'{"p99": %d, "sha256": "x"}' % i for i in range(50)]
-        out = encoder.encode_lines(lines)
-        attempts, hits, enabled = encoder.line_cache_stats
-        assert enabled
-        assert attempts == 50
-        assert hits >= 48  # every repeat of the shape hits
-        for line, got in zip(lines, out):
-            assert got is encoder.encode_text(line.decode()), line
-
-    def test_distinct_digit_keys_do_not_alias(self):
-        encoder = EventTypeEncoder(InternTable())
-        a = encoder.encode_lines([b'{"k1": 5}'])[0]
-        b = encoder.encode_lines([b'{"k2": 5}'])[0]
-        assert a is not b
-        assert a is encoder.encode_text('{"k1": 5}')
-        assert b is encoder.encode_text('{"k2": 5}')
-
-    def test_value_digits_still_participate_in_the_shape(self):
-        # Digits in VALUES must still fold (that is what makes the cache
-        # hit across lines with different numbers).
-        encoder = EventTypeEncoder(InternTable())
-        lines = [b'{"n": %d}' % i for i in range(20)]
-        encoder.encode_lines(lines)
-        attempts, hits, _ = encoder.line_cache_stats
-        assert hits >= 19
-
-    def test_escaped_quote_in_key_keeps_parity(self):
-        encoder = EventTypeEncoder(InternTable())
-        line = rb'{"a\"9": 1}'
-        got = encoder.encode_lines([line])[0]
-        assert got is encoder.encode_text(line.decode())
+def test_digit_keys_type_identically_in_batches():
+    encoder = EventTypeEncoder(InternTable())
+    lines = [b'{"p99": %d, "sha256": "x"}' % i for i in range(50)]
+    lines += [b'{"k1": 5}', b'{"k2": 5}', rb'{"a\"9": 1}']
+    out = encoder.encode_lines(lines)
+    for line, got in zip(lines, out):
+        assert got is encoder.encode_text(line.decode()), line
+    assert out[-3] is not out[-2]
