@@ -151,40 +151,17 @@ def _cmd_skeleton(args: argparse.Namespace) -> int:
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
+    from repro.translation import translate_report_path
     from repro.types import Equivalence
 
-    equivalence = Equivalence(args.equivalence)
-    if args.out is not None and args.engine not in ("stream", "interned"):
-        print(
-            "error: --out requires --engine stream or interned",
-            file=sys.stderr,
-        )
-        return 2
-    if args.engine in ("stream", "interned"):
-        from repro.translation import translate_report_path, write_artifacts
-
-        run = translate_report_path(
-            args.data,
-            equivalence,
-            jobs=args.jobs,
-            engine=args.engine,
-            out=args.out,
-        )
-        aware = run.translation
-        # The interned pipeline measured the corpus as it streamed —
-        # raw NDJSON bytes are exactly what the no-schema baseline
-        # stores, so no second schema-oblivious pass is needed.
-        source_bytes = aware.input_bytes
-    else:
-        from repro.translation import (
-            schema_aware_translate,
-            schema_oblivious_translate,
-        )
-
-        run = None
-        docs = _read_documents(args.data)
-        aware = schema_aware_translate(docs, equivalence=equivalence)
-        source_bytes = schema_oblivious_translate(docs).total_bytes
+    run = translate_report_path(
+        args.data, Equivalence(args.equivalence), jobs=args.jobs, out=args.out
+    )
+    aware = run.translation
+    # The stream pass measured the corpus as it went — raw NDJSON bytes
+    # are exactly what the no-schema baseline stores, so no second
+    # schema-oblivious pass is needed.
+    source_bytes = aware.input_bytes
     print(f"documents:        {aware.document_count}")
     print(f"JSON text bytes:  {source_bytes}")
     if aware.columnar_bytes:
@@ -196,9 +173,8 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     print(f"typed columns:    {aware.typed_fraction:6.1%}")
     print(f"union fallbacks:  {aware.fallback_count}")
     if args.out is not None:
-        # The stream/interned path spilled the artifacts while
-        # translating (run.artifacts); nothing is re-encoded here.
-        written = run.artifacts or write_artifacts(run, args.out)
+        # Spilled while translating; nothing is re-encoded here.
+        written = run.artifacts
         for path in sorted(written):
             print(f"wrote {path} ({written[path]} bytes)")
     return 0
@@ -281,7 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_skeleton.set_defaults(func=_cmd_skeleton)
 
     p_translate = sub.add_parser(
-        "translate", help="schema-aware translation size report"
+        "translate", help="schema-aware translation size report",
+        description="Infer a schema, then translate every document to "
+        "Parquet-like columns and Avro-like rows in one streaming pass "
+        "over its raw bytes. A file, gzip, zstd or stdin source of the "
+        "same bytes gives the same report and artifacts.",
     )
     p_translate.add_argument(
         "data",
@@ -293,25 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="fusion parameter for the inferred schema (default: kind)",
     )
     p_translate.add_argument(
-        "--engine", choices=["stream", "interned", "dom"], default="stream",
-        help="translation pipeline: 'stream' (default) drives the "
-        "shredder and row encoder straight from each document's byte "
-        "span — no DOM on clean subtrees; 'interned' is the PR 8 DOM "
-        "loop through the memoized infer→translate flow; 'dom' runs the "
-        "materialised reference path (byte-identical artifacts, kept "
-        "for cross-checking)",
-    )
-    p_translate.add_argument(
         "--jobs", type=_jobs_arg, default=1, metavar="N|auto",
-        help="worker processes for the inference pass (stream/interned "
-        "engines only; see 'infer --help' for the scheduler)",
+        help="worker processes for the inference pass over a file "
+        "(stdin is inferred serially; see 'infer --help' for the "
+        "scheduler)",
     )
     p_translate.add_argument(
         "--out", default=None, metavar="DIR",
         help="also write the artifacts (rows.avro, columns.json, "
-        "schema.txt) under DIR; the stream/interned engines spill "
-        "rows.avro incrementally while translating",
+        "schema.txt) under DIR; rows.avro is spilled incrementally "
+        "while translating",
     )
+    # No --engine flag; benchmarks/suite/trace_job.py reads the attribute.
+    p_translate.set_defaults(engine="stream")
     p_translate.set_defaults(func=_cmd_translate)
 
     p_matrix = sub.add_parser("matrix", help="print the schema-language feature matrix")

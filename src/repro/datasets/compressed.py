@@ -13,7 +13,7 @@ inference pipeline without ever materialising a decompressed corpus:
   block can be handed to
   :func:`repro.inference.engine.accumulate_ranges` /
   :class:`~repro.inference.engine.RangeFolder` with
-  :func:`repro.datasets.ndjson.iter_line_spans` and the fold sees
+  :func:`iter_block_line_spans` and the fold sees
   exactly the lines an uncompressed file would produce;
 - :func:`member_candidates` scans the *compressed* bytes for member /
   frame starts (gzip members and zstd frames are independently
@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from repro.errors import ReproError
 
-from repro.datasets.ndjson import iter_line_spans
+from repro.datasets.ndjson import index_lines
 
 MAGIC_GZIP = b"\x1f\x8b"
 MAGIC_ZSTD = b"\x28\xb5\x2f\xfd"
@@ -372,11 +372,9 @@ def iter_line_blocks(
     trailing line is carried into the next block, so the concatenation
     of all blocks is the decompressed file and no line ever spans two
     blocks.  Peak memory is one block plus the longest line — never the
-    whole corpus.  Feed each block through
-    :func:`repro.datasets.ndjson.iter_line_spans` (dropping the final
-    empty segment, which belongs to the next block) to recover exactly
-    the lines :class:`~repro.datasets.ndjson.MmapCorpus` would index in
-    the decompressed bytes.
+    whole corpus.  Feed each block through :func:`iter_block_line_spans`
+    to recover exactly the lines :class:`~repro.datasets.ndjson.MmapCorpus`
+    would index in the decompressed bytes.
     """
     fmt = format or detect_compression(path)
     if fmt is None:
@@ -413,19 +411,12 @@ def iter_line_blocks(
 def iter_block_line_spans(block: bytes) -> Iterator[tuple]:
     """Line spans of one line-aligned block, MmapCorpus-identical.
 
-    Blocks from :func:`iter_line_blocks` end at a break (where the final
-    split segment is empty and belongs to the *next* block's first line)
-    or at true EOF without a terminator (where a final empty segment
-    would be the phantom line after a trailing newline that
-    :class:`~repro.datasets.ndjson.MmapCorpus` never indexes).  Either
-    way the final *empty* segment is dropped; a non-empty final segment
-    (unterminated last line of the corpus) is kept.
+    Blocks from :func:`iter_line_blocks` end at a break or at true EOF,
+    so the corpus line index (:func:`~repro.datasets.ndjson.index_lines`,
+    which never indexes the phantom line after a trailing terminator)
+    gives exactly the block's lines.
     """
-    spans = list(iter_line_spans(block))
-    last_start, last_end = spans[-1]
-    if last_end > last_start:
-        return iter(spans)
-    return iter(spans[:-1])
+    return iter(index_lines(block))
 
 
 def iter_compressed_lines(

@@ -22,6 +22,7 @@ matrix (``tests/test_conformance_matrix.py``) and the fuzz differential
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 from typing import Iterable, Optional
 
@@ -99,6 +100,34 @@ def type_of_bytes(
     )
 
 
+def _accumulated_report(accumulator) -> InferenceReport:
+    """The report of a finished fold; an empty one is an error."""
+    if accumulator.is_empty():
+        raise InferenceError("cannot infer a schema from an empty stream")
+    return InferenceReport(
+        inferred=accumulator.result(),
+        equivalence=accumulator.equivalence,
+        document_count=accumulator.document_count,
+    )
+
+
+def _run_report(run, equivalence: Equivalence) -> InferenceReport:
+    """The report of a scheduled (possibly parallel) run."""
+    return InferenceReport(
+        inferred=run.result,
+        equivalence=equivalence,
+        document_count=run.document_count,
+    )
+
+
+def _report_ranges(data, spans, equivalence: Equivalence) -> InferenceReport:
+    """The bytes-native fold of ``data``'s line ``spans``, each line
+    decoded and parsed on its own."""
+    from repro.inference.engine import accumulate_ranges
+
+    return _accumulated_report(accumulate_ranges(data, spans, equivalence))
+
+
 def infer_report_corpus(
     corpus, equivalence: Equivalence = Equivalence.KIND
 ) -> InferenceReport:
@@ -106,16 +135,7 @@ def infer_report_corpus(
     the bytes-native fold: the mapped file's line ranges go to canonical
     interned types in line batches, each line decoded and parsed on its
     own.  Interned-identical to every other route."""
-    from repro.inference.engine import accumulate_ranges
-
-    accumulator = accumulate_ranges(corpus.buffer(), corpus.spans, equivalence)
-    if accumulator.is_empty():
-        raise InferenceError("cannot infer a schema from an empty stream")
-    return InferenceReport(
-        inferred=accumulator.result(),
-        equivalence=equivalence,
-        document_count=accumulator.document_count,
-    )
+    return _report_ranges(corpus.buffer(), corpus.spans, equivalence)
 
 
 def fold_compressed(
@@ -209,19 +229,9 @@ def infer_report_compressed(
                 source, equivalence, processes=plan.jobs, format=fmt
             )
             if run is not None:
-                return InferenceReport(
-                    inferred=run.result,
-                    equivalence=equivalence,
-                    document_count=run.document_count,
-                )
+                return _run_report(run, equivalence)
     accumulator = fold_compressed(source, equivalence, format=fmt)
-    if accumulator.is_empty():
-        raise InferenceError("cannot infer a schema from an empty stream")
-    return InferenceReport(
-        inferred=accumulator.result(),
-        equivalence=equivalence,
-        document_count=accumulator.document_count,
-    )
+    return _accumulated_report(accumulator)
 
 
 def infer_type_streaming(
@@ -248,13 +258,15 @@ def infer_report_streaming(
 ) -> InferenceReport:
     """Streaming inference plus the report the papers' tables need
     (type, size, document count) — the CLI's streaming path."""
-    accumulator = accumulate_lines(lines, equivalence)
-    if accumulator.is_empty():
-        raise InferenceError("cannot infer a schema from an empty stream")
-    return InferenceReport(
-        inferred=accumulator.result(),
-        equivalence=equivalence,
-        document_count=accumulator.document_count,
+    return _accumulated_report(accumulate_lines(lines, equivalence))
+
+
+def _is_corpus_file(source) -> bool:
+    """A regular on-disk file: the sources that map or decompress."""
+    return (
+        isinstance(source, (str, os.PathLike))
+        and str(source) != "-"
+        and os.path.isfile(source)
     )
 
 
@@ -267,126 +279,32 @@ def infer_report_path(
     """One-stop inference over an NDJSON source — the CLI's entry point.
 
     ``source`` is a file path, ``"-"`` for stdin, or any line iterable.
-    A gzip/zstd-compressed file (detected by magic bytes) takes the
-    chunked decompression fold (:func:`infer_report_compressed`) —
-    member-parallel when ``jobs`` allows and the container has
-    independent members.  With ``jobs=1`` a regular file takes the
-    **bytes fold** by default:
-    the file is mapped as a zero-copy
-    :class:`~repro.datasets.ndjson.MmapCorpus` and its byte ranges run
-    straight to interned types (:func:`infer_report_corpus`) with no
-    per-line decode; non-file sources stream serially in O(nesting)
-    memory.  Otherwise the run routes through the adaptive scheduler
-    (:func:`repro.inference.distributed.infer_adaptive_text`):
-    ``jobs=None`` sizes the worker pool from CPU affinity, ``jobs=N``
+    A regular file takes :func:`report_with_spans`'s routing: a
+    gzip/zstd file the chunked decompression fold, a plain file the
+    bytes fold over its zero-copy mmap corpus, and with ``jobs`` other
+    than 1 the adaptive scheduler.  Any other source streams: serially
+    in O(nesting) memory, or as one pickled batch of lines per worker
+    when the scheduler
+    (:func:`repro.inference.distributed.infer_adaptive_text`) picks
+    workers.  ``jobs=None`` sizes the pool from CPU affinity, ``jobs=N``
     caps it at N, and either way the scheduler falls back to a serial
     fold when its timed-sample cost model says workers would lose.
-    Workers read byte ranges of a regular file themselves; lines from
-    any other source reach them as pickled batches.
     """
-    import os
+    if _is_corpus_file(source):
+        with report_with_spans(source, equivalence, jobs=jobs) as (report, _):
+            return report
 
-    from repro.datasets.ndjson import iter_ndjson_lines, open_corpus
+    from repro.datasets.ndjson import iter_ndjson_lines
 
-    is_file = (
-        isinstance(source, (str, os.PathLike))
-        and str(source) != "-"
-        and os.path.isfile(source)
-    )
-    if is_file:
-        # Compressed corpora cannot be mmap-line-indexed; they route
-        # through the chunked decompression fold (and, with jobs, the
-        # member-parallel scheduler) before any mmap/streaming choice.
-        from repro.datasets.compressed import detect_compression
-
-        fmt = detect_compression(source)
-        if fmt is not None:
-            return infer_report_compressed(
-                source, equivalence, jobs=jobs, format=fmt
-            )
     if jobs == 1:
-        if is_file:
-            # Only regular files can be mapped; FIFOs, /dev/stdin and
-            # other special files stat as size 0 and stream instead.
-            with open_corpus(source) as corpus:
-                return infer_report_corpus(corpus, equivalence)
         return infer_report_streaming(iter_ndjson_lines(source), equivalence)
 
     from repro.inference.distributed import infer_adaptive_text
 
-    corpus = open_corpus(source) if is_file else None
-    try:
-        lines = corpus if corpus is not None else list(iter_ndjson_lines(source))
-        run = infer_adaptive_text(lines, equivalence, jobs=jobs)
-    finally:
-        if corpus is not None:
-            corpus.close()
-    return InferenceReport(
-        inferred=run.result,
-        equivalence=equivalence,
-        document_count=run.document_count,
+    run = infer_adaptive_text(
+        list(iter_ndjson_lines(source)), equivalence, jobs=jobs
     )
-
-
-@contextmanager
-def report_with_lines(
-    source,
-    equivalence: Equivalence = Equivalence.KIND,
-    *,
-    jobs: Optional[int] = 1,
-):
-    """Infer over ``source``, then hand its lines back for a second pass.
-
-    A context manager yielding ``(report, lines)``: the
-    :class:`InferenceReport` of the corpus plus an iterable of its
-    decoded lines (blank lines included — consumers skip them, matching
-    every fold).  This is the two-pass backbone of the single-pass-
-    *looking* translate flow: the corpus is opened **once** — a regular
-    file stays mapped across both passes, a compressed file is
-    re-streamed through the chunked reader, a non-file line source is
-    materialised so the second pass can see it at all.  Routing mirrors
-    :func:`infer_report_path` case for case, so the report is
-    interned-identical to what that entry point returns.
-    """
-    import os
-
-    from repro.datasets.ndjson import iter_ndjson_lines, open_corpus
-
-    is_file = (
-        isinstance(source, (str, os.PathLike))
-        and str(source) != "-"
-        and os.path.isfile(source)
-    )
-    if is_file:
-        from repro.datasets.compressed import (
-            detect_compression,
-            iter_compressed_lines,
-        )
-
-        fmt = detect_compression(source)
-        if fmt is not None:
-            report = infer_report_compressed(
-                source, equivalence, jobs=jobs, format=fmt
-            )
-            yield report, iter_compressed_lines(source, format=fmt)
-            return
-        with open_corpus(source) as corpus:
-            if jobs == 1:
-                report = infer_report_corpus(corpus, equivalence)
-            else:
-                from repro.inference.distributed import infer_adaptive_text
-
-                run = infer_adaptive_text(corpus, equivalence, jobs=jobs)
-                report = InferenceReport(
-                    inferred=run.result,
-                    equivalence=equivalence,
-                    document_count=run.document_count,
-                )
-            yield report, corpus
-        return
-    lines = list(iter_ndjson_lines(source))
-    report = infer_report_streaming(lines, equivalence)
-    yield report, lines
+    return _run_report(run, equivalence)
 
 
 @contextmanager
@@ -396,30 +314,32 @@ def report_with_spans(
     *,
     jobs: Optional[int] = 1,
 ):
-    """Infer over a corpus *file*, then hand back its raw line spans.
+    """Infer over an NDJSON source, then hand back its raw line spans.
 
-    The byte-range sibling of :func:`report_with_lines`, for consumers
-    that walk documents as byte slices instead of decoded ``str`` lines
-    (the DOM-free translate machine).  Yields ``(report, sections)``
-    where ``sections`` iterates ``(buffer, spans)`` pairs: one pair
-    covering the whole corpus for a plain file (the mmap buffer plus its
-    line index), one pair per decompressed line-aligned block for a
-    gzip/zstd corpus (re-streamed through the chunked reader, so peak
-    memory stays one block).  Blank spans ride along exactly as blank
-    lines do — consumers skip them with the folds' whitespace rule.
-    Routing mirrors :func:`infer_report_path` case for case.
+    The one source router of the translate flow: a context manager
+    yielding ``(report, sections)``, where ``sections`` iterates
+    ``(buffer, spans)`` pairs over the corpus bytes for consumers that
+    walk documents as byte slices (the DOM-free translate machine).
+    Blank spans ride along exactly as blank lines do — consumers skip
+    them with the folds' whitespace rule.
 
-    ``source`` must be an on-disk corpus file — other sources have no
-    byte spans; callers should fall back to :func:`report_with_lines`.
+    - A plain file is opened once and mapped: one pair, the mmap buffer
+      and its line index, shared by both passes.  With ``jobs`` other
+      than 1 its inference runs through the adaptive scheduler.
+    - A gzip/zstd file is inferred by the chunked decompression fold
+      (member-parallel when ``jobs`` allows), then re-streamed: one pair
+      per decompressed line-aligned block, so peak memory stays one
+      block.
+    - Any other source (``"-"``, a FIFO, a line iterable) is read once
+      into one buffer (:func:`repro.datasets.ndjson.read_line_spans`)
+      and inferred serially by the same bytes fold.
     """
-    import os
+    if not _is_corpus_file(source):
+        from repro.datasets.ndjson import read_line_spans
 
-    if not (
-        isinstance(source, (str, os.PathLike))
-        and str(source) != "-"
-        and os.path.isfile(source)
-    ):
-        raise ValueError("report_with_spans needs an on-disk corpus file")
+        data, spans = read_line_spans(source)
+        yield _report_ranges(data, spans, equivalence), ((data, spans),)
+        return
 
     from repro.datasets.compressed import (
         detect_compression,
@@ -447,9 +367,5 @@ def report_with_spans(
             from repro.inference.distributed import infer_adaptive_text
 
             run = infer_adaptive_text(corpus, equivalence, jobs=jobs)
-            report = InferenceReport(
-                inferred=run.result,
-                equivalence=equivalence,
-                document_count=run.document_count,
-            )
+            report = _run_report(run, equivalence)
         yield report, ((corpus.buffer(), corpus.spans),)

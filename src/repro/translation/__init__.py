@@ -8,12 +8,12 @@
   streaming :class:`~repro.translation.parquet.Shredder`;
 - :mod:`repro.translation.translate` — schema-aware vs schema-oblivious
   translation pipelines (experiment E9): the DOM reference path, the
-  interned-memoized streaming path, and the single-pass
+  interned-memoized DOM walk (both test oracles), and the single-pass
   infer→translate→write flow (experiment E21);
-- :mod:`repro.translation.stream` — the DOM-free translate machine
-  (experiment E22): a fused column program compiled from the resolution
-  + Parquet + Avro trees drives the shredder and row encoder straight
-  from each document's byte span.
+- :mod:`repro.translation.stream` — the DOM-free translate machine that
+  flow runs on every source: a fused column program compiled from the
+  resolution + Parquet + Avro trees drives the shredder and row encoder
+  straight from each document's byte span.
 """
 
 from repro._exports import lazy_exports

@@ -1,14 +1,13 @@
 """DOM-free translation: the shredder and row encoder driven straight
 from the byte stream.
 
-The last materialisation in the corpus→artifact path was the translate
-pass itself: ``translate_report_path`` built one DOM per document (via
-the Fad.js-style speculative decoder), textified it, and walked it twice
-more — once for the Parquet shredder, once for the Avro row encoder.
-This module removes all three walks.  A :class:`Resolution` (resolved
-type + textify plan) is compiled *together with* the ``PNode`` and
-``AvroSchema`` trees into one fused **column program**: a tree of small
-op objects, one per schema position, each carrying
+A DOM translate pass builds one DOM per document, textifies it, and
+walks it twice more — once for the Parquet shredder, once for the Avro
+row encoder.  This module, the engine of ``translate_report_path`` for
+every corpus source, removes all three walks.  A :class:`Resolution`
+(resolved type + textify plan) is compiled *together with* the
+``PNode`` and ``AvroSchema`` trees into one fused **column program**: a
+tree of small op objects, one per schema position, each carrying
 
 - the position's :class:`~repro.translation.parquet.Column` plus its
   *static* definition levels (max, null, and the precompiled
@@ -39,20 +38,21 @@ Two ordering facts make the single walk sound:
 
 **Fallback (JSON-text) subtrees capture the raw line slice verbatim** —
 the byte-range walk gives the subtree's exact source bytes, where the
-DOM path re-serialises the parsed value.  On serializer-canonical
+DOM translators re-serialise the parsed value.  On serializer-canonical
 corpora (lines produced by :func:`~repro.jsonvalue.serializer.dumps`,
 which is compositional) the two are byte-identical — the differential
 tier pins this; on non-canonical spellings (``\\uXXXX`` escapes,
 ``1e3``, interior whitespace) the stream engine preserves the source
-spelling, which is the more faithful artifact.
+spelling, which is the more faithful artifact.  A delegated document
+(below) is the exception: its fallbacks are re-serialised.
 
 Anything the structural walk cannot prove — unknown or duplicate keys,
 missing required fields, type mismatches, malformed syntax, bad UTF-8,
 schema nesting beyond the recursion budget — raises the internal
 ``_Decline``: the document's column entries are rolled back (each
 column's lengths were marked at document start) and the **whole
-document delegates to the existing DOM path** (speculative decode →
-textify → ``Shredder.add`` → ``RowEncoder.encode_row``), which owns the
+document delegates to the DOM path** (``parse`` → textify →
+``Shredder.add`` → ``RowEncoder.encode_row``), which owns the
 exact result and error behaviour.  Declines are per-document, so a
 poisoned line never degrades its neighbours.
 """
@@ -70,6 +70,7 @@ from repro.jsonvalue.lexer import (
     WHITESPACE_PATTERN_BYTES,
     _Scanner,
 )
+from repro.jsonvalue.parser import parse
 from repro.translation import avro
 from repro.translation.parquet import (
     PLeaf,
@@ -380,16 +381,16 @@ _MISSING = object()
 class StreamTranslator:
     """Translate documents from raw byte ranges, no DOM on clean paths.
 
-    Feeds the same :class:`Shredder` and :class:`RowEncoder` state the
-    DOM loop would; :meth:`translate_range` walks one line's byte span,
-    appends its Parquet entries, bumps the shredder's row count, and
-    returns the encoded Avro row.  Any decline rolls the columns back
+    Feeds the same :class:`Shredder` and :class:`RowEncoder` state a
+    DOM translator would; :meth:`translate_range` walks one line's byte
+    span, appends its Parquet entries, bumps the shredder's row count,
+    and returns the encoded Avro row.  Any decline rolls the columns back
     and replays the document through the DOM path — result- and
     error-identical by construction (``delegated`` counts those).
     """
 
-    __slots__ = ("program", "shredder", "encoder", "plan", "_decoder",
-                 "_keys", "_columns", "delegated")
+    __slots__ = ("program", "shredder", "encoder", "plan", "_keys",
+                 "_columns", "delegated")
 
     def __init__(
         self, resolution: Resolution, shredder: Shredder, encoder
@@ -406,7 +407,6 @@ class StreamTranslator:
         self.shredder = shredder
         self.encoder = encoder
         self.plan = resolution.plan
-        self._decoder = None  # built on first delegation
         self._keys: dict = {}
         self._columns = list(shredder.columns.values())
         self.delegated = 0
@@ -437,13 +437,9 @@ class StreamTranslator:
 
     def _delegate(self, data, start: int, end: int) -> bytes:
         """The DOM path for one document — exact results, exact errors."""
-        if self._decoder is None:
-            from repro.parsing.fadjs import SpeculativeDecoder
-
-            self._decoder = SpeculativeDecoder()
         self.delegated += 1
         text = bytes(data[start:end]).decode("utf-8")
-        prepared = textify(self._decoder.decode(text), self.plan)
+        prepared = textify(parse(text), self.plan)
         self.shredder.add(prepared)
         return self.encoder.encode_row(prepared)
 

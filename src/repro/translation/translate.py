@@ -13,21 +13,23 @@ both sides of that comparison:
   text blob (a single string column / NDJSON bytes), which is what a tool
   must do when it cannot rely on structure.
 
-Two translation paths produce the artifacts, pinned byte-identical by the
-translation conformance tier:
+Three translation paths produce the artifacts, pinned byte-identical by
+the translation conformance tier:
 
 - :func:`schema_aware_translate` — the DOM reference: materialise the
   documents, seed-merge a type when none is given, textify, ``shred``,
   ``encode_rows``;
-- :func:`translate_interned` / :func:`translate_report_path` — the
-  interned pipeline: subtree resolution and Avro/Parquet schema
-  compilation memoized on interned node identity (shared subtrees
-  translate once, keyed to the intern-table epoch like the subtype
-  checker), documents streamed once through a :class:`~repro.translation.
-  parquet.Shredder` and a fused :class:`~repro.translation.avro.
-  RowEncoder`.  ``translate_report_path`` runs the whole
-  infer→translate→write flow single-pass from a file: mmap/compressed
-  corpus → bytes fold → resolved schema → Avro rows + columnar store.
+- :func:`translate_interned` — the same DOM walk on interned types:
+  subtree resolution and Avro/Parquet schema compilation memoized on
+  interned node identity (shared subtrees translate once, keyed to the
+  intern-table epoch like the subtype checker), documents streamed once
+  through a :class:`~repro.translation.parquet.Shredder` and a fused
+  :class:`~repro.translation.avro.RowEncoder`;
+- :func:`translate_report_path` — the CLI's single-pass
+  infer→translate→write flow from any corpus source: bytes fold →
+  resolved schema → the DOM-free stream machine
+  (:mod:`repro.translation.stream`) → Avro rows + columnar store.  The
+  two DOM paths are its test oracles.
 
 Union resolution is carried by an explicit :class:`Resolution` — the
 resolved type, the degraded column paths, and a structural
@@ -558,28 +560,25 @@ def translate_report_path(
     *,
     jobs: Optional[int] = 1,
     table: Optional[InternTable] = None,
-    engine: str = "stream",
+    engine=None,  # unread; benchmarks/suite/trace_job.py passes it
     out=None,
 ) -> TranslationRun:
     """The single-pass infer→translate→write flow from a corpus source.
 
     ``source`` is a file path (plain, gzip, or zstd — detected by magic
-    bytes), ``"-"`` for stdin, or a line iterable.  The schema comes
-    from the bytes fold, resolution and schema compilation are
-    interned-memoized, and each document translates in one streaming
-    loop.  Two engines, byte-identical on the artifacts they share:
-
-    - ``"stream"`` (default): the DOM-free machine
-      (:class:`repro.translation.stream.StreamTranslator`) walks each
-      document's raw byte span and emits column entries and Avro row
-      bytes directly; non-conforming documents delegate per-document to
-      the DOM path.  Sources without byte spans (stdin, line iterables)
-      fall back to the DOM loop automatically, as does any resolved
-      schema the column program cannot express.  Fallback (JSON-text)
-      columns capture the **raw source slice verbatim**, where the DOM
-      engine re-serialises — identical on serializer-canonical corpora.
-    - ``"interned"``: the PR 8 DOM loop — speculative decode, textify,
-      shredder + fused row encoder.
+    bytes), ``"-"`` for stdin, a FIFO, or a line iterable; every source
+    reaches the same engine through
+    :func:`repro.inference.streaming.report_with_spans`, so the same
+    bytes give the same artifacts however they arrive.  The schema
+    comes from the bytes fold, resolution and schema compilation are
+    interned-memoized, and the DOM-free machine
+    (:class:`repro.translation.stream.StreamTranslator`) walks each
+    document's raw byte span, emitting column entries and Avro row
+    bytes directly; a document it cannot prove delegates to the DOM
+    path (parse, textify, shredder + row encoder).  Fallback (JSON-text)
+    columns capture the **raw source slice verbatim**, where the DOM
+    translators (:func:`translate_interned`, the test oracle)
+    re-serialise — identical on serializer-canonical corpora.
 
     ``out`` (a directory) spills artifacts while translating: encoded
     rows stream straight into ``rows.avro`` (peak memory O(columns + one
@@ -590,53 +589,29 @@ def translate_report_path(
     """
     import os
 
-    from repro.inference.streaming import report_with_lines, report_with_spans
+    from repro.inference.streaming import report_with_spans
 
-    if engine not in ("stream", "interned"):
-        raise TranslationError(
-            f"unknown translate engine {engine!r}; expected 'stream' or 'interned'"
-        )
     if table is None:
         table = global_table()
-    is_file = (
-        isinstance(source, (str, os.PathLike))
-        and str(source) != "-"
-        and os.path.isfile(source)
-    )
     rows_path = None
     if out is not None:
         os.makedirs(out, exist_ok=True)
         rows_path = os.path.join(out, "rows.avro")
     sink = _RowSink(rows_path)
     try:
-        if engine == "stream" and is_file:
-            inferring = report_with_spans(source, equivalence, jobs=jobs)
-            with inferring as (report, sections):
-                inferred = table.canonical(report.inferred)
-                resolution = resolve_interned(inferred, table=table)
-                shredder = Shredder(
-                    compiled_parquet(resolution.resolved, table=table)
-                )
-                encoder = avro.RowEncoder(
-                    compiled_avro(resolution.resolved, table=table)
-                )
-                count, input_bytes = _stream_translate_sections(
-                    sections, resolution, shredder, encoder, sink
-                )
-        else:
-            inferring = report_with_lines(source, equivalence, jobs=jobs)
-            with inferring as (report, lines):
-                inferred = table.canonical(report.inferred)
-                resolution = resolve_interned(inferred, table=table)
-                shredder = Shredder(
-                    compiled_parquet(resolution.resolved, table=table)
-                )
-                encoder = avro.RowEncoder(
-                    compiled_avro(resolution.resolved, table=table)
-                )
-                count, input_bytes = _dom_translate_lines(
-                    lines, resolution, shredder, encoder, sink
-                )
+        spanned = report_with_spans(source, equivalence, jobs=jobs)
+        with spanned as (report, sections):
+            inferred = table.canonical(report.inferred)
+            resolution = resolve_interned(inferred, table=table)
+            shredder = Shredder(
+                compiled_parquet(resolution.resolved, table=table)
+            )
+            encoder = avro.RowEncoder(
+                compiled_avro(resolution.resolved, table=table)
+            )
+            count, input_bytes = _stream_translate_sections(
+                sections, resolution, shredder, encoder, sink
+            )
         if count != report.document_count:
             raise TranslationError(
                 f"translate pass saw {count} documents, "
@@ -663,32 +638,6 @@ def translate_report_path(
         written.update(_write_columns_and_schema(run, out))
         run.artifacts = written
     return run
-
-
-def _dom_translate_lines(lines, resolution, shredder, encoder, sink):
-    """The DOM loop: decoded lines through speculative decode + textify.
-
-    On the constant-structure streams this flow targets, the Fad.js-
-    style speculative decoder turns most lines into a single template
-    match (result-identical to the generic parser, which it falls back
-    to — with its exact errors — on any miss).
-    """
-    from repro.parsing.fadjs import SpeculativeDecoder
-
-    decoder = SpeculativeDecoder()
-    plan = resolution.plan
-    add = sink.add
-    count = 0
-    input_bytes = 0
-    for line in lines:
-        if not line or line.isspace():
-            continue
-        input_bytes += len(line.encode("utf-8"))
-        prepared = textify(decoder.decode(line), plan)
-        shredder.add(prepared)
-        add(encoder.encode_row(prepared))
-        count += 1
-    return count, input_bytes
 
 
 def _stream_translate_sections(sections, resolution, shredder, encoder, sink):

@@ -210,25 +210,32 @@ class TestTranslate:
         assert "columnar bytes" in out
         assert "typed columns" in out
 
-    def test_engines_print_identical_reports(self, data_file, capsys):
-        assert main(["translate", data_file]) == 0
-        stream_out = capsys.readouterr().out
-        assert main(["translate", data_file, "--engine", "dom"]) == 0
-        assert capsys.readouterr().out == stream_out
-
-    def test_out_with_dom_engine_rejected_before_translating(
-        self, data_file, tmp_path, capsys
-    ):
-        out_dir = tmp_path / "artifacts"
-        code = main(
-            ["translate", data_file, "--engine", "dom", "--out", str(out_dir)]
+    def test_report_matches_the_dom_reference(self, data_file, capsys):
+        from repro.datasets.ndjson import stream_documents
+        from repro.translation import (
+            schema_aware_translate,
+            schema_oblivious_translate,
         )
-        assert code == 2
-        captured = capsys.readouterr()
-        # Rejected upfront: no report printed, no artifacts written.
-        assert captured.out == ""
-        assert "--out requires" in captured.err
-        assert not out_dir.exists()
+
+        docs = list(stream_documents(data_file))
+        aware = schema_aware_translate(docs)
+        source_bytes = schema_oblivious_translate(docs).total_bytes
+        ratio = source_bytes / aware.columnar_bytes
+        assert main(["translate", data_file]) == 0
+        assert capsys.readouterr().out == (
+            f"documents:        {aware.document_count}\n"
+            f"JSON text bytes:  {source_bytes}\n"
+            f"columnar bytes:   {aware.columnar_bytes} ({ratio:.2f}x smaller)\n"
+            f"avro row bytes:   {aware.avro_bytes}\n"
+            f"typed columns:    {aware.typed_fraction:6.1%}\n"
+            f"union fallbacks:  {aware.fallback_count}\n"
+        )
+
+    def test_engine_is_not_an_option(self, data_file, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["translate", data_file, "--engine", "dom"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_out_writes_artifacts(self, data_file, tmp_path, capsys):
         out_dir = tmp_path / "artifacts"
@@ -238,12 +245,11 @@ class TestTranslate:
         assert (out_dir / "columns.json").exists()
         assert (out_dir / "schema.txt").exists()
 
-    @pytest.mark.parametrize("engine", ["stream", "interned", "dom"])
-    def test_documents_with_no_paths(self, tmp_path, engine, capsys):
+    def test_documents_with_no_paths(self, tmp_path, capsys):
         """``{}`` shreds to no columns: the report has no ratio to print."""
         path = tmp_path / "empty-objects.ndjson"
         path.write_text("{}\n{}\n")
-        assert main(["translate", str(path), "--engine", engine]) == 0
+        assert main(["translate", str(path)]) == 0
         out = capsys.readouterr().out
         assert "documents:        2\n" in out
         assert "columnar bytes:   0\n" in out
@@ -323,6 +329,47 @@ class TestStdinMatchesFile:
         else:
             assert from_file[0] == 2
             assert from_file[2].startswith(b"error: ")
+
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            # Fallback columns a and b.x, spelled non-canonically.
+            b'{"a": 1, "b": {"x" : 1e2}}\n{"a": "s", "b": {"x": "A"}}\n',
+            b'{"a":1}\n{"a":"\xff"}\n',
+        ],
+        ids=["non-canonical", "invalid-utf8-line-2"],
+    )
+    def test_same_translation_from_stdin_and_file(self, tmp_path, raw):
+        path = tmp_path / "data.ndjson"
+        path.write_bytes(raw)
+        outputs = []
+        for name, args, stdin in [
+            ("file", [str(path)], None),
+            ("stdin", ["-"], raw),
+        ]:
+            out = tmp_path / name
+            code, stdout, stderr = _run_cli(
+                ["translate", *args, "--out", str(out)], stdin=stdin
+            )
+            artifacts = {
+                artifact: (out / artifact).read_bytes()
+                for artifact in ("rows.avro", "columns.json", "schema.txt")
+                if (out / artifact).exists()
+            }
+            stdout = stdout.replace(str(out).encode(), b"OUT")
+            outputs.append((code, stdout, stderr, artifacts))
+        assert outputs[1] == outputs[0]
+        code, _, stderr, artifacts = outputs[0]
+        if b"\xff" in raw:
+            assert code == 2
+            assert stderr == (
+                b"error: 'utf-8' codec can't decode byte 0xff in position 6: "
+                b"invalid start byte\n"
+            )
+        else:
+            assert code == 0
+            assert b'"values":["1e2","\\"A\\""]' in artifacts["columns.json"]
 
 
 class TestInvalidUtf8:

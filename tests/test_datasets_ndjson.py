@@ -220,6 +220,47 @@ def test_iter_line_spans_subrange(tmp_path):
     assert list(iter_line_spans(b"")) == [(0, 0)]
 
 
+class TestReadLineSpans:
+    """Sources that cannot be mapped are read once into bytes plus line
+    spans: special files with the mmap corpus's line index, line
+    iterables one document per item."""
+
+    RAW = b'{"a": 1}\r\n\n{"b": 2}\r{"c": 3}\n{"d": 4}'
+
+    def test_fifo_indexes_like_the_mapped_file(self, tmp_path):
+        import os
+        import threading
+
+        from repro.datasets.ndjson import read_line_spans
+
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs on this platform")
+        plain = tmp_path / "plain.ndjson"
+        plain.write_bytes(self.RAW)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=fifo.write_bytes, args=(self.RAW,), daemon=True
+        )
+        writer.start()
+        try:
+            data, spans = read_line_spans(str(fifo))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        with open_corpus(plain) as corpus:
+            assert data == bytes(corpus.buffer())
+            assert spans == corpus.spans
+
+    def test_line_iterable_keeps_one_document_per_item(self):
+        from repro.datasets.ndjson import read_line_spans
+
+        data, spans = read_line_spans(['{"a":\n1}\n', "", '{"b":"\u00e9"}\r\n'])
+        assert [data[s:e] for s, e in spans] == [
+            b'{"a":\n1}', b"", '{"b":"\u00e9"}'.encode("utf-8")
+        ]
+
+
 class TestOpenCorpusCompressed:
     """`open_corpus` must agree with the pinned line-index semantics
     whether the bytes arrive plain or compressed (issue 7 regression:

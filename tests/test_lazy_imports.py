@@ -142,6 +142,22 @@ class TestRouteImports:
         assert _forbidden(modules, EVERY_ROUTE + SERIAL_FOLD) == []
         assert "repro.translation.stream" in modules
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_translate_delegation_skips_fadjs(self, tmp_path, source):
+        # A duplicate key declines the stream walk, so the first line is
+        # translated by the DOM path: it parses with jsonvalue.parse, not
+        # the Fad.js speculative decoder.
+        raw = b'{"a":1,"a":2}\n{"a":3}\n'
+        data = tmp_path / "dup.ndjson"
+        data.write_bytes(raw)
+        if source == "file":
+            modules = _loaded_repro_modules(["translate", str(data)])
+        else:
+            modules = _loaded_repro_modules(["translate", "-"], stdin=raw)
+        assert _forbidden(modules, EVERY_ROUTE + SERIAL_FOLD) == []
+        assert "repro.translation.stream" in modules
+        assert "repro.parsing.fadjs" not in modules
+
 
 # ---------------------------------------------------------------------------
 # export tables

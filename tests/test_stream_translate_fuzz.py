@@ -1,24 +1,25 @@
 """Stream-translate differential tier: the DOM-free machine is
-byte-identical to the DOM path.
+byte-identical to the DOM translator.
 
 The stream engine (:mod:`repro.translation.stream`) emits Parquet column
 entries and Avro row bytes straight from each document's byte span — no
-DOM, no textify pass.  This tier turns hypothesis loose on the pin:
+DOM, no textify pass.  This tier turns hypothesis loose on the pin, with
+:func:`translate_interned` over the parsed lines as the oracle:
 
 - on serializer-canonical corpora (lines produced by the repo's
-  ``dumps``) the stream and interned engines produce identical Avro rows
-  and identical canonical column-store renderings, across equivalences
-  and through the gzip transport;
+  ``dumps``) ``translate_report_path`` and the oracle produce identical
+  Avro rows and identical canonical column-store renderings, across
+  equivalences and through the gzip transport;
 - unicode escapes (``\\uXXXX`` in strings *and* keys) decode to the same
   column values and the same row bytes as the DOM's decoded strings;
 - structural shapes the fused scan cannot speculate (duplicate keys,
   exotic spellings) delegate per-document to the DOM path, keeping
   results exact;
 - fallback (JSON-text) columns capture the **raw source slice
-  verbatim** where the DOM engine re-serialises — identical on canonical
-  corpora, source-preserving on non-canonical spellings (the one
-  documented divergence);
-- malformed documents raise the same error through either engine;
+  verbatim** where the DOM translator re-serialises — identical on
+  canonical corpora, source-preserving on non-canonical spellings;
+- malformed documents raise the error the parser (or the UTF-8 decode)
+  raises for that line;
 - the counted-parallel byte-range fold (:func:`infer_counted_parallel`
   over an mmap corpus) reproduces the serial counting fold exactly.
 """
@@ -34,8 +35,13 @@ from hypothesis import strategies as st
 from repro.datasets.ndjson import open_corpus
 from repro.inference.distributed import infer_counted_parallel
 from repro.inference.engine import CountingAccumulator
+from repro.jsonvalue.parser import parse_lines
 from repro.jsonvalue.serializer import dumps
-from repro.translation import column_store_json, translate_report_path
+from repro.translation import (
+    column_store_json,
+    translate_interned,
+    translate_report_path,
+)
 from repro.types import Equivalence
 from tests.strategies import json_documents
 
@@ -53,17 +59,38 @@ def _write_corpus(tmp_path, lines, *, compress=False, name="corpus"):
     return str(path)
 
 
-def _assert_engines_identical(path, equivalence=Equivalence.KIND):
-    stream = translate_report_path(path, equivalence, engine="stream")
-    dom = translate_report_path(path, equivalence, engine="interned")
-    assert stream.translation.avro_rows == dom.translation.avro_rows
-    assert column_store_json(stream.translation.columnar) == column_store_json(
-        dom.translation.columnar
+def _assert_matches_dom(path, lines, equivalence=Equivalence.KIND):
+    """Translate the corpus file at ``path`` and its parsed ``lines``
+    through the DOM oracle; the artifacts must be identical."""
+    stream = translate_report_path(path, equivalence).translation
+    dom = translate_interned(list(parse_lines(lines)), equivalence=equivalence)
+    assert stream.avro_rows == dom.avro_rows
+    assert column_store_json(stream.columnar) == column_store_json(
+        dom.columnar
     )
-    assert stream.translation.document_count == dom.translation.document_count
-    assert stream.translation.fallback_count == dom.translation.fallback_count
-    assert stream.translation.input_bytes == dom.translation.input_bytes
+    assert stream.document_count == dom.document_count
+    assert stream.fallback_count == dom.fallback_count
+    assert stream.input_bytes == sum(
+        len(line.rstrip("\n").encode("utf-8")) for line in lines if line.strip()
+    )
     return stream, dom
+
+
+def _error(call):
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - comparing error parity
+        return type(exc), str(exc)
+    return None
+
+
+def _reference_error(raw: bytes):
+    """The error of decoding and parsing ``raw`` line by line."""
+    return _error(
+        lambda: list(
+            parse_lines(line.decode("utf-8") for line in raw.splitlines())
+        )
+    )
 
 
 @given(
@@ -78,7 +105,7 @@ def test_stream_matches_dom_on_generated_corpora(
     tmp_path = tmp_path_factory.mktemp("fuzz")
     lines = [dumps(d) + "\n" for d in docs]
     path = _write_corpus(tmp_path, lines, compress=compress)
-    _assert_engines_identical(path, equivalence)
+    _assert_matches_dom(path, lines, equivalence)
 
 
 @given(json_documents(min_size=2, max_size=5))
@@ -90,8 +117,8 @@ def test_stream_matches_dom_with_blank_interior_lines(tmp_path_factory, docs):
     # whitespace, and a non-ASCII str.isspace line.
     lines[1:1] = ["\n", "   \t \n", "  \n"]
     path = _write_corpus(tmp_path, lines)
-    stream, _ = _assert_engines_identical(path)
-    assert stream.translation.document_count == len(docs)
+    stream, _ = _assert_matches_dom(path, lines)
+    assert stream.document_count == len(docs)
 
 
 def test_unicode_escape_spellings_match(tmp_path):
@@ -103,8 +130,8 @@ def test_unicode_escape_spellings_match(tmp_path):
         '{"a":"plain","s":""}\n',
     ]
     path = _write_corpus(tmp_path, lines)
-    stream, dom = _assert_engines_identical(path)
-    assert stream.translation.document_count == 3
+    stream, _ = _assert_matches_dom(path, lines)
+    assert stream.document_count == 3
 
 
 @pytest.mark.parametrize(
@@ -118,25 +145,25 @@ def test_unicode_escape_spellings_match(tmp_path):
 )
 def test_unspeculable_spellings_delegate_identically(tmp_path, line):
     path = _write_corpus(tmp_path, [line])
-    _assert_engines_identical(path)
+    _assert_matches_dom(path, line.splitlines())
 
 
 def test_fallback_columns_capture_raw_slice_verbatim(tmp_path):
     # A heterogeneous position resolves to a JSON-text fallback column.
     # On non-canonical spellings the stream engine keeps the *source*
-    # bytes where the DOM re-serialises — the documented divergence, and
-    # the only one: rows/columns differ exactly by that column's text.
+    # bytes where the DOM oracle re-serialises: rows/columns differ
+    # exactly by that column's text.
     lines = ['{"a": [1,  2]}\n', '{"a": "s"}\n', '{"a": true}\n']
     path = _write_corpus(tmp_path, lines)
-    stream = translate_report_path(path, engine="stream")
+    stream = translate_report_path(path)
     assert stream.translation.fallback_count == 1
     assert stream.translation.columnar.columns["a"].values == [
         "[1,  2]",  # verbatim, inner double space preserved
         '"s"',
         "true",
     ]
-    dom = translate_report_path(path, engine="interned")
-    assert dom.translation.columnar.columns["a"].values == [
+    dom = translate_interned(list(parse_lines(lines)))
+    assert dom.columnar.columns["a"].values == [
         "[1,2]",  # the DOM re-serialisation
         '"s"',
         "true",
@@ -146,8 +173,8 @@ def test_fallback_columns_capture_raw_slice_verbatim(tmp_path):
 def test_canonical_fallback_is_byte_identical(tmp_path):
     docs = [{"a": [1, {"z": None}]}, {"a": "s"}, {"a": 2.5}, {"a": True}]
     path = _write_corpus(tmp_path, [dumps(d) + "\n" for d in docs])
-    stream, dom = _assert_engines_identical(path)
-    assert stream.translation.fallback_count == 1
+    stream, _ = _assert_matches_dom(path, [dumps(d) for d in docs])
+    assert stream.fallback_count == 1
 
 
 @pytest.mark.parametrize(
@@ -161,39 +188,23 @@ def test_canonical_fallback_is_byte_identical(tmp_path):
 )
 def test_malformed_documents_raise_identically(tmp_path, bad):
     path = _write_corpus(tmp_path, [bad])
-    errors = {}
-    for engine in ("stream", "interned"):
-        try:
-            translate_report_path(path, engine=engine)
-        except Exception as exc:  # noqa: BLE001 - comparing error parity
-            errors[engine] = (type(exc), str(exc))
-        else:
-            errors[engine] = None
-    assert errors["stream"] == errors["interned"]
-    assert errors["stream"] is not None
+    error = _error(lambda: translate_report_path(path))
+    assert error is not None
+    assert error == _reference_error(bad.encode("utf-8"))
 
 
-def test_invalid_utf8_raises_identically(tmp_path):
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"a":"\xff\xfe"}\n', b'{"a":1}\n{"a":"\xff"}\n'],
+    ids=["line-1", "line-2"],
+)
+def test_invalid_utf8_raises_identically(tmp_path, raw):
+    # The decode error's position is relative to its line.
     path = tmp_path / "bad.ndjson"
-    path.write_bytes(b'{"a":"\xff\xfe"}\n')
-    errors = {}
-    for engine in ("stream", "interned"):
-        try:
-            translate_report_path(str(path), engine=engine)
-        except Exception as exc:  # noqa: BLE001 - comparing error parity
-            errors[engine] = (type(exc), str(exc))
-        else:
-            errors[engine] = None
-    assert errors["stream"] == errors["interned"]
-    assert errors["stream"] is not None
-
-
-def test_unknown_engine_rejected(tmp_path):
-    from repro.errors import TranslationError
-
-    path = _write_corpus(tmp_path, ['{"a":1}\n'])
-    with pytest.raises(TranslationError, match="unknown translate engine"):
-        translate_report_path(path, engine="dom")
+    path.write_bytes(raw)
+    error = _error(lambda: translate_report_path(str(path)))
+    assert error is not None
+    assert error == _reference_error(raw)
 
 
 def test_stream_spill_matches_in_memory_artifacts(tmp_path):
@@ -202,7 +213,7 @@ def test_stream_spill_matches_in_memory_artifacts(tmp_path):
     docs = [{"a": i, "b": [f"s{i}"] * (i % 3)} for i in range(25)]
     path = _write_corpus(tmp_path, [dumps(d) + "\n" for d in docs])
     out = tmp_path / "out"
-    run = translate_report_path(path, engine="stream", out=str(out))
+    run = translate_report_path(path, out=str(out))
     # Spilled run: rows live on disk only, sizes recorded exactly.
     assert run.translation.avro_rows is None
     assert run.translation.avro_bytes == run.translation.row_bytes > 0
@@ -210,7 +221,7 @@ def test_stream_spill_matches_in_memory_artifacts(tmp_path):
         import os
 
         assert os.path.getsize(artifact) == size
-    mem = translate_report_path(path, engine="interned")
+    mem = translate_report_path(path)
     out2 = tmp_path / "out2"
     write_artifacts(mem, out2)
     for name in ("rows.avro", "columns.json", "schema.txt"):

@@ -1,14 +1,15 @@
-"""Translation conformance tier: the interned pipeline is byte-identical
-to the DOM reference.
+"""Translation conformance tier: the stream flow and the interned
+pipeline are byte-identical to the DOM reference.
 
-Two independent implementations produce the translation artifacts — the
-materialised reference (:func:`schema_aware_translate`) and the
-interned-memoized streaming path (:func:`translate_interned`, plus the
-single-pass file flow :func:`translate_report_path`).  This tier pins
+Three implementations produce the translation artifacts — the
+materialised reference (:func:`schema_aware_translate`), the
+interned-memoized DOM walk (:func:`translate_interned`), and the
+single-pass stream flow (:func:`translate_report_path`).  This tier pins
 them to each other: identical Avro row bytes and identical canonical
-column-store renderings on the three benchmark corpora under both
-equivalences, and through every corpus transport (in-memory documents,
-plain NDJSON file, gzip file).
+column-store renderings on the benchmark corpora under both
+equivalences, and through every corpus source (plain file, gzip file,
+stdin, line list) — which must also agree with each other on
+non-canonical spellings, where fallback columns keep the source text.
 
 It also carries the regression contracts of the resolver rework:
 explicit resolutions pickle, fallback relabeling is strict (the root
@@ -20,7 +21,9 @@ offending path instead of leaking ``KeyError``.
 from __future__ import annotations
 
 import gzip
+import io
 import pickle
+import random
 
 import pytest
 
@@ -38,10 +41,31 @@ from repro.translation import (
 )
 from repro.types import Equivalence, merge_all, type_of
 
+def _nested_records(n: int, seed: int = 22) -> list:
+    """Variable-structure records: variable-length arrays, int|flt
+    drift and a nullable record — shapes the three dataset corpora
+    leave out (none drifts between int and flt)."""
+    rng = random.Random(seed)
+    return [
+        {
+            "id": i,
+            "user": {"name": f"user-{rng.randint(0, 10**6)}",
+                     "verified": bool(i % 7)},
+            "score": rng.random() * 100 if i % 3 else rng.randint(0, 100),
+            "geo": {"lat": rng.random() * 90, "lon": rng.random() * 180}
+            if i % 5
+            else None,
+            "tags": ["a", "b", "c"][: rng.randint(0, 3)],
+        }
+        for i in range(n)
+    ]
+
+
 CORPORA = {
     "twitter": lambda: tweets(120),
     "github": lambda: github_events(120),
     "nyt": lambda: nyt_articles(120),
+    "nested": lambda: _nested_records(120),
 }
 
 
@@ -73,35 +97,71 @@ def test_stream_engine_matches_dom_on_benchmark_corpora(
     path.write_text(
         "".join(dumps(d) + "\n" for d in docs), encoding="utf-8"
     )
-    stream = translate_report_path(str(path), equivalence, engine="stream")
+    stream = translate_report_path(str(path), equivalence)
     dom = schema_aware_translate(docs, equivalence=equivalence)
     _assert_identical(dom, stream.translation)
 
 
-@pytest.mark.parametrize("engine", ["stream", "interned"])
-@pytest.mark.parametrize("compress", [False, True])
-def test_translate_report_path_matches_in_memory(tmp_path, compress, engine):
+SOURCES = ["file", "gzip", "stdin", "lines"]
+
+
+def _source(kind, tmp_path, monkeypatch, raw: bytes):
+    """The same corpus bytes as a ``translate_report_path`` source."""
+    if kind == "file":
+        path = tmp_path / "corpus.ndjson"
+        path.write_bytes(raw)
+        return str(path)
+    if kind == "gzip":
+        path = tmp_path / "corpus.ndjson.gz"
+        path.write_bytes(gzip.compress(raw))
+        return str(path)
+    if kind == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
+        return "-"
+    return raw.decode("utf-8").split("\n")
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_translate_report_path_matches_in_memory(tmp_path, monkeypatch, source):
     docs = tweets(80)
     raw = "".join(dumps(d) + "\n" for d in docs)
     # A blank interior line: skipped by inference and translation alike.
     raw = raw.replace("\n", "\n\n", 1)
-    if compress:
-        path = tmp_path / "tweets.ndjson.gz"
-        path.write_bytes(gzip.compress(raw.encode("utf-8")))
-    else:
-        path = tmp_path / "tweets.ndjson"
-        path.write_text(raw, encoding="utf-8")
-    run = translate_report_path(str(path), engine=engine)
+    run = translate_report_path(
+        _source(source, tmp_path, monkeypatch, raw.encode("utf-8"))
+    )
     reference = translate_interned(docs)
     assert run.translation.avro_rows == reference.avro_rows
     assert column_store_json(run.translation.columnar) == column_store_json(
         reference.columnar
     )
     assert run.translation.document_count == len(docs)
-    # The file flow measures raw corpus bytes (blank line excluded).
+    # The flow measures raw corpus bytes (blank line excluded).
     assert run.translation.input_bytes == sum(
         len(dumps(d).encode("utf-8")) for d in docs
     )
+
+
+# Fallback columns (a: int|str, b.x: flt|str) spelled non-canonically.
+NON_CANONICAL = b'{"a": 1, "b": {"x" : 1e2}}\r\n\n{"a": "s", "b": {"x": "A"}}\n'
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_every_source_keeps_the_source_spelling(tmp_path, monkeypatch, source):
+    run = translate_report_path(
+        _source(source, tmp_path, monkeypatch, NON_CANONICAL)
+    )
+    columns = run.translation.columnar.columns
+    assert columns["a"].values == ["1", '"s"']
+    assert columns["b.x"].values == ["1e2", '"A"']
+    on_file = translate_report_path(
+        _source("file", tmp_path, monkeypatch, NON_CANONICAL)
+    )
+    assert run.translation.avro_rows == on_file.translation.avro_rows
+    assert column_store_json(run.translation.columnar) == column_store_json(
+        on_file.translation.columnar
+    )
+    assert run.translation.input_bytes == on_file.translation.input_bytes
 
 
 def test_write_artifacts_round_trip(tmp_path):
