@@ -20,8 +20,9 @@ Three measurements over NDJSON tweet corpora:
   name.
 
 The parallel rows compare the serial fused fold against
-``infer_distributed_text`` with 2 and 4 workers on the batched-pickle
-feed.
+``infer_distributed_text`` with 2 and 4 workers.  They once measured the
+batched-pickle feed; since that transport was deleted the workers read
+their own byte ranges of the corpus written to a file.
 
 Emits ``BENCH_stream.json`` under ``benchmarks/results/``.  Timing
 ratios are asserted only under ``REPRO_BENCH_ASSERT=1`` (wall clock on
@@ -38,7 +39,7 @@ import os
 import time
 from typing import Any, Optional
 
-from repro.datasets import ndjson_lines, tweets
+from repro.datasets import ndjson_lines, open_corpus, tweets
 from repro.inference.distributed import infer_distributed_text
 from repro.inference.engine import TypeAccumulator
 from repro.jsonvalue.events import JsonEventType, iter_events
@@ -209,9 +210,12 @@ def _bench_stream(rows, records):
         assert by_docs[50_000]["speedup_vs_pr2_frames"] >= 2.0
 
 
-def _bench_parallel(rows, records):
+def _bench_parallel(rows, records, tmp_dir):
     n = max(SIZES)
     lines = ndjson_lines(tweets(n, seed=16))
+    path = os.path.join(tmp_dir, "stream.ndjson")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("".join(line + "\n" for line in lines))
 
     start = time.perf_counter()
     serial_acc = TypeAccumulator(table=InternTable())
@@ -232,10 +236,11 @@ def _bench_parallel(rows, records):
         }
     )
     rows.append([n, "serial", 1, round(n / seconds_serial), "  1.0x"])
-    feed = "batched-pickle"
+    feed = "file-ranges"
     for jobs in (2, 4):
         start = time.perf_counter()
-        run = infer_distributed_text(lines, partitions=jobs, processes=jobs)
+        with open_corpus(path) as corpus:
+            run = infer_distributed_text(corpus, partitions=jobs, processes=jobs)
         seconds = time.perf_counter() - start
         assert global_table().canonical(run.result) is reference
         assert run.document_count == n
@@ -253,14 +258,14 @@ def _bench_parallel(rows, records):
         rows.append([n, feed, jobs, round(n / seconds), f"{speedup:5.1f}x"])
 
 
-def test_e16_stream_parallel():
+def test_e16_stream_parallel(tmp_path):
     stream_rows: list[list] = []
     stream_records: list[dict] = []
     _bench_stream(stream_rows, stream_records)
 
     parallel_rows: list[list] = []
     parallel_records: list[dict] = []
-    _bench_parallel(parallel_rows, parallel_records)
+    _bench_parallel(parallel_rows, parallel_records, str(tmp_path))
 
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_stream.json").write_text(

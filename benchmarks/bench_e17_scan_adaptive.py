@@ -19,10 +19,12 @@ Three sections, all recorded in ``BENCH_scan.json``:
   keep their names) — on the generator corpora plus a number-heavy and a
   whitespace-heavy corpus (the shapes where per-character dispatch was
   most expensive);
-- **load**: mmap index+decode vs. text-mode read+split for the same
-  file;
+- **load**: mmap index+decode vs. reading the same file's lines through
+  ``read_ndjson_lines`` (line-aligned blocks, each line decoded; the
+  ``read_split_seconds`` key keeps its name);
 - **adaptive**: serial fold vs. fixed ``--jobs`` pools vs. the adaptive
-  scheduler, with the plan's decision and reason recorded per row.
+  scheduler over the mmap corpus, with the plan's decision and reason
+  recorded per row.
 
 Timing ratios are asserted only under ``REPRO_BENCH_ASSERT=1`` (wall
 clock on shared CI runners is flaky); the identity gates — every path
@@ -480,23 +482,20 @@ def _bench_adaptive(rows, records, path):
                 best_seconds, best_run = elapsed, outcome
         return best_seconds, best_run
 
-    for jobs in (2, 4):
-        seconds, run = _timed(
-            lambda jobs=jobs: infer_distributed_text(
-                lines, partitions=jobs, processes=jobs
-            )
-        )
-        row("fixed-pickle", jobs, seconds, run=run)
-
-    # Adaptive over in-memory lines and over the mmap corpus.
-    seconds, run = _timed(lambda: infer_adaptive_text(lines, jobs=4))
-    row("adaptive-lines", "≤4", seconds, run=run, plan=run.plan)
-
+    # Fixed pools and the adaptive scheduler, all over the mmap corpus:
+    # workers read their own byte ranges (the one worker transport).
     with open_corpus(path) as corpus:
-        seconds, run = _timed(
-            lambda: infer_adaptive_text(corpus, jobs=None)
-        )
-    row("adaptive-mmap", "auto", seconds, run=run, plan=run.plan)
+        for jobs in (2, 4):
+            seconds, run = _timed(
+                lambda jobs=jobs: infer_distributed_text(
+                    corpus, partitions=jobs, processes=jobs
+                )
+            )
+            row("fixed-ranges", jobs, seconds, run=run)
+        seconds, run = _timed(lambda: infer_adaptive_text(corpus, jobs=4))
+        row("adaptive-mmap", "≤4", seconds, run=run, plan=run.plan)
+        seconds, run = _timed(lambda: infer_adaptive_text(corpus, jobs=None))
+        row("adaptive-mmap", "auto", seconds, run=run, plan=run.plan)
 
     if ASSERT_TIMING:
         adaptive = [r for r in records if str(r["feed"]).startswith("adaptive")]

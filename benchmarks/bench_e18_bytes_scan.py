@@ -19,8 +19,8 @@ Three sections, all recorded in ``BENCH_bytes.json``:
 - **parallel**: the file-range byte feed at a fixed worker count, with
   the per-worker transport recorded;
 - **calibration**: the scheduler plan consuming the persisted
-  per-machine profile (startup/shipping constants loaded, not
-  re-sampled or defaulted).
+  per-machine profile (the startup constant loaded, not re-sampled or
+  defaulted).
 
 Timing ratios are asserted only under ``REPRO_BENCH_ASSERT=1`` (wall
 clock on shared CI runners is flaky); the identity gates — every path
@@ -214,12 +214,14 @@ def _bench_calibration(rows, records, tmp_dir):
         # the profile's provenance (8 modeled CPUs so the 1-CPU
         # short-circuit doesn't skip the model).
         distributed_module.auto_jobs = lambda: 8
-        lines = [dumps({"a": i, "b": [i, i + 1]}) for i in range(4000)]
-        plan = plan_schedule(lines, jobs=4)
+        corpus_path = os.path.join(tmp_dir, "plan.ndjson")
+        write_ndjson(corpus_path, ({"a": i, "b": [i, i + 1]} for i in range(4000)))
+        with open_corpus(corpus_path) as corpus:
+            plan = plan_schedule(corpus, jobs=4)
+        os.unlink(corpus_path)
         assert plan.calibration_source == "profile"
         record = {
             "measured_worker_startup_seconds": measured.worker_startup_seconds,
-            "measured_ship_bytes_per_second": measured.ship_bytes_per_second,
             "plan_calibration_source": plan.calibration_source,
             "plan_mode": plan.mode,
             "plan_reason": plan.reason,
@@ -228,7 +230,6 @@ def _bench_calibration(rows, records, tmp_dir):
         rows.append(
             [
                 measured.worker_startup_seconds,
-                f"{measured.ship_bytes_per_second:.3g}",
                 plan.calibration_source,
                 plan.mode,
             ]
@@ -280,7 +281,7 @@ def test_e18_bytes_scan(tmp_path):
         )
         + "\n\n"
         + table(
-            ["startup s", "ship B/s", "plan calib", "plan mode"],
+            ["startup s", "plan calib", "plan mode"],
             calibration_rows,
         ),
     )

@@ -184,7 +184,6 @@ def _bench_scheduler(rows, records, tmp_dir):
     mode; the same bytes as many small lines do not."""
     pinned = {
         "REPRO_WORKER_STARTUP_SECONDS": "0.001",
-        "REPRO_SHIP_BYTES_PER_SECOND": "150e6",
         "REPRO_SCAN_BYTES_PER_SECOND": "80e6",
         "REPRO_SPLIT_BYTES_PER_SECOND": "2e9",
     }

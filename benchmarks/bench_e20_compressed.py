@@ -37,7 +37,7 @@ from repro.datasets import compress_corpus, open_corpus, zstd_available
 from repro.datasets.compressed import estimate_ratio, member_candidates
 from repro.inference import (
     accumulate_ranges,
-    fold_compressed,
+    fold_line_blocks,
     infer_compressed_parallel,
     plan_compressed_schedule,
 )
@@ -99,7 +99,7 @@ def _bench_decode(rows, records, tmp_dir, lines):
         packed = os.path.join(tmp_dir, f"corpus.{fmt}")
         compress_corpus(packed, lines, format=fmt)
         packed_bytes = os.path.getsize(packed)
-        fold_seconds, acc = _timed(lambda p=packed: fold_compressed(p))
+        fold_seconds, acc = _timed(lambda p=packed: fold_line_blocks(p))
         # Identity gate: decoding at ingest changes nothing downstream.
         assert verify.canonical(acc.result()) is reference, fmt
         assert acc.document_count == len(lines)
@@ -139,7 +139,7 @@ def _bench_members(rows, records, tmp_dir, lines):
     member_lines = max(1, len(lines) // 16)
     members = compress_corpus(packed, lines, member_lines=member_lines)
     candidates = member_candidates(packed)
-    serial_seconds, serial_acc = _timed(lambda: fold_compressed(packed))
+    serial_seconds, serial_acc = _timed(lambda: fold_line_blocks(packed))
     reference = verify.canonical(serial_acc.result())
     runs = {}
     for label, processes in (("2p", 2), ("4p", 4)):

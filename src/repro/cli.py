@@ -23,18 +23,12 @@ from repro.errors import ReproError
 
 
 def _read_documents(path: str) -> list[Any]:
-    # stream_documents routes "-" to stdin and gzip/zstd paths through
-    # the chunked decompression reader, so every subcommand accepts
-    # compressed corpora.
+    # stream_documents reads every path and "-" through the line-block
+    # reader, so every subcommand accepts compressed corpora and reports
+    # the same line-relative errors.
     from repro.datasets.ndjson import stream_documents
 
     return list(stream_documents(path))
-
-
-def _read_lines(path: str) -> list[str]:
-    from repro.datasets.ndjson import read_ndjson_lines
-
-    return read_ndjson_lines(path)
 
 
 def _positive_int(flag: str, value: str, alternatives: str = "") -> int:
@@ -63,50 +57,46 @@ def _k_arg(value: str) -> int:
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    from repro.inference import infer_report_path, infer_report_streaming
+    from repro.inference import infer_report_path
     from repro.jsonvalue.serializer import PRETTY, dumps
     from repro.types import Equivalence, type_to_string
 
-    # Both routes below run the fused text→type pipeline on raw lines:
-    # no document DOM is built for the type/jsonschema outputs.  The
-    # corpus is materialised as a line list only when codegen needs the
-    # documents whole; the serial route streams the file in O(nesting)
-    # memory, and the parallel route maps it as a zero-copy corpus and
-    # routes through the adaptive scheduler (see --jobs in --help).
-    from repro.datasets.ndjson import iter_ndjson_lines
-
+    # The type/jsonschema outputs run the fused text→type pipeline on
+    # raw lines: no document DOM is built, regular files fold as mapped
+    # byte ranges (through the adaptive scheduler under --jobs) and
+    # other sources as line-aligned blocks.  Codegen needs the documents
+    # whole: it reads the source once and parses them from its spans.
     equivalence = Equivalence(args.equivalence)
-    needs_documents = args.format in ("typescript", "swift")
-    lines = _read_lines(args.data) if needs_documents else None
-    if lines is not None and args.jobs == 1:
-        # Codegen already pulled the corpus into memory: stream it.
-        report = infer_report_streaming(lines, equivalence)
-    else:
-        # When codegen already pulled the corpus into memory, reuse it
-        # (re-reading the file — or a consumed pipe — would be worse);
-        # otherwise hand the path over so regular files take the
-        # zero-copy mmap route — the bytes fold when serial, byte-range
-        # workers when parallel.
-        report = infer_report_path(
-            lines if lines is not None else args.data,
-            equivalence,
-            jobs=args.jobs,
-        )
+    if args.format in ("typescript", "swift"):
+        return _infer_codegen(args, equivalence)
+    report = infer_report_path(args.data, equivalence, jobs=args.jobs)
     print(f"# {report.document_count} documents, schema size {report.schema_size}")
     if args.format == "type":
         print(type_to_string(report.inferred))
-    elif args.format == "jsonschema":
-        print(dumps(report.to_jsonschema(), PRETTY))
     else:
-        # Codegen renders from the documents; parse them only here.
-        from repro.jsonvalue.parser import parse_lines
-        from repro.pl.codegen import swift_declaration_for, typescript_declaration_for
+        print(dumps(report.to_jsonschema(), PRETTY))
+    return 0
 
-        docs = list(parse_lines(lines))
-        if args.format == "typescript":
-            print(typescript_declaration_for(docs, args.name), end="")
-        else:  # swift
-            print(swift_declaration_for(docs, args.name), end="")
+
+def _infer_codegen(args: argparse.Namespace, equivalence) -> int:
+    from repro.inference.streaming import report_with_spans
+    from repro.jsonvalue.parser import parse_lines
+    from repro.pl.codegen import swift_declaration_for, typescript_declaration_for
+
+    with report_with_spans(args.data, equivalence, jobs=args.jobs) as (
+        report,
+        sections,
+    ):
+        docs = list(parse_lines(
+            data[start:end].decode("utf-8")
+            for data, spans in sections
+            for start, end in spans
+        ))
+    print(f"# {report.document_count} documents, schema size {report.schema_size}")
+    if args.format == "typescript":
+        print(typescript_declaration_for(docs, args.name), end="")
+    else:  # swift
+        print(swift_declaration_for(docs, args.name), end="")
     return 0
 
 
@@ -213,21 +203,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--name", default="Root", help="declaration name for codegen")
     p_infer.add_argument(
         "--jobs", type=_jobs_arg, default=1, metavar="N|auto",
-        help="worker processes for the parallel merge (default: 1, serial — "
-        "regular files then fold as undecoded mmap byte ranges). "
+        help="worker processes for the parallel merge of a file (default: "
+        "1, serial — regular files then fold as undecoded mmap byte "
+        "ranges; stdin and FIFOs always fold serially, one line-aligned "
+        "block at a time). "
         "'auto' sizes the pool from CPU affinity; N and 'auto' both route "
         "through the adaptive scheduler, which picks one of three modes: "
         "'serial' (the mmap bytes fold), 'parallel' (line-parallel — "
-        "each worker reads its own byte range of the file; lines from stdin "
-        "or --format typescript|swift ship as one pickled batch per "
-        "worker), or 'subtree' (intra-document parallel — a corpus "
+        "each worker reads its own byte range of the file), "
+        "or 'subtree' (intra-document parallel — a corpus "
         "dominated by one huge single-line document is split into "
         "top-level subtree byte ranges, typed by workers, and merged "
         "through the same monoid, yielding the identical interned type). "
         "The scheduler times a small sample of the corpus, models each "
         "mode (per-worker "
-        "startup + the fold split across usable CPUs + pickling in-memory "
-        "lines or splitting huge documents, with the constants loaded from "
+        "startup + the fold split across usable CPUs + splitting huge "
+        "documents, with the constants loaded from "
         "the per-machine calibration profile at ~/.cache/repro/sched.json — "
         "measured once, REPRO_SCHED_PROFILE overrides the path), and falls "
         "back to the serial fold whenever the modeled win is negative — so "

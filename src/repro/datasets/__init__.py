@@ -20,7 +20,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "compress_corpus": "compressed",
     "compress_member": "compressed",
     "detect_compression": "compressed",
-    "iter_compressed_lines": "compressed",
     "iter_line_blocks": "compressed",
     "member_candidates": "compressed",
     "zstd_available": "compressed",
@@ -30,7 +29,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "open_corpus": "ndjson",
     "read_ndjson_lines": "ndjson",
     "split_corpus_bytes": "ndjson",
-    "split_corpus_lines": "ndjson",
     "stream_documents": "ndjson",
     "stream_types": "ndjson",
     "write_ndjson": "ndjson",

@@ -1,20 +1,20 @@
-"""Chunked decompression reader: compressed NDJSON straight into the fold.
+"""Line-block reader: every NDJSON source as line-aligned byte blocks.
 
 Real log pipelines ship NDJSON gzip- or zstd-compressed, and the paper's
 motivating workload is exactly those massive collections.  This module
-makes compressed corpora first-class inputs to the bytes-native
-inference pipeline without ever materialising a decompressed corpus:
+reads every streamed source — a plain file, ``-`` (stdin), a FIFO, or a
+compressed corpus — through one carve loop, so all of them split into
+lines, decode and fail alike, and none is ever materialised whole:
 
 - :func:`detect_compression` sniffs the container by magic bytes
   (``\\x1f\\x8b`` for gzip, ``\\x28\\xb5\\x2f\\xfd`` for zstd frames);
-- :func:`iter_line_blocks` decompresses in bounded chunks and yields
-  **line-aligned byte blocks** — each block ends at a line break (a
-  partial trailing line is carried over into the next block), so every
-  block can be handed to
-  :func:`repro.inference.engine.accumulate_ranges` /
+- :func:`iter_line_blocks` reads fixed-size chunks (or decompresses in
+  bounded chunks) and yields **line-aligned byte blocks** — each block
+  ends at a line break (a partial trailing line is carried over into
+  the next block), so every block can be handed to
   :class:`~repro.inference.engine.RangeFolder` with
   :func:`iter_block_line_spans` and the fold sees
-  exactly the lines an uncompressed file would produce;
+  exactly the lines a mapped file would produce;
 - :func:`member_candidates` scans the *compressed* bytes for member /
   frame starts (gzip members and zstd frames are independently
   decompressible), which
@@ -40,10 +40,10 @@ splitter.
 
 from __future__ import annotations
 
-import gzip
 import operator
 import os
 import re
+import sys
 import zlib
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -58,7 +58,11 @@ MAGIC_ZSTD = b"\x28\xb5\x2f\xfd"
 # Decompressed block target: large enough to amortise per-block Python
 # overhead, small enough that block + carry stays far under corpus size.
 DEFAULT_BLOCK_BYTES = 1 << 20
-_READ_BYTES = 256 << 10
+# Read size for plain files, stdin and FIFOs: large enough to amortise
+# per-read overhead, small next to the fold's own memory (1 MiB reads
+# measured about 3 MB more peak RSS on a 2.5 MB stdin corpus).
+READ_BYTES = 64 << 10
+_COMPRESSED_READ_BYTES = 256 << 10
 
 try:  # optional dependency — gzip-only degradation without it
     import zstandard as _zstandard
@@ -264,7 +268,7 @@ def _iter_decompressed(
 
         def refill() -> bool:
             nonlocal buffered, remaining, read_total
-            raw = handle.read(min(_READ_BYTES, remaining))
+            raw = handle.read(min(_COMPRESSED_READ_BYTES, remaining))
             if not raw:
                 remaining = 0
                 return False
@@ -360,35 +364,76 @@ def _line_aligned_cut(data: bytes) -> Optional[int]:
     return cut + 1
 
 
-def iter_line_blocks(
-    path: Union[str, Path],
+def _read_chunks(source: str, size: int) -> Iterator[bytes]:
+    """Fixed-size reads of a plain file, a FIFO, or ``"-"`` (stdin's
+    byte buffer).  A text stream standing in for stdin, with no buffer
+    beneath it, is read as characters and encoded, so it splits into
+    lines exactly as its bytes would."""
+    if source != "-":
+        with open(source, "rb") as handle:
+            while chunk := handle.read(size):
+                yield chunk
+        return
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:
+        while text := sys.stdin.read(size):
+            yield text.encode("utf-8")
+        return
+    while chunk := buffer.read(size):
+        yield chunk
+
+
+def _source_chunks(
+    source: Union[str, Path],
     *,
     format: Optional[str] = None,
-    block_bytes: int = DEFAULT_BLOCK_BYTES,
+    block_bytes: Optional[int] = None,
 ) -> Iterator[bytes]:
-    """Yield the decompressed corpus as line-aligned byte blocks.
+    """The raw bytes of a streamed source, in chunks that need not end
+    at a line break.
 
-    Every block but the last ends exactly at a line break; a partial
-    trailing line is carried into the next block, so the concatenation
-    of all blocks is the decompressed file and no line ever spans two
-    blocks.  Peak memory is one block plus the longest line — never the
-    whole corpus.  Feed each block through :func:`iter_block_line_spans`
-    to recover exactly the lines :class:`~repro.datasets.ndjson.MmapCorpus`
-    would index in the decompressed bytes.
+    ``format`` names the container; left ``None``, a regular file is
+    sniffed by :func:`detect_compression` (stdin and FIFOs never are —
+    peeking would consume their bytes).  A compressed source is
+    decompressed ``block_bytes`` (default :data:`DEFAULT_BLOCK_BYTES`)
+    of output at a time; any other is read ``block_bytes`` (default
+    :data:`READ_BYTES`) at a time.
     """
-    fmt = format or detect_compression(path)
-    if fmt is None:
-        raise CompressedCorpusError(
-            "not a recognized compressed corpus (no gzip/zstd magic)",
-            str(path),
-            0,
+    source = str(source)
+    if format is None and source != "-" and os.path.isfile(source):
+        format = detect_compression(source)
+    if format is not None:
+        return _iter_decompressed(
+            source, format, block_bytes=block_bytes or DEFAULT_BLOCK_BYTES
         )
+    return _read_chunks(source, block_bytes or READ_BYTES)
+
+
+def iter_line_blocks(
+    source: Union[str, Path],
+    *,
+    format: Optional[str] = None,
+    block_bytes: Optional[int] = None,
+) -> Iterator[bytes]:
+    """Yield a streamed NDJSON source as line-aligned byte blocks.
+
+    ``source`` is a plain or gzip/zstd file, ``"-"`` for stdin, or a
+    FIFO; chunks come from :func:`_source_chunks`.  Every block but
+    the last ends exactly at a line break; a partial trailing line is
+    carried into the next block, so the concatenation of all blocks is
+    the (decompressed) source and no line ever spans two blocks.  Peak
+    memory is one block plus the longest line — never the whole corpus.
+    Feed each block through :func:`iter_block_line_spans` to recover
+    exactly the lines :class:`~repro.datasets.ndjson.MmapCorpus` would
+    index in the same bytes.
+    """
+    chunks = _source_chunks(source, format=format, block_bytes=block_bytes)
     # The carry never contains a complete break (at most a trailing lone
     # ``\r`` awaiting its possible ``\n``), so only the new chunk needs
     # searching — keeping the loop O(total bytes) even when a line spans
     # thousands of tiny chunks.
     carry = bytearray()
-    for chunk in _iter_decompressed(path, fmt, block_bytes=block_bytes):
+    for chunk in chunks:
         cut = _line_aligned_cut(chunk)
         if cut is None:
             # No complete break in the chunk.  The chunk cannot start
@@ -417,23 +462,6 @@ def iter_block_line_spans(block: bytes) -> Iterator[tuple]:
     gives exactly the block's lines.
     """
     return iter(index_lines(block))
-
-
-def iter_compressed_lines(
-    path: Union[str, Path],
-    *,
-    format: Optional[str] = None,
-    block_bytes: int = DEFAULT_BLOCK_BYTES,
-) -> Iterator[str]:
-    """Yield the decoded lines of a compressed NDJSON corpus.
-
-    Exactly what :func:`repro.datasets.ndjson.iter_ndjson_lines` yields
-    for the decompressed file: universal newlines, terminators stripped,
-    blank lines preserved.
-    """
-    for block in iter_line_blocks(path, format=format, block_bytes=block_bytes):
-        for start, end in iter_block_line_spans(block):
-            yield block[start:end].decode("utf-8")
 
 
 class CompressedCorpus(Sequence[str]):
@@ -475,7 +503,9 @@ class CompressedCorpus(Sequence[str]):
 
     def __iter__(self) -> Iterator[str]:
         self._check_open()
-        return iter_compressed_lines(self.path, format=self.format)
+        from repro.datasets.ndjson import iter_ndjson_lines
+
+        return iter_ndjson_lines(self.path)
 
     def __len__(self) -> int:
         self._check_open()
@@ -584,6 +614,8 @@ def compress_member(payload: bytes, *, format: str = "gzip", level: int = 6) -> 
     pinned to zero so gzip output is deterministic.
     """
     if format == "gzip":
+        import gzip  # only writers need it; readers decode through zlib
+
         return gzip.compress(payload, compresslevel=level, mtime=0)
     if format == "zstd":
         if _zstandard is None:

@@ -3,19 +3,20 @@
 The inference stack's fastest paths consume *raw lines*, not parsed
 documents — the text→type pipeline
 (:class:`repro.types.build.EventTypeEncoder`) goes from a line to a
-canonical interned type, one line's value at a time, and the batched parallel feed
-(:func:`repro.inference.distributed.infer_distributed_text`) ships line
-slices to workers.  These helpers normalise the usual sources (paths,
-``-`` for stdin, open handles, in-memory iterables) into that shape.
+canonical interned type, one line's value at a time.  These helpers
+normalise the usual sources (paths, ``-`` for stdin, open handles,
+in-memory iterables) into that shape.  Every path and ``-`` is read by
+one reader, the line-aligned byte blocks of
+:func:`repro.datasets.compressed.iter_line_blocks`, and split by one line
+grammar (:func:`index_lines`), so a line decodes — or fails, with a
+position relative to its own start — the same way from every source.
 """
 
 from __future__ import annotations
 
-import io
 import mmap
 import os
 import re
-import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence, Union
 
@@ -27,29 +28,18 @@ LineSource = Union[str, Path, Iterable[str]]
 
 # Line-break grammar shared by the byte-range index and the worker-side
 # re-split of file byte ranges: "\r\n" first (one break, not
-# two), then the universal-newline singles — matching the translation
-# Python's text mode applies in :func:`iter_ndjson_lines`.
+# two), then the universal-newline singles — the translation Python's
+# text mode applies.
 LINE_BREAK_PATTERN = r"\r\n|\r|\n"
 _LINE_BREAK_BYTES = re.compile(LINE_BREAK_PATTERN.encode("ascii"))
-_LINE_BREAK_STR = re.compile(LINE_BREAK_PATTERN)
-
-
-def split_corpus_lines(text: str) -> list[str]:
-    """Split a decoded corpus byte range back into its lines.
-
-    Inverse of the byte-range index: for any contiguous range of corpus
-    lines (original separators included), returns exactly those lines —
-    the str form of the worker-side re-split of a file byte range.
-    """
-    return _LINE_BREAK_STR.split(text)
 
 
 def split_corpus_bytes(data: bytes) -> list[bytes]:
     """Split an *undecoded* corpus byte range into its line bytes.
 
-    The bytes twin of :func:`split_corpus_lines`: same line-break
-    grammar, no decode — each returned item is the raw UTF-8 bytes of
-    one corpus line, ready for the bytes-native fold
+    Inverse of the byte-range index: for any contiguous range of corpus
+    lines (original separators included), returns exactly those lines'
+    raw UTF-8 bytes, ready for the bytes-native fold
     (:func:`repro.inference.engine.accumulate_ranges` /
     :meth:`~repro.types.build.EventTypeEncoder.encode_lines`).
     """
@@ -111,25 +101,19 @@ def read_line_spans(
     """Read a source that cannot be mapped into one buffer plus the byte
     span of each of its lines.
 
-    ``"-"`` (stdin) and special files such as FIFOs are read whole and
-    indexed by :func:`index_lines`, so their lines split and decode
-    exactly as a mapped file's do.  Any other iterable of strings (a
-    text stream standing in for stdin included) keeps one document per
-    item: the items are encoded and concatenated, and each span is one
-    item's bytes (trailing line terminator stripped), never re-split.
+    ``"-"`` (stdin) and special files such as FIFOs are read whole by
+    the one source reader
+    (:func:`repro.datasets.compressed.iter_line_blocks`) and indexed by
+    :func:`index_lines`, so their lines split and decode exactly as a
+    mapped file's do.  Any other iterable of strings keeps one document
+    per item: the items are encoded and concatenated, and each span is
+    one item's bytes (trailing line terminator stripped), never re-split.
     """
-    if isinstance(source, Path):
-        source = str(source)
-    if isinstance(source, str):
-        if source != "-":
-            with open(source, "rb") as handle:
-                data = handle.read()
-            return data, index_lines(data)
-        buffer = getattr(sys.stdin, "buffer", None)
-        if buffer is not None:
-            data = buffer.read()
-            return data, index_lines(data)
-        source = sys.stdin
+    if isinstance(source, (str, Path)):
+        from repro.datasets.compressed import iter_line_blocks
+
+        data = b"".join(iter_line_blocks(source))
+        return data, index_lines(data)
     chunks = []
     spans = []
     pos = 0
@@ -242,7 +226,7 @@ class MmapCorpus(Sequence[str]):
     def byte_range(self, start_line: int, stop_line: int) -> tuple[int, int]:
         """Byte range covering lines ``[start_line, stop_line)`` with
         their original separators in between — re-splittable with
-        :func:`split_corpus_lines` into exactly those lines."""
+        :func:`split_corpus_bytes` into exactly those lines."""
         if not 0 <= start_line < stop_line <= len(self._spans):
             raise IndexError(
                 f"line range [{start_line}, {stop_line}) out of bounds "
@@ -291,56 +275,32 @@ def open_corpus(path: Union[str, Path]):
     return MmapCorpus(path)
 
 
-def _iter_stdin_lines() -> Iterator[str]:
-    """Stdin's lines, decoded exactly as a file path's are: strict UTF-8
-    and universal newlines (``\\r``, ``\\n`` and ``\\r\\n`` all end a
-    line), whatever the locale.  A text stream standing in for stdin
-    with no byte buffer beneath it is read as it is."""
-    buffer = getattr(sys.stdin, "buffer", None)
-    if buffer is None:
-        for line in sys.stdin:
-            yield line.rstrip("\r\n")
-        return
-    stdin = io.TextIOWrapper(buffer, encoding="utf-8", newline=None)
-    try:
-        for line in stdin:
-            yield line.rstrip("\r\n")
-    finally:
-        stdin.detach()  # leave sys.stdin's buffer open
-
-
 def iter_ndjson_lines(source: LineSource) -> Iterator[str]:
     """Yield the raw lines of an NDJSON source, newline-stripped.
 
-    ``source`` may be a file path, ``"-"`` for stdin, an open handle, or
-    any iterable of strings.  Blank lines are preserved (the consumers
-    skip them), so line numbers stay meaningful for error reporting.
+    ``source`` may be a file path (plain, gzip or zstd), ``"-"`` for
+    stdin, an open handle, or any iterable of strings.  Paths and ``"-"``
+    are read as line-aligned byte blocks
+    (:func:`repro.datasets.compressed.iter_line_blocks`) and each line is
+    decoded on its own, lazily — strict UTF-8 and universal newlines,
+    whatever the locale, so an undecodable line raises in line order with
+    a position relative to that line.  Blank lines are preserved (the
+    consumers skip them), so line numbers stay meaningful for error
+    reporting.
     """
-    if isinstance(source, Path):
-        source = str(source)
-    if isinstance(source, str):
-        if source == "-":
-            yield from _iter_stdin_lines()
-            return
-        from repro.datasets.compressed import (
-            detect_compression,
-            iter_compressed_lines,
-        )
+    if isinstance(source, (str, Path)):
+        from repro.datasets.compressed import iter_line_blocks
 
-        if os.path.isfile(source) and detect_compression(source) is not None:
-            yield from iter_compressed_lines(source)
-            return
-        with open(source, "r", encoding="utf-8") as handle:
-            for line in handle:
-                yield line.rstrip("\r\n")
+        for block in iter_line_blocks(source):
+            for start, end in index_lines(block):
+                yield block[start:end].decode("utf-8")
         return
     for line in source:
         yield line.rstrip("\r\n")
 
 
 def read_ndjson_lines(source: LineSource) -> list[str]:
-    """The raw lines of an NDJSON source as a list (the parallel feed's
-    input shape — slices of it are shipped to workers)."""
+    """The raw lines of an NDJSON source as a list."""
     return list(iter_ndjson_lines(source))
 
 

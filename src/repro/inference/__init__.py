@@ -19,8 +19,7 @@ One module per surveyed system:
   schema profiles (Inf. Syst. '18);
 - :mod:`repro.inference.distributed` — the map/combine/reduce cost
   simulator plus a real multiprocessing execution of the distributed
-  variant (workers read file byte ranges or receive pickled line
-  batches);
+  variant (workers read their own file byte ranges);
 - :mod:`repro.inference.engine` — the hash-consed incremental merge
   accumulator the parametric/streaming/distributed/counting paths run
   through.
@@ -94,7 +93,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "infer_subtree_text": "distributed",
     "partition": "distributed",
     "partition_bounds": "distributed",
-    "partition_contiguous": "distributed",
     "plan_compressed_schedule": "distributed",
     "plan_schedule": "distributed",
     "infer_report_corpus": "streaming",
@@ -109,7 +107,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "accumulate_lines": "engine",
     "accumulate_ranges": "engine",
     "RangeFolder": "engine",
-    "fold_compressed": "streaming",
+    "fold_line_blocks": "streaming",
     "infer_report_compressed": "streaming",
     "accumulate_types": "engine",
 })

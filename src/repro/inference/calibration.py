@@ -1,20 +1,19 @@
 """Persisted per-machine scheduler calibration.
 
 :func:`repro.inference.distributed.plan_schedule` models a parallel run
-as *per-worker startup* plus the fold split across CPUs plus *corpus
-shipping*.  The startup and shipping constants are machine properties,
-not corpus properties — so instead of re-sampling them per process or
-falling back to hard-coded defaults, they are measured **once per
-machine** and cached in a small JSON profile:
+as *per-worker startup* plus the fold split across CPUs.  The startup
+constant is a machine property, not a corpus property — so instead of
+re-sampling it per process or falling back to a hard-coded default, it
+is measured **once per machine** and cached in a small JSON profile:
 
 - ``$REPRO_SCHED_PROFILE`` if set, else
 - ``$XDG_CACHE_HOME/repro/sched.json``, else ``~/.cache/repro/sched.json``.
 
 Resolution order for each constant (first hit wins):
 
-1. the env overrides ``REPRO_WORKER_STARTUP_SECONDS`` /
-   ``REPRO_SHIP_BYTES_PER_SECOND`` (read on every plan, so tests and
-   operators can pin values without touching the profile);
+1. the env overrides (``REPRO_WORKER_STARTUP_SECONDS`` and the
+   bytes-rate ones below; read on every plan, so tests and operators
+   can pin values without touching the profile);
 2. the persisted profile;
 3. a fresh measurement, persisted best-effort (an unwritable cache
    directory degrades to measuring once per process);
@@ -22,23 +21,21 @@ Resolution order for each constant (first hit wins):
 
 Measurement is deliberately cheap and one-shot: worker startup times a
 no-op ``multiprocessing.Process`` spawn+join (the dominant fork/exec +
-import cost the pool pays per worker), and shipping times ``pickle``
-round-tripping a few-MiB bytes payload (the serialize half of a batch
-pickle crossing the pipe).
+import cost the pool pays per worker).  Workers read their own file
+byte ranges, so no shipping rate is modeled; profiles that still carry
+one from older versions load, the key unread.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 DEFAULT_WORKER_STARTUP_SECONDS = 0.08
-DEFAULT_SHIP_BYTES_PER_SECOND = 150e6
 # Bytes-rate constants for the subtree (intra-document) mode, where the
 # timed per-line sample is useless: a corpus of few huge lines would pay
 # whole-document scans just to decide the plan.  ``scan`` is the serial
@@ -53,12 +50,9 @@ DEFAULT_DECOMPRESS_BYTES_PER_SECOND = 250e6
 
 _PROFILE_ENV = "REPRO_SCHED_PROFILE"
 _STARTUP_ENV = "REPRO_WORKER_STARTUP_SECONDS"
-_SHIP_ENV = "REPRO_SHIP_BYTES_PER_SECOND"
 _SCAN_ENV = "REPRO_SCAN_BYTES_PER_SECOND"
 _SPLIT_ENV = "REPRO_SPLIT_BYTES_PER_SECOND"
 _DECOMPRESS_ENV = "REPRO_DECOMPRESS_BYTES_PER_SECOND"
-
-_SHIP_PROBE_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -71,16 +65,13 @@ class SchedCalibration:
     """
 
     worker_startup_seconds: float
-    ship_bytes_per_second: float
     source: str = "default"
     scan_bytes_per_second: float = DEFAULT_SCAN_BYTES_PER_SECOND
     split_bytes_per_second: float = DEFAULT_SPLIT_BYTES_PER_SECOND
     decompress_bytes_per_second: float = DEFAULT_DECOMPRESS_BYTES_PER_SECOND
 
 
-_DEFAULT = SchedCalibration(
-    DEFAULT_WORKER_STARTUP_SECONDS, DEFAULT_SHIP_BYTES_PER_SECOND, "default"
-)
+_DEFAULT = SchedCalibration(DEFAULT_WORKER_STARTUP_SECONDS, "default")
 
 # Process-level cache, keyed by resolved profile path so tests pointing
 # REPRO_SCHED_PROFILE at fresh files are isolated from each other.
@@ -102,7 +93,7 @@ def _noop() -> None:  # pragma: no cover - runs in the probe child
 
 
 def measure_calibration() -> SchedCalibration:
-    """Measure the machine constants (one no-op worker, one pickle probe)."""
+    """Measure the machine constants (one no-op worker)."""
     import multiprocessing
 
     start = time.perf_counter()
@@ -110,17 +101,8 @@ def measure_calibration() -> SchedCalibration:
     process.start()
     process.join()
     startup = max(time.perf_counter() - start, 1e-4)
-
-    payload = b"\x00" * _SHIP_PROBE_BYTES
-    start = time.perf_counter()
-    pickle.loads(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-    elapsed = max(time.perf_counter() - start, 1e-9)
-    ship_rate = _SHIP_PROBE_BYTES / elapsed
-
     return SchedCalibration(
-        worker_startup_seconds=round(startup, 5),
-        ship_bytes_per_second=round(ship_rate, 1),
-        source="measured",
+        worker_startup_seconds=round(startup, 5), source="measured"
     )
 
 
@@ -129,10 +111,9 @@ def _read_profile(path: Path) -> Optional[SchedCalibration]:
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
         startup = float(raw["worker_startup_seconds"])
-        ship = float(raw["ship_bytes_per_second"])
         # Newer constants default when absent so profiles written by
         # older versions keep loading; keys no longer read (such as
-        # ``cache_hit_speedup``) are ignored.
+        # the cache-hit speedup and the shipping rate) are ignored.
         scan = float(raw.get("scan_bytes_per_second", DEFAULT_SCAN_BYTES_PER_SECOND))
         split = float(
             raw.get("split_bytes_per_second", DEFAULT_SPLIT_BYTES_PER_SECOND)
@@ -144,15 +125,9 @@ def _read_profile(path: Path) -> Optional[SchedCalibration]:
         )
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    if not (
-        startup >= 0
-        and ship > 0
-        and scan > 0
-        and split > 0
-        and decompress > 0
-    ):
+    if not (startup >= 0 and scan > 0 and split > 0 and decompress > 0):
         return None
-    return SchedCalibration(startup, ship, "profile", scan, split, decompress)
+    return SchedCalibration(startup, "profile", scan, split, decompress)
 
 
 def save_calibration(calibration: SchedCalibration, path: Path) -> bool:
@@ -216,14 +191,6 @@ def worker_startup_seconds() -> float:
     return load_calibration().worker_startup_seconds
 
 
-def ship_bytes_per_second() -> float:
-    """Corpus shipping throughput: env override > profile > measurement."""
-    override = _env_float(_SHIP_ENV)
-    if override is not None:
-        return override
-    return load_calibration().ship_bytes_per_second
-
-
 def scan_bytes_per_second() -> float:
     """Serial bytes-native typing throughput (subtree-mode cost model)."""
     override = _env_float(_SCAN_ENV)
@@ -250,13 +217,7 @@ def decompress_bytes_per_second() -> float:
 
 def calibration_source() -> str:
     """Provenance of the constants the next plan will use."""
-    envs = (
-        _STARTUP_ENV,
-        _SHIP_ENV,
-        _SCAN_ENV,
-        _SPLIT_ENV,
-        _DECOMPRESS_ENV,
-    )
+    envs = (_STARTUP_ENV, _SCAN_ENV, _SPLIT_ENV, _DECOMPRESS_ENV)
     if any(_env_float(name) is not None for name in envs):
         return "env"
     return load_calibration().source

@@ -403,22 +403,15 @@ def infer_counted_streaming(
 
 def _add_counted_spans(accumulator, data: bytes, spans) -> None:
     """Fold the line spans of ``data`` into a counting accumulator, one
-    :func:`counted_type_of_bytes` per line; blank lines are skipped with
-    the bytes folds' exact ``str.isspace`` parity, so counts reconcile
-    with every serial path."""
-    from repro.inference.engine import _BYTES_WS_RUN, _EXTRA_SPACE_BYTES
+    :func:`counted_type_of_bytes` per line; blank lines are skipped by
+    the bytes folds' one rule (:func:`~repro.inference.engine._blank_span`),
+    so counts reconcile with every serial path."""
+    from repro.inference.engine import _blank_span
 
     equivalence = accumulator.equivalence
-    ws_run = _BYTES_WS_RUN.match
     for start, end in spans:
-        if end <= start:
+        if _blank_span(data, start, end):
             continue
-        ws_end = ws_run(data, start, end).end()
-        if ws_end >= end:
-            continue
-        if data[ws_end] >= 0x80 or data[ws_end] in _EXTRA_SPACE_BYTES:
-            if data[start:end].decode("utf-8").isspace():
-                continue
         accumulator.add_counted(
             counted_type_of_bytes(data, start, end, equivalence)
         )

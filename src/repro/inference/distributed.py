@@ -21,17 +21,14 @@ Two execution modes share the partitioned dataflow:
 
 - **real** ``multiprocessing`` runs, behind the adaptive scheduler
   (:func:`plan_schedule`, :func:`infer_adaptive_text`).  Work reaches a
-  worker by one of two transports:
-
-  - **file byte ranges** — the worker reads its own slice of the corpus
-    file: line ranges (:func:`infer_distributed_text` on an
-    :class:`~repro.datasets.ndjson.MmapCorpus`), counted ranges
-    (:func:`infer_counted_parallel`), subtree chunk groups
-    (:func:`infer_subtree_text`) and compressed member ranges
-    (:func:`infer_compressed_parallel`);
-  - **pickled line batches** — one contiguous slice of in-memory lines
-    per worker (:func:`infer_distributed_text` on a line list: stdin and
-    codegen inputs).
+  worker one way only, as **file byte ranges**: the worker reads its own
+  slice of a corpus file — line ranges of an
+  :class:`~repro.datasets.ndjson.MmapCorpus`
+  (:func:`infer_distributed_text`), counted ranges
+  (:func:`infer_counted_parallel`), subtree chunk groups
+  (:func:`infer_subtree_text`) and compressed member ranges
+  (:func:`infer_compressed_parallel`).  Sources that are not files
+  (stdin, FIFOs, line iterables) fold serially.
 
   Each worker folds its share through its own accumulator, and only the
   interned partial (pickling strips intern marks) comes back for the
@@ -220,16 +217,19 @@ class ParallelRun:
 
 
 # ---------------------------------------------------------------------------
-# the two transports: file byte ranges and pickled line batches
+# the one transport: file byte ranges
 # ---------------------------------------------------------------------------
 
 
 def partition_bounds(total: int, partitions: int) -> list[tuple[int, int]]:
     """Contiguous, balanced ``[start, stop)`` index ranges (deterministic).
 
-    The index-level form of :func:`partition_contiguous`: the mmap
-    corpus feed partitions *byte ranges* through these bounds without
-    materialising any slice.
+    The mmap corpus feed partitions *byte ranges* through these bounds
+    without materialising any slice.  For the plain type monoid any
+    partitioning yields the identical result; the *counting* algebra is
+    commutative only up to union member order (members keep
+    first-appearance order), and contiguous partitions reproduce the
+    serial fold's appearance order exactly.
     """
     if partitions < 1:
         raise InferenceError("need at least one partition")
@@ -242,23 +242,6 @@ def partition_bounds(total: int, partitions: int) -> list[tuple[int, int]]:
             bounds.append((start, start + size))
             start += size
     return bounds
-
-
-def partition_contiguous(items: Sequence[Any], partitions: int) -> list[list[Any]]:
-    """Contiguous, balanced slices (deterministic): the batches of the
-    pickle transport, one pickle per worker.
-
-    For the plain type monoid any partitioning yields the identical
-    result; the *counting* algebra is commutative only up to union
-    member order (members keep first-appearance order), and contiguous
-    partitions reproduce the serial fold's appearance order exactly —
-    which is why :func:`infer_counted_parallel` splits its byte ranges
-    the same way.
-    """
-    return [
-        list(items[start:stop])
-        for start, stop in partition_bounds(len(items), partitions)
-    ]
 
 
 def _map_partitions(worker, payloads: list, processes: int) -> list:
@@ -287,20 +270,6 @@ def _file_range_payloads(
         (corpus.path, *corpus.byte_range(start, stop), equivalence.value)
         for start, stop in partition_bounds(len(corpus), partitions)
     ]
-
-
-def _infer_lines_partition(payload: tuple[list[str], str]) -> tuple[Type, int]:
-    """Worker: run the fused text→type pipeline over one batch of lines.
-
-    Documents are never materialised — each line goes straight from the
-    lexer into the worker's accumulator; only the interned partition
-    type (and its document count) crosses back over the pipe.
-    """
-    from repro.inference.engine import accumulate_lines
-
-    lines, equivalence_value = payload
-    accumulator = accumulate_lines(lines, Equivalence(equivalence_value))
-    return accumulator.result(), accumulator.document_count
 
 
 def _infer_file_range_partition(
@@ -412,16 +381,10 @@ def _compressed_range_worker(payload):
 def _type_boundary_line(accumulator: TypeAccumulator, encoder, line: bytes) -> int:
     """Type one stitched boundary line with the fold's exact blank
     semantics; returns the document count contribution (0 for blanks)."""
-    from repro.inference.engine import _BYTES_WS_RUN, _EXTRA_SPACE_BYTES
+    from repro.inference.engine import _blank_span
 
-    if not line:
+    if _blank_span(line, 0, len(line)):
         return 0
-    ws_end = _BYTES_WS_RUN.match(line).end()
-    if ws_end >= len(line):
-        return 0
-    if line[ws_end] >= 0x80 or line[ws_end] in _EXTRA_SPACE_BYTES:
-        if line.decode("utf-8").isspace():
-            return 0
     accumulator.add_type(encoder.encode_bytes(line))
     return 1
 
@@ -689,10 +652,9 @@ def infer_subtree_text(
     which raises the exact error.
     """
     from repro.inference.engine import (
-        _EXTRA_SPACE_BYTES,
-        _BYTES_WS_RUN,
         _RANGE_BATCH_LINES,
         TypeAccumulator,
+        _blank_span,
     )
     from repro.types.build import EventTypeEncoder
 
@@ -708,7 +670,6 @@ def infer_subtree_text(
     buffer = corpus.buffer()
     path = getattr(corpus, "path", None)
     threshold = max(min_split_bytes, 2)
-    ws_match = _BYTES_WS_RUN.match
     pool_state: dict = {}
     batch: list[bytes] = []
     split_documents = 0
@@ -721,18 +682,13 @@ def infer_subtree_text(
 
     try:
         for start, end in corpus.spans:
-            if end <= start:
-                continue
-            ws_end = ws_match(buffer, start, end).end()
-            if ws_end >= end:
-                continue  # ASCII whitespace only
-            if buffer[ws_end] >= 0x80 or buffer[ws_end] in _EXTRA_SPACE_BYTES:
-                # str.isspace-parity blank check, flushing first so
-                # earlier lines surface their errors in serial order.
-                flush()
-                text = bytes(buffer[start:end]).decode("utf-8")
-                if text.isspace():
+            try:
+                if _blank_span(buffer, start, end):
                     continue
+            except UnicodeDecodeError:
+                # Earlier lines surface their errors first, serially.
+                flush()
+                raise
             if end - start >= threshold:
                 flush()
                 t = _subtree_span_type(
@@ -794,45 +750,34 @@ def infer_subtree_text(
 
 
 def infer_distributed_text(
-    lines: Sequence[str],
+    corpus,
     partitions: int,
     equivalence: Equivalence = Equivalence.KIND,
     *,
     processes: Optional[int] = None,
     shared_memory=None,  # unread; benchmarks/suite/trace_job.py passes it
 ) -> ParallelRun:
-    """Run the partitioned inference on raw NDJSON lines.
+    """Run the partitioned inference on an
+    :class:`~repro.datasets.ndjson.MmapCorpus`.
 
-    Each worker folds one contiguous partition through the fused
-    text→type pipeline and its own
-    :class:`~repro.inference.engine.TypeAccumulator`; only the interned
-    partition types come back, and the parent combines them,
-    bit-identical to every serial path.  Blank lines are skipped.
-
-    An :class:`~repro.datasets.ndjson.MmapCorpus` takes the file
-    transport: the parent ships line-aligned byte ranges from the corpus
-    index, and each worker reads its own slice of the file — the parent
-    never splits, decodes, or pickles lines.  Any other line sequence
-    takes the pickle transport: one pickled batch of lines per worker.
+    The parent ships one line-aligned byte range per contiguous
+    partition from the corpus index; each worker reads its own slice of
+    the file and folds it through the batched bytes pipeline and its own
+    :class:`~repro.inference.engine.TypeAccumulator` — the parent never
+    splits, decodes, or pickles lines.  Only the interned partition
+    types come back, and the parent combines them, bit-identical to
+    every serial path.  Blank lines are skipped.
     """
-    from repro.datasets.ndjson import MmapCorpus
-
-    if isinstance(lines, MmapCorpus):
-        worker = _infer_file_range_partition
-        payloads = _file_range_payloads(lines, partitions, equivalence)
-    else:
-        worker = _infer_lines_partition
-        payloads = [
-            (batch, equivalence.value)
-            for batch in partition_contiguous(list(lines), partitions)
-        ]
+    payloads = _file_range_payloads(corpus, partitions, equivalence)
     if processes is None:
         processes = min(len(payloads), auto_jobs())
     processes = max(1, processes)
 
     combined = TypeAccumulator(equivalence)
     counts: list[int] = []
-    for partial, count in _map_partitions(worker, payloads, processes):
+    for partial, count in _map_partitions(
+        _infer_file_range_partition, payloads, processes
+    ):
         combined.add_type(partial)
         counts.append(count)
     if not any(counts):
@@ -875,7 +820,7 @@ class SchedulePlan:
     into top-level chunks); the estimate fields record the cost model's
     inputs so benchmarks and the CLI can report *why* the scheduler
     chose what it chose.  ``calibration_source`` records where the
-    startup/shipping constants came from (``"env"``, ``"profile"``,
+    cost-model constants came from (``"env"``, ``"profile"``,
     ``"measured"``, or ``"default"`` — see
     :mod:`repro.inference.calibration`).
     """
@@ -901,8 +846,7 @@ class SchedulePlan:
 
 
 # Cost-model constants.  Startup covers fork + pool handshake + module
-# import per worker; shipping covers pickling line batches to workers.
-# Both constants resolve
+# import per worker.  It resolves
 # through :mod:`repro.inference.calibration`: env override first, then
 # the persisted per-machine profile (measured once and cached in
 # ``~/.cache/repro/sched.json``), then the built-in defaults.
@@ -916,25 +860,26 @@ _SAMPLE_MINIMUM = 8
 
 
 def plan_schedule(
-    lines: Sequence[str],
+    corpus,
     *,
     jobs: Optional[int] = None,
     shared_memory=None,  # unread; benchmarks/suite/trace_job.py passes it
     sample_size: int = _SAMPLE_SIZE,
 ) -> SchedulePlan:
-    """Decide serial vs. parallel execution for a line corpus.
+    """Decide serial vs. parallel execution for an
+    :class:`~repro.datasets.ndjson.MmapCorpus`.
 
-    The model: parallel wall-clock is per-worker startup, plus the
+    The model: parallel wall-clock is per-worker startup plus the
     serial fold divided across the CPUs that can really run (requested
-    jobs capped by :func:`auto_jobs`), plus shipping for in-memory lines
-    (the only input that is pickled to workers).  The startup and
-    shipping constants come from the persisted per-machine calibration
-    profile (:mod:`repro.inference.calibration` — measured once,
+    jobs capped by :func:`auto_jobs`); workers read their own byte
+    ranges, so nothing is shipped.  The startup constant comes from the
+    persisted per-machine calibration profile
+    (:mod:`repro.inference.calibration` — measured once,
     env-overridable) rather than per-plan guesses.  The timed sample
     measures the *map* rate (text to canonical type), which dominates
     the fold and does not depend on the equivalence — so one plan serves
-    both equivalences.  A mapped corpus and in-memory lines are sampled
-    the same way: each sampled line is decoded and typed.  The serial
+    both equivalences.  Each sampled line is decoded and typed, as the
+    fold does.  The serial
     fold rate is *measured*, not assumed, so the decision tracks the
     actual machine and document shape.  When the modeled parallel win
     is under ``_PARALLEL_ADVANTAGE`` the plan is
@@ -944,7 +889,7 @@ def plan_schedule(
     """
     from repro.inference import calibration
 
-    documents = len(lines)
+    documents = len(corpus)
     cpus = auto_jobs()
     requested = cpus if jobs is None else max(1, jobs)
 
@@ -973,22 +918,18 @@ def plan_schedule(
             "one usable CPU: parallel workers would only contend"
         )
 
-    from repro.datasets.ndjson import MmapCorpus
-
-    is_corpus = isinstance(lines, MmapCorpus)
-
     # --- corpus-shape probe: few huge lines → intra-document mode -------
     # Decided *before* the timed sample: sampling a corpus of 100 MB
     # lines would scan whole documents just to plan, and the per-line
     # rate is meaningless when one line is the corpus.  Bytes-rate
     # calibration constants model it instead.
-    if is_corpus and documents <= max(1, sample_size):
-        biggest = lines.max_line_bytes
+    if documents <= max(1, sample_size):
+        biggest = corpus.max_line_bytes
         if biggest >= _SUBTREE_MIN_BYTES:
-            total_bytes = lines.size_bytes
+            total_bytes = corpus.size_bytes
             huge_bytes = sum(
                 end - start
-                for start, end in lines.spans
+                for start, end in corpus.spans
                 if end - start >= _SUBTREE_MIN_BYTES
             )
             if huge_bytes * 2 > total_bytes:
@@ -1033,14 +974,12 @@ def plan_schedule(
 
     sample_limit = min(documents, max(1, sample_size))
     encode_text = _sample_encoder().encode_text
-    sample_bytes = 0
     sampled = 0
     start_time = time.perf_counter()
     for index in range(sample_limit):
-        # A corpus decodes the line here, as the fold does; blank lines
+        # The line is decoded here, as the fold does; blank lines
         # (str.isspace parity included) are skipped as the fold skips them.
-        line = lines[index]
-        sample_bytes += len(line)
+        line = corpus[index]
         if line and not line.isspace():
             encode_text(line)
         sampled += 1
@@ -1054,17 +993,10 @@ def plan_schedule(
 
     serial_seconds = documents / rate
     effective = min(requested, cpus)
-    total_bytes = sample_bytes * (documents / sampled)
-    # Shipping: in-memory lines go to workers as pickled batches; a
-    # corpus ships nothing — workers read their own byte ranges.
-    ship_seconds = (
-        0.0 if is_corpus else total_bytes / calibration.ship_bytes_per_second()
-    )
     source = calibration.calibration_source()
     parallel_seconds = (
         calibration.worker_startup_seconds() * effective
         + serial_seconds / effective
-        + ship_seconds
     )
 
     if serial_seconds > parallel_seconds * _PARALLEL_ADVANTAGE:
@@ -1085,8 +1017,8 @@ def plan_schedule(
         )
     return serial_plan(
         f"modeled parallel win {serial_seconds / parallel_seconds:.2f}x is "
-        f"under the {_PARALLEL_ADVANTAGE:.2f}x threshold (startup + "
-        "shipping eat the split fold)",
+        f"under the {_PARALLEL_ADVANTAGE:.2f}x threshold (worker "
+        "startup eats the split fold)",
         rate,
         serial_seconds,
         parallel_seconds,
@@ -1200,39 +1132,35 @@ def _sample_encoder():
 
 
 def infer_adaptive_text(
-    lines: Sequence[str],
+    corpus,
     equivalence: Equivalence = Equivalence.KIND,
     *,
     jobs: Optional[int] = None,
     sample_size: int = _SAMPLE_SIZE,
 ) -> ParallelRun:
-    """The batched text feed behind the adaptive scheduler.
+    """Inference over an :class:`~repro.datasets.ndjson.MmapCorpus`
+    behind the adaptive scheduler.
 
-    ``lines`` is any in-memory line sequence or an
-    :class:`~repro.datasets.ndjson.MmapCorpus`.  ``jobs=None`` sizes the
+    ``jobs=None`` sizes the
     worker pool from CPU affinity; any requested ``jobs`` is treated as
     a *cap*, not a command — the scheduler still falls back to a serial
     fold when the timed-sample cost model says workers would lose
     (guaranteeing ``--jobs N`` is never slower than serial by more than
-    the sample cost).  A mapped corpus folds serially through the
+    the sample cost).  A serial plan folds the mapped bytes through the
     batched line pipeline.  The result is bit-identical to every other
     path.
     """
-    plan = plan_schedule(lines, jobs=jobs, sample_size=sample_size)
+    plan = plan_schedule(corpus, jobs=jobs, sample_size=sample_size)
     if plan.subtree:
-        run = infer_subtree_text(lines, equivalence, processes=plan.jobs)
+        run = infer_subtree_text(corpus, equivalence, processes=plan.jobs)
         run.plan = plan
         return run
     if not plan.parallel:
-        from repro.datasets.ndjson import MmapCorpus
-        from repro.inference.engine import accumulate_lines, accumulate_ranges
+        from repro.inference.engine import accumulate_ranges
 
-        if isinstance(lines, MmapCorpus):
-            accumulator = accumulate_ranges(
-                lines.buffer(), lines.spans, equivalence
-            )
-        else:
-            accumulator = accumulate_lines(lines, equivalence)
+        accumulator = accumulate_ranges(
+            corpus.buffer(), corpus.spans, equivalence
+        )
         if accumulator.is_empty():
             raise InferenceError("cannot infer a schema from an empty stream")
         return ParallelRun(
@@ -1244,7 +1172,7 @@ def infer_adaptive_text(
             plan=plan,
         )
     run = infer_distributed_text(
-        lines,
+        corpus,
         partitions=plan.partitions,
         equivalence=equivalence,
         processes=plan.jobs,
@@ -1302,7 +1230,7 @@ def infer_counted_parallel(
     cardinality exactly (pinned by the process-boundary regression
     tests).  Contiguous byte ranges from the corpus index go to workers
     that read their own file slice and run the counting fold; contiguous
-    ranges (like :func:`partition_contiguous`) keep union member
+    ranges (:func:`partition_bounds`) keep union member
     first-appearance order identical to the serial fold.
     """
     payloads = _file_range_payloads(corpus, partitions, equivalence)

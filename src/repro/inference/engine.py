@@ -46,6 +46,26 @@ _WS_RUN = re.compile(WHITESPACE_PATTERN).match
 _EXTRA_SPACE_BYTES = frozenset(b"\x0b\x0c\x1c\x1d\x1e\x1f")
 
 
+def _blank_span(data, start: int, end: int) -> bool:
+    """Whether the line ``data[start:end]`` is blank — the one rule every
+    bytes route skips lines by, identical to ``not line or
+    line.isspace()`` on the decoded line.
+
+    An ASCII whitespace run decides most lines without decoding.  A line
+    whose first other byte is high or one of ``\\x0b\\x0c\\x1c``-``\\x1f``
+    may still be blank by ``str.isspace``'s wider rules, so it is decoded
+    and asked; an undecodable one raises its exact ``UnicodeDecodeError``
+    (positions relative to ``start``).
+    """
+    ws_end = _BYTES_WS_RUN.match(data, start, end).end()
+    if ws_end >= end:
+        return True
+    byte = data[ws_end]
+    if byte >= 0x80 or byte in _EXTRA_SPACE_BYTES:
+        return bytes(data[start:end]).decode("utf-8").isspace()
+    return False
+
+
 class TypeAccumulator:
     """Streaming parametric merge with O(classes) state.
 
@@ -337,16 +357,17 @@ class RangeFolder:
 
     The engine core of :func:`accumulate_ranges`, factored out so
     producers that materialise the corpus a *block at a time* — the
-    chunked decompression reader in :mod:`repro.datasets.compressed` —
+    line-block reader in :mod:`repro.datasets.compressed` —
     can push successive line-aligned buffers through one batched
     pipeline: the pending line batch persists across :meth:`feed`
-    calls, so a corpus fed in 1 MiB decompressed blocks folds exactly
-    like one contiguous mmap.  ``finish`` flushes the tail batch.
+    calls, so a corpus fed in blocks folds exactly like one contiguous
+    mmap.  ``finish`` flushes the tail batch.
 
     Error ordering is the serial contract: a line surfaces its error no
-    later than the first flush after it, and any line needing the
-    str-blank decision flushes everything before it first — identical to
-    :func:`accumulate_ranges` over the concatenated spans.
+    later than the first flush after it, and a line whose blank check
+    (:func:`_blank_span`) fails to decode flushes everything before it
+    first — identical to :func:`accumulate_ranges` over the
+    concatenated spans.
     """
 
     __slots__ = ("_acc", "_encoder", "_batch")
@@ -378,29 +399,20 @@ class RangeFolder:
     def feed(self, data, spans) -> None:
         """Absorb the line ``spans`` of one buffer (bytes are copied into
         the batch, so ``data`` may be reused after the call)."""
-        ws_match = _BYTES_WS_RUN.match
         batch = self._batch
         append = batch.append
         for start, end in spans:
-            if end > start:
-                ws_end = ws_match(data, start, end).end()
-                if ws_end >= end:
-                    continue  # ASCII whitespace only
-                if data[ws_end] >= 0x80 or data[ws_end] in _EXTRA_SPACE_BYTES:
-                    # Possibly whitespace-only by str.isspace's wider
-                    # rules (unicode spaces, \x0b/\x0c/\x1c-\x1f) — the
-                    # str feed skips those lines, so decide exactly as
-                    # it would (and let a malformed-UTF-8 line raise its
-                    # exact decode error).  Flush first: earlier lines
-                    # must surface their errors before this line's
-                    # decode, as they do serially.
-                    self._flush()
-                    text = bytes(data[start:end]).decode("utf-8")
-                    if text.isspace():
-                        continue
-                append(bytes(data[start:end]))
-                if len(batch) >= _RANGE_BATCH_LINES:
-                    self._flush()
+            try:
+                if _blank_span(data, start, end):
+                    continue
+            except UnicodeDecodeError:
+                # Earlier batched lines surface their errors first, as
+                # they do serially.
+                self._flush()
+                raise
+            append(bytes(data[start:end]))
+            if len(batch) >= _RANGE_BATCH_LINES:
+                self._flush()
 
     def finish(self) -> None:
         """Flush the pending batch (call once, after the last feed)."""

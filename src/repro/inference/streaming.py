@@ -138,7 +138,7 @@ def infer_report_corpus(
     return _report_ranges(corpus.buffer(), corpus.spans, equivalence)
 
 
-def fold_compressed(
+def fold_line_blocks(
     source,
     equivalence: Equivalence = Equivalence.KIND,
     *,
@@ -146,23 +146,22 @@ def fold_compressed(
     format: Optional[str] = None,
     block_bytes: Optional[int] = None,
 ):
-    """Fold a compressed NDJSON corpus through the bytes pipeline.
+    """Fold a streamed NDJSON source through the bytes pipeline.
 
-    The serial compressed route: the chunked decompression reader
+    The serial route of every source that is not mapped: a gzip/zstd
+    file, ``"-"`` (stdin) or a FIFO.  The line-block reader
     (:func:`repro.datasets.compressed.iter_line_blocks`) yields
-    line-aligned decompressed blocks which feed one persistent
+    line-aligned blocks which feed one persistent
     :class:`~repro.inference.engine.RangeFolder` — the same batched
-    fold an uncompressed mmap corpus runs, so the result is
-    interned-identical to the plain-file fold of the decompressed
-    bytes.  No decompressed corpus is ever
-    materialised: memory is one block plus the longest line.
+    fold a mapped file runs, so the result is interned-identical to the
+    plain-file fold of the same (decompressed) bytes.  Memory is one
+    block plus the pending batch, never the corpus.
 
     This path **owns error ordering**: JSON/decode errors of earlier
     lines surface before a later decompression failure, exactly as a
     plain serial fold would order them.
     """
     from repro.datasets.compressed import (
-        DEFAULT_BLOCK_BYTES,
         CompressedCorpusError,
         iter_block_line_spans,
         iter_line_blocks,
@@ -171,11 +170,7 @@ def fold_compressed(
 
     accumulator = TypeAccumulator(equivalence, table=table)
     folder = RangeFolder(accumulator)
-    blocks = iter_line_blocks(
-        source,
-        format=format,
-        block_bytes=block_bytes if block_bytes is not None else DEFAULT_BLOCK_BYTES,
-    )
+    blocks = iter_line_blocks(source, format=format, block_bytes=block_bytes)
     while True:
         try:
             block = next(blocks)
@@ -201,7 +196,7 @@ def infer_report_compressed(
 ) -> InferenceReport:
     """Inference over a gzip/zstd NDJSON file — the compressed entry point.
 
-    With ``jobs=1`` the serial chunked fold (:func:`fold_compressed`)
+    With ``jobs=1`` the serial chunked fold (:func:`fold_line_blocks`)
     runs directly.  Otherwise the compressed scheduler
     (:func:`repro.inference.distributed.plan_compressed_schedule`)
     decides whether independent members/frames justify the worker pool;
@@ -230,7 +225,7 @@ def infer_report_compressed(
             )
             if run is not None:
                 return _run_report(run, equivalence)
-    accumulator = fold_compressed(source, equivalence, format=fmt)
+    accumulator = fold_line_blocks(source, equivalence, format=fmt)
     return _accumulated_report(accumulator)
 
 
@@ -257,7 +252,7 @@ def infer_report_streaming(
     lines: Iterable[str], equivalence: Equivalence = Equivalence.KIND
 ) -> InferenceReport:
     """Streaming inference plus the report the papers' tables need
-    (type, size, document count) — the CLI's streaming path."""
+    (type, size, document count) — the route of line iterables."""
     return _accumulated_report(accumulate_lines(lines, equivalence))
 
 
@@ -282,29 +277,24 @@ def infer_report_path(
     A regular file takes :func:`report_with_spans`'s routing: a
     gzip/zstd file the chunked decompression fold, a plain file the
     bytes fold over its zero-copy mmap corpus, and with ``jobs`` other
-    than 1 the adaptive scheduler.  Any other source streams: serially
-    in O(nesting) memory, or as one pickled batch of lines per worker
-    when the scheduler
-    (:func:`repro.inference.distributed.infer_adaptive_text`) picks
-    workers.  ``jobs=None`` sizes the pool from CPU affinity, ``jobs=N``
-    caps it at N, and either way the scheduler falls back to a serial
-    fold when its timed-sample cost model says workers would lose.
+    than 1 the adaptive scheduler
+    (:func:`repro.inference.distributed.infer_adaptive_text`):
+    ``jobs=None`` sizes the pool from CPU affinity, ``jobs=N`` caps it
+    at N, and either way the scheduler falls back to a serial fold when
+    its timed-sample cost model says workers would lose.  Any other
+    source folds serially whatever ``jobs`` says: stdin and FIFOs
+    through :func:`fold_line_blocks` (one block in memory at a time), a
+    line iterable through the str feed.
     """
     if _is_corpus_file(source):
         with report_with_spans(source, equivalence, jobs=jobs) as (report, _):
             return report
+    if isinstance(source, (str, os.PathLike)):
+        return _accumulated_report(fold_line_blocks(source, equivalence))
 
     from repro.datasets.ndjson import iter_ndjson_lines
 
-    if jobs == 1:
-        return infer_report_streaming(iter_ndjson_lines(source), equivalence)
-
-    from repro.inference.distributed import infer_adaptive_text
-
-    run = infer_adaptive_text(
-        list(iter_ndjson_lines(source)), equivalence, jobs=jobs
-    )
-    return _run_report(run, equivalence)
+    return infer_report_streaming(iter_ndjson_lines(source), equivalence)
 
 
 @contextmanager
@@ -332,7 +322,8 @@ def report_with_spans(
       block.
     - Any other source (``"-"``, a FIFO, a line iterable) is read once
       into one buffer (:func:`repro.datasets.ndjson.read_line_spans`)
-      and inferred serially by the same bytes fold.
+      and inferred serially by the same bytes fold, whatever ``jobs``
+      says.
     """
     if not _is_corpus_file(source):
         from repro.datasets.ndjson import read_line_spans

@@ -643,30 +643,22 @@ def translate_report_path(
 def _stream_translate_sections(sections, resolution, shredder, encoder, sink):
     """The DOM-free loop: raw byte spans through the stream machine.
 
-    Blank spans are skipped with the byte folds' exact whitespace rule
-    (ASCII run first; a leading high or vertical-space byte decides by
-    ``str.isspace`` on the decoded line, decode errors raising exactly),
-    so the document count always reconciles with inference.
+    Blank spans are skipped by the byte folds' one rule
+    (:func:`repro.inference.engine._blank_span`, decode errors raising
+    exactly), so the document count always reconciles with inference.
     """
-    from repro.inference.engine import _BYTES_WS_RUN, _EXTRA_SPACE_BYTES
+    from repro.inference.engine import _blank_span
     from repro.translation.stream import StreamTranslator
 
     translator = StreamTranslator(resolution, shredder, encoder)
     translate = translator.translate_range
-    ws_match = _BYTES_WS_RUN.match
     add = sink.add
     count = 0
     input_bytes = 0
     for data, spans in sections:
         for start, end in spans:
-            if end <= start:
+            if _blank_span(data, start, end):
                 continue
-            ws_end = ws_match(data, start, end).end()
-            if ws_end >= end:
-                continue  # ASCII whitespace only
-            if data[ws_end] >= 0x80 or data[ws_end] in _EXTRA_SPACE_BYTES:
-                if bytes(data[start:end]).decode("utf-8").isspace():
-                    continue
             input_bytes += end - start
             add(translate(data, start, end))
             count += 1

@@ -34,8 +34,5 @@ if "REPRO_SCHED_PROFILE" not in os.environ:
         tempfile.mkdtemp(prefix="repro-sched-"), "sched.json"
     )
     with open(_profile, "w", encoding="utf-8") as _handle:
-        json.dump(
-            {"worker_startup_seconds": 0.08, "ship_bytes_per_second": 150e6},
-            _handle,
-        )
+        json.dump({"worker_startup_seconds": 0.08}, _handle)
     os.environ["REPRO_SCHED_PROFILE"] = _profile

@@ -2,17 +2,18 @@
 
 The scheduler exists to fix one concrete regression (E16: `--jobs N`
 measuring 0.94–1.01x serial): it must *never* schedule a worker pool
-whose modeled cost exceeds the serial fold — one usable CPU, a tiny
-corpus, or heavy shipping all mean serial — while still scheduling
-workers when the model says they win.  Every route stays bit-identical
-to the serial fold.
+whose modeled cost exceeds the serial fold — one usable CPU or a tiny
+corpus mean serial — while still scheduling workers when the model says
+they win.  It plans mapped corpus files only (sources that are not
+files fold serially), so every case here writes its lines to a file.
+Every route stays bit-identical to the serial fold.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.datasets import ndjson_lines, tweets
+from repro.datasets import ndjson_lines, open_corpus, tweets
 from repro.errors import InferenceError
 from repro.inference import (
     auto_jobs,
@@ -22,6 +23,22 @@ from repro.inference import (
     plan_schedule,
 )
 from repro.inference import distributed as distributed_module
+
+
+@pytest.fixture()
+def corpus_of(tmp_path):
+    """Write lines to a file and open it as a mapped corpus."""
+    opened = []
+
+    def make(lines):
+        path = tmp_path / f"corpus{len(opened)}.ndjson"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        opened.append(open_corpus(path))
+        return opened[-1]
+
+    yield make
+    for corpus in opened:
+        corpus.close()
 
 
 @pytest.fixture()
@@ -45,18 +62,18 @@ def test_partition_bounds_cover_contiguously():
         partition_bounds(4, 0)
 
 
-def test_one_requested_worker_plans_serial():
+def test_one_requested_worker_plans_serial(corpus_of):
     lines = ndjson_lines(tweets(20, seed=1))
-    plan = plan_schedule(lines, jobs=1)
+    plan = plan_schedule(corpus_of(lines), jobs=1)
     assert plan.mode == "serial"
     assert plan.jobs == 1
     assert "one worker" in plan.reason
 
 
-def test_single_cpu_plans_serial_without_sampling(monkeypatch):
+def test_single_cpu_plans_serial_without_sampling(monkeypatch, corpus_of):
     monkeypatch.setattr(distributed_module, "auto_jobs", lambda: 1)
     lines = ndjson_lines(tweets(20, seed=1))
-    plan = plan_schedule(lines, jobs=8)
+    plan = plan_schedule(corpus_of(lines), jobs=8)
     assert plan.mode == "serial"
     assert plan.cpus == 1
     assert "one usable CPU" in plan.reason
@@ -64,28 +81,28 @@ def test_single_cpu_plans_serial_without_sampling(monkeypatch):
     assert plan.sample_docs_per_sec == 0.0
 
 
-def test_empty_corpus_plans_serial():
-    plan = plan_schedule([], jobs=4)
+def test_empty_corpus_plans_serial(corpus_of):
+    plan = plan_schedule(corpus_of([]), jobs=4)
     assert plan.mode == "serial"
     assert plan.documents == 0
 
 
-def test_tiny_corpus_falls_back_to_serial(monkeypatch):
+def test_tiny_corpus_falls_back_to_serial(monkeypatch, corpus_of):
     """With real per-worker startup cost, a handful of documents can
     never amortize a pool."""
     monkeypatch.setattr(distributed_module, "auto_jobs", lambda: 8)
     monkeypatch.setenv("REPRO_WORKER_STARTUP_SECONDS", "0.1")
     lines = ndjson_lines(tweets(10, seed=2))
-    plan = plan_schedule(lines, jobs=4)
+    plan = plan_schedule(corpus_of(lines), jobs=4)
     assert plan.mode == "serial"
     assert plan.estimated_parallel_seconds > plan.estimated_serial_seconds / (
         distributed_module._PARALLEL_ADVANTAGE
     )
 
 
-def test_large_corpus_plans_parallel_when_cpus_are_free(many_cpus):
+def test_large_corpus_plans_parallel_when_cpus_are_free(many_cpus, corpus_of):
     lines = ndjson_lines(tweets(400, seed=3)) * 50  # 20k docs
-    plan = plan_schedule(lines, jobs=4)
+    plan = plan_schedule(corpus_of(lines), jobs=4)
     assert plan.mode == "parallel"
     assert plan.jobs == 4  # the request caps the pool below the 8 CPUs
     assert plan.partitions == plan.jobs
@@ -93,34 +110,18 @@ def test_large_corpus_plans_parallel_when_cpus_are_free(many_cpus):
     assert plan.estimated_serial_seconds > plan.estimated_parallel_seconds
 
 
-def test_requested_jobs_cap_at_usable_cpus(many_cpus):
+def test_requested_jobs_cap_at_usable_cpus(many_cpus, corpus_of):
     lines = ndjson_lines(tweets(400, seed=3)) * 50
-    plan = plan_schedule(lines, jobs=64)
+    plan = plan_schedule(corpus_of(lines), jobs=64)
     assert plan.mode == "parallel"
     assert plan.jobs == 8  # capped by affinity, not the request
 
 
-def test_shipping_is_charged_only_for_in_memory_lines(
-    many_cpus, monkeypatch, tmp_path
-):
-    """Only in-memory lines are pickled to workers; a mapped corpus
-    ships nothing, so a crawling pickle rate cannot stop its pool."""
-    from repro.datasets import open_corpus
-
-    monkeypatch.setenv("REPRO_SHIP_BYTES_PER_SECOND", "1")
-    lines = ndjson_lines(tweets(400, seed=3)) * 10
-    assert plan_schedule(lines, jobs=4).mode == "serial"
-    path = tmp_path / "corpus.ndjson"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with open_corpus(path) as corpus:
-        assert plan_schedule(corpus, jobs=4).mode == "parallel"
-
-
-def test_adaptive_serial_route_is_identical():
+def test_adaptive_serial_route_is_identical(corpus_of):
     docs = tweets(120, seed=5)
     lines = ndjson_lines(docs)
     reference = infer_type(docs)
-    run = infer_adaptive_text(lines, jobs=4)
+    run = infer_adaptive_text(corpus_of(lines), jobs=4)
     assert run.result is reference
     assert run.document_count == len(docs)
     assert run.plan is not None
@@ -128,27 +129,27 @@ def test_adaptive_serial_route_is_identical():
         assert run.processes == 1
 
 
-def test_adaptive_parallel_route_is_identical(many_cpus, monkeypatch):
+def test_adaptive_parallel_route_is_identical(many_cpus, corpus_of):
     """Force a parallel plan (capped to 2 real workers) and check the
     pool lands on the canonical node."""
     docs = tweets(150, seed=7)
     lines = ndjson_lines(docs)
     reference = infer_type(docs)
-    run = infer_adaptive_text(lines, jobs=2)
+    run = infer_adaptive_text(corpus_of(lines), jobs=2)
     assert run.plan is not None and run.plan.mode == "parallel"
     assert run.processes == 2
     assert run.result is reference
     assert run.document_count == len(docs)
 
 
-def test_adaptive_empty_corpus_raises():
+def test_adaptive_empty_corpus_raises(corpus_of):
     with pytest.raises(InferenceError):
-        infer_adaptive_text(["", "   "], jobs=2)
+        infer_adaptive_text(corpus_of(["", "   "]), jobs=2)
 
 
-def test_plan_survives_into_the_run(many_cpus):
+def test_plan_survives_into_the_run(many_cpus, corpus_of):
     lines = ndjson_lines(tweets(150, seed=9))
-    run = infer_adaptive_text(lines, jobs=2)
+    run = infer_adaptive_text(corpus_of(lines), jobs=2)
     assert run.plan is not None
     assert run.plan.parallel == (run.plan.mode == "parallel")
     assert run.plan.documents == len(lines)
@@ -156,7 +157,8 @@ def test_plan_survives_into_the_run(many_cpus):
 
 def test_infer_report_path_reads_non_regular_files(tmp_path):
     """FIFOs (process substitution, /dev/stdin) stat as size 0 — the
-    path route must fall back to streaming reads instead of mmap."""
+    path route must fall back to streaming reads instead of mmap, and
+    fold serially whatever ``jobs`` says."""
     import os
     import threading
 

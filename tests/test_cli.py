@@ -144,6 +144,75 @@ class TestEmptyInput:
         )
 
 
+class TestOneErrorAcrossRoutes:
+    """One reader and one line grammar for every source: the first bad
+    line — malformed JSON or undecodable UTF-8 — gives the same single
+    ``error:`` line from every subcommand, file or stdin, with positions
+    relative to that line."""
+
+    INPUTS = {
+        "json-error-before-bad-utf8": (
+            b'{"a": 1}\n{"a": \n{"b": "\xff"}\n',
+            "error: expected a JSON value at line 1, column 7 (offset 6)\n",
+        ),
+        "bad-utf8": (
+            b'{"a": 1}\n{"b": "\xff"}\n',
+            "error: 'utf-8' codec can't decode byte 0xff in position 7: "
+            "invalid start byte\n",
+        ),
+    }
+
+    @pytest.fixture(autouse=True)
+    def workers_always_win(self, monkeypatch):
+        # Free worker start-up on two CPUs: every plan that can start a
+        # pool does, so the speculative routes are exercised too.
+        from repro.inference import distributed
+
+        monkeypatch.setattr(distributed, "auto_jobs", lambda: 2)
+        monkeypatch.setenv("REPRO_WORKER_STARTUP_SECONDS", "0")
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["infer", "FILE"],
+            ["infer", "FILE", "--jobs", "2"],
+            ["infer", "-"],
+            ["infer", "-", "--jobs", "2"],
+            ["infer", "GZIP", "--jobs", "2"],
+            ["validate", "FILE", "--schema", "SCHEMA"],
+            ["validate", "-", "--schema", "SCHEMA"],
+            ["skeleton", "FILE"],
+            ["skeleton", "-"],
+            ["translate", "FILE"],
+            ["translate", "-"],
+        ],
+        ids=" ".join,
+    )
+    def test_same_error_line(self, tmp_path, monkeypatch, capsys, argv, name):
+        import gzip
+        import io
+
+        raw, expected = self.INPUTS[name]
+        plain = tmp_path / "data.ndjson"
+        plain.write_bytes(raw)
+        # One gzip member per line: the member-parallel attempt runs,
+        # fails, and leaves the error to the serial fold.
+        packed = tmp_path / "data.ndjson.gz"
+        packed.write_bytes(
+            b"".join(
+                gzip.compress(line, mtime=0)
+                for line in raw.splitlines(keepends=True)
+            )
+        )
+        schema = tmp_path / "schema.json"
+        schema.write_text("{}", encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
+        paths = {"FILE": str(plain), "GZIP": str(packed), "SCHEMA": str(schema)}
+        assert main([paths.get(arg, arg) for arg in argv]) == 2
+        assert capsys.readouterr().err == expected
+
+
 class TestValidate:
     def test_all_valid(self, data_file, schema_file, capsys):
         assert main(["validate", data_file, "--schema", schema_file]) == 0

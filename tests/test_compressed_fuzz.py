@@ -24,16 +24,12 @@ import pickle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.datasets import open_corpus
-from repro.datasets.compressed import (
-    CompressedCorpusError,
-    compress_member,
-    iter_compressed_lines,
-)
+from repro.datasets import iter_ndjson_lines, open_corpus
+from repro.datasets.compressed import CompressedCorpusError, compress_member
 from repro.errors import ReproError
 from repro.inference import (
     accumulate_ranges,
-    fold_compressed,
+    fold_line_blocks,
     infer_compressed_parallel,
     infer_report_compressed,
 )
@@ -138,7 +134,7 @@ def test_compressed_fold_differential(tmp_path_factory, raw, cuts, block):
             return accumulate_ranges(corpus.buffer(), corpus.spans)
 
     expected = _outcome(plain_fold)
-    actual = _outcome(lambda: fold_compressed(packed, block_bytes=block))
+    actual = _outcome(lambda: fold_line_blocks(packed, block_bytes=block))
     assert actual == expected
     if expected[0] == "ok":
         assert actual[1] is expected[1]  # interned identity, not equality
@@ -153,7 +149,7 @@ def test_compressed_lines_match_plain_lines(tmp_path_factory, raw, cuts):
     packed = tmp / "corpus.ndjson.gz"
     _write_layout(packed, raw, cuts)
     with open_corpus(plain) as corpus:
-        assert list(iter_compressed_lines(packed)) == list(corpus)
+        assert list(iter_ndjson_lines(packed)) == list(corpus)
 
 
 @given(raw=corpora(), cuts=member_layouts())
@@ -162,7 +158,7 @@ def test_parallel_route_matches_serial(tmp_path_factory, raw, cuts):
     tmp = tmp_path_factory.mktemp("fuzz")
     packed = tmp / "corpus.ndjson.gz"
     _write_layout(packed, raw, cuts)
-    serial = _outcome(lambda: fold_compressed(packed))
+    serial = _outcome(lambda: fold_line_blocks(packed))
     run = infer_compressed_parallel(packed, Equivalence.KIND, processes=2)
     if run is not None:
         assert serial[0] == "ok"
@@ -229,7 +225,7 @@ def test_damaged_streams_same_outcome_serial_and_parallel(
 
     # Stream-level failures stay picklable with their offsets intact.
     try:
-        fold_compressed(packed, format="gzip")
+        fold_line_blocks(packed, format="gzip")
     except CompressedCorpusError as exc:
         clone = pickle.loads(pickle.dumps(exc))
         assert type(clone) is type(exc)

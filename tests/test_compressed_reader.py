@@ -26,16 +26,17 @@ from repro.datasets import (
     compress_corpus,
     compress_member,
     detect_compression,
-    iter_compressed_lines,
     iter_line_blocks,
+    iter_ndjson_lines,
     member_candidates,
     open_corpus,
     zstd_available,
 )
+from repro.datasets import compressed
 from repro.datasets.compressed import _line_aligned_cut, iter_block_line_spans
 from repro.inference import (
     accumulate_ranges,
-    fold_compressed,
+    fold_line_blocks,
     infer_compressed_parallel,
     infer_counted_compressed,
     infer_counted_streaming,
@@ -114,14 +115,15 @@ def test_blocks_are_line_aligned_and_lossless(tmp_path):
         assert block.endswith((b"\n", b"\r")), "interior block not line-aligned"
 
 
-def test_huge_single_line_spans_many_blocks(tmp_path):
+def test_huge_single_line_spans_many_blocks(tmp_path, monkeypatch):
     line = '{"blob": "' + "x" * 300_000 + '"}'
     raw = (line + "\n").encode("utf-8")
     path = tmp_path / "big.gz"
     path.write_bytes(gzip.compress(raw, mtime=0))
     blocks = list(iter_line_blocks(path, block_bytes=1024))
     assert b"".join(blocks) == raw
-    assert list(iter_compressed_lines(path, block_bytes=1024)) == [line]
+    monkeypatch.setattr(compressed, "DEFAULT_BLOCK_BYTES", 1024)
+    assert list(iter_ndjson_lines(path)) == [line]
 
 
 def test_multi_member_gzip_decodes_seamlessly(tmp_path):
@@ -131,9 +133,9 @@ def test_multi_member_gzip_decodes_seamlessly(tmp_path):
     raw = ("\n".join(SAMPLE_LINES) + "\n").encode("utf-8")
     cut = raw.index(b'"tag"', len(raw) // 2)
     _write_members(path, [raw[:cut], raw[cut:]])
-    assert list(iter_compressed_lines(path)) == SAMPLE_LINES
+    assert list(iter_ndjson_lines(path)) == SAMPLE_LINES
     table = global_table()
-    assert table.canonical(fold_compressed(path).result()) is _plain_reference(
+    assert table.canonical(fold_line_blocks(path).result()) is _plain_reference(
         tmp_path, raw
     )
 
@@ -155,7 +157,7 @@ def test_member_end_on_block_cap_does_not_replay(tmp_path):
 def test_empty_members_are_transparent(tmp_path):
     path = tmp_path / "sparse.gz"
     _write_members(path, [b"", b'{"a": 1}\n', b"", b"", b'{"b": 2}\n', b""])
-    assert list(iter_compressed_lines(path)) == ['{"a": 1}', '{"b": 2}']
+    assert list(iter_ndjson_lines(path)) == ['{"a": 1}', '{"b": 2}']
 
 
 def test_zero_byte_file_is_a_plain_empty_corpus(tmp_path):
@@ -238,17 +240,16 @@ def test_crlf_split_across_members(tmp_path):
     # 2's: the pair must still count as one break.
     path = tmp_path / "crlf.gz"
     _write_members(path, [b'{"a": 1}\r', b'\n{"b": 2}\r\n'])
-    assert list(iter_compressed_lines(path)) == ['{"a": 1}', '{"b": 2}']
+    assert list(iter_ndjson_lines(path)) == ['{"a": 1}', '{"b": 2}']
 
 
-def test_crlf_split_across_tiny_blocks(tmp_path):
+def test_crlf_split_across_tiny_blocks(tmp_path, monkeypatch):
     raw = b'{"a": 1}\r\n{"b": 2}\r\n'
     path = tmp_path / "crlf2.gz"
     path.write_bytes(gzip.compress(raw, mtime=0))
     for block_bytes in range(1, 12):
-        assert list(
-            iter_compressed_lines(path, block_bytes=block_bytes)
-        ) == ['{"a": 1}', '{"b": 2}']
+        monkeypatch.setattr(compressed, "DEFAULT_BLOCK_BYTES", block_bytes)
+        assert list(iter_ndjson_lines(path)) == ['{"a": 1}', '{"b": 2}']
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +285,7 @@ def test_parallel_fold_matches_serial_identity(tmp_path):
     for equivalence in (Equivalence.KIND, Equivalence.LABEL):
         run = infer_compressed_parallel(path, equivalence, processes=3)
         assert run is not None
-        serial = fold_compressed(path, equivalence)
+        serial = fold_line_blocks(path, equivalence)
         assert table.canonical(run.result) is table.canonical(serial.result())
         assert run.document_count == serial.document_count == len(SAMPLE_LINES)
     run = infer_compressed_parallel(path, Equivalence.KIND, processes=3)
@@ -419,7 +420,7 @@ def test_serial_error_ordering_json_before_stream_failure(tmp_path):
     path = tmp_path / "ordered.gz"
     path.write_bytes(first + bytes(second))
     with pytest.raises(JsonParseError):
-        fold_compressed(path)
+        fold_line_blocks(path)
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +438,9 @@ def test_zstd_round_trip_and_identity(tmp_path):
     path = tmp_path / "c.ndjson.zst"
     compress_corpus(path, SAMPLE_LINES, member_lines=8, format="zstd")
     assert detect_compression(path) == "zstd"
-    assert list(iter_compressed_lines(path)) == SAMPLE_LINES
+    assert list(iter_ndjson_lines(path)) == SAMPLE_LINES
     table = global_table()
-    assert table.canonical(fold_compressed(path).result()) is _plain_reference(
+    assert table.canonical(fold_line_blocks(path).result()) is _plain_reference(
         tmp_path, raw
     )
 
@@ -453,7 +454,7 @@ def test_zstd_parallel_members(tmp_path):
     assert run is not None
     table = global_table()
     assert table.canonical(run.result) is table.canonical(
-        fold_compressed(path).result()
+        fold_line_blocks(path).result()
     )
 
 
@@ -465,4 +466,4 @@ def test_zstd_skippable_frames_are_skipped(tmp_path):
     frame = zstandard.ZstdCompressor().compress(b'{"a": 1}\n')
     path = tmp_path / "skip.zst"
     path.write_bytes(skippable + frame + skippable)
-    assert list(iter_compressed_lines(path)) == ['{"a": 1}']
+    assert list(iter_ndjson_lines(path)) == ['{"a": 1}']

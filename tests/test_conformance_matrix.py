@@ -3,9 +3,9 @@
 The paper's map/reduce design means there are many ways to compute "the
 type of this collection" — DOM fold, fused batch, streaming text,
 counting (stripped of counts), the distributed simulator, the
-real multiprocessing modes (pickled line batches, file byte ranges,
-subtree chunks, compressed members), and the schema repository's
-per-structure groups.  The monoid
+real multiprocessing modes (file byte ranges, subtree chunks,
+compressed members), the line-block reader over stdin and FIFOs, and
+the schema repository's per-structure groups.  The monoid
 laws say they must all agree; hash-consing sharpens "agree" to *object
 identity* once each answer is canonicalized into one intern table.
 
@@ -88,17 +88,49 @@ def _route_distributed_serial(docs, lines, equivalence):
     return infer_distributed(docs, partitions=4, equivalence=equivalence).result
 
 
-def _route_distributed_text(docs, lines, equivalence):
-    """Real multiprocessing over pickled raw-line batches."""
-    return infer_distributed_text(
-        lines, partitions=3, equivalence=equivalence, processes=2
-    ).result
+def _ndjson_bytes(lines) -> bytes:
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _route_adaptive(docs, lines, equivalence):
-    """The adaptive scheduler (serial fallback or worker pool — the
-    result must be identical either way)."""
-    return infer_adaptive_text(lines, equivalence, jobs=2).result
+def _route_stdin_blocks(docs, lines, equivalence):
+    """``repro infer - --jobs 2``: byte stdin read 61 bytes at a time,
+    so lines straddle blocks, folded serially block by block."""
+    import io
+    from unittest import mock
+
+    from repro.datasets import compressed
+    from repro.inference import infer_report_path
+
+    stdin = io.TextIOWrapper(io.BytesIO(_ndjson_bytes(lines)))
+    with mock.patch.object(compressed, "READ_BYTES", 61), mock.patch(
+        "sys.stdin", stdin
+    ):
+        return infer_report_path("-", equivalence, jobs=2).inferred
+
+
+def _route_fifo_blocks(docs, lines, equivalence):
+    """A FIFO path: never sniffed for compression or mapped, read as
+    line-aligned blocks like stdin."""
+    import os
+    import tempfile
+    import threading
+    from pathlib import Path as _Path
+
+    from repro.inference import infer_report_path
+
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs on this platform")
+    with tempfile.TemporaryDirectory() as tmp:
+        fifo = _Path(tmp) / "corpus.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=fifo.write_bytes, args=(_ndjson_bytes(lines),), daemon=True
+        )
+        writer.start()
+        try:
+            return infer_report_path(str(fifo), equivalence).inferred
+        finally:
+            writer.join(timeout=10)
 
 
 def _with_corpus(lines, fn):
@@ -234,10 +266,10 @@ def _with_compressed(lines, fmt, fn):
 
 def _croute_gzip_serial(lines, equivalence):
     """Chunked gzip decode into the bytes fold (the serial reader)."""
-    from repro.inference import fold_compressed
+    from repro.inference import fold_line_blocks
 
     return _with_compressed(
-        lines, "gzip", lambda p: fold_compressed(p, equivalence).result()
+        lines, "gzip", lambda p: fold_line_blocks(p, equivalence).result()
     )
 
 
@@ -277,10 +309,10 @@ def _croute_gzip_counting(lines, equivalence):
 
 def _croute_zstd_serial(lines, equivalence):
     """Chunked zstd decode into the bytes fold (optional codec)."""
-    from repro.inference import fold_compressed
+    from repro.inference import fold_line_blocks
 
     return _with_compressed(
-        lines, "zstd", lambda p: fold_compressed(p, equivalence).result()
+        lines, "zstd", lambda p: fold_line_blocks(p, equivalence).result()
     )
 
 
@@ -308,8 +340,8 @@ ROUTES = {
     "counting": _route_counting,
     "counting-text": _route_counting_text,
     "distributed-serial": _route_distributed_serial,
-    "distributed-text": _route_distributed_text,
-    "adaptive": _route_adaptive,
+    "stdin-blocks": _route_stdin_blocks,
+    "fifo-blocks": _route_fifo_blocks,
     "adaptive-corpus": _route_adaptive_corpus,
     "bytes-serial": _route_bytes_serial,
     "bytes-parallel": _route_bytes_parallel,

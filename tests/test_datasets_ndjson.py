@@ -12,7 +12,7 @@ from repro.datasets import (
     ndjson_lines,
     open_corpus,
     read_ndjson_lines,
-    split_corpus_lines,
+    split_corpus_bytes,
     stream_documents,
     stream_types,
     tweets,
@@ -62,7 +62,7 @@ def test_stream_types_skips_blank_lines():
 
 
 class TestMmapCorpus:
-    # Every newline convention the text-mode loader understands:
+    # Every newline convention Python's text mode understands:
     # LF, CRLF, lone CR (universal newlines), blank lines, a missing
     # trailing terminator, and the empty file.
     CONTENTS = {
@@ -87,6 +87,25 @@ class TestMmapCorpus:
             assert [corpus[i] for i in range(len(corpus))] == expected
             assert corpus[0:len(corpus)] == expected
 
+    @pytest.mark.parametrize("read_bytes", [1, 2, 5, 64 << 10])
+    @pytest.mark.parametrize("name", sorted(CONTENTS))
+    def test_block_reads_match_text_mode_lines(
+        self, tmp_path, monkeypatch, name, read_bytes
+    ):
+        """Whatever the read size — a ``\\r\\n`` split across two reads
+        included — the block reader yields the lines Python's
+        universal-newline text mode would."""
+        from repro.datasets import compressed
+
+        raw = self.CONTENTS[name].encode("utf-8")
+        path = tmp_path / "corpus.ndjson"
+        path.write_bytes(raw)
+        text_mode = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=None)
+        monkeypatch.setattr(compressed, "READ_BYTES", read_bytes)
+        assert list(iter_ndjson_lines(path)) == [
+            line.rstrip("\r\n") for line in text_mode
+        ]
+
     def test_byte_ranges_round_trip_through_split(self, tmp_path):
         path = tmp_path / "corpus.ndjson"
         path.write_bytes(b'{"a": 1}\r\n\r\nx\r{"b": 2}\n{"c": 3}')
@@ -96,8 +115,10 @@ class TestMmapCorpus:
             for start in range(len(corpus)):
                 for stop in range(start + 1, len(corpus) + 1):
                     byte_start, byte_end = corpus.byte_range(start, stop)
-                    text = data[byte_start:byte_end].decode("utf-8")
-                    assert split_corpus_lines(text) == lines[start:stop]
+                    parts = split_corpus_bytes(data[byte_start:byte_end])
+                    assert [
+                        part.decode("utf-8") for part in parts
+                    ] == lines[start:stop]
 
     def test_byte_range_bounds_are_checked(self, tmp_path):
         path = tmp_path / "corpus.ndjson"
@@ -201,13 +222,13 @@ class TestMmapCorpusSequenceSemantics:
             list(corpus)
 
 
-def test_split_corpus_bytes_matches_str_split(tmp_path):
-    from repro.datasets import iter_line_spans, split_corpus_bytes
+def test_split_corpus_bytes_follows_the_line_grammar(tmp_path):
+    from repro.datasets import iter_line_spans
 
     raw = b'{"a": 1}\r\n{"b": 2}\r{"c": 3}\n\n{"d": 4}'
-    assert [
-        part.decode("utf-8") for part in split_corpus_bytes(raw)
-    ] == split_corpus_lines(raw.decode("utf-8"))
+    assert split_corpus_bytes(raw) == [
+        b'{"a": 1}', b'{"b": 2}', b'{"c": 3}', b"", b'{"d": 4}'
+    ]
     spans = list(iter_line_spans(raw))
     assert [raw[s:e] for s, e in spans] == split_corpus_bytes(raw)
 

@@ -48,44 +48,49 @@ def test_pickled_interned_terms_strip_marks_and_reintern_to_identity():
     assert table.canonical(clone) is t
 
 
-def test_parallel_partials_reintern_to_the_serial_result():
+def _written_corpus(tmp_path, docs):
+    return _lines_corpus(tmp_path, ndjson_lines(docs))
+
+
+def _lines_corpus(tmp_path, lines):
+    from repro.datasets import open_corpus
+
+    path = tmp_path / "corpus.ndjson"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return open_corpus(path)
+
+
+def test_parallel_partials_reintern_to_the_serial_result(tmp_path):
     docs = github_events(150, seed=11)
     reference = infer_type(docs)
-    lines = ndjson_lines(docs)
-    run = infer_distributed_text(lines, partitions=4, processes=2)
+    with _written_corpus(tmp_path, docs) as corpus:
+        run = infer_distributed_text(corpus, partitions=4, processes=2)
     assert run.result is reference  # interned identity, not mere equality
     assert run.document_count == len(docs)
     assert run.processes == 2
 
 
-def test_pickle_feed_handles_embedded_newlines():
-    """Multi-line JSON texts are legal inputs to the batched feed: each
-    pickled line stays one document, never re-split at its breaks."""
-    from repro.inference import accumulate_lines
+def test_line_iterable_keeps_embedded_newlines_under_jobs():
+    """Multi-line JSON texts are legal items of a line iterable: each
+    item stays one document, never re-split at its breaks — and a
+    source that is not a file folds serially whatever ``jobs`` says."""
+    from repro.inference import accumulate_lines, infer_report_path
 
     lines = ['{"a":\n1}', '{"a": 2}'] * 3
     serial = accumulate_lines(lines)
-    run = infer_distributed_text(lines, partitions=2, processes=2)
-    assert run.result is serial.result()
-    assert run.document_count == serial.document_count == len(lines)
+    report = infer_report_path(lines, jobs=2)
+    assert report.inferred is serial.result()
+    assert report.document_count == serial.document_count == len(lines)
 
 
-def test_single_process_fallback_matches_pool_execution():
+def test_single_process_fallback_matches_pool_execution(tmp_path):
     docs = tweets(80, seed=9)
-    lines = ndjson_lines(docs)
     reference = infer_type(docs)
-    serial = infer_distributed_text(lines, partitions=3, processes=1)
+    with _written_corpus(tmp_path, docs) as corpus:
+        serial = infer_distributed_text(corpus, partitions=3, processes=1)
     assert serial.processes == 1
     assert serial.result is reference
     assert serial.document_count == len(docs)
-
-
-def _written_corpus(tmp_path, docs):
-    from repro.datasets import open_corpus, write_ndjson
-
-    path = tmp_path / "corpus.ndjson"
-    write_ndjson(path, docs)
-    return open_corpus(path)
 
 
 def test_counting_counts_survive_the_parallel_reduce(tmp_path):
@@ -104,7 +109,7 @@ def test_counting_counts_survive_the_parallel_reduce(tmp_path):
     assert clone == serial and clone.count == serial.count
 
 
-def test_parser_errors_cross_the_process_boundary_intact():
+def test_parser_errors_cross_the_process_boundary_intact(tmp_path):
     """A malformed line in a worker must surface in the parent as the
     same error, not kill the pool's result handler (the default
     exception pickling would replay ``__init__`` with the formatted
@@ -131,8 +136,9 @@ def test_parser_errors_cross_the_process_boundary_intact():
             raise AssertionError(f"{text!r} parsed")
 
     lines = ['{"a": 1}'] * 6 + ['{"broken'] + ['{"a": 2}'] * 5
-    with pytest.raises(JsonError) as caught:
-        infer_distributed_text(lines, partitions=3, processes=2)
+    with _lines_corpus(tmp_path, lines) as corpus:
+        with pytest.raises(JsonError) as caught:
+            infer_distributed_text(corpus, partitions=3, processes=2)
     assert "unterminated string" in str(caught.value)
 
 
@@ -163,8 +169,8 @@ def test_mmap_corpus_survives_the_process_boundary(tmp_path):
 
 def test_mmap_corpus_crlf_and_blanks_across_processes(tmp_path):
     """CRLF terminators and blank lines must survive the byte-range
-    transport exactly as they do the in-memory line feed."""
-    from repro.datasets import ndjson_lines, open_corpus
+    transport exactly as they do the serial fold."""
+    from repro.datasets import open_corpus
 
     docs = github_events(40, seed=19)
     lines = ndjson_lines(docs)
@@ -184,14 +190,12 @@ def test_adaptive_feed_is_identical_across_the_boundary(tmp_path):
     from repro.inference import infer_adaptive_text
 
     docs = tweets(70, seed=29)
-    lines = ndjson_lines(docs)
     reference = infer_type(docs)
-    adaptive = infer_adaptive_text(lines, jobs=4)
+    with _written_corpus(tmp_path, docs) as corpus:
+        adaptive = infer_adaptive_text(corpus, jobs=4)
+        from_corpus = infer_adaptive_text(corpus, jobs=None)
     assert adaptive.result is reference
     assert adaptive.document_count == len(docs)
     assert adaptive.plan is not None and adaptive.plan.mode in ("serial", "parallel")
-
-    with _written_corpus(tmp_path, docs) as corpus:
-        from_corpus = infer_adaptive_text(corpus, jobs=None)
     assert from_corpus.result is reference
     assert from_corpus.document_count == len(docs)

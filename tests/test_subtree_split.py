@@ -387,7 +387,6 @@ class TestSchedulerSubtreeMode:
         # Deterministic cost model: the machine's measured profile must
         # not decide whether this 5 MB corpus clears the 1.15x bar.
         monkeypatch.setenv("REPRO_WORKER_STARTUP_SECONDS", "0.001")
-        monkeypatch.setenv("REPRO_SHIP_BYTES_PER_SECOND", "150e6")
         monkeypatch.setenv("REPRO_SCAN_BYTES_PER_SECOND", "80e6")
         monkeypatch.setenv("REPRO_SPLIT_BYTES_PER_SECOND", "2e9")
 
@@ -441,8 +440,9 @@ class TestCalibrationConstants:
         assert calibration.calibration_source() == "env"
 
     def test_profile_with_retired_cache_speedup_key_loads(self, tmp_path, monkeypatch):
-        # Profiles saved while the line-shape cache existed carry a
-        # ``cache_hit_speedup`` constant; it is ignored, not an error.
+        # Profiles saved while the line-shape cache and the pickled-lines
+        # transport existed carry ``cache_hit_speedup`` and
+        # ``ship_bytes_per_second``; they are ignored, not an error.
         from repro.inference import calibration
 
         profile = tmp_path / "sched.json"
@@ -467,6 +467,7 @@ class TestCalibrationConstants:
         assert loaded.worker_startup_seconds == 0.05
         assert loaded.scan_bytes_per_second == 90e6
         assert not hasattr(loaded, "cache_hit_speedup")
+        assert not hasattr(loaded, "ship_bytes_per_second")
 
     def test_profile_back_compat_without_new_keys(self, tmp_path, monkeypatch):
         # A profile written before the subtree mode must still load,
