@@ -154,9 +154,10 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     source_bytes = aware.input_bytes
     print(f"documents:        {aware.document_count}")
     print(f"JSON text bytes:  {source_bytes}")
-    if aware.columnar_bytes:
-        ratio = source_bytes / aware.columnar_bytes
-        print(f"columnar bytes:   {aware.columnar_bytes} ({ratio:.2f}x smaller)")
+    columnar_bytes = aware.columnar_bytes  # a walk over every column value
+    if columnar_bytes:
+        ratio = source_bytes / columnar_bytes
+        print(f"columnar bytes:   {columnar_bytes} ({ratio:.2f}x smaller)")
     else:  # documents with no paths shred to no columns
         print("columnar bytes:   0")
     print(f"avro row bytes:   {aware.avro_bytes}")

@@ -91,9 +91,9 @@ _DIGITS = set("0123456789")
 # --------------------------------------------------------------------------
 # Shared token patterns.
 #
-# The lexer's own fast paths and the bytes scanners below compose these
-# fragments, so there is exactly one definition of "a simple string" /
-# "an RFC 8259 number" in the system.
+# The lexer's own fast paths, the stream translator's member scan and the
+# bytes scanners below compose these fragments, so there is exactly one
+# definition of "a simple string" / "an RFC 8259 number" in the system.
 #
 # - SIMPLE_STRING_PATTERN matches a string literal with no escapes and no
 #   unescaped control characters — the overwhelmingly common case, which
@@ -118,32 +118,24 @@ FLOAT_PATTERN = (
 )
 WHITESPACE_PATTERN = r"[ \t\n\r]*"
 NUMBER_BOUNDARY_CHARS = ".eE0123456789"
-# The possibly-empty fraction/exponent tail after an INT_PATTERN match.
-# ``INT_PATTERN + "(" + NUMBER_TAIL_PATTERN + ")"`` matches every valid
-# number maximally while exposing "was it an int" as "is the tail group
-# empty" — the shape the stream translator keys its dispatch on.  The
-# boundary caveat above applies unchanged: a match followed by one of
-# NUMBER_BOUNDARY_CHARS may extend into a malformed literal.
-NUMBER_TAIL_PATTERN = r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 
 # --------------------------------------------------------------------------
 # Bytes mirrors of the shared fragments.
 #
 # The bytes scanners (the structural splitter of
-# :mod:`repro.parsing.structural`, the stream translator) run the same
-# grammar directly over mmap buffers.  Every fragment mirrors its str
-# twin by plain ASCII encoding — including the string body: in bytes
-# mode the very same class ``[^"\\\x00-\x1f]`` matches any byte
-# ``\x20``–``\xff`` except ``"`` and ``\``, which skips UTF-8 multibyte
-# content *structurally* (multibyte sequences contain no bytes below
-# ``\x80``, so they can never hide a quote or backslash and the
-# byte-level string extent agrees with the char-level one whenever the
-# bytes are valid UTF-8).  Validity itself is the decoder's business.
+# :mod:`repro.parsing.structural`) run the same grammar directly over
+# mmap buffers.  Every fragment mirrors its str twin by plain ASCII
+# encoding — including the string body: in bytes mode the very same
+# class ``[^"\\\x00-\x1f]`` matches any byte ``\x20``–``\xff`` except
+# ``"`` and ``\``, which skips UTF-8 multibyte content *structurally*
+# (multibyte sequences contain no bytes below ``\x80``, so they can
+# never hide a quote or backslash and the byte-level string extent
+# agrees with the char-level one whenever the bytes are valid UTF-8).
+# Validity itself is the decoder's business.
 # --------------------------------------------------------------------------
 
 INT_PATTERN_BYTES = INT_PATTERN.encode("ascii")
 WHITESPACE_PATTERN_BYTES = WHITESPACE_PATTERN.encode("ascii")
-NUMBER_TAIL_PATTERN_BYTES = NUMBER_TAIL_PATTERN.encode("ascii")
 STRING_BODY_PATTERN_BYTES = STRING_BODY_PATTERN.encode("ascii")
 
 # One valid escape sequence.  Any \uXXXX is lexically valid (the lexer

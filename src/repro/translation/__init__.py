@@ -10,10 +10,11 @@
   translation pipelines (experiment E9): the DOM reference path, the
   interned-memoized DOM walk (both test oracles), and the single-pass
   infer→translate→write flow (experiment E21);
-- :mod:`repro.translation.stream` — the DOM-free translate machine that
-  flow runs on every source: a fused column program compiled from the
-  resolution + Parquet + Avro trees drives the shredder and row encoder
-  straight from each document's byte span.
+- :mod:`repro.translation.stream` — the translate machine that flow
+  runs on every source: a fused column program compiled from the
+  resolution + Parquet + Avro trees, walked once over each document's
+  decoded value (and over the text where a JSON-text fallback keeps its
+  source slice), feeds the shredder and row encoder directly.
 """
 
 from repro._exports import lazy_exports

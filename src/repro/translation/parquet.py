@@ -170,20 +170,20 @@ class Column:
             size += len(self.repetition_levels)
         if self.max_definition > 0:
             size += len(self.definition_levels)
-        for value in self.values:
-            size += _plain_size(self.kind, value)
-        return size
+        return size + _plain_size(self.kind, self.values)
 
 
-def _plain_size(kind: str, value: Any) -> int:
+def _plain_size(kind: str, values: list) -> int:
+    """Plain-encoded size of one column's values, all of ``kind``."""
     if kind == "bool":
-        return 1
+        return len(values)
     if kind == "long":
-        return max(1, (abs(int(value)).bit_length() + 7) // 7)
+        return sum(max(1, (abs(int(v)).bit_length() + 7) // 7) for v in values)
     if kind == "double":
-        return 8
+        return 8 * len(values)
     if kind in ("string", "json"):
-        return 4 + len(str(value).encode("utf-8"))
+        # 4 length bytes each, plus the UTF-8 bytes of all of them.
+        return 4 * len(values) + len("".join(values).encode("utf-8"))
     return 0  # null
 
 

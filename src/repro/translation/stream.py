@@ -1,10 +1,10 @@
-"""DOM-free translation: the shredder and row encoder driven straight
-from the byte stream.
+"""DOM-free translation: the shredder and row encoder driven by one walk
+of the decoded value.
 
-A DOM translate pass builds one DOM per document, textifies it, and
-walks it twice more — once for the Parquet shredder, once for the Avro
-row encoder.  This module, the engine of ``translate_report_path`` for
-every corpus source, removes all three walks.  A :class:`Resolution`
+A DOM translate pass textifies each parsed document and walks it twice
+more — once for the Parquet shredder, once for the Avro row encoder.
+This module, the engine of ``translate_report_path`` for every corpus
+source, replaces the three walks with one.  A :class:`Resolution`
 (resolved type + textify plan) is compiled *together with* the
 ``PNode`` and ``AvroSchema`` trees into one fused **column program**: a
 tree of small op objects, one per schema position, each carrying
@@ -17,42 +17,44 @@ tree of small op objects, one per schema position, each carrying
   ``union[null, T]``; the precomputed bytes an absent optional field
   writes, via :func:`~repro.translation.avro.missing_field_bytes`).
 
-:class:`StreamTranslator` then walks each document's **byte range** with
-compiled regex scans built from the lexer's shared fragments: one
-fused match per record member / array element, Parquet ``(rep, def,
-value)`` entries appended directly to the columns, Avro bytes emitted
-as the walk goes.  String values without escapes are written to the
-row **as the raw body bytes** (already UTF-8); numbers convert straight
-from the byte slice.
+:class:`StreamTranslator` decodes each document's span once with
+:func:`~repro.jsonvalue.parser.parse` (the stdlib C decoder, with the
+token parser behind it for every error and the nesting limit) and walks
+the program over the value: record fields are dict lookups in schema
+order — which is also the order Avro writes them — each scalar's type
+is checked by its class, Parquet ``(rep, def, value)`` entries append
+straight to the columns and Avro bytes to the row.  Parquet entry order
+is invariant under record key order (each column is fed only by its own
+path; several entries per row come only from arrays, in element order),
+so walking fields in schema order emits exactly what the DOM shredder
+emits.  A repeated key needs no special case: the decoder keeps the last
+value, as the DOM translators do.
 
-Two ordering facts make the single walk sound:
-
-- Parquet column entry order is invariant under record key order — each
-  column is fed only by its own path, and multiple entries per row come
-  only from arrays, in element order — so entries append in document
-  order;
-- Avro record fields are written in *schema* order (``RecType`` fields
-  sort by name) while documents arrive in insertion order, so each
-  record op buffers its members' encoded fragments in a reusable
-  scratch buffer and flushes them in schema order at the closing brace.
-
-**Fallback (JSON-text) subtrees capture the raw line slice verbatim** —
-the byte-range walk gives the subtree's exact source bytes, where the
-DOM translators re-serialise the parsed value.  On serializer-canonical
-corpora (lines produced by :func:`~repro.jsonvalue.serializer.dumps`,
-which is compositional) the two are byte-identical — the differential
+**Fallback (JSON-text) columns capture the raw source slice verbatim**,
+where the DOM translators re-serialise the parsed value.  So a record or
+list *with a fallback beneath it* is walked over the document text
+instead, member by member: a key regex, then the C decoder's
+``scan_once`` (:data:`~repro.jsonvalue.parser.c_scan_once`) for each
+value.  A fallback stores ``text[start:end]`` of its value, a fallback-
+free child walks the value ``scan_once`` decoded, and a deeper ancestor
+of a fallback recurses over the text.  ``scan_once`` has no nesting
+limit of its own, so a text-walked document with more brackets than the
+limit is checked by ``parse`` first.  On serializer-canonical corpora
+(lines produced by :func:`~repro.jsonvalue.serializer.dumps`) the raw
+slice and the re-serialisation are byte-identical — the differential
 tier pins this; on non-canonical spellings (``\\uXXXX`` escapes,
-``1e3``, interior whitespace) the stream engine preserves the source
-spelling, which is the more faithful artifact.  A delegated document
-(below) is the exception: its fallbacks are re-serialised.
+``1e3``, interior whitespace) the stream engine keeps the source
+spelling.  A delegated document (below) is the exception: its fallbacks
+are re-serialised.
 
-Anything the structural walk cannot prove — unknown or duplicate keys,
-missing required fields, type mismatches, malformed syntax, bad UTF-8,
-schema nesting beyond the recursion budget — raises the internal
+Anything the walk cannot prove — an unknown key, a missing required
+field, a type mismatch, a duplicate key in a text-walked record,
+malformed text under a text-walked record — raises the internal
 ``_Decline``: the document's column entries are rolled back (each
 column's lengths were marked at document start) and the **whole
-document delegates to the DOM path** (``parse`` → textify →
-``Shredder.add`` → ``RowEncoder.encode_row``), which owns the
+document delegates to the DOM path** (textify → ``Shredder.add`` →
+``RowEncoder.encode_row``) with the value already decoded, or with
+``parse`` of the span when the text walk declined.  That path owns the
 exact result and error behaviour.  Declines are per-document, so a
 poisoned line never degrades its neighbours.
 """
@@ -63,14 +65,8 @@ import re
 import struct
 
 from repro.errors import TranslationError
-from repro.jsonvalue.lexer import (
-    FULL_STRING_BODY_PATTERN_BYTES,
-    INT_PATTERN_BYTES,
-    NUMBER_TAIL_PATTERN_BYTES,
-    WHITESPACE_PATTERN_BYTES,
-    _Scanner,
-)
-from repro.jsonvalue.parser import parse
+from repro.jsonvalue.lexer import STRING_BODY_PATTERN, WHITESPACE_PATTERN
+from repro.jsonvalue.parser import DEFAULT_OPTIONS, c_scan_once, parse
 from repro.translation import avro
 from repro.translation.parquet import (
     PLeaf,
@@ -91,6 +87,8 @@ from repro.translation.translate import (
 )
 
 _PACK_DOUBLE = struct.Struct("<d").pack
+_write_long = avro._write_long
+_MISSING = object()
 
 
 class _Decline(Exception):
@@ -100,132 +98,196 @@ class _Decline(Exception):
 
 
 # --------------------------------------------------------------------------
-# compiled scans
+# the text walk's scans (records and lists with a fallback beneath them)
 #
-# One value alternation, shared by every context.  Relative groups:
-# +1 string body, +2 number int part, +3 number tail (always set when +2
-# is — possibly empty; non-empty makes the literal a float), +4
-# true/false, +5 null, +6 "{", +7 "[".  Member patterns prefix a key
-# (group 1) so one match covers ``"key": <scalar-or-opener>``; the
-# close brace/bracket rides the same pattern as the trailing group, so
-# the walk makes exactly one regex match per member / element.  Number
-# boundary errors ("01", "1.5.5", "1e+") need no explicit check: the
-# maximal match leaves the offending byte in place and the *next* match
-# (separator or end-of-line) fails on it, declining the document.
+# A member match covers ``"key" : `` (group 1 the raw key body, escapes
+# and all) or the closing brace (group 2); an element match covers the
+# "," before the next element or the closing bracket (group 1).  Values
+# themselves are the C decoder's: ``c_scan_once(text, pos)``.
 # --------------------------------------------------------------------------
 
-_WS = WHITESPACE_PATTERN_BYTES
-_VALUE_CORE = (
-    b'"(' + FULL_STRING_BODY_PATTERN_BYTES + b')"'
-    + b"|(" + INT_PATTERN_BYTES + b")(" + NUMBER_TAIL_PATTERN_BYTES + b")"
-    + b"|(true|false)|(null)"
-    + rb"|(\{)|(\[)"
+_WS = WHITESPACE_PATTERN
+_KEY = (
+    '"(' + STRING_BODY_PATTERN + r"(?:\\." + STRING_BODY_PATTERN + ')*)"'
+    + _WS + ":" + _WS
 )
-_KEY = b'"(' + FULL_STRING_BODY_PATTERN_BYTES + b')"' + _WS + b":" + _WS
-
-_V_ROOT = re.compile(_WS + b"(?:" + _VALUE_CORE + b")")
-_M_FIRST = re.compile(_WS + b"(?:" + _KEY + b"(?:" + _VALUE_CORE + rb")|(\}))")
-_M_NEXT = re.compile(
-    _WS + b"(?:," + _WS + _KEY + b"(?:" + _VALUE_CORE + rb")|(\}))"
-)
-_E_FIRST = re.compile(_WS + b"(?:" + _VALUE_CORE + rb"|(\]))")
-_E_NEXT = re.compile(_WS + b"(?:," + _WS + b"(?:" + _VALUE_CORE + rb")|(\]))")
-_M_CLOSE = 9  # close-brace group in _M_FIRST/_M_NEXT (key shifts by 1)
-_E_CLOSE = 8  # close-bracket group in _E_FIRST/_E_NEXT
-
+_MEMBER_FIRST = re.compile(_WS + "(?:" + _KEY + r"|(\}))")
+_MEMBER_NEXT = re.compile(_WS + "(?:," + _WS + _KEY + r"|(\}))")
+_ELEMENT_NEXT = re.compile(_WS + "(?:," + _WS + r"|(\]))")
+_ARRAY_EMPTY = re.compile(_WS + r"\]")
 _WS_RUN = re.compile(_WS)
-_CLOSE_BRACE = re.compile(_WS + rb"\}")
 
-# Fallback subtrees: a validating skip over one container (full string/
-# number/literal grammar, comma/colon structure) finds the raw-slice
-# extent without building a value.  Depth-capped: deeper documents
-# delegate so the parser's own nesting error surfaces.
-_SK_VALUE = _V_ROOT
-_SK_OBJ_ENTRY = re.compile(_WS + rb"(?:(\})|" + _KEY + b")")
-_SK_OBJ_NEXT = re.compile(_WS + rb"(?:(\})|," + _WS + _KEY + b")")
-_SK_ARR_CLOSE = re.compile(_WS + rb"\]")
-_SK_ARR_NEXT = re.compile(_WS + rb"(?:(\])|,)")
-_SKIP_MAX_DEPTH = 512
+_MAX_DEPTH = DEFAULT_OPTIONS.max_depth
 
 
-def _skip_value(data, pos: int, end: int, depth: int = 0) -> int:
-    """Validating scan over one JSON value at ``pos``; returns its end.
-
-    Grammar-exact for structure and token lexemes (UTF-8 validity is the
-    caller's decode); any mismatch or over-deep nesting declines.
-    """
-    if depth > _SKIP_MAX_DEPTH:
-        raise _Decline
-    m = _SK_VALUE.match(data, pos, end)
-    if m is None:
-        raise _Decline
-    if m.group(6) is not None:  # {
-        m2 = _SK_OBJ_ENTRY.match(data, m.end(), end)
-        if m2 is None:
-            raise _Decline
-        while m2.group(1) is None:
-            pos = _skip_value(data, m2.end(), end, depth + 1)
-            m2 = _SK_OBJ_NEXT.match(data, pos, end)
-            if m2 is None:
-                raise _Decline
-        return m2.end()
-    if m.group(7) is not None:  # [
-        pos = m.end()
-        mc = _SK_ARR_CLOSE.match(data, pos, end)
-        if mc is not None:
-            return mc.end()
-        while True:
-            pos = _skip_value(data, pos, end, depth + 1)
-            m2 = _SK_ARR_NEXT.match(data, pos, end)
-            if m2 is None:
-                raise _Decline
-            if m2.group(1) is not None:
-                return m2.end()
-            pos = m2.end()
-    return m.end()  # scalar
+def _levels(cols):
+    """``(column, level)`` pairs as ``(rep append, def append, level)``."""
+    return tuple(
+        (c.repetition_levels.append, c.definition_levels.append, level)
+        for c, level in cols
+    )
 
 
 # --------------------------------------------------------------------------
 # the column program
+#
+# Every op has ``walk(value, rep, out)`` — emit a decoded value — and
+# ``scan(text, pos, rep, out) -> end`` — emit the value starting at
+# ``text[pos]`` (no leading whitespace) and return where it ends.  Only
+# ops with a fallback beneath them (``deep``) scan the text themselves;
+# the rest decode their value with ``c_scan_once`` and walk it.
 # --------------------------------------------------------------------------
 
 
-class _ScalarOp:
+class _Op:
+    __slots__ = ("deep",)
+
+    def scan(self, text, pos, rep, out) -> int:
+        value, end = c_scan_once(text, pos)
+        self.walk(value, rep, out)
+        return end
+
+
+class _ScalarOp(_Op):
     """A typed leaf: one column, one Avro primitive."""
 
-    __slots__ = ("column", "kind", "nullable", "max_def", "null_def", "aunion")
+    __slots__ = ("column", "kind", "nullable", "max_def", "null_def",
+                 "aunion", "walk", "_rep", "_def", "_value")
 
     def __init__(self, column, kind, nullable, aunion):
+        self.deep = False
         self.column = column
         self.kind = kind  # bool | long | double | string | null
         self.nullable = nullable
         self.max_def = column.max_definition
         self.null_def = column.max_definition - 1
         self.aunion = aunion  # wrapped in union[null, T]
+        self._rep = column.repetition_levels.append
+        self._def = column.definition_levels.append
+        self._value = column.values.append
+        self.walk = getattr(self, "_walk_" + kind)
+
+    def _null(self, value, rep, out) -> None:
+        """An explicit null at a (necessarily nullable) leaf."""
+        if value is not None or not self.nullable:
+            raise _Decline
+        self._rep(rep)
+        self._def(self.null_def)
+        out.append(0)  # nullable leaves are always union-wrapped
+
+    def _walk_string(self, value, rep, out) -> None:
+        if value.__class__ is not str:
+            return self._null(value, rep, out)
+        self._rep(rep)
+        self._def(self.max_def)
+        self._value(value)
+        if self.aunion:
+            out.append(2)
+        raw = value.encode("utf-8")
+        size = len(raw)
+        if size < 64:
+            out.append(size << 1)  # the one-byte zigzag varint
+        else:
+            _write_long(out, size)
+        out += raw
+
+    def _walk_long(self, value, rep, out) -> None:
+        if value.__class__ is not int:
+            return self._null(value, rep, out)
+        self._rep(rep)
+        self._def(self.max_def)
+        self._value(value)
+        if self.aunion:
+            out.append(2)
+        if -64 <= value < 64:  # the one-byte zigzag varint
+            out.append(value << 1 if value >= 0 else -2 * value - 1)
+        else:
+            _write_long(out, value)
+
+    def _walk_double(self, value, rep, out) -> None:
+        # An int stays an int in the column (DOM parity); Avro packs it.
+        cls = value.__class__
+        if cls is not float and cls is not int:
+            return self._null(value, rep, out)
+        self._rep(rep)
+        self._def(self.max_def)
+        self._value(value)
+        if self.aunion:
+            out.append(2)
+        out += _PACK_DOUBLE(value if cls is float else float(value))
+
+    def _walk_bool(self, value, rep, out) -> None:
+        if value.__class__ is not bool:
+            return self._null(value, rep, out)
+        self._rep(rep)
+        self._def(self.max_def)
+        self._value(value)
+        if self.aunion:
+            out.append(2)
+        out.append(1 if value else 0)
+
+    def _walk_null(self, value, rep, out) -> None:
+        # The column stores no value and Avro null is zero bytes.
+        if value is not None:
+            raise _Decline
+        self._rep(rep)
+        self._def(self.max_def)
+        if self.aunion:
+            out.append(2)
 
 
-class _EmptyOp:
+class _EmptyOp(_Op):
     """The ``empty_object`` marker leaf (a field-less record)."""
 
     __slots__ = ("column", "nullable", "max_def", "null_def", "aunion")
 
     def __init__(self, column, nullable, aunion):
+        self.deep = False
         self.column = column
         self.nullable = nullable
         self.max_def = column.max_definition
         self.null_def = column.max_definition - 1
         self.aunion = aunion
 
+    def walk(self, value, rep, out) -> None:
+        column = self.column
+        if value.__class__ is dict and not value:
+            column.repetition_levels.append(rep)
+            column.definition_levels.append(self.max_def)
+            if self.aunion:
+                out.append(2)  # ARecord with no fields: zero body bytes
+            return
+        if value is not None or not self.nullable:
+            raise _Decline
+        column.repetition_levels.append(rep)
+        column.definition_levels.append(self.null_def)
+        out.append(0)
 
-class _FallbackOp:
+
+class _FallbackOp(_Op):
     """A JSON-text escape-hatch leaf: the raw subtree slice, verbatim."""
 
     __slots__ = ("column", "max_def", "aunion")
 
     def __init__(self, column, aunion):
+        self.deep = True
         self.column = column
         self.max_def = column.max_definition
         self.aunion = aunion
+
+    def scan(self, text, pos, rep, out) -> int:
+        end = c_scan_once(text, pos)[1]
+        value = text[pos:end]
+        column = self.column
+        column.repetition_levels.append(rep)
+        column.definition_levels.append(self.max_def)
+        column.values.append(value)
+        if self.aunion:
+            out.append(2)
+        raw = value.encode("utf-8")
+        _write_long(out, len(raw))
+        out += raw
+        return end
 
 
 class _FieldOp:
@@ -237,43 +299,167 @@ class _FieldOp:
         self.name = name
         self.op = op
         # None for required fields (absence declines → DOM error);
-        # otherwise the (column, def_level) entries _emit_missing would
-        # produce and the bytes RowEncoder._emit would write.
+        # otherwise the emissions _emit_missing would produce and the
+        # bytes RowEncoder._emit would write.
         self.missing_cols = missing_cols
         self.missing_avro = missing_avro
 
 
-class _RecordOp:
-    """A record position: fields in schema order, members in any order."""
+class _RecordOp(_Op):
+    """A record position: fields in schema order."""
 
-    __slots__ = ("fields", "by_name", "nullable", "aunion", "null_cols",
-                 "scratch", "spans")
+    __slots__ = ("fields", "by_name", "members", "nullable", "aunion",
+                 "null_cols")
 
     def __init__(self, fields, nullable, aunion, null_cols):
+        self.deep = any(f.op.deep for f in fields)
         self.fields = fields
         self.by_name = {f.name: f for f in fields}
+        # The value walk's view of the fields; a deep record scans text.
+        self.members = () if self.deep else tuple(
+            (f.name, f.op.walk, f.missing_cols, f.missing_avro)
+            for f in fields
+        )
         self.nullable = nullable
         self.aunion = aunion
         self.null_cols = null_cols  # emissions for an explicit null record
+
+    def _null(self, rep, out) -> None:
+        for add_rep, add_def, level in self.null_cols:
+            add_rep(rep)
+            add_def(level)
+        out.append(0)  # nullable records are always union-wrapped
+
+    def walk(self, value, rep, out) -> None:
+        if value.__class__ is not dict:
+            if value is None and self.nullable:
+                return self._null(rep, out)
+            raise _Decline
+        if self.aunion:
+            out.append(2)
+        get = value.get
+        matched = 0
+        for name, walk, missing_cols, missing_avro in self.members:
+            child = get(name, _MISSING)
+            if child is _MISSING:
+                if missing_avro is None:
+                    raise _Decline  # missing required field
+                for add_rep, add_def, level in missing_cols:
+                    add_rep(rep)
+                    add_def(level)
+                out += missing_avro
+            else:
+                matched += 1
+                walk(child, rep, out)
+        if matched != len(value):
+            raise _Decline  # a key the schema does not know
+
+    def scan(self, text, pos, rep, out) -> int:
+        if not self.deep:
+            return _Op.scan(self, text, pos, rep, out)
+        if not text.startswith("{", pos):
+            if self.nullable and text.startswith("null", pos):
+                self._null(rep, out)
+                return pos + 4
+            raise _Decline
+        if self.aunion:
+            out.append(2)
         # Members arrive in document order but Avro wants schema order:
-        # fragments buffer here and flush at the closing brace.  Ops are
-        # position-specific and never re-entered before closing (types
-        # are finite trees), so one scratch per op suffices.
-        self.scratch = bytearray()
-        self.spans = {}
+        # each member encodes into its own buffer, joined at the end.
+        parts = {}
+        by_name = self.by_name
+        m = _MEMBER_FIRST.match(text, pos + 1)
+        while m is not None and m.group(2) is None:
+            name = m.group(1)
+            if "\\" in name:
+                name = c_scan_once(text, m.start(1) - 1)[0]
+            fld = by_name.get(name)
+            if fld is None or name in parts:
+                # Unknown field (DOM: TranslationError naming the path)
+                # or duplicate key (DOM: last wins, but the first
+                # occurrence already emitted) — delegate.
+                raise _Decline
+            part = parts[name] = bytearray()
+            m = _MEMBER_NEXT.match(text, fld.op.scan(text, m.end(), rep, part))
+        if m is None:
+            raise _Decline
+        for fld in self.fields:
+            part = parts.get(fld.name)
+            if part is not None:
+                out += part
+                continue
+            if fld.missing_avro is None:
+                raise _Decline  # missing required field
+            for add_rep, add_def, level in fld.missing_cols:
+                add_rep(rep)
+                add_def(level)
+            out += fld.missing_avro
+        return m.end()
 
 
-class _ListOp:
+class _ListOp(_Op):
     """A repeated position: element op plus the empty-list emissions."""
 
-    __slots__ = ("element", "cont_rep", "empty_cols", "aunion", "scratch")
+    __slots__ = ("element", "cont_rep", "empty_cols", "aunion")
 
     def __init__(self, element, cont_rep, empty_cols, aunion):
+        self.deep = element.deep
         self.element = element
         self.cont_rep = cont_rep
         self.empty_cols = empty_cols
         self.aunion = aunion
-        self.scratch = bytearray()  # buffers the Avro count block's items
+
+    def _empty(self, rep, out) -> None:
+        for add_rep, add_def, level in self.empty_cols:
+            add_rep(rep)
+            add_def(level)
+        out.append(0)  # an empty array is just the terminator block
+
+    def walk(self, value, rep, out) -> None:
+        if value.__class__ is not list:
+            raise _Decline
+        if self.aunion:
+            out.append(2)
+        if not value:
+            return self._empty(rep, out)
+        _write_long(out, len(value))
+        walk = self.element.walk
+        cont = self.cont_rep
+        for item in value:
+            walk(item, rep, out)
+            rep = cont
+        out.append(0)
+
+    def scan(self, text, pos, rep, out) -> int:
+        if not self.deep:
+            return _Op.scan(self, text, pos, rep, out)
+        if not text.startswith("[", pos):
+            raise _Decline
+        if self.aunion:
+            out.append(2)
+        m = _ARRAY_EMPTY.match(text, pos + 1)
+        if m is not None:
+            self._empty(rep, out)
+            return m.end()
+        # The count block precedes the items: buffer them.
+        items = bytearray()
+        count = 0
+        scan = self.element.scan
+        cont = self.cont_rep
+        pos = _WS_RUN.match(text, pos + 1).end()
+        while True:
+            m = _ELEMENT_NEXT.match(text, scan(text, pos, rep, items))
+            if m is None:
+                raise _Decline
+            count += 1
+            rep = cont
+            if m.group(1) is not None:
+                break
+            pos = m.end()
+        _write_long(out, count)
+        out += items
+        out.append(0)
+        return m.end()
 
 
 def compile_column_program(
@@ -340,14 +526,14 @@ def _compile_op(plan, pnode, anode, columns, path, deflevel):
             if pf.required:
                 missing_cols = missing_avro = None
             else:
-                missing_cols = tuple(
+                missing_cols = _levels(
                     (columns[p], base) for p in leaf_paths(pf.node, child_path)
                 )
                 missing_avro = avro.missing_field_bytes(af.type)
             fields.append(_FieldOp(pf.name, child, missing_cols, missing_avro))
         null_cols = ()
         if pnode.nullable:
-            null_cols = tuple(
+            null_cols = _levels(
                 (columns[p], deflevel)
                 for pf in pnode.fields
                 for p in leaf_paths(
@@ -364,7 +550,7 @@ def _compile_op(plan, pnode, anode, columns, path, deflevel):
             item_plan, pnode.element, anode.items, columns, child_path,
             deflevel + 1,
         )
-        empty_cols = tuple(
+        empty_cols = _levels(
             (columns[p], deflevel) for p in leaf_paths(pnode.element, child_path)
         )
         return _ListOp(element, _rep_of(child_path), empty_cols, aunion)
@@ -375,22 +561,29 @@ def _compile_op(plan, pnode, anode, columns, path, deflevel):
 # the translate machine
 # --------------------------------------------------------------------------
 
-_MISSING = object()
+# Anything a walk may raise that the DOM path must answer instead: its
+# own declines, the C decoder's rejections in the text walk
+# (``StopIteration``: no value here; ``ValueError``: a bad token), a
+# lone surrogate or an oversized int met before an earlier DOM error.
+_DECLINES = (_Decline, StopIteration, ValueError, OverflowError,
+             RecursionError)
 
 
 class StreamTranslator:
-    """Translate documents from raw byte ranges, no DOM on clean paths.
+    """Translate documents by walking the column program over their
+    decoded values, no DOM pass on clean documents.
 
     Feeds the same :class:`Shredder` and :class:`RowEncoder` state a
-    DOM translator would; :meth:`translate_range` walks one line's byte
-    span, appends its Parquet entries, bumps the shredder's row count,
-    and returns the encoded Avro row.  Any decline rolls the columns back
-    and replays the document through the DOM path — result- and
-    error-identical by construction (``delegated`` counts those).
+    DOM translator would; :meth:`translate_range` decodes one line's
+    byte span, appends its Parquet entries, bumps the shredder's row
+    count, and returns the encoded Avro row.  Any decline rolls the
+    columns back and replays the document through the DOM path —
+    result- and error-identical by construction (``delegated`` counts
+    those).
     """
 
-    __slots__ = ("program", "shredder", "encoder", "plan", "_keys",
-                 "_columns", "delegated")
+    __slots__ = ("program", "shredder", "encoder", "plan", "_lists",
+                 "delegated")
 
     def __init__(
         self, resolution: Resolution, shredder: Shredder, encoder
@@ -407,280 +600,53 @@ class StreamTranslator:
         self.shredder = shredder
         self.encoder = encoder
         self.plan = resolution.plan
-        self._keys: dict = {}
-        self._columns = list(shredder.columns.values())
+        self._lists = [
+            lst
+            for c in shredder.columns.values()
+            for lst in (c.repetition_levels, c.definition_levels, c.values)
+        ]
         self.delegated = 0
 
     def translate_range(self, data, start: int, end: int) -> bytes:
         """Translate the document in ``data[start:end]``; returns its row."""
-        if self.program is None:
-            return self._delegate(data, start, end)
-        columns = self._columns
-        marks = [(len(c.repetition_levels), len(c.values)) for c in columns]
+        text = bytes(data[start:end]).decode("utf-8")
+        program = self.program
+        if program is None:
+            return self._dom(parse(text))
+        lists = self._lists
         out = bytearray()
-        try:
-            m = _V_ROOT.match(data, start, end)
-            if m is None:
-                raise _Decline
-            pos = self._value(self.program, m, 0, data, end, 0, out)
-            if _WS_RUN.match(data, pos, end).end() != end:
-                raise _Decline  # trailing garbage (or a number boundary)
-        except (_Decline, UnicodeDecodeError, UnicodeEncodeError,
-                RecursionError):
-            for column, (levels, values) in zip(columns, marks):
-                del column.repetition_levels[levels:]
-                del column.definition_levels[levels:]
-                del column.values[values:]
-            return self._delegate(data, start, end)
+        if not program.deep:
+            value = parse(text)
+            marks = list(map(len, lists))
+            try:
+                program.walk(value, 0, out)
+            except _DECLINES:
+                _roll_back(lists, marks)
+                return self._dom(value)
+        else:
+            if text.count("{") + text.count("[") > _MAX_DEPTH:
+                parse(text)  # the nesting limit scan_once does not check
+            marks = list(map(len, lists))
+            try:
+                pos = program.scan(text, _WS_RUN.match(text).end(), 0, out)
+                if _WS_RUN.match(text, pos).end() != len(text):
+                    raise _Decline  # trailing data (or a number boundary)
+            except _DECLINES:
+                _roll_back(lists, marks)
+                return self._dom(parse(text))
         self.shredder.row_count += 1
         return bytes(out)
 
-    def _delegate(self, data, start: int, end: int) -> bytes:
-        """The DOM path for one document — exact results, exact errors."""
+    def _dom(self, value) -> bytes:
+        """The DOM path for one decoded document — exact results and
+        errors."""
         self.delegated += 1
-        text = bytes(data[start:end]).decode("utf-8")
-        prepared = textify(parse(text), self.plan)
+        prepared = textify(value, self.plan)
         self.shredder.add(prepared)
         return self.encoder.encode_row(prepared)
 
-    # -- the walk ----------------------------------------------------------
 
-    def _value(self, op, m, base, data, end, rep, out) -> int:
-        """Emit the value whose match is ``m`` (groups offset by
-        ``base``); returns the scan position after the value."""
-        cls = op.__class__
-        if cls is _ScalarOp:
-            kind = op.kind
-            if kind == "string":
-                body = m.group(base + 1)
-                if body is None:
-                    return self._null(op, m, base, rep, out)
-                if b"\\" in body:
-                    value = _Scanner(
-                        '"' + body.decode("utf-8") + '"'
-                    ).scan_string().value
-                    raw = value.encode("utf-8")
-                else:
-                    value = body.decode("utf-8")
-                    raw = body
-                column = op.column
-                column.repetition_levels.append(rep)
-                column.definition_levels.append(op.max_def)
-                column.values.append(value)
-                if op.aunion:
-                    out.append(2)
-                avro._write_long(out, len(raw))
-                out += raw
-                return m.end()
-            if kind == "long":
-                digits = m.group(base + 2)
-                if digits is None or m.start(base + 3) != m.end(base + 3):
-                    return self._null(op, m, base, rep, out)
-                value = int(digits)
-                column = op.column
-                column.repetition_levels.append(rep)
-                column.definition_levels.append(op.max_def)
-                column.values.append(value)
-                if op.aunion:
-                    out.append(2)
-                avro._write_long(out, value)
-                return m.end()
-            if kind == "double":
-                digits = m.group(base + 2)
-                if digits is None:
-                    return self._null(op, m, base, rep, out)
-                tail = m.group(base + 3)
-                # int spellings keep int column values (DOM parity).
-                value = int(digits) if not tail else float(digits + tail)
-                column = op.column
-                column.repetition_levels.append(rep)
-                column.definition_levels.append(op.max_def)
-                column.values.append(value)
-                if op.aunion:
-                    out.append(2)
-                out += _PACK_DOUBLE(float(value))
-                return m.end()
-            if kind == "bool":
-                literal = m.group(base + 4)
-                if literal is None:
-                    return self._null(op, m, base, rep, out)
-                value = literal == b"true"
-                column = op.column
-                column.repetition_levels.append(rep)
-                column.definition_levels.append(op.max_def)
-                column.values.append(value)
-                if op.aunion:
-                    out.append(2)
-                out.append(1 if value else 0)
-                return m.end()
-            # kind == "null": matches only the null literal; the column
-            # stores no value and Avro null is zero bytes.
-            if m.group(base + 5) is None:
-                raise _Decline
-            column = op.column
-            column.repetition_levels.append(rep)
-            column.definition_levels.append(op.max_def)
-            if op.aunion:
-                out.append(2)
-            return m.end()
-        if cls is _RecordOp:
-            if m.group(base + 6) is not None:
-                if op.aunion:
-                    out.append(2)
-                return self._record(op, data, m.end(), end, rep, out)
-            if m.group(base + 5) is not None and op.nullable:
-                for column, level in op.null_cols:
-                    column.repetition_levels.append(rep)
-                    column.definition_levels.append(level)
-                out.append(0)  # nullable records are always union-wrapped
-                return m.end()
-            raise _Decline
-        if cls is _ListOp:
-            if m.group(base + 7) is None:
-                raise _Decline
-            if op.aunion:
-                out.append(2)
-            return self._list(op, data, m.end(), end, rep, out)
-        if cls is _FallbackOp:
-            return self._fallback(op, m, base, data, end, rep, out)
-        # _EmptyOp
-        if m.group(base + 6) is not None:
-            close = _CLOSE_BRACE.match(data, m.end(), end)
-            if close is None:
-                raise _Decline
-            column = op.column
-            column.repetition_levels.append(rep)
-            column.definition_levels.append(op.max_def)
-            if op.aunion:
-                out.append(2)  # ARecord with no fields: zero body bytes
-            return close.end()
-        if m.group(base + 5) is not None and op.nullable:
-            column = op.column
-            column.repetition_levels.append(rep)
-            column.definition_levels.append(op.null_def)
-            out.append(0)
-            return m.end()
-        raise _Decline
-
-    def _null(self, op, m, base, rep, out) -> int:
-        """An explicit null at a (necessarily nullable) scalar leaf."""
-        if m.group(base + 5) is None or not op.nullable:
-            raise _Decline
-        column = op.column
-        column.repetition_levels.append(rep)
-        column.definition_levels.append(op.null_def)
-        out.append(0)  # nullable leaves are always union-wrapped
-        return m.end()
-
-    def _fallback(self, op, m, base, data, end, rep, out) -> int:
-        group = m.group
-        if group(base + 1) is not None:  # string: include the quotes
-            vstart, vend = m.start(base + 1) - 1, m.end(base + 1) + 1
-            pos = m.end()
-        elif group(base + 2) is not None:
-            vstart, vend = m.start(base + 2), m.end(base + 3)
-            pos = m.end()
-        elif group(base + 4) is not None:
-            vstart, vend = m.span(base + 4)
-            pos = m.end()
-        elif group(base + 5) is not None:
-            vstart, vend = m.span(base + 5)
-            pos = m.end()
-        else:  # container: a validating skip finds the raw extent
-            vstart = m.start(base + 6) if group(base + 6) is not None else (
-                m.start(base + 7)
-            )
-            vend = pos = _skip_value(data, vstart, end)
-        raw = bytes(data[vstart:vend])
-        value = raw.decode("utf-8")
-        column = op.column
-        column.repetition_levels.append(rep)
-        column.definition_levels.append(op.max_def)
-        column.values.append(value)
-        if op.aunion:
-            out.append(2)
-        avro._write_long(out, len(raw))
-        out += raw
-        return pos
-
-    def _record(self, op, data, pos, end, rep, out) -> int:
-        m = _M_FIRST.match(data, pos, end)
-        if m is None:
-            raise _Decline
-        scratch = op.scratch
-        spans = op.spans
-        scratch.clear()
-        spans.clear()
-        if m.group(_M_CLOSE) is None:
-            by_name = op.by_name
-            keys = self._keys
-            while True:
-                raw = m.group(1)
-                name = keys.get(raw, _MISSING)
-                if name is _MISSING:
-                    if b"\\" in raw:
-                        name = _Scanner(
-                            '"' + raw.decode("utf-8") + '"'
-                        ).scan_string().value
-                    else:
-                        name = raw.decode("utf-8")
-                    keys[bytes(raw)] = name
-                fld = by_name.get(name)
-                if fld is None or name in spans:
-                    # Unknown field (DOM: TranslationError naming the
-                    # path) or duplicate key (DOM: last wins, but our
-                    # first occurrence already emitted) — delegate.
-                    raise _Decline
-                mark = len(scratch)
-                pos = self._value(fld.op, m, 1, data, end, rep, scratch)
-                spans[name] = (mark, len(scratch))
-                m = _M_NEXT.match(data, pos, end)
-                if m is None:
-                    raise _Decline
-                if m.group(_M_CLOSE) is not None:
-                    break
-        pos = m.end()
-        get = spans.get
-        for fld in op.fields:
-            span = get(fld.name)
-            if span is None:
-                fragment = fld.missing_avro
-                if fragment is None:
-                    raise _Decline  # missing required field
-                for column, level in fld.missing_cols:
-                    column.repetition_levels.append(rep)
-                    column.definition_levels.append(level)
-                out += fragment
-            else:
-                out += scratch[span[0] : span[1]]
-        return pos
-
-    def _list(self, op, data, pos, end, rep, out) -> int:
-        m = _E_FIRST.match(data, pos, end)
-        if m is None:
-            raise _Decline
-        if m.group(_E_CLOSE) is not None:
-            for column, level in op.empty_cols:
-                column.repetition_levels.append(rep)
-                column.definition_levels.append(level)
-            out.append(0)  # an empty array is just the terminator block
-            return m.end()
-        scratch = op.scratch
-        scratch.clear()
-        element = op.element
-        erep = rep
-        cont = op.cont_rep
-        count = 0
-        while True:
-            pos = self._value(element, m, 0, data, end, erep, scratch)
-            count += 1
-            erep = cont
-            m = _E_NEXT.match(data, pos, end)
-            if m is None:
-                raise _Decline
-            if m.group(_E_CLOSE) is not None:
-                break
-        avro._write_long(out, count)
-        out += scratch
-        out.append(0)
-        return m.end()
+def _roll_back(lists, marks) -> None:
+    """Drop what a declined document appended to the columns."""
+    for lst, mark in zip(lists, marks):
+        del lst[mark:]

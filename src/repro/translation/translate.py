@@ -27,9 +27,10 @@ the translation conformance tier:
   :class:`~repro.translation.avro.RowEncoder`;
 - :func:`translate_report_path` — the CLI's single-pass
   infer→translate→write flow from any corpus source: bytes fold →
-  resolved schema → the DOM-free stream machine
-  (:mod:`repro.translation.stream`) → Avro rows + columnar store.  The
-  two DOM paths are its test oracles.
+  resolved schema → the stream machine (:mod:`repro.translation.stream`:
+  one walk of a compiled column program over each decoded document) →
+  Avro rows + columnar store, whose ``columns.json`` the stdlib C
+  encoder renders.  The two DOM paths are its test oracles.
 
 Union resolution is carried by an explicit :class:`Resolution` — the
 resolved type, the degraded column paths, and a structural
@@ -45,6 +46,7 @@ column rather than falling back to the ``json`` escape-hatch column.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
@@ -571,14 +573,15 @@ def translate_report_path(
     :func:`repro.inference.streaming.report_with_spans`, so the same
     bytes give the same artifacts however they arrive.  The schema
     comes from the bytes fold, resolution and schema compilation are
-    interned-memoized, and the DOM-free machine
-    (:class:`repro.translation.stream.StreamTranslator`) walks each
-    document's raw byte span, emitting column entries and Avro row
-    bytes directly; a document it cannot prove delegates to the DOM
-    path (parse, textify, shredder + row encoder).  Fallback (JSON-text)
-    columns capture the **raw source slice verbatim**, where the DOM
-    translators (:func:`translate_interned`, the test oracle)
-    re-serialise — identical on serializer-canonical corpora.
+    interned-memoized, and the stream machine
+    (:class:`repro.translation.stream.StreamTranslator`) decodes each
+    document's span once and walks its column program over the value,
+    emitting column entries and Avro row bytes directly; a document it
+    cannot prove delegates to the DOM path (textify, shredder + row
+    encoder).  Fallback (JSON-text) columns capture the **raw source
+    slice verbatim**, where the DOM translators
+    (:func:`translate_interned`, the test oracle) re-serialise —
+    identical on serializer-canonical corpora.
 
     ``out`` (a directory) spills artifacts while translating: encoded
     rows stream straight into ``rows.avro`` (peak memory O(columns + one
@@ -641,7 +644,8 @@ def translate_report_path(
 
 
 def _stream_translate_sections(sections, resolution, shredder, encoder, sink):
-    """The DOM-free loop: raw byte spans through the stream machine.
+    """The translate loop: each line's byte span through the stream
+    machine.
 
     Blank spans are skipped by the byte folds' one rule
     (:func:`repro.inference.engine._blank_span`, decode errors raising
@@ -676,25 +680,32 @@ def column_store_json(store: ColumnStore) -> str:
     Deterministic (columns in path order), so two stores are equal iff
     their renderings are byte-identical — the conformance tier compares
     the DOM and interned paths through it, and :func:`write_artifacts`
-    writes it.
+    writes it.  The text is :func:`~repro.jsonvalue.serializer.dumps`'s,
+    rendered by the stdlib C encoder; a store that encoder rejects (a
+    non-finite float, say) is rendered again by ``dumps``, which raises
+    the error — one source of errors.
     """
-    return dumps(
-        {
-            "row_count": store.row_count,
-            "columns": [
-                {
-                    "path": column.path,
-                    "kind": column.kind,
-                    "max_repetition": column.max_repetition,
-                    "max_definition": column.max_definition,
-                    "repetition_levels": column.repetition_levels,
-                    "definition_levels": column.definition_levels,
-                    "values": column.values,
-                }
-                for _, column in sorted(store.columns.items())
-            ],
-        }
-    )
+    mapping = {
+        "row_count": store.row_count,
+        "columns": [
+            {
+                "path": column.path,
+                "kind": column.kind,
+                "max_repetition": column.max_repetition,
+                "max_definition": column.max_definition,
+                "repetition_levels": column.repetition_levels,
+                "definition_levels": column.definition_levels,
+                "values": column.values,
+            }
+            for _, column in sorted(store.columns.items())
+        ],
+    }
+    try:
+        return json.dumps(
+            mapping, ensure_ascii=False, separators=(",", ":"), allow_nan=False
+        )
+    except (TypeError, ValueError):
+        return dumps(mapping)
 
 
 def write_artifacts(run: TranslationRun, out_dir) -> dict:

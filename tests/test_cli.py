@@ -332,6 +332,17 @@ class TestTranslate:
         assert "columnar bytes:   0\n" in out
         assert out.count("wrote ") == 3
 
+    def test_non_finite_float_is_an_error(self, tmp_path, capsys):
+        """``1e400`` decodes to ``inf``, which ``columns.json`` cannot
+        hold: the serializer's error, whichever encoder renders it."""
+        path = tmp_path / "huge.ndjson"
+        path.write_text('{"a": 1.5}\n{"a": 1e400}\n')
+        out_dir = tmp_path / "artifacts"
+        assert main(["translate", str(path), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            "error: non-finite float inf is not valid JSON\n"
+        )
+
     def test_ratio_line_when_columns_exist(self, data_file, capsys):
         assert main(["translate", data_file]) == 0
         out = capsys.readouterr().out

@@ -144,10 +144,11 @@ class TestRouteImports:
 
     @pytest.mark.parametrize("source", ["file", "stdin"])
     def test_translate_delegation_skips_fadjs(self, tmp_path, source):
-        # A duplicate key declines the stream walk, so the first line is
-        # translated by the DOM path: it parses with jsonvalue.parse, not
-        # the Fad.js speculative decoder.
-        raw = b'{"a":1,"a":2}\n{"a":3}\n'
+        # A duplicate key in a record with a JSON-text fallback beneath it
+        # declines the stream walk, so the first line is translated by
+        # the DOM path: it parses with jsonvalue.parse, not the Fad.js
+        # speculative decoder.
+        raw = b'{"a":1,"a":2,"b":1}\n{"a":"s","b":2}\n'
         data = tmp_path / "dup.ndjson"
         data.write_bytes(raw)
         if source == "file":

@@ -1,9 +1,12 @@
-"""Stream-translate differential tier: the DOM-free machine is
+"""Stream-translate differential tier: the stream machine is
 byte-identical to the DOM translator.
 
-The stream engine (:mod:`repro.translation.stream`) emits Parquet column
-entries and Avro row bytes straight from each document's byte span — no
-DOM, no textify pass.  This tier turns hypothesis loose on the pin, with
+The stream engine (:mod:`repro.translation.stream`) decodes each
+document's span once and walks its column program over the value,
+emitting Parquet column entries and Avro row bytes in one pass — no
+textify, no separate shredder and encoder walks; records and lists with
+a JSON-text fallback beneath them walk the text, one decoder value at a
+time.  This tier turns hypothesis loose on the pin, with
 :func:`translate_interned` over the parsed lines as the oracle:
 
 - on serializer-canonical corpora (lines produced by the repo's
@@ -12,9 +15,9 @@ DOM, no textify pass.  This tier turns hypothesis loose on the pin, with
   equivalences and through the gzip transport;
 - unicode escapes (``\\uXXXX`` in strings *and* keys) decode to the same
   column values and the same row bytes as the DOM's decoded strings;
-- structural shapes the fused scan cannot speculate (duplicate keys,
-  exotic spellings) delegate per-document to the DOM path, keeping
-  results exact;
+- duplicate keys and exotic spellings (spaced separators, exponent
+  and negative-zero spellings) translate to the oracle's results,
+  whether the walk takes them or delegates them to the DOM path;
 - fallback (JSON-text) columns capture the **raw source slice
   verbatim** where the DOM translator re-serialises — identical on
   canonical corpora, source-preserving on non-canonical spellings;
@@ -122,8 +125,8 @@ def test_stream_matches_dom_with_blank_interior_lines(tmp_path_factory, docs):
 
 
 def test_unicode_escape_spellings_match(tmp_path):
-    # Escaped strings and *escaped keys*: the fused member scan decodes
-    # the key slice through the real lexer, so "a" is the field a.
+    # Escaped strings and *escaped keys*: the decoder unescapes the key,
+    # so "\u0061" is the field a.
     lines = [
         '{"a":"caf\\u00e9","s":"\\n\\t\\"\\\\"}\n',
         '{"\\u0061":"\\ud83d\\ude00","s":"snow\\u2603"}\n',

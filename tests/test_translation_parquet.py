@@ -174,3 +174,19 @@ class TestSizeAccounting:
         store = assert_roundtrip(docs)
         text_bytes = sum(len(dumps(d).encode()) for d in docs)
         assert store.total_encoded_size() < text_bytes
+
+    def test_encoded_size_counts_utf8_bytes_and_varint_longs(self):
+        from repro.translation import Column
+
+        strings = Column("s", "string", 0, 1, [0, 0, 0], [1, 1, 0], ["ab", "é☃"])
+        # 3 definition levels; (4 + 2) + (4 + 2 + 3) value bytes.
+        assert strings.encoded_size() == 3 + 15
+        longs = Column("n", "long", 1, 0, [0] * 5, [0] * 5,
+                       [0, 63, 64, -8192, 2**40])
+        # 5 repetition levels; 1 + 1 + 2 + 3 + 6 varint-ish bytes.
+        assert longs.encoded_size() == 5 + 13
+        flags = Column("f", "bool", 0, 0, [0, 0], [0, 0], [True, False])
+        doubles = Column("d", "double", 0, 0, [0], [0], [1.5])
+        nulls = Column("z", "null", 0, 0, [0], [0], [])
+        assert (flags.encoded_size(), doubles.encoded_size()) == (2, 8)
+        assert nulls.encoded_size() == 0
