@@ -666,7 +666,6 @@ def infer_subtree_text(
 
     accumulator = TypeAccumulator(equivalence)
     encoder = EventTypeEncoder(accumulator.table)
-    add_type = accumulator.add_type
     buffer = corpus.buffer()
     path = getattr(corpus, "path", None)
     threshold = max(min_split_bytes, 2)
@@ -676,8 +675,7 @@ def infer_subtree_text(
 
     def flush() -> None:
         if batch:
-            for t in encoder.encode_lines(batch):
-                add_type(t)
+            accumulator.add_types(encoder.encode_lines(batch))
             del batch[:]
 
     try:
@@ -726,7 +724,7 @@ def infer_subtree_text(
                     t = encoder.encode_bytes(buffer, start, end)
                 else:
                     split_documents += 1
-                add_type(t)
+                accumulator.add_type(t)
                 continue
             batch.append(bytes(buffer[start:end]))
             if len(batch) >= _RANGE_BATCH_LINES:

@@ -9,9 +9,10 @@ and re-simplified the whole union on each ``merge_all``.
 :class:`TypeAccumulator` is the monoid made operational.  It maintains
 the *fused equivalence-class map* of ``merge_all`` online — one canonical
 representative per equivalence class — so its memory is O(classes), not
-O(documents), and each ``add`` is one intern walk plus a memoized
-pairwise merge (O(1) once the class representatives stabilize, which for
-real collections happens after the first few documents).
+O(documents).  Each batch of typed lines is absorbed in one n-ary merge
+pass (:meth:`repro.types.intern.InternTable.fuse_into`) over the
+batch's distinct, not-yet-seen types and the representatives of the
+classes they touch; a batch with nothing new is a set probe per line.
 
 Laws (property-tested in ``tests/test_engine_properties.py``):
 
@@ -34,10 +35,9 @@ from typing import Any, Hashable, Iterable, Optional, Sequence
 from repro.errors import InferenceError
 from repro.jsonvalue.lexer import WHITESPACE_PATTERN, WHITESPACE_PATTERN_BYTES
 from repro.jsonvalue.parser import c_scan_once, nesting_exceeds
-from repro.types import Equivalence, Type, class_key, union
+from repro.types import Equivalence, Type
 from repro.types.build import EventTypeEncoder, TypeEncoder
 from repro.types.intern import InternTable, global_table
-from repro.types.terms import UnionType
 
 _BYTES_WS_RUN = re.compile(WHITESPACE_PATTERN_BYTES)
 _WS_RUN = re.compile(WHITESPACE_PATTERN).match
@@ -69,12 +69,18 @@ def _blank_span(data, start: int, end: int) -> bool:
 class TypeAccumulator:
     """Streaming parametric merge with O(classes) state.
 
-    ``add`` / ``add_type`` absorb one document / one type; ``combine``
-    folds another accumulator in (the monoid operation, used per
-    partition by :mod:`repro.inference.distributed`); ``result`` yields
-    the merged type, bit-identical to ``merge_all`` over everything
-    absorbed so far.  ``result`` does not consume the accumulator — it
-    can be sampled mid-stream.
+    The state is ``merge_many``'s top-level class partition kept between
+    calls: one fused, reduced, interned representative per equivalence
+    class.  ``add_types`` absorbs a batch in one
+    :meth:`~repro.types.intern.InternTable.fuse_into` pass over the
+    batch's distinct, not-yet-seen types and the representatives of
+    the classes they fall into; ``add`` / ``add_text`` / ``add_bytes``
+    / ``add_type`` absorb one document or type, a batch of one.
+    ``combine`` folds another accumulator in (the monoid operation, used
+    per partition by :mod:`repro.inference.distributed`); ``result``
+    yields the merged type, bit-identical to ``merge_all`` over
+    everything absorbed so far.  ``result`` does not consume the
+    accumulator — it can be sampled mid-stream.
     """
 
     __slots__ = (
@@ -83,7 +89,6 @@ class TypeAccumulator:
         "_encoder",
         "_event_encoder",
         "_classes",
-        "_order",
         "_memo",
         "_count",
     )
@@ -103,12 +108,11 @@ class TypeAccumulator:
         # canonical types out).
         self._encoder: Optional[TypeEncoder] = None
         self._event_encoder: Optional[EventTypeEncoder] = None
-        # class key -> fused, reduced, interned representative
-        self._classes: dict[Hashable, Type] = {}
-        # first-appearance order of keys (merge_all parity; union() sorts
+        # class key -> fused, reduced, interned representative, in
+        # first-appearance order (merge_all parity; union() sorts
         # anyway, but keeping the order makes the equivalence exact by
         # construction rather than by the final sort).
-        self._order: list[Hashable] = []
+        self._classes: dict[Hashable, Type] = {}
         # Canonical types already absorbed.  Merge is idempotent
         # (merge(X, t, t) == merge(X, t), property-tested), so a type seen
         # before cannot change the state — the probe costs one hash and
@@ -134,19 +138,16 @@ class TypeAccumulator:
         encoder = self._encoder
         if encoder is None:
             encoder = self._encoder = TypeEncoder(self._table)
-        self.add_type(encoder.encode(document))
+        self.add_types((encoder.encode(document),))
 
     def add_text(self, text: str) -> None:
         """Type one raw JSON text and absorb it.
 
         The C decoder parses the text and the encoder walks the value
-        into its canonical interned type, which merges in one
-        ``add_type`` step; malformed text raises the parser's error.
+        into its canonical interned type; malformed text raises the
+        parser's error.
         """
-        encoder = self._event_encoder
-        if encoder is None:
-            encoder = self._event_encoder = EventTypeEncoder(self._table)
-        self.add_type(encoder.encode_text(text))
+        self.add_types((self._text_encoder().encode_text(text),))
 
     def add_bytes(self, data, start: int = 0, end: Optional[int] = None) -> None:
         """Type one raw UTF-8 document held as bytes and absorb it.
@@ -155,38 +156,40 @@ class TypeAccumulator:
         ``bytes``, an mmap, or a memoryview; undecodable input
         raises the decode's ``UnicodeDecodeError``.
         """
+        self.add_types((self._text_encoder().encode_bytes(data, start, end),))
+
+    def _text_encoder(self) -> EventTypeEncoder:
+        """The text-feed encoder bound to this accumulator's table."""
         encoder = self._event_encoder
         if encoder is None:
             encoder = self._event_encoder = EventTypeEncoder(self._table)
-        self.add_type(encoder.encode_bytes(data, start, end))
+        return encoder
 
     def add_type(self, t: Type) -> None:
         """Absorb one already-typed document (or any type term)."""
-        self._count += 1
-        memo = self._memo
-        if t in memo:
-            return
-        table = self._table
-        t = table.canonical(t)
-        if len(memo) < self._MEMO_LIMIT:
-            memo.add(t)
-        members = t.members if isinstance(t, UnionType) else (t,)
-        equivalence = self.equivalence
-        classes = self._classes
-        for member in members:
-            key = class_key(member, equivalence)
-            rep = classes.get(key)
-            if rep is None:
-                # Even a singleton class is reduced, exactly as
-                # merge_all's _fuse_class rebuilds singleton containers.
-                classes[key] = table.reduce_types(member, equivalence)
-                self._order.append(key)
-            else:
-                classes[key] = table.merge_types(rep, member, equivalence)
+        self.add_types((t,))
 
     def add_types(self, types: Iterable[Type]) -> None:
+        """Absorb a batch of typed documents in one merge pass.
+
+        Every type counts as a document, repeats included; only the
+        batch's distinct types not absorbed before reach the merge.
+        """
+        memo = self._memo
+        canonical = self._table.canonical
+        fresh = []
+        count = 0
         for t in types:
-            self.add_type(t)
+            count += 1
+            if t in memo:
+                continue
+            t = canonical(t)
+            if len(memo) < self._MEMO_LIMIT:
+                memo.add(t)
+            fresh.append(t)
+        self._count += count
+        if fresh:
+            self._table.fuse_into(self._classes, fresh, self.equivalence)
 
     def combine(self, other: "TypeAccumulator") -> None:
         """Fold another accumulator into this one (monoid operation)."""
@@ -195,20 +198,13 @@ class TypeAccumulator:
                 "cannot combine accumulators with different equivalences: "
                 f"{self.equivalence.value} vs {other.equivalence.value}"
             )
-        table = self._table
-        classes = self._classes
-        equivalence = self.equivalence
-        for key in other._order:
-            rep = other._classes[key]
-            mine = classes.get(key)
-            if mine is None:
-                # Re-intern in case the other accumulator used a
-                # different table (e.g. it crossed a process boundary).
-                classes[key] = table.reduce_types(rep, equivalence)
-                self._order.append(key)
-            else:
-                classes[key] = table.merge_types(mine, rep, equivalence)
-        if table is other._table and len(self._memo) < self._MEMO_LIMIT:
+        # fuse_into re-interns the representatives in case the other
+        # accumulator used a different table (e.g. it crossed a process
+        # boundary).
+        self._table.fuse_into(
+            self._classes, list(other._classes.values()), self.equivalence
+        )
+        if self._table is other._table and len(self._memo) < self._MEMO_LIMIT:
             self._memo |= other._memo
         self._count += other._count
 
@@ -216,7 +212,7 @@ class TypeAccumulator:
 
     def result(self) -> Type:
         """The merged type of everything absorbed (``BOT`` when empty)."""
-        return self._table.intern(union(self._classes[k] for k in self._order))
+        return self._table.merge_many(self._classes.values(), self.equivalence)
 
     @property
     def document_count(self) -> int:
@@ -235,7 +231,7 @@ class TypeAccumulator:
         This is the accumulator's working-set measure: independent of the
         number of documents absorbed, unlike the seed's list of types.
         """
-        return sum(self._classes[k].size() for k in self._order)
+        return sum(rep.size() for rep in self._classes.values())
 
 
 class CountingAccumulator:
@@ -330,6 +326,12 @@ def accumulate_types(
     return acc
 
 
+# Lines per batch (one typing call and one add_types merge pass): enough
+# to amortise the calls, few enough that the batch's byte copies stay
+# small next to the corpus.
+_RANGE_BATCH_LINES = 1024
+
+
 def accumulate_lines(
     lines: Iterable[str],
     equivalence: Equivalence = Equivalence.KIND,
@@ -337,19 +339,35 @@ def accumulate_lines(
     table: Optional[InternTable] = None,
 ) -> TypeAccumulator:
     """Fold raw NDJSON lines into a fresh accumulator (blank lines are
-    skipped) — the str text feed."""
+    skipped) — the str text feed.
+
+    Lines are typed and absorbed in batches of ``_RANGE_BATCH_LINES``,
+    as the bytes feed absorbs them; a line's error still surfaces before
+    any error of a later line or of reading one.
+    """
     acc = TypeAccumulator(equivalence, table=table)
-    add_text = acc.add_text
-    for line in lines:
-        if not line or line.isspace():
-            continue
-        add_text(line)
+    encode_text = acc._text_encoder().encode_text
+    batch: list[str] = []
+
+    def flush() -> None:
+        pending = batch[:]
+        del batch[:]
+        acc.add_types([encode_text(line) for line in pending])
+
+    try:
+        for line in lines:
+            if not line or line.isspace():
+                continue
+            batch.append(line)
+            if len(batch) >= _RANGE_BATCH_LINES:
+                flush()
+    except Exception:
+        # Earlier batched lines surface their errors first, as they do
+        # line by line.
+        flush()
+        raise
+    flush()
     return acc
-
-
-# Lines per encode_lines call: enough to amortise the call, few enough
-# that the batch's byte copies stay small next to the corpus.
-_RANGE_BATCH_LINES = 1024
 
 
 class RangeFolder:
@@ -361,7 +379,10 @@ class RangeFolder:
     can push successive line-aligned buffers through one batched
     pipeline: the pending line batch persists across :meth:`feed`
     calls, so a corpus fed in blocks folds exactly like one contiguous
-    mmap.  ``finish`` flushes the tail batch.
+    mmap.  Each flush types up to ``_RANGE_BATCH_LINES`` lines with one
+    ``encode_lines`` call and absorbs them with one
+    :meth:`TypeAccumulator.add_types` merge pass.  ``finish`` flushes
+    the tail batch.
 
     Error ordering is the serial contract: a line surfaces its error no
     later than the first flush after it, and a line whose blank check
@@ -391,9 +412,7 @@ class RangeFolder:
     def _flush(self) -> None:
         batch = self._batch
         if batch:
-            add_type = self._acc.add_type
-            for t in self._encoder.encode_lines(batch):
-                add_type(t)
+            self._acc.add_types(self._encoder.encode_lines(batch))
             del batch[:]
 
     def feed(self, data, spans) -> None:

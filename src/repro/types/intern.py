@@ -16,15 +16,22 @@ module removes the recursion from the hot path by *hash-consing*
   uses for O(1) equality (equal iff identical) and cached hashing.
 - :meth:`InternTable.canonical` fuses simplification and interning into
   a single probe-first walk, memoized per canonical node.
-- :meth:`InternTable.merge_types` / :meth:`InternTable.reduce_types` are
-  *native* implementations of the parametric merge on canonical terms,
-  memoized on ``(id(left), id(right), equivalence)``.  Every recursive
-  step re-enters the caches, so merging a large running type with a
-  small document type only does work proportional to what changed — the
-  property :class:`repro.inference.engine.TypeAccumulator` leans on to
-  make the per-document reduce step O(1) once the running type
-  stabilizes.  Parity with :func:`repro.types.merge.merge_all` is pinned
-  by the chunking/ordering property tests.
+- :meth:`InternTable.merge_many` is the *native* parametric merge on
+  canonical terms: the one-pass class fusion of
+  :func:`repro.types.merge.merge_all` (flatten union members, drop
+  repeats by identity, partition by class key, fuse each class once),
+  run from an explicit work stack so deep documents cost no Python
+  recursion.  Reductions (a list of one distinct node) are memoized per
+  node, classes of two members per pair, and every node the fusion
+  builds is recorded as its own reduction, so a representative that a
+  batch leaves untouched is one dictionary probe.  :meth:`InternTable.fuse_into` keeps the top-level
+  class partition between calls: it is how
+  :class:`repro.inference.engine.TypeAccumulator` folds a whole line
+  batch into its class representatives at once.  The pairwise
+  :meth:`InternTable.merge_types` (memoized on ``(id(left), id(right),
+  equivalence)``) and :meth:`InternTable.reduce_types` are entry points
+  over the same pass.  Parity with ``merge_all`` is pinned by the
+  batching/ordering property tests.
 
 The table holds strong references to every canonical node, so the
 ``id()``-based keys can never be recycled while the table lives.  A
@@ -45,7 +52,7 @@ against newer types.
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Hashable, Iterable, Optional
 
 from repro.types.merge import Equivalence, class_key
 from repro.types.simplify import union
@@ -300,22 +307,52 @@ class InternTable:
         raise TypeError(f"cannot canonicalize {t!r}")
 
     # ------------------------------------------------------------------
-    # memoized native parametric merge
+    # the native parametric merge: one n-ary pass on an explicit stack
     # ------------------------------------------------------------------
+
+    def merge_many(self, types: Iterable[Type], equivalence: Equivalence) -> Type:
+        """``merge_all(types, equivalence)`` as the canonical interned node.
+
+        One pass of the seed's class fusion over canonical terms: union
+        members are flattened, repeats dropped by identity, the rest
+        partitioned by :func:`~repro.types.merge.class_key`, and each
+        class fused once — records gather every field's member types and
+        a presence count, arrays gather their items, number atoms join
+        to ``num``.  Nested member lists are fused the same way from an
+        explicit work stack, so nesting depth costs no Python recursion.
+        A list of one distinct term is a reduction, memoized per node, a
+        class of two members is memoized per pair, and every node the
+        fusion builds is recorded as its own reduction.
+        """
+        members = [self.canonical(t) for t in types]
+        if not members:
+            return self._leaf(("bot",), BOT)
+        return self._fuse(members, equivalence, None)
+
+    def fuse_into(
+        self, classes: dict, types: Iterable[Type], equivalence: Equivalence
+    ) -> None:
+        """Fuse ``types`` into a class map in one :meth:`merge_many` pass.
+
+        ``classes`` maps each :func:`~repro.types.merge.class_key` to its
+        reduced representative, in first-appearance order — the top-level
+        partition of ``merge_many`` kept between calls, so that
+        ``union(classes.values())`` is ``merge_many`` over everything
+        fused so far.  Only the classes the new members fall into are
+        fused again, each once, with its representative as one member.
+        """
+        members = [self.canonical(t) for t in types]
+        if members:
+            self._fuse(members, equivalence, classes)
 
     def merge_types(self, left: Type, right: Type, equivalence: Equivalence) -> Type:
         """Memoized ``merge_all((left, right), equivalence)``, interned."""
         left = self.canonical(left)
         right = self.canonical(right)
-        if left is right:
-            # merge(t, t) == reduce_type(t), the idempotence law.
-            return self.reduce_types(left, equivalence)
         key = (id(left), id(right), equivalence)
         out = self._merge_cache.get(key)
         if out is None:
-            members = self._split(left)
-            members.extend(self._split(right))
-            out = self._merge_members(members, equivalence)
+            out = self.merge_many((left, right), equivalence)
             self._merge_cache[key] = out
             # Merge is commutative; prime the mirrored key too.
             self._merge_cache[(id(right), id(left), equivalence)] = out
@@ -323,130 +360,191 @@ class InternTable:
 
     def reduce_types(self, t: Type, equivalence: Equivalence) -> Type:
         """Memoized ``reduce_type(t, equivalence)``, interned."""
-        t = self.canonical(t)
-        key = (id(t), equivalence)
-        out = self._reduce_cache.get(key)
-        if out is None:
-            if t.__class__ is UnionType:
-                out = self._merge_members(list(t.members), equivalence)
+        return self.merge_many((t,), equivalence)
+
+    def _fuse(self, members: list, equivalence: Equivalence, into) -> Optional[Type]:
+        """Run the fusion of canonical ``members`` to completion.
+
+        The work stack holds two kinds of task: a list is a member list
+        to fuse (:meth:`_expand`), a tuple the assembly of one list's
+        classes once its nested lists are fused (:meth:`_build`).  Each
+        list task leaves exactly one node on ``values``.
+        """
+        values: list[Type] = []
+        work: list = []
+        out = self._expand(members, equivalence, work, into)
+        while work:
+            task = work.pop()
+            if task.__class__ is list:
+                node = self._expand(task, equivalence, work, None)
             else:
-                out = self._reduce_member(t, equivalence)
-            self._reduce_cache[key] = out
-            # Reduction is idempotent: the output is its own normal form.
-            object.__setattr__(out, "_normal", True)
-            self._reduce_cache[(id(out), equivalence)] = out
-        return out
+                node = self._build(task, equivalence, values)
+            if node is not None:
+                values.append(node)
+        return values.pop() if values else out
+
+    def _expand(self, types: list, equivalence: Equivalence, work: list, into):
+        """Partition one member list; return its fused node when no
+        nested list needs fusing, else push its assembly and the nested
+        lists and return ``None``."""
+        reduce_cache = self._reduce_cache
+        single = self._repeated(types) if into is None else None
+        if single is not None:
+            out = reduce_cache.get((id(single), equivalence))
+            if out is not None:
+                return out
+
+        seen: set[int] = set()
+        flat: list[Type] = []
+        for t in types:
+            if t.__class__ is UnionType:
+                for m in t.members:  # type: ignore[union-attr]
+                    if id(m) not in seen:
+                        seen.add(id(m))
+                        flat.append(m)
+            elif id(t) not in seen:
+                seen.add(id(t))
+                flat.append(t)
+
+        groups: dict[Hashable, list[Type]] = {}
+        for m in flat:
+            key = class_key(m, equivalence)
+            group = groups.get(key)
+            if group is not None:
+                group.append(m)
+                continue
+            rep = into.get(key) if into is not None else None
+            if rep is None or id(rep) in seen:
+                groups[key] = [m]
+            else:
+                groups[key] = [rep, m]
+
+        # One plan entry per class: a finished node, None for an array
+        # awaiting its item, or a record's [(name, required, type or
+        # None)] awaiting the fused field types marked None.  A class of
+        # two members shares merge_types' pair memo (two members of one
+        # class merge to that class's node), so a stream fed one type at
+        # a time probes a recurring pair instead of fusing it again.
+        plan: list = []
+        nested: list[list[Type]] = []
+        pairs: list[tuple] = []
+        for group in groups.values():
+            m0 = group[0]
+            if len(group) == 1:
+                out = reduce_cache.get((id(m0), equivalence))
+                if out is not None:
+                    plan.append(out)
+                    continue
+            elif len(group) == 2:
+                pair = (id(m0), id(group[1]), equivalence)
+                out = self._merge_cache.get(pair)
+                if out is not None:
+                    plan.append(out)
+                    continue
+                pairs.append((len(plan), pair))
+            cls = m0.__class__
+            if cls is RecType:
+                total = len(group)
+                by_name: dict[str, list[Type]] = {}
+                required: dict[str, bool] = {}
+                for rec in group:
+                    for f in rec.fields:  # type: ignore[union-attr]
+                        ftypes = by_name.get(f.name)
+                        if ftypes is None:
+                            by_name[f.name] = [f.type]
+                            required[f.name] = f.required
+                        else:
+                            ftypes.append(f.type)
+                            if not f.required:
+                                required[f.name] = False
+                fields = []
+                for name, ftypes in by_name.items():
+                    ftype = self._reduced_if_cached(ftypes, equivalence)
+                    if ftype is None:
+                        nested.append(ftypes)
+                    fields.append(
+                        (name, required[name] and len(ftypes) == total, ftype)
+                    )
+                plan.append(fields)
+            elif cls is ArrType:
+                items = [m.item for m in group]  # type: ignore[union-attr]
+                item = self._reduced_if_cached(items, equivalence)
+                if item is None:
+                    nested.append(items)
+                    plan.append(None)
+                else:
+                    plan.append(self._reduced(self._arr(item), equivalence))
+            elif cls is AtomType and len(group) > 1:
+                # Distinct atoms share a class only as numbers under KIND.
+                plan.append(self.atom("num"))
+            else:
+                # A lone atom, or Bot/Any (never two distinct members).
+                plan.append(m0)
+
+        task = (single, into, tuple(groups), plan, pairs, len(nested))
+        if not nested:
+            return self._build(task, equivalence, values=[])
+        work.append(task)
+        work.extend(reversed(nested))
+        return None
 
     @staticmethod
-    def _split(t: Type) -> list[Type]:
-        return list(t.members) if t.__class__ is UnionType else [t]
+    def _repeated(types: list) -> Optional[Type]:
+        """The node ``types`` holds when it is one node repeated."""
+        first = types[0]
+        for t in types:
+            if t is not first:
+                return None
+        return first
 
-    def _merge_members(self, members: list[Type], equivalence: Equivalence) -> Type:
-        """Partition canonical union members into classes and fuse each.
+    def _reduced_if_cached(self, types: list, equivalence: Equivalence):
+        """The memoized reduction of a list of one repeated node, if any."""
+        node = self._repeated(types)
+        return None if node is None else self._reduce_cache.get((id(node), equivalence))
 
-        Mirrors merge_all: singleton classes are still reduced (that is
-        what makes reduction a normal form), multi-member classes fold
-        through :meth:`_fuse2` — associativity makes the fold identical
-        to the batch fusion.
-        """
-        classes: dict[Hashable, Type] = {}
-        order: list[Hashable] = []
-        for member in members:
-            key = class_key(member, equivalence)
-            rep = classes.get(key)
-            if rep is None:
-                classes[key] = self.reduce_types(member, equivalence)
-                order.append(key)
-            else:
-                classes[key] = self._fuse2(rep, member, equivalence)
-        out = self.intern(union(classes[key] for key in order))
-        # Everything in `classes` is reduced, so the union of the
-        # representatives is its own normal form: record the fixpoints so
-        # later canonical()/reduce_types() probes are O(1).
-        object.__setattr__(out, "_normal", True)
-        self._canonical[id(out)] = out
-        self._reduce_cache[(id(out), equivalence)] = out
+    def _build(self, task: tuple, equivalence: Equivalence, values: list):
+        """Assemble one member list's classes from its fused nested lists
+        (the last ``n`` entries of ``values``, in push order)."""
+        single, into, keys, plan, pairs, n = task
+        if n:
+            cut = len(values) - n
+            fused = iter(values[cut:])
+            del values[cut:]
+        results = []
+        for entry in plan:
+            if entry is None:
+                entry = self._reduced(self._arr(next(fused)), equivalence)
+            elif entry.__class__ is list:
+                entry = self._reduced(
+                    self._rec(
+                        [
+                            self._field(
+                                name, next(fused) if ftype is None else ftype, req
+                            )
+                            for name, req, ftype in entry
+                        ]
+                    ),
+                    equivalence,
+                )
+            results.append(entry)
+        merge_cache = self._merge_cache
+        for index, (a, b, eq) in pairs:
+            merge_cache[(a, b, eq)] = merge_cache[(b, a, eq)] = results[index]
+        if into is not None:
+            into.update(zip(keys, results))
+            return None
+        out = results[0] if len(results) == 1 else self.union_of(results)
+        out = self._reduced(out, equivalence)
+        if single is not None:
+            self._reduce_cache[(id(single), equivalence)] = out
         return out
 
-    def _reduce_member(self, m: Type, equivalence: Equivalence) -> Type:
-        """Reduce one canonical non-union member.
-
-        Matches merge._fuse_class on a singleton class: containers are
-        rebuilt with reduced children, leaves pass through.  Identity is
-        preserved when nothing changes, so already-reduced terms cost a
-        walk of cache hits and no allocation.
-        """
-        cls = m.__class__
-        if cls is ArrType:
-            item = self.reduce_types(m.item, equivalence)  # type: ignore[union-attr]
-            return m if item is m.item else self._arr(item)  # type: ignore[union-attr]
-        if cls is RecType:
-            changed = False
-            fields = []
-            for f in m.fields:  # type: ignore[union-attr]
-                ftype = self.reduce_types(f.type, equivalence)
-                if ftype is f.type:
-                    fields.append(f)
-                else:
-                    changed = True
-                    fields.append(self._field(f.name, ftype, f.required))
-            return self._rec(fields) if changed else m
-        return m
-
-    def _fuse2(self, a: Type, b: Type, equivalence: Equivalence) -> Type:
-        """Fuse one member ``b`` into the reduced representative ``a``.
-
-        Precondition: ``a`` and ``b`` are canonical and in the same
-        equivalence class; ``a`` is reduced.  Matches merge._fuse_class
-        on ``[a, b]`` field by field; when ``b`` adds nothing new the
-        representative is returned unchanged, making the stable-state
-        merge a pure probe loop.
-        """
-        if a is b:
-            return self.reduce_types(a, equivalence)
-        cls = a.__class__
-        if cls is AtomType:
-            # Same class with different tags only happens for number
-            # atoms under KIND — their join is num.
-            return a if a.tag == b.tag else self.intern(NUM)  # type: ignore[union-attr]
-        if cls is ArrType:
-            item = self.merge_types(a.item, b.item, equivalence)  # type: ignore[union-attr]
-            return a if item is a.item else self._arr(item)  # type: ignore[union-attr]
-        if cls is RecType:
-            b_fields = b.field_map()  # type: ignore[union-attr]
-            changed = False
-            fused = []
-            for f in a.fields:  # type: ignore[union-attr]
-                g = b_fields.get(f.name)
-                if g is None:
-                    # Absent from b: the field becomes optional, its type
-                    # reduced (a is reduced already, so this is a hit).
-                    ftype = self.reduce_types(f.type, equivalence)
-                    if ftype is f.type and not f.required:
-                        fused.append(f)
-                    else:
-                        changed = True
-                        fused.append(self._field(f.name, ftype, False))
-                else:
-                    ftype = self.merge_types(f.type, g.type, equivalence)
-                    required = f.required and g.required
-                    if ftype is f.type and required == f.required:
-                        fused.append(f)
-                    else:
-                        changed = True
-                        fused.append(self._field(f.name, ftype, required))
-            a_labels = a.labels()  # type: ignore[union-attr]
-            for g in b.fields:  # type: ignore[union-attr]
-                if g.name not in a_labels:
-                    changed = True
-                    fused.append(
-                        self._field(
-                            g.name, self.reduce_types(g.type, equivalence), False
-                        )
-                    )
-            return self._rec(fused) if changed else a
-        # Bot/Any classes cannot contain two distinct canonical members.
-        return a
+    def _reduced(self, node: Type, equivalence: Equivalence) -> Type:
+        """Record a fused node as its own (normal-form) reduction."""
+        if not node._normal:
+            object.__setattr__(node, "_normal", True)
+        self._reduce_cache[(id(node), equivalence)] = node
+        return node
 
     # ------------------------------------------------------------------
     # introspection / maintenance

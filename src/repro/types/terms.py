@@ -21,7 +21,8 @@ that the hash-consed kernel (:mod:`repro.types.intern`) gets fast paths:
 - two *interned* terms of the same table are equal iff identical, so a
   deep compare between canonical terms is O(1);
 - hashes and ``size()`` are computed once and cached on the instance
-  (terms are immutable, so the caches can never go stale).
+  (terms are immutable, so the caches can never go stale); ``size()``
+  runs from an explicit stack, so deep terms cost no recursion.
 
 Structural equality between non-interned terms is unchanged from the
 dataclass semantics the seed had.
@@ -54,15 +55,30 @@ class Type:
     _normal: bool = False
 
     def size(self) -> int:
-        """Number of AST nodes — the *succinctness* measure of EDBT '17."""
+        """Number of AST nodes — the *succinctness* measure of EDBT '17.
+
+        Sizes are computed children first from an explicit stack and
+        cached on every node they reach, so a deep term costs no
+        recursion.
+        """
         cached = self._size
-        if cached is None:
-            cached = self._compute_size()
-            object.__setattr__(self, "_size", cached)
-        return cached
+        if cached is not None:
+            return cached
+        stack: list[Type] = [self]
+        while stack:
+            node = stack[-1]
+            pending = [c for c in node.children() if c._size is None]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if node._size is None:
+                object.__setattr__(node, "_size", node._compute_size())
+        return self._size  # type: ignore[return-value]
 
     def _compute_size(self) -> int:
-        return 1 + sum(child.size() for child in self.children())
+        # Children are sized already (see size()).
+        return 1 + sum(child._size for child in self.children())
 
     def __getstate__(self) -> dict:
         # Drop intern marks and caches: pickled copies (e.g. types shipped
@@ -312,7 +328,7 @@ class RecType(Type):
 
     def _compute_size(self) -> int:
         # A field contributes its name node plus its type's size.
-        return 1 + sum(1 + f.type.size() for f in self.fields)
+        return 1 + sum(1 + f.type._size for f in self.fields)
 
     def sort_key(self) -> tuple:
         return (3, tuple(f.sort_key() for f in self.fields))

@@ -389,6 +389,39 @@ def _run_cli(args, *, stdin=None, env_extra=None):
     return done.returncode, done.stdout, done.stderr
 
 
+class TestDeepDocuments:
+    """Documents 510 levels deep infer under the default recursion limit:
+    the merge runs from a work stack and ``size()`` from an explicit one,
+    so only the parser's 512-level limit bounds depth."""
+
+    DEEP = b'[{"a":' * 255 + b"1" + b"}]" * 255
+    # The same depth, ending in a record with a string leaf under "b".
+    TWIN = b'[{"a":' * 254 + b'[{"b":"s"}]' + b"}]" * 254
+    # (schema size, type): 254 levels of [{a: ...}] at 3 nodes each,
+    # around the merged innermost array.
+    EXPECTED = {
+        "kind": (768, "[{a: " * 254 + "[{a?: Int, b?: Str}]" + "}]" * 254),
+        "label": (770, "[{a: " * 254 + "[{a: Int} + {b: Str}]" + "}]" * 254),
+    }
+
+    @pytest.mark.parametrize("equivalence", ["kind", "label"])
+    def test_file_and_stdin_print_the_type(self, tmp_path, equivalence):
+        raw = self.DEEP + b"\n" + self.TWIN + b"\n"
+        path = tmp_path / "deep.ndjson"
+        path.write_bytes(raw)
+        args = ["--equivalence", equivalence]
+        from_file = _run_cli(["infer", str(path), *args])
+        from_stdin = _run_cli(["infer", "-", *args], stdin=raw)
+        assert from_stdin == from_file
+        code, stdout, stderr = from_file
+        assert (code, stderr) == (0, b"")
+        size, text = self.EXPECTED[equivalence]
+        assert stdout.decode().splitlines() == [
+            f"# 2 documents, schema size {size}",
+            text,
+        ]
+
+
 class TestStdinMatchesFile:
     @pytest.mark.parametrize(
         "raw",

@@ -10,6 +10,7 @@ is exactly structural equality (``intern(a) is intern(b)`` iff
 
 from hypothesis import given, settings, strategies as st
 
+from repro.datasets import tweets
 from repro.inference.engine import (
     CountingAccumulator,
     TypeAccumulator,
@@ -17,7 +18,24 @@ from repro.inference.engine import (
     accumulate_types,
 )
 from repro.inference.counting import infer_counted, merge_counted, counted_type_of
-from repro.types import Equivalence, merge_all, simplify, type_of
+from repro.types import (
+    ANY,
+    BOOL,
+    BOT,
+    Equivalence,
+    FLT,
+    INT,
+    NULL,
+    NUM,
+    STR,
+    ArrType,
+    FieldType,
+    RecType,
+    UnionType,
+    merge_all,
+    simplify,
+    type_of,
+)
 from repro.types.intern import InternTable
 
 from tests.strategies import json_documents, json_values
@@ -91,6 +109,85 @@ class TestAccumulatorEquivalence:
         types = [type_of(v) for v in values]
         expected = merge_all(types, eq)
         assert accumulate_types(types, eq).result() == expected
+
+
+def type_terms(max_leaves: int = 10):
+    """Raw (unsimplified) type terms: nested and repeated union members,
+    records over a small label alphabet with mixed required flags."""
+    leaves = st.sampled_from([NULL, BOOL, INT, FLT, NUM, STR, BOT, ANY])
+
+    def extend(children):
+        fields = st.dictionaries(
+            st.sampled_from("abc"), st.tuples(children, st.booleans()), max_size=3
+        )
+        return st.one_of(
+            children.map(ArrType),
+            fields.map(
+                lambda f: RecType(
+                    tuple(FieldType(name, t, req) for name, (t, req) in f.items())
+                )
+            ),
+            st.lists(children, min_size=1, max_size=3).map(
+                lambda ms: UnionType(tuple(ms))
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+class TestBatchFold:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        docs=json_documents(min_size=1, max_size=10),
+        eq=st.sampled_from(EQUIVALENCES),
+        data=st.data(),
+    )
+    def test_add_types_in_any_batches_matches_merge_all(self, docs, eq, data):
+        repeats = data.draw(
+            st.lists(st.integers(min_value=0, max_value=len(docs) - 1), max_size=6)
+        )
+        docs = docs + [docs[i] for i in repeats]
+        order = data.draw(st.permutations(list(range(len(docs)))))
+        docs = [docs[i] for i in order]
+        sizes = data.draw(
+            st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=6)
+        )
+        table = InternTable()
+        acc = TypeAccumulator(eq, table=table)
+        for batch in chunked(docs, sizes):
+            acc.add_types([type_of(d) for d in batch])
+        types = [type_of(d) for d in docs]
+        assert acc.result() is table.canonical(merge_all(types, eq))
+        assert acc.document_count == len(docs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        types=st.lists(type_terms(), max_size=6),
+        eq=st.sampled_from(EQUIVALENCES),
+        data=st.data(),
+    )
+    def test_merge_many_matches_merge_all_in_any_order(self, types, eq, data):
+        table = InternTable()
+        expected = table.canonical(merge_all(types, eq))
+        assert table.merge_many(types, eq) is expected
+        order = data.draw(st.permutations(list(range(len(types)))))
+        assert table.merge_many([types[i] for i in order], eq) is expected
+
+
+class TestBoundedState:
+    """The accumulator's state stops growing once a collection's variants
+    have all been seen (the bounded-state claim of E14, at tier-1 size)."""
+
+    def test_state_is_equal_after_1k_and_4k_documents(self):
+        docs = tweets(4000, seed=14)
+        for eq in EQUIVALENCES:
+            acc = TypeAccumulator(eq, table=InternTable())
+            for d in docs[:1000]:
+                acc.add(d)
+            after_1k = (acc.class_count(), acc.state_nodes())
+            for d in docs[1000:]:
+                acc.add(d)
+            assert (acc.class_count(), acc.state_nodes()) == after_1k
 
 
 class TestCountingAccumulator:

@@ -1,18 +1,21 @@
 """Tests for streaming (text-to-type) inference."""
 
+import json
+
 import pytest
 
 from hypothesis import given, settings
 
 from repro.datasets import github_events, ndjson_lines
-from repro.errors import InferenceError
+from repro.errors import InferenceError, JsonError
 from repro.inference import infer_type
+from repro.inference.engine import accumulate_lines
 from repro.inference.streaming import (
     infer_type_streaming,
     type_of_text,
 )
 from repro.jsonvalue.serializer import dumps
-from repro.types import ArrType, BOT, Equivalence, INT, RecType, type_of
+from repro.types import ArrType, BOT, Equivalence, INT, RecType, merge_all, type_of
 
 from tests.strategies import json_values
 
@@ -64,6 +67,23 @@ class TestInferStreaming:
     def test_empty_stream(self):
         with pytest.raises(InferenceError):
             infer_type_streaming([])
+
+    def test_lines_fold_in_batches_like_merge_all(self):
+        # 2,600 lines span three batches, with distinct types in each.
+        lines = [f'{{"k{i % 1500}": {i}, "v": [{i}.5]}}' for i in range(2600)]
+        expected = merge_all(type_of(json.loads(line)) for line in lines)
+        accumulator = accumulate_lines(lines)
+        assert accumulator.result() == expected
+        assert accumulator.document_count == 2600
+
+    def test_a_batched_line_fails_before_a_later_read(self):
+        def lines():
+            yield '{"a": 1}'
+            yield '{"a": '
+            raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        with pytest.raises(JsonError, match="expected a JSON value"):
+            accumulate_lines(lines())
 
 
 @given(json_values(max_leaves=20))
