@@ -18,8 +18,10 @@ lines, decode and fail alike, and none is ever materialised whole:
 - :func:`member_candidates` scans the *compressed* bytes for member /
   frame starts (gzip members and zstd frames are independently
   decompressible), which
-  :func:`repro.inference.distributed.infer_compressed_parallel` turns
-  into per-worker byte ranges;
+  :func:`repro.inference.distributed.infer_compressed_parallel` groups
+  into member-aligned byte ranges for the one range worker
+  (:func:`repro.inference.distributed._fold_ranges`), the same entry
+  that folds plain line ranges and subtree chunks;
 - :class:`CompressedCorpus` is the lazy ``Sequence[str]`` view
   :func:`repro.datasets.ndjson.open_corpus` returns for compressed
   paths, line-index-identical to :class:`~repro.datasets.ndjson.MmapCorpus`

@@ -138,9 +138,9 @@ class MmapCorpus(Sequence[str]):
 
     The path and the index are what the distributed text feed consumes:
     :func:`repro.inference.distributed.infer_distributed_text` ships
-    ``(path, start, end)`` line-aligned byte ranges to the workers, which
-    read their own slice of the file, so the parent process never
-    splits, decodes, or pickles the corpus line-by-line.
+    line-aligned byte ranges of ``path`` to the workers, which read
+    their own slice of the file, so the parent process never splits,
+    decodes, or pickles the corpus line-by-line.
     """
 
     __slots__ = ("path", "_file", "_mm", "_spans")

@@ -1,10 +1,24 @@
 """Persisted per-machine scheduler calibration.
 
-:func:`repro.inference.distributed.plan_schedule` models a parallel run
-as *per-worker startup* plus the fold split across CPUs.  The startup
-constant is a machine property, not a corpus property — so instead of
-re-sampling it per process or falling back to a hard-coded default, it
-is measured **once per machine** and cached in a small JSON profile:
+The scheduler has one cost model (:func:`repro.inference.distributed._schedule`,
+behind :func:`~repro.inference.distributed.plan_schedule` and
+:func:`~repro.inference.distributed.plan_compressed_schedule`): a
+parallel run costs *per-worker startup* plus the source's split cost
+plus the serial fold divided across the workers.  The constants here are
+machine properties, not corpus properties:
+
+- ``worker_startup_seconds`` — fork, pool handshake and imports, per
+  worker; every parallel mode pays it;
+- ``scan_bytes_per_second`` — serial typing of raw bytes, which prices
+  the serial fold of a huge-document corpus and of a compressed one;
+- ``split_bytes_per_second`` — the structural splitter's carve of a
+  huge document (the subtree mode's split cost);
+- ``decompress_bytes_per_second`` — gzip/zstd output rate, added to the
+  scan for a compressed corpus.
+
+A plain corpus of many lines times its own sample instead of the two
+bytes rates.  Startup is measured **once per machine** and cached in a
+small JSON profile:
 
 - ``$REPRO_SCHED_PROFILE`` if set, else
 - ``$XDG_CACHE_HOME/repro/sched.json``, else ``~/.cache/repro/sched.json``.
@@ -21,9 +35,9 @@ Resolution order for each constant (first hit wins):
 
 Measurement is deliberately cheap and one-shot: worker startup times a
 no-op ``multiprocessing.Process`` spawn+join (the dominant fork/exec +
-import cost the pool pays per worker).  Workers read their own file
-byte ranges, so no shipping rate is modeled; profiles that still carry
-one from older versions load, the key unread.
+import cost the pool pays per worker).  Profiles written by older
+versions may carry keys no plan reads any more; they load, the keys
+unread.
 """
 
 from __future__ import annotations

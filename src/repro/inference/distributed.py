@@ -20,19 +20,18 @@ Two execution modes share the partitioned dataflow:
     charging each stage the maximum cost among its parallel tasks.
 
 - **real** ``multiprocessing`` runs, behind the adaptive scheduler
-  (:func:`plan_schedule`, :func:`infer_adaptive_text`).  Work reaches a
-  worker one way only, as **file byte ranges**: the worker reads its own
-  slice of a corpus file — line ranges of an
-  :class:`~repro.datasets.ndjson.MmapCorpus`
-  (:func:`infer_distributed_text`), counted ranges
-  (:func:`infer_counted_parallel`), subtree chunk groups
-  (:func:`infer_subtree_text`) and compressed member ranges
-  (:func:`infer_compressed_parallel`).  Sources that are not files
-  (stdin, FIFOs, line iterables) fold serially.
-
-  Each worker folds its share through its own accumulator, and only the
-  interned partial (pickling strips intern marks) comes back for the
-  parent to combine.
+  (:func:`plan_schedule`, :func:`plan_compressed_schedule`,
+  :func:`infer_adaptive_text`).  Every parallel route is one map and one
+  combine.  The map is one worker entry, :func:`_fold_ranges`: fold
+  these byte ranges of this file with this fold (a :class:`RangeTask`).
+  Line ranges (:func:`infer_distributed_text`), counted line ranges
+  (:func:`infer_counted_parallel`), compressed member ranges
+  (:func:`infer_compressed_parallel`) and the chunk groups of one huge
+  document (:func:`infer_subtree_text`) differ only in the task's format
+  and fold.  One pool helper (:class:`_WorkerPool`) consumes results in
+  range order, and :func:`_combine` stitches boundary lines and adds
+  the partials through the monoid.  Sources that are not files (stdin,
+  FIFOs, line iterables) fold serially.
 
 Both modes produce a result bit-identical to the sequential
 :func:`repro.inference.parametric.infer_type` (associativity property),
@@ -44,6 +43,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
@@ -216,9 +216,15 @@ class ParallelRun:
         return sum(self.partition_documents)
 
 
-# ---------------------------------------------------------------------------
-# the one transport: file byte ranges
-# ---------------------------------------------------------------------------
+@dataclass
+class CountedParallelRun:
+    """Outcome of a multi-process counting-types inference."""
+
+    result: Any  # CUnion — typed loosely to keep the counting import lazy
+    partitions: int
+    processes: int
+    equivalence: Equivalence
+    document_count: int
 
 
 def partition_bounds(total: int, partitions: int) -> list[tuple[int, int]]:
@@ -244,14 +250,30 @@ def partition_bounds(total: int, partitions: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _map_partitions(worker, payloads: list, processes: int) -> list:
-    """Run ``worker`` over ``payloads``: inline when ``processes == 1``
-    or there is one payload, on a ``multiprocessing.Pool`` of
-    ``processes`` workers otherwise.  Results keep payload order."""
-    if processes == 1 or len(payloads) == 1:
-        return [worker(payload) for payload in payloads]
-    with multiprocessing.Pool(processes=processes) as pool:
-        return pool.map(worker, payloads)
+# ---------------------------------------------------------------------------
+# the one worker entry: fold byte ranges of a file
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RangeTask:
+    """One worker's share: fold these byte ranges of this file with this fold.
+
+    ``format`` is ``None`` for a plain file, whose ranges are
+    line-aligned, or ``"gzip"`` / ``"zstd"``, whose ranges are
+    member-aligned compressed bytes.  ``fold`` is ``"types"`` (the
+    parametric fold), ``"counted"`` (the counting fold) or ``"chunks"``
+    (the subtree chunks of one ``kind`` container, each typed at most
+    ``depth`` levels deep).
+    """
+
+    path: str
+    format: Optional[str]
+    ranges: tuple
+    fold: str
+    equivalence: Equivalence = Equivalence.KIND
+    kind: str = ""
+    depth: int = 512
 
 
 def _read_range(path: str, start: int, end: int) -> bytes:
@@ -261,35 +283,332 @@ def _read_range(path: str, start: int, end: int) -> bytes:
         return handle.read(end - start)
 
 
-def _file_range_payloads(
-    corpus, partitions: int, equivalence: Equivalence
-) -> list:
-    """One ``(path, start, end, equivalence)`` payload per contiguous
-    partition of a mapped corpus's lines — all the file transport ships."""
-    return [
-        (corpus.path, *corpus.byte_range(start, stop), equivalence.value)
-        for start, stop in partition_bounds(len(corpus), partitions)
-    ]
+def _fold_ranges(task: RangeTask) -> tuple[Any, int, bytes, bytes]:
+    """The one worker entry: returns ``(partial, count, head, tail)``.
 
-
-def _infer_file_range_partition(
-    payload: tuple[str, int, int, str]
-) -> tuple[Type, int]:
-    """Worker: fold one byte range of the corpus file.
-
-    The parent ships only ``(path, start, end, equivalence)`` — no
-    parent-side decode, no per-line pickles; the worker reads its own
-    slice, recovers lines as byte spans with the corpus line-break
-    grammar and folds them through the batched bytes pipeline."""
+    ``partial`` is the interned partial type (a counted union for the
+    counting fold, the per-chunk contribution lists for subtree chunks),
+    and ``count`` the documents it covers.  ``head`` and ``tail`` are
+    the raw boundary bytes of a compressed range, whose first and last
+    lines may continue in the neighbouring ranges (see
+    :func:`_feed_members`); they are empty for line-aligned ranges.
+    """
     from repro.datasets.ndjson import iter_line_spans
-    from repro.inference.engine import accumulate_ranges
 
-    path, start, end, equivalence_value = payload
-    data = _read_range(path, start, end)
-    accumulator = accumulate_ranges(
-        data, list(iter_line_spans(data)), Equivalence(equivalence_value)
+    if task.fold == "chunks":
+        from repro.inference.engine import type_subtree_chunks
+        from repro.types.build import EventTypeEncoder
+        from repro.types.intern import InternTable
+
+        lo = task.ranges[0][0]
+        data = _read_range(task.path, lo, task.ranges[-1][1])
+        parts = type_subtree_chunks(
+            EventTypeEncoder(InternTable()),
+            data,
+            task.kind,
+            [(start - lo, end - lo) for start, end in task.ranges],
+            max_depth=task.depth,
+        )
+        return parts, 0, b"", b""
+    if task.fold == "counted":
+        from functools import partial
+
+        from repro.inference.counting import _add_counted_spans
+
+        accumulator = CountingAccumulator(task.equivalence)
+        feed, finish = partial(_add_counted_spans, accumulator), None
+    else:
+        from repro.inference.engine import RangeFolder
+
+        accumulator = TypeAccumulator(task.equivalence)
+        folder = RangeFolder(accumulator)
+        feed, finish = folder.feed, folder.finish
+    head = tail = b""
+    if task.format is None:
+        for start, end in task.ranges:
+            data = _read_range(task.path, start, end)
+            feed(data, iter_line_spans(data))
+    else:
+        head, tail = _feed_members(task, feed)
+    if finish is not None:
+        finish()
+    return accumulator.result(), accumulator.document_count, head, tail
+
+
+def _feed_members(task: RangeTask, feed) -> tuple[bytes, bytes]:
+    """Decompress the member-aligned ranges of ``task`` and ``feed`` the
+    *interior* lines; return the boundary bytes ``(head, tail)``.
+
+    A worker cannot know where the previous range's last line ends, so
+    ``head`` is its output up to and **including** the first line
+    break, and ``tail`` the bytes after the last break.  The parent
+    stitches ``tail_i + head_{i+1}`` — keeping the break bytes means a
+    ``\\r\\n`` pair split across two members reassembles into one break,
+    not two lines.  Output with no break at all comes back as
+    ``(b"", output)``: one fragment of a line spanning ranges.
+    """
+    from repro.datasets.compressed import _iter_decompressed, _line_aligned_cut
+    from repro.datasets.ndjson import _LINE_BREAK_BYTES, iter_line_spans
+
+    head = None
+    pending = b""
+    for start, end in task.ranges:
+        for chunk in _iter_decompressed(task.path, task.format, start, end):
+            data = pending + chunk if pending else chunk
+            if head is None:
+                match = _LINE_BREAK_BYTES.search(data)
+                if match is None or (
+                    match.end() == len(data) and data[match.start() :] == b"\r"
+                ):
+                    # No complete first break yet (a trailing lone \r
+                    # may still pair with a \n in the next chunk).
+                    pending = data
+                    continue
+                head = data[: match.end()]
+                data = data[match.end() :]
+            cut = _line_aligned_cut(data)
+            if cut is None:
+                pending = data
+                continue
+            block = data[:cut]
+            pending = data[cut:]
+            feed(block, iter_line_spans(block))
+    return head or b"", pending
+
+
+# ---------------------------------------------------------------------------
+# the one pool and the one combine
+# ---------------------------------------------------------------------------
+
+
+# Where every worker pool comes from: the platform's default start
+# method.  Any ``multiprocessing`` context serves, since a task is plain
+# picklable data and the worker imports what it runs.
+_POOL_CONTEXT = multiprocessing
+
+
+class _WorkerPool:
+    """Runs :func:`_fold_ranges` over tasks, on a pool of ``processes``
+    workers started on first use (inline for one process or one task).
+
+    Results come back **in task order**, whatever finishes first: an
+    *exact* route re-raises the error of the first failing range, which
+    holds the first bad line, as the serial fold reports it; a
+    *speculative* route gets ``None`` on any failure and declines to the
+    serial fold, which owns the error report.
+    """
+
+    def __init__(self, processes: int) -> None:
+        self.processes = processes
+        self.pool = None
+
+    def run(self, tasks: Sequence[RangeTask], *, exact: bool) -> Optional[list]:
+        try:
+            if self.processes == 1 or len(tasks) == 1:
+                return [_fold_ranges(task) for task in tasks]
+            if self.pool is None:
+                self.pool = _POOL_CONTEXT.Pool(processes=self.processes)
+            return list(self.pool.imap(_fold_ranges, tasks))
+        except Exception:
+            if exact:
+                raise
+            return None
+
+    def __enter__(self) -> "_WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.pool is not None:
+            self.pool.terminate()
+            self.pool.join()
+
+
+def _combine(results: list, accumulator) -> tuple[list[int], int]:
+    """Add range results to ``accumulator``, in range order.
+
+    Boundary lines are stitched from ``tail_i + head_{i+1}`` and typed
+    here (a final tail is the corpus's last line); each partial adds
+    through the monoid.  Returns the per-range document counts and the
+    count of boundary documents.
+    """
+    from repro.datasets.ndjson import split_corpus_bytes
+    from repro.inference.engine import _blank_span
+
+    counts: list[int] = []
+    boundary: list[bytes] = []
+    pending = b""
+    for partial, count, head, tail in results:
+        if head:
+            # pending + head ends with the break that closed the range's
+            # first line; the final (empty) segment is the interior.
+            boundary += split_corpus_bytes(pending + head)[:-1]
+            pending = tail
+        else:
+            pending += tail
+        if count and isinstance(accumulator, CountingAccumulator):
+            accumulator.add_counted(partial, documents=count)
+        elif count:
+            accumulator.add_type(partial)
+        counts.append(count)
+    if pending:
+        lines = split_corpus_bytes(pending)
+        # A terminator at true EOF makes no extra line, as in the index.
+        boundary += lines[:-1] if lines[-1] == b"" else lines
+    documents = 0
+    for line in boundary:
+        if not _blank_span(line, 0, len(line)):
+            accumulator.add_bytes(line)
+            documents += 1
+    return counts, documents
+
+
+def _fold_line_ranges(corpus, partitions: int, processes, fold: str, accumulator):
+    """Fold contiguous line ranges of a mapped corpus into
+    ``accumulator`` — an exact route.  Returns ``(counts, processes)``."""
+    equivalence = accumulator.equivalence
+    tasks = [
+        RangeTask(corpus.path, None, (corpus.byte_range(a, b),), fold, equivalence)
+        for a, b in partition_bounds(len(corpus), partitions)
+    ]
+    if processes is None:
+        processes = min(len(tasks), auto_jobs())
+    processes = max(1, processes) if len(tasks) > 1 else 1
+    with _WorkerPool(processes) as pool:
+        counts, _ = _combine(pool.run(tasks, exact=True), accumulator)
+    return counts, processes
+
+
+# ---------------------------------------------------------------------------
+# the routes
+# ---------------------------------------------------------------------------
+
+
+def infer_distributed_text(
+    corpus,
+    partitions: int,
+    equivalence: Equivalence = Equivalence.KIND,
+    *,
+    processes: Optional[int] = None,
+    shared_memory=None,  # unread; benchmarks/suite/trace_job.py passes it
+) -> ParallelRun:
+    """Run the partitioned inference on an
+    :class:`~repro.datasets.ndjson.MmapCorpus`.
+
+    One line-aligned byte range per contiguous partition goes to a
+    worker, which reads its own slice of the file and folds it through
+    the batched bytes pipeline — the parent never splits, decodes, or
+    pickles lines.  The interned partition types come back and combine,
+    bit-identical to every serial path.  Blank lines are skipped; a
+    malformed line raises the serial fold's error.
+    """
+    combined = TypeAccumulator(equivalence)
+    counts, processes = _fold_line_ranges(
+        corpus, partitions, processes, "types", combined
     )
-    return accumulator.result(), accumulator.document_count
+    if not any(counts):
+        raise InferenceError("cannot infer a schema from an empty stream")
+    return ParallelRun(
+        result=combined.result(),
+        partitions=len(counts),
+        processes=processes,
+        equivalence=equivalence,
+        partition_documents=counts,
+    )
+
+
+def infer_counted_parallel(
+    corpus,
+    partitions: int,
+    equivalence: Equivalence = Equivalence.KIND,
+    *,
+    processes: Optional[int] = None,
+) -> CountedParallelRun:
+    """Counting-types inference over an
+    :class:`~repro.datasets.ndjson.MmapCorpus` on real worker processes.
+
+    The counted algebra is a monoid too: per-partition counted unions
+    merge by adding counts, so the parallel reduce preserves every
+    cardinality exactly (pinned by the process-boundary regression
+    tests).  Contiguous ranges (:func:`partition_bounds`) keep union
+    member first-appearance order identical to the serial fold.
+    """
+    combined = CountingAccumulator(equivalence)
+    counts, processes = _fold_line_ranges(
+        corpus, partitions, processes, "counted", combined
+    )
+    if combined.is_empty():
+        raise InferenceError(
+            "cannot infer a counted schema from an empty stream"
+        )
+    return CountedParallelRun(
+        result=combined.result(),
+        partitions=len(counts),
+        processes=processes,
+        equivalence=equivalence,
+        document_count=combined.document_count,
+    )
+
+
+def infer_compressed_parallel(
+    path,
+    equivalence: Equivalence = Equivalence.KIND,
+    *,
+    processes: Optional[int] = None,
+    format: Optional[str] = None,
+    candidates: Optional[Sequence[int]] = None,
+) -> Optional[ParallelRun]:
+    """Member-parallel fold of a compressed corpus, or ``None``.
+
+    Groups the speculative member/frame candidates
+    (:func:`repro.datasets.compressed.member_candidates`) into one
+    contiguous compressed byte range per worker; each worker
+    decompresses and folds its own range, and the parent stitches and
+    types the boundary lines (:func:`_combine`) — interned-identical to
+    the serial fold by commutativity.
+
+    Speculative like the subtree splitter: **any** failure — a
+    candidate that was payload coincidence, a range not ending on a
+    member boundary, corrupt bytes, a JSON error — returns ``None``,
+    and the caller's serial fold owns the error report.  Returns
+    ``None`` likewise when the container has no exploitable parallelism
+    (fewer than two candidate members) or no documents.
+    """
+    from repro.datasets.compressed import detect_compression, member_candidates
+
+    path = str(path)
+    fmt = format or detect_compression(path)
+    if fmt is None:
+        return None
+    if candidates is None:
+        candidates = member_candidates(path, fmt)
+    jobs = processes if processes is not None else auto_jobs()
+    groups = min(max(1, jobs), len(candidates))
+    if groups < 2:
+        return None
+    ends = [*candidates[1:], os.path.getsize(path)]
+    tasks = [
+        RangeTask(path, fmt, ((candidates[lo], ends[hi - 1]),), "types", equivalence)
+        for lo, hi in partition_bounds(len(candidates), groups)
+    ]
+    accumulator = TypeAccumulator(equivalence)
+    with _WorkerPool(groups) as pool:
+        results = pool.run(tasks, exact=False)
+    if results is None:
+        return None
+    try:
+        counts, boundary = _combine(results, accumulator)
+    except Exception:
+        return None
+    if not any(counts) and not boundary:
+        # Zero documents: the serial fold owns the empty-stream error.
+        return None
+    return ParallelRun(
+        result=accumulator.result(),
+        partitions=len(tasks),
+        processes=groups,
+        equivalence=equivalence,
+        partition_documents=[*counts, boundary],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,227 +625,6 @@ _SUBTREE_MIN_BYTES = 4 << 20
 _SUBTREE_ATTEMPTS = 3
 
 
-# ---------------------------------------------------------------------------
-# compressed-member parallelism: per-worker decompress + fold, stitched
-# ---------------------------------------------------------------------------
-
-
-def _fold_compressed_range(
-    path: str, start: int, end: int, fmt: str, equivalence_value: str
-):
-    """Worker: decompress one member-aligned compressed byte range and
-    fold its *interior* lines; the boundary lines come home raw.
-
-    A worker cannot know where the previous member's last line ends or
-    its own last line ends, so it returns
-    ``(head, partial_type, interior_count, tail)``: ``head`` is the raw
-    bytes of its decompressed output up to and **including** the first
-    line break, ``tail`` the raw bytes after the last break.  The
-    parent stitches ``tail_{i} + head_{i+1}`` and types those boundary
-    lines itself — keeping the break bytes means a ``\\r\\n`` pair
-    split across two members reassembles into one break, not two lines.
-    When the range's whole output contains no break at all, ``tail`` is
-    ``None`` and ``head`` carries the full output for the parent to
-    merge into the running boundary.
-    """
-    from repro.datasets.compressed import (
-        _iter_decompressed,
-        _line_aligned_cut,
-    )
-    from repro.datasets.ndjson import _LINE_BREAK_BYTES, iter_line_spans
-    from repro.inference.engine import RangeFolder
-
-    accumulator = TypeAccumulator(Equivalence(equivalence_value))
-    folder = RangeFolder(accumulator)
-    head = None
-    pending = b""
-    for chunk in _iter_decompressed(path, fmt, start, end):
-        data = pending + chunk if pending else chunk
-        if head is None:
-            match = _LINE_BREAK_BYTES.search(data)
-            if match is None or (
-                match.end() == len(data) and data[match.start() :] == b"\r"
-            ):
-                # No complete first break yet (a trailing lone \r may
-                # still pair with a \n in the next chunk).
-                pending = data
-                continue
-            head = data[: match.end()]
-            data = data[match.end() :]
-        cut = _line_aligned_cut(data)
-        if cut is None:
-            pending = data
-            continue
-        block = data[:cut]
-        pending = data[cut:]
-        folder.feed(block, iter_line_spans(block))
-    folder.finish()
-    if head is None:
-        return pending, None, 0, None
-    return head, accumulator.result(), accumulator.document_count, pending
-
-
-def _compressed_range_worker(payload):
-    """Pool wrapper: any failure (false member candidate, damaged bytes,
-    JSON error) becomes ``None`` — the parent then abandons the
-    speculative parallel run and the serial fold reports the real
-    error in its canonical order."""
-    path, start, end, fmt, equivalence_value = payload
-    try:
-        return _fold_compressed_range(path, start, end, fmt, equivalence_value)
-    except Exception:
-        return None
-
-
-def _type_boundary_line(accumulator: TypeAccumulator, encoder, line: bytes) -> int:
-    """Type one stitched boundary line with the fold's exact blank
-    semantics; returns the document count contribution (0 for blanks)."""
-    from repro.inference.engine import _blank_span
-
-    if _blank_span(line, 0, len(line)):
-        return 0
-    accumulator.add_type(encoder.encode_bytes(line))
-    return 1
-
-
-def infer_compressed_parallel(
-    path,
-    equivalence: Equivalence = Equivalence.KIND,
-    *,
-    processes: Optional[int] = None,
-    format: Optional[str] = None,
-    candidates: Optional[Sequence[int]] = None,
-) -> Optional[ParallelRun]:
-    """Member-parallel fold of a compressed corpus, or ``None``.
-
-    Groups the speculative member/frame candidates
-    (:func:`repro.datasets.compressed.member_candidates`) into one
-    contiguous compressed byte range per worker; each worker
-    decompresses and folds its own range and ships back
-    ``(head, partial, count, tail)``; the parent types the stitched
-    boundary lines and combines the partials through the monoid —
-    interned-identical to the serial fold by commutativity.
-
-    Speculative like the subtree splitter: **any** failure — a
-    candidate that was payload coincidence, a range not ending on a
-    member boundary, corrupt bytes, a JSON error — returns ``None``,
-    and the caller's serial fold owns the error report.  Returns
-    ``None`` likewise when the container has no exploitable parallelism
-    (fewer than two candidate members).
-    """
-    from repro.datasets.compressed import detect_compression, member_candidates
-    from repro.datasets.ndjson import split_corpus_bytes
-    from repro.types.build import EventTypeEncoder
-
-    path = str(path)
-    fmt = format or detect_compression(path)
-    if fmt is None:
-        return None
-    if candidates is None:
-        candidates = member_candidates(path, fmt)
-    if len(candidates) < 2:
-        return None
-    size = os.path.getsize(path)
-    jobs = processes if processes is not None else auto_jobs()
-    groups = min(max(1, jobs), len(candidates))
-    if groups < 2:
-        return None
-    bounds = partition_bounds(len(candidates), groups)
-    ranges = [
-        (
-            candidates[lo],
-            candidates[hi] if hi < len(candidates) else size,
-        )
-        for lo, hi in bounds
-    ]
-    payloads = [
-        (path, start, end, fmt, equivalence.value) for start, end in ranges
-    ]
-    try:
-        results = _map_partitions(_compressed_range_worker, payloads, groups)
-    except Exception:
-        return None
-    if any(result is None for result in results):
-        return None
-
-    accumulator = TypeAccumulator(equivalence)
-    encoder = EventTypeEncoder(accumulator.table)
-    partition_documents: list[int] = []
-    boundary_documents = 0
-    pending = b""
-    try:
-        for head, partial, count, tail in results:
-            if tail is None:
-                # The whole range produced no line break: its output is
-                # one fragment of a boundary line spanning workers.
-                pending = pending + head
-                continue
-            # pending + head ends with the break that terminated this
-            # worker's first line; the final (empty) split segment is
-            # the worker's interior, already folded.
-            for line in split_corpus_bytes(pending + head)[:-1]:
-                boundary_documents += _type_boundary_line(
-                    accumulator, encoder, line
-                )
-            if partial is not None and count:
-                # A zero-count partial is BOT (all-blank interior) and
-                # contributes nothing to the merge.
-                accumulator.add_type(partial)
-                partition_documents.append(count)
-            pending = tail
-        tail_lines = split_corpus_bytes(pending) if pending else []
-        if tail_lines and tail_lines[-1] == b"":
-            # A terminator at true EOF produces no extra line — the
-            # MmapCorpus index semantics.
-            tail_lines = tail_lines[:-1]
-        for line in tail_lines:
-            boundary_documents += _type_boundary_line(accumulator, encoder, line)
-    except Exception:
-        return None
-    if accumulator.is_empty() or (
-        not partition_documents and not boundary_documents
-    ):
-        # Zero documents: the serial fold owns the empty-stream error.
-        return None
-    partition_documents.append(boundary_documents)
-    return ParallelRun(
-        result=accumulator.result(),
-        partitions=len(ranges),
-        processes=groups,
-        equivalence=equivalence,
-        partition_documents=partition_documents,
-    )
-
-
-def _infer_subtree_chunks(payload) -> Optional[list]:
-    """Worker: type one group of chunk spans read straight from the file.
-
-    The parent ships only ``(path, kind, [(start, end), ...], max_depth)``;
-    the worker reads one covering slice and types each chunk with
-    :func:`~repro.inference.engine.type_subtree_chunks` — keys, escapes,
-    UTF-8 and depth get the serial fold's validation.  Returns the
-    per-chunk contribution lists, or ``None`` when any chunk fails:
-    failure means the parent's speculative boundaries were wrong (or
-    the document is malformed), and the parent re-carves exactly or
-    parses the whole document for exact errors.
-    """
-    path, kind, chunks, max_depth = payload
-    try:
-        from repro.inference.engine import type_subtree_chunks
-        from repro.types.build import EventTypeEncoder
-        from repro.types.intern import InternTable
-
-        lo = min(start for start, _ in chunks)
-        data = _read_range(path, lo, max(end for _, end in chunks))
-        encoder = EventTypeEncoder(InternTable())
-        relative = [(start - lo, end - lo) for start, end in chunks]
-        return type_subtree_chunks(
-            encoder, data, kind, relative, max_depth=max_depth
-        )
-    except Exception:
-        return None
-
-
 def _subtree_span_type(
     buffer,
     path: Optional[str],
@@ -535,19 +633,18 @@ def _subtree_span_type(
     *,
     encoder,
     table,
-    processes: int,
+    pool: Optional[_WorkerPool],
     targets: int,
     min_bytes: int,
-    pool_state: dict,
     max_depth: int = 512,
     exact_limit: int = _SUBTREE_EXACT_LIMIT,
 ):
     """Type one document span through the subtree-parallel pipeline.
 
     Returns the canonical type, or ``None`` when the span is not worth
-    (or not amenable to) splitting.  The worker pool is created lazily
-    in ``pool_state`` on the first parallel dispatch and reused across
-    spans.  ``exact_limit`` passes through to
+    (or not amenable to) splitting.  With a ``pool``, chunk groups go to
+    its workers, which read them from ``path``; without one, the chunks
+    are typed in this process.  ``exact_limit`` passes through to
     :func:`~repro.inference.engine.plan_subtree_split`: a span no larger
     than it is carved by the exact depth-1 scan, which cannot lie, so a
     chunk that fails there fails for good.
@@ -562,13 +659,8 @@ def _subtree_span_type(
     previous = None
     for _ in range(_SUBTREE_ATTEMPTS):
         split = plan_subtree_split(
-            buffer,
-            start,
-            end,
-            targets=targets,
-            min_bytes=min_bytes,
-            exact_limit=exact_limit,
-            skip_chunk_levels=skip,
+            buffer, start, end, targets=targets, min_bytes=min_bytes,
+            exact_limit=exact_limit, skip_chunk_levels=skip,
         )
         if split is None or split == previous:
             return None
@@ -577,22 +669,22 @@ def _subtree_span_type(
         if chunk_depth <= 1:
             return None
         chunks = split.chunks
-        if processes > 1 and len(chunks) > 1 and path is not None:
-            bounds = partition_bounds(len(chunks), min(processes, len(chunks)))
-            payloads = [
-                (path, split.kind, list(chunks[a:b]), chunk_depth)
-                for a, b in bounds
-            ]
-            pool = pool_state.get("pool")
-            if pool is None:
-                pool = pool_state["pool"] = multiprocessing.Pool(
-                    processes=processes
-                )
-            results = pool.map(_infer_subtree_chunks, payloads)
-            if any(group is None for group in results):
+        if pool is not None and len(chunks) > 1:
+            groups = partition_bounds(len(chunks), min(pool.processes, len(chunks)))
+            results = pool.run(
+                [
+                    RangeTask(
+                        path, None, tuple(chunks[a:b]), "chunks",
+                        kind=split.kind, depth=chunk_depth,
+                    )
+                    for a, b in groups
+                ],
+                exact=False,
+            )
+            if results is None:
                 skip = split.spine_depth + 1
                 continue
-            chunk_parts = [parts for group in results for parts in group]
+            chunk_parts = [parts for group, *_ in results for parts in group]
         else:
             try:
                 chunk_parts = type_subtree_chunks(
@@ -604,20 +696,14 @@ def _subtree_span_type(
         try:
             # Spine heads (the members preceding a dominant last member)
             # are small; type them parent-side.
-            heads = []
-            for level, frame in enumerate(split.frames):
-                if frame[0] == "recw" and frame[1] is not None:
-                    heads.append(
-                        type_subtree_chunks(
-                            encoder,
-                            buffer,
-                            "object",
-                            [frame[1]],
-                            max_depth=max_depth - level,
-                        )[0]
-                    )
-                else:
-                    heads.append(None)
+            heads = [
+                type_subtree_chunks(
+                    encoder, buffer, "object", [frame[1]], max_depth=max_depth - level
+                )[0]
+                if frame[0] == "recw" and frame[1] is not None
+                else None
+                for level, frame in enumerate(split.frames)
+            ]
         except Exception:
             # A lying spine frame cannot be re-planned around.
             return None
@@ -651,11 +737,7 @@ def infer_subtree_text(
     (malformed, or not a splittable container) is parsed whole,
     which raises the exact error.
     """
-    from repro.inference.engine import (
-        _RANGE_BATCH_LINES,
-        TypeAccumulator,
-        _blank_span,
-    )
+    from repro.inference.engine import RangeFolder, _blank_span
     from repro.types.build import EventTypeEncoder
 
     if processes is None:
@@ -666,131 +748,57 @@ def infer_subtree_text(
 
     accumulator = TypeAccumulator(equivalence)
     encoder = EventTypeEncoder(accumulator.table)
+    folder = RangeFolder(accumulator, encoder=encoder)
     buffer = corpus.buffer()
     path = getattr(corpus, "path", None)
     threshold = max(min_split_bytes, 2)
-    pool_state: dict = {}
-    batch: list[bytes] = []
     split_documents = 0
-
-    def flush() -> None:
-        if batch:
-            accumulator.add_types(encoder.encode_lines(batch))
-            del batch[:]
-
-    try:
+    common = dict(encoder=encoder, table=accumulator.table, min_bytes=min_split_bytes)
+    with _WorkerPool(processes) as pool:
+        workers = pool if processes > 1 and path is not None else None
         for start, end in corpus.spans:
-            try:
-                if _blank_span(buffer, start, end):
-                    continue
-            except UnicodeDecodeError:
-                # Earlier lines surface their errors first, serially.
-                flush()
-                raise
-            if end - start >= threshold:
-                flush()
-                t = _subtree_span_type(
-                    buffer,
-                    path,
-                    start,
-                    end,
-                    encoder=encoder,
-                    table=accumulator.table,
-                    processes=processes,
-                    targets=targets,
-                    min_bytes=min_split_bytes,
-                    pool_state=pool_state,
-                )
-                if t is None:
-                    # The speculative carve declined: carve exactly, in
-                    # this process, into about 256 KiB chunks, so only
-                    # one chunk is ever decoded at a time.
-                    t = _subtree_span_type(
-                        buffer,
-                        None,
-                        start,
-                        end,
-                        encoder=encoder,
-                        table=accumulator.table,
-                        processes=1,
-                        targets=max(2, (end - start) >> 18),
-                        min_bytes=min_split_bytes,
-                        pool_state=pool_state,
-                        exact_limit=end - start,
-                    )
-                if t is None:
-                    # Malformed or unsplittable: the whole-span parse
-                    # owns the exact type or the exact serial error.
-                    t = encoder.encode_bytes(buffer, start, end)
-                else:
-                    split_documents += 1
-                accumulator.add_type(t)
+            if end - start < threshold:
+                folder.feed(buffer, ((start, end),))
                 continue
-            batch.append(bytes(buffer[start:end]))
-            if len(batch) >= _RANGE_BATCH_LINES:
-                flush()
-        flush()
-    finally:
-        pool = pool_state.get("pool")
-        if pool is not None:
-            pool.close()
-            pool.join()
+            # Earlier lines surface their errors first, serially.
+            folder.finish()
+            if _blank_span(buffer, start, end):
+                continue
+            t = _subtree_span_type(
+                buffer, path, start, end, pool=workers, targets=targets, **common
+            )
+            if t is None:
+                # The speculative carve declined: carve exactly, in this
+                # process, into about 256 KiB chunks, so only one chunk
+                # is ever decoded at a time.
+                t = _subtree_span_type(
+                    buffer, path, start, end, pool=None,
+                    targets=max(2, (end - start) >> 18),
+                    exact_limit=end - start, **common,
+                )
+            if t is None:
+                # Malformed or unsplittable: the whole-span parse owns
+                # the exact type or the exact serial error.
+                t = encoder.encode_bytes(buffer, start, end)
+            else:
+                split_documents += 1
+            accumulator.add_type(t)
+        folder.finish()
+        started = pool.pool is not None
 
     if accumulator.is_empty():
         raise InferenceError("cannot infer a schema from an empty stream")
     return ParallelRun(
         result=accumulator.result(),
         partitions=max(1, split_documents),
-        processes=processes if pool_state.get("pool") is not None else 1,
+        processes=processes if started else 1,
         equivalence=equivalence,
         partition_documents=[accumulator.document_count],
     )
 
 
-def infer_distributed_text(
-    corpus,
-    partitions: int,
-    equivalence: Equivalence = Equivalence.KIND,
-    *,
-    processes: Optional[int] = None,
-    shared_memory=None,  # unread; benchmarks/suite/trace_job.py passes it
-) -> ParallelRun:
-    """Run the partitioned inference on an
-    :class:`~repro.datasets.ndjson.MmapCorpus`.
-
-    The parent ships one line-aligned byte range per contiguous
-    partition from the corpus index; each worker reads its own slice of
-    the file and folds it through the batched bytes pipeline and its own
-    :class:`~repro.inference.engine.TypeAccumulator` — the parent never
-    splits, decodes, or pickles lines.  Only the interned partition
-    types come back, and the parent combines them, bit-identical to
-    every serial path.  Blank lines are skipped.
-    """
-    payloads = _file_range_payloads(corpus, partitions, equivalence)
-    if processes is None:
-        processes = min(len(payloads), auto_jobs())
-    processes = max(1, processes)
-
-    combined = TypeAccumulator(equivalence)
-    counts: list[int] = []
-    for partial, count in _map_partitions(
-        _infer_file_range_partition, payloads, processes
-    ):
-        combined.add_type(partial)
-        counts.append(count)
-    if not any(counts):
-        raise InferenceError("cannot infer a schema from an empty stream")
-    return ParallelRun(
-        result=combined.result(),
-        partitions=len(payloads),
-        processes=processes if len(payloads) > 1 else 1,
-        equivalence=equivalence,
-        partition_documents=counts,
-    )
-
-
 # ---------------------------------------------------------------------------
-# adaptive scheduler: auto jobs, timed-sample cost model, serial fallback
+# adaptive scheduler: one cost model, two front doors
 # ---------------------------------------------------------------------------
 
 
@@ -813,19 +821,18 @@ def auto_jobs() -> int:
 class SchedulePlan:
     """The adaptive scheduler's decision for one corpus.
 
-    ``mode`` is ``"serial"``, ``"parallel"`` (line-parallel workers), or
-    ``"subtree"`` (intra-document parallelism: huge documents carved
-    into top-level chunks); the estimate fields record the cost model's
-    inputs so benchmarks and the CLI can report *why* the scheduler
-    chose what it chose.  ``calibration_source`` records where the
-    cost-model constants came from (``"env"``, ``"profile"``,
-    ``"measured"``, or ``"default"`` — see
-    :mod:`repro.inference.calibration`).
+    ``mode`` is ``"serial"``, ``"parallel"`` (line-parallel or
+    member-parallel workers), or ``"subtree"`` (intra-document
+    parallelism: huge documents carved into top-level chunks); the
+    estimate fields record the cost model's inputs so benchmarks and the
+    CLI can report *why* the scheduler chose what it chose.
+    ``calibration_source`` records where the cost-model constants came
+    from (``"env"``, ``"profile"``, ``"measured"``, or ``"default"`` —
+    see :mod:`repro.inference.calibration`).
     """
 
     mode: str
     jobs: int
-    partitions: int
     documents: int
     cpus: int
     sample_docs_per_sec: float
@@ -833,6 +840,11 @@ class SchedulePlan:
     estimated_parallel_seconds: float
     reason: str
     calibration_source: str = "default"
+
+    @property
+    def partitions(self) -> int:
+        """One contiguous partition per worker."""
+        return self.jobs
 
     @property
     def parallel(self) -> bool:
@@ -843,11 +855,6 @@ class SchedulePlan:
         return self.mode == "subtree"
 
 
-# Cost-model constants.  Startup covers fork + pool handshake + module
-# import per worker.  It resolves
-# through :mod:`repro.inference.calibration`: env override first, then
-# the persisted per-machine profile (measured once and cached in
-# ``~/.cache/repro/sched.json``), then the built-in defaults.
 _PARALLEL_ADVANTAGE = 1.15  # modeled win required before spawning workers
 _SAMPLE_SIZE = 200
 # The timed sample is throwaway work; cap it by wall clock as well as
@@ -857,126 +864,124 @@ _SAMPLE_BUDGET_SECONDS = 0.05
 _SAMPLE_MINIMUM = 8
 
 
-def plan_schedule(
-    corpus,
-    *,
-    jobs: Optional[int] = None,
-    shared_memory=None,  # unread; benchmarks/suite/trace_job.py passes it
-    sample_size: int = _SAMPLE_SIZE,
-) -> SchedulePlan:
-    """Decide serial vs. parallel execution for an
-    :class:`~repro.datasets.ndjson.MmapCorpus`.
+@dataclass(frozen=True)
+class _Terms:
+    """One source's terms of the cost model.
 
-    The model: parallel wall-clock is per-worker startup plus the
-    serial fold divided across the CPUs that can really run (requested
-    jobs capped by :func:`auto_jobs`); workers read their own byte
-    ranges, so nothing is shipped.  The startup constant comes from the
-    persisted per-machine calibration profile
-    (:mod:`repro.inference.calibration` — measured once,
-    env-overridable) rather than per-plan guesses.  The timed sample
-    measures the *map* rate (text to canonical type), which dominates
-    the fold and does not depend on the equivalence — so one plan serves
-    both equivalences.  Each sampled line is decoded and typed, as the
-    fold does.  The serial
-    fold rate is *measured*, not assumed, so the decision tracks the
-    actual machine and document shape.  When the modeled parallel win
-    is under ``_PARALLEL_ADVANTAGE`` the plan is
-    serial: spawning workers that lose to the serial fold (the E16
-    regression: 0.94x at ``--jobs 2`` on one usable CPU) is the one
-    outcome this scheduler exists to prevent.
+    ``units`` bounds the workers (independent lines, member candidates;
+    a subtree carve makes a chunk per worker); ``split_seconds`` is the
+    parent's carving before workers start; ``what`` names the source in
+    the plan's reason.
+    """
+
+    what: str
+    units: int
+    serial_seconds: float = 0.0
+    split_seconds: float = 0.0
+    mode: str = "parallel"
+    sample_docs_per_sec: float = 0.0
+
+
+def _schedule(jobs: Optional[int], measure, *, documents: int = 0) -> SchedulePlan:
+    """The one cost model: serial, or ``measure()``'s mode on workers.
+
+    Parallel wall-clock is per-worker startup plus the source's split
+    cost plus the serial fold divided across the CPUs that can really
+    run (requested jobs capped by :func:`auto_jobs` and the source's
+    independent units); workers read their own byte ranges, so nothing
+    is shipped.  The constants come from the persisted per-machine
+    calibration profile (:mod:`repro.inference.calibration`).  One
+    worker requested, one usable CPU, or fewer than two independent
+    units plan serial before anything is measured or modeled; so does a
+    modeled win under ``_PARALLEL_ADVANTAGE`` — spawning workers that
+    lose to the serial fold (the E16 regression: 0.94x at ``--jobs 2``
+    on one usable CPU) is the one outcome this scheduler exists to
+    prevent.
     """
     from repro.inference import calibration
 
-    documents = len(corpus)
     cpus = auto_jobs()
     requested = cpus if jobs is None else max(1, jobs)
-
-    def serial_plan(reason: str, rate: float = 0.0, serial_s: float = 0.0,
-                    parallel_s: float = 0.0,
-                    calibration_source: str = "default") -> SchedulePlan:
-        return SchedulePlan(
-            mode="serial",
-            jobs=1,
-            partitions=1,
-            documents=documents,
-            cpus=cpus,
-            sample_docs_per_sec=rate,
-            estimated_serial_seconds=serial_s,
-            estimated_parallel_seconds=parallel_s,
-            reason=reason,
-            calibration_source=calibration_source,
-        )
-
-    if documents == 0:
-        return serial_plan("empty corpus")
+    mode, effective, terms, parallel_seconds = "serial", 1, None, 0.0
+    source = "default"
     if jobs is not None and requested == 1:
-        return serial_plan("one worker requested")
-    if cpus == 1:
-        return serial_plan(
-            "one usable CPU: parallel workers would only contend"
+        reason = "one worker requested"
+    elif cpus == 1:
+        reason = "one usable CPU: parallel workers would only contend"
+    else:
+        terms = measure()
+        reason = terms.what
+        if terms.units < 2:
+            reason += ": nothing to split"
+    if terms is not None and terms.units >= 2:
+        workers = min(requested, cpus, terms.units)
+        parallel_seconds = (
+            calibration.worker_startup_seconds() * workers
+            + terms.split_seconds
+            + terms.serial_seconds / workers
         )
-
-    # --- corpus-shape probe: few huge lines → intra-document mode -------
-    # Decided *before* the timed sample: sampling a corpus of 100 MB
-    # lines would scan whole documents just to plan, and the per-line
-    # rate is meaningless when one line is the corpus.  Bytes-rate
-    # calibration constants model it instead.
-    if documents <= max(1, sample_size):
-        biggest = corpus.max_line_bytes
-        if biggest >= _SUBTREE_MIN_BYTES:
-            total_bytes = corpus.size_bytes
-            huge_bytes = sum(
-                end - start
-                for start, end in corpus.spans
-                if end - start >= _SUBTREE_MIN_BYTES
+        source = calibration.calibration_source()
+        win = terms.serial_seconds / parallel_seconds
+        if win > _PARALLEL_ADVANTAGE:
+            mode, effective = terms.mode, workers
+            reason += f": modeled {win:.2f}x win on {workers} of {cpus} CPUs"
+        else:
+            reason += (
+                f": modeled {terms.mode} win {win:.2f}x is under the "
+                f"{_PARALLEL_ADVANTAGE:.2f}x threshold"
             )
-            if huge_bytes * 2 > total_bytes:
-                effective = min(requested, cpus)
-                serial_seconds = (
-                    total_bytes / calibration.scan_bytes_per_second()
-                )
-                subtree_seconds = (
-                    calibration.worker_startup_seconds() * effective
-                    + total_bytes / calibration.split_bytes_per_second()
-                    + serial_seconds / effective
-                )
-                source = calibration.calibration_source()
-                if serial_seconds > subtree_seconds * _PARALLEL_ADVANTAGE:
-                    return SchedulePlan(
-                        mode="subtree",
-                        jobs=effective,
-                        partitions=effective,
-                        documents=documents,
-                        cpus=cpus,
-                        sample_docs_per_sec=0.0,
-                        estimated_serial_seconds=serial_seconds,
-                        estimated_parallel_seconds=subtree_seconds,
-                        reason=(
-                            f"huge-document corpus ({huge_bytes / 1e6:.0f} MB "
-                            f"in splittable lines): modeled "
-                            f"{serial_seconds / subtree_seconds:.2f}x win "
-                            f"from intra-document chunks on {effective} of "
-                            f"{cpus} CPUs"
-                        ),
-                        calibration_source=source,
-                    )
-                return serial_plan(
-                    f"huge-document corpus but modeled subtree win "
-                    f"{serial_seconds / subtree_seconds:.2f}x is under the "
-                    f"{_PARALLEL_ADVANTAGE:.2f}x threshold",
-                    0.0,
-                    serial_seconds,
-                    subtree_seconds,
-                    source,
-                )
+    return SchedulePlan(
+        mode=mode,
+        jobs=effective,
+        documents=documents,
+        cpus=cpus,
+        sample_docs_per_sec=terms.sample_docs_per_sec if terms else 0.0,
+        estimated_serial_seconds=terms.serial_seconds if terms else 0.0,
+        estimated_parallel_seconds=parallel_seconds,
+        reason=reason,
+        calibration_source=source,
+    )
 
-    sample_limit = min(documents, max(1, sample_size))
-    encode_text = _sample_encoder().encode_text
+
+def _line_terms(corpus, sample_size: int) -> _Terms:
+    """Terms of a mapped corpus: bytes rates when huge documents hold
+    most of its bytes (the subtree mode), else the timed line sample.
+
+    The shape probe runs *before* the sample: sampling a corpus of
+    100 MB lines would scan whole documents just to plan, and the
+    per-line rate is meaningless when one line is the corpus.  The
+    sample measures the map rate (each line decoded and typed, blanks
+    skipped as the fold skips them), which dominates the fold and does
+    not depend on the equivalence.
+    """
+    from repro.inference import calibration
+    from repro.types.build import EventTypeEncoder
+    from repro.types.intern import InternTable
+
+    documents = len(corpus)
+    if documents == 0:
+        return _Terms("empty corpus", 0)
+    if documents <= max(1, sample_size) and corpus.max_line_bytes >= _SUBTREE_MIN_BYTES:
+        total = corpus.size_bytes
+        huge = sum(
+            end - start
+            for start, end in corpus.spans
+            if end - start >= _SUBTREE_MIN_BYTES
+        )
+        if huge * 2 > total:
+            return _Terms(
+                f"huge-document corpus ({huge / 1e6:.0f} MB in splittable lines)",
+                sys.maxsize,
+                total / calibration.scan_bytes_per_second(),
+                total / calibration.split_bytes_per_second(),
+                mode="subtree",
+            )
+    # A private table: samples must not pollute the global table's
+    # statistics.
+    encode_text = EventTypeEncoder(InternTable()).encode_text
     sampled = 0
     start_time = time.perf_counter()
-    for index in range(sample_limit):
-        # The line is decoded here, as the fold does; blank lines
-        # (str.isspace parity included) are skipped as the fold skips them.
+    for index in range(min(documents, max(1, sample_size))):
         line = corpus[index]
         if line and not line.isspace():
             encode_text(line)
@@ -986,41 +991,48 @@ def plan_schedule(
             and time.perf_counter() - start_time > _SAMPLE_BUDGET_SECONDS
         ):
             break
-    elapsed = max(time.perf_counter() - start_time, 1e-9)
-    rate = sampled / elapsed
-
-    serial_seconds = documents / rate
-    effective = min(requested, cpus)
-    source = calibration.calibration_source()
-    parallel_seconds = (
-        calibration.worker_startup_seconds() * effective
-        + serial_seconds / effective
+    rate = sampled / max(time.perf_counter() - start_time, 1e-9)
+    return _Terms(
+        f"{documents}-line corpus", documents, documents / rate,
+        sample_docs_per_sec=rate,
     )
 
-    if serial_seconds > parallel_seconds * _PARALLEL_ADVANTAGE:
-        return SchedulePlan(
-            mode="parallel",
-            jobs=effective,
-            partitions=effective,
-            documents=documents,
-            cpus=cpus,
-            sample_docs_per_sec=rate,
-            estimated_serial_seconds=serial_seconds,
-            estimated_parallel_seconds=parallel_seconds,
-            reason=(
-                f"modeled {serial_seconds / parallel_seconds:.2f}x win "
-                f"on {effective} of {cpus} CPUs"
-            ),
-            calibration_source=source,
-        )
-    return serial_plan(
-        f"modeled parallel win {serial_seconds / parallel_seconds:.2f}x is "
-        f"under the {_PARALLEL_ADVANTAGE:.2f}x threshold (worker "
-        "startup eats the split fold)",
-        rate,
-        serial_seconds,
-        parallel_seconds,
-        source,
+
+def _member_terms(path: str, fmt: Optional[str]) -> _Terms:
+    """Terms of a compressed corpus: bytes rates of decompression plus
+    typing over the decompressed size, estimated from a bounded
+    first-blocks probe (:func:`repro.datasets.compressed.estimate_ratio`);
+    lines do not exist until decompression runs.  Independent units are
+    the member/frame candidates: one DEFLATE stream cannot be split."""
+    from repro.datasets.compressed import estimate_ratio, member_candidates
+    from repro.inference import calibration
+
+    if fmt is None:
+        return _Terms("not a compressed corpus", 0)
+    candidates = len(member_candidates(path, fmt))
+    if candidates < 2:
+        return _Terms(f"single {fmt} member", candidates)
+    total = os.path.getsize(path) * estimate_ratio(path, fmt)
+    return _Terms(
+        f"{candidates} independent {fmt} member candidates",
+        candidates,
+        total / calibration.decompress_bytes_per_second()
+        + total / calibration.scan_bytes_per_second(),
+    )
+
+
+def plan_schedule(
+    corpus,
+    *,
+    jobs: Optional[int] = None,
+    shared_memory=None,  # unread; benchmarks/suite/trace_job.py passes it
+    sample_size: int = _SAMPLE_SIZE,
+) -> SchedulePlan:
+    """Decide serial, line-parallel or subtree execution for an
+    :class:`~repro.datasets.ndjson.MmapCorpus` (:func:`_schedule` over
+    :func:`_line_terms`)."""
+    return _schedule(
+        jobs, lambda: _line_terms(corpus, sample_size), documents=len(corpus)
     )
 
 
@@ -1030,103 +1042,13 @@ def plan_compressed_schedule(
     format: Optional[str] = None,
     jobs: Optional[int] = None,
 ) -> SchedulePlan:
-    """Decide serial vs. member-parallel decode for a compressed corpus.
-
-    The timed per-line sample is useless here (lines don't exist until
-    decompression runs), so the model prices the two pipeline stages by
-    bytes rates: decompression
-    (:func:`repro.inference.calibration.decompress_bytes_per_second`,
-    the new I/O-bound stage) plus the serial typing rate, over the
-    decompressed size estimated from a bounded first-blocks ratio probe
-    (:func:`repro.datasets.compressed.estimate_ratio`).  A container
-    with fewer than two member/frame candidates is inherently
-    sequential — one DEFLATE stream cannot be split — and plans serial
-    regardless of size.
-    """
-    from repro.datasets.compressed import (
-        detect_compression,
-        estimate_ratio,
-        member_candidates,
-    )
-    from repro.inference import calibration
+    """Decide serial vs. member-parallel decode for a compressed corpus
+    (:func:`_schedule` over :func:`_member_terms`)."""
+    from repro.datasets.compressed import detect_compression
 
     path = str(path)
     fmt = format or detect_compression(path)
-    cpus = auto_jobs()
-    requested = cpus if jobs is None else max(1, jobs)
-
-    def serial_plan(reason: str, serial_s: float = 0.0, parallel_s: float = 0.0,
-                    source: str = "default") -> SchedulePlan:
-        return SchedulePlan(
-            mode="serial",
-            jobs=1,
-            partitions=1,
-            documents=0,
-            cpus=cpus,
-            sample_docs_per_sec=0.0,
-            estimated_serial_seconds=serial_s,
-            estimated_parallel_seconds=parallel_s,
-            reason=reason,
-            calibration_source=source,
-        )
-
-    if fmt is None:
-        return serial_plan("not a compressed corpus")
-    if jobs is not None and requested == 1:
-        return serial_plan("one worker requested")
-    if cpus == 1:
-        return serial_plan("one usable CPU: parallel workers would only contend")
-    candidates = member_candidates(path, fmt)
-    if len(candidates) < 2:
-        return serial_plan(
-            f"single {fmt} member: one compressed stream decodes sequentially"
-        )
-    compressed_size = os.path.getsize(path)
-    total_out = compressed_size * estimate_ratio(path, fmt)
-    serial_seconds = (
-        total_out / calibration.decompress_bytes_per_second()
-        + total_out / calibration.scan_bytes_per_second()
-    )
-    effective = min(requested, cpus, len(candidates))
-    parallel_seconds = (
-        calibration.worker_startup_seconds() * effective
-        + serial_seconds / effective
-    )
-    source = calibration.calibration_source()
-    if serial_seconds > parallel_seconds * _PARALLEL_ADVANTAGE:
-        return SchedulePlan(
-            mode="parallel",
-            jobs=effective,
-            partitions=effective,
-            documents=0,
-            cpus=cpus,
-            sample_docs_per_sec=0.0,
-            estimated_serial_seconds=serial_seconds,
-            estimated_parallel_seconds=parallel_seconds,
-            reason=(
-                f"{len(candidates)} independent {fmt} member candidates: "
-                f"modeled {serial_seconds / parallel_seconds:.2f}x win from "
-                f"per-worker decompression on {effective} of {cpus} CPUs"
-            ),
-            calibration_source=source,
-        )
-    return serial_plan(
-        f"{len(candidates)} {fmt} members but modeled parallel win "
-        f"{serial_seconds / parallel_seconds:.2f}x is under the "
-        f"{_PARALLEL_ADVANTAGE:.2f}x threshold",
-        serial_seconds,
-        parallel_seconds,
-        source,
-    )
-
-
-def _sample_encoder():
-    """A fused text encoder over a private table (samples must not
-    pollute the global intern table's statistics)."""
-    from repro.types.build import EventTypeEncoder
-    from repro.types.intern import InternTable
-
-    return EventTypeEncoder(InternTable())
+    return _schedule(jobs, lambda: _member_terms(path, fmt))
 
 
 def infer_adaptive_text(
@@ -1151,104 +1073,22 @@ def infer_adaptive_text(
     plan = plan_schedule(corpus, jobs=jobs, sample_size=sample_size)
     if plan.subtree:
         run = infer_subtree_text(corpus, equivalence, processes=plan.jobs)
-        run.plan = plan
-        return run
-    if not plan.parallel:
+    elif plan.parallel:
+        run = infer_distributed_text(
+            corpus, partitions=plan.jobs, equivalence=equivalence, processes=plan.jobs
+        )
+    else:
         from repro.inference.engine import accumulate_ranges
 
-        accumulator = accumulate_ranges(
-            corpus.buffer(), corpus.spans, equivalence
-        )
+        accumulator = accumulate_ranges(corpus.buffer(), corpus.spans, equivalence)
         if accumulator.is_empty():
             raise InferenceError("cannot infer a schema from an empty stream")
-        return ParallelRun(
+        run = ParallelRun(
             result=accumulator.result(),
             partitions=1,
             processes=1,
             equivalence=equivalence,
             partition_documents=[accumulator.document_count],
-            plan=plan,
         )
-    run = infer_distributed_text(
-        corpus,
-        partitions=plan.partitions,
-        equivalence=equivalence,
-        processes=plan.jobs,
-    )
     run.plan = plan
     return run
-
-
-# ---------------------------------------------------------------------------
-# parallel counting-types reduce
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CountedParallelRun:
-    """Outcome of a multi-process counting-types inference."""
-
-    result: Any  # CUnion — typed loosely to keep the counting import lazy
-    partitions: int
-    processes: int
-    equivalence: Equivalence
-    document_count: int
-
-
-def _infer_counted_file_range_partition(
-    payload: tuple[str, int, int, str]
-) -> tuple[Any, int]:
-    """Worker: counting fold over one byte range read from the file.
-
-    The counted twin of :func:`_infer_file_range_partition`; only the
-    counted partial (and its document count) returns.
-    """
-    from repro.datasets.ndjson import iter_line_spans
-    from repro.inference.counting import _add_counted_spans
-
-    path, start, end, equivalence_value = payload
-    data = _read_range(path, start, end)
-    accumulator = CountingAccumulator(Equivalence(equivalence_value))
-    _add_counted_spans(accumulator, data, iter_line_spans(data))
-    return accumulator.result(), accumulator.document_count
-
-
-def infer_counted_parallel(
-    corpus,
-    partitions: int,
-    equivalence: Equivalence = Equivalence.KIND,
-    *,
-    processes: Optional[int] = None,
-) -> CountedParallelRun:
-    """Counting-types inference over an
-    :class:`~repro.datasets.ndjson.MmapCorpus` on real worker processes.
-
-    The counted algebra is a monoid too: per-partition counted unions
-    merge by adding counts, so the parallel reduce preserves every
-    cardinality exactly (pinned by the process-boundary regression
-    tests).  Contiguous byte ranges from the corpus index go to workers
-    that read their own file slice and run the counting fold; contiguous
-    ranges (:func:`partition_bounds`) keep union member
-    first-appearance order identical to the serial fold.
-    """
-    payloads = _file_range_payloads(corpus, partitions, equivalence)
-    if processes is None:
-        processes = min(len(payloads), auto_jobs())
-    processes = max(1, processes)
-
-    combined = CountingAccumulator(equivalence)
-    for counted, count in _map_partitions(
-        _infer_counted_file_range_partition, payloads, processes
-    ):
-        combined.add_counted(counted, documents=count)
-    if combined.is_empty():
-        raise InferenceError(
-            "cannot infer a counted schema from an empty stream"
-        )
-    return CountedParallelRun(
-        result=combined.result(),
-        partitions=len(payloads),
-        processes=processes if len(payloads) > 1 else 1,
-        equivalence=equivalence,
-        document_count=combined.document_count,
-    )

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from json import JSONDecodeError
 from typing import Any, Hashable, Iterable, Optional, Sequence
 
 from repro.errors import InferenceError
@@ -716,7 +717,10 @@ def _type_chunk(encoder, text: str, is_object: bool, limit: int) -> dict:
             pos = ws(text, pos + 1).end()
             if pos == end:
                 raise _bad_chunk()  # trailing comma
-    except StopIteration:  # no value where one must start
+    except (StopIteration, JSONDecodeError):
+        # No value where one must start, or a malformed one.  The
+        # decoder's error holds the whole chunk's text; the small error
+        # is what a worker ships back.
         raise _bad_chunk() from None
 
 

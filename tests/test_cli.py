@@ -171,6 +171,20 @@ class TestOneErrorAcrossRoutes:
         monkeypatch.setattr(distributed, "auto_jobs", lambda: 2)
         monkeypatch.setenv("REPRO_WORKER_STARTUP_SECONDS", "0")
 
+    def test_jobs_reports_the_first_bad_line(self, tmp_path, capsys):
+        """Bad lines either side of the boundary between two workers'
+        ranges: the later one fails first in time, yet ``--jobs`` prints
+        the first bad line's error, as the serial fold does."""
+        lines = ['{"a": %d, "b": [%d, "x"]}' % (i, i) for i in range(4000)]
+        lines[1999], lines[2000] = '{"first": tru', "[1, 2"
+        path = tmp_path / "data.ndjson"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["infer", str(path)]) == 2
+        serial = capsys.readouterr().err
+        assert serial.startswith("error: unexpected character 't'")
+        assert main(["infer", str(path), "--jobs", "2"]) == 2
+        assert capsys.readouterr().err == serial
+
     @pytest.mark.parametrize("name", sorted(INPUTS))
     @pytest.mark.parametrize(
         "argv",

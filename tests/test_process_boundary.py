@@ -141,6 +141,26 @@ def test_parser_errors_cross_the_process_boundary_intact(tmp_path):
             infer_distributed_text(corpus, partitions=3, processes=2)
     assert "unterminated string" in str(caught.value)
 
+    # Two bad lines either side of the partition boundary: the second
+    # range fails first in time, yet the error is the first bad line's,
+    # as the serial folds report it.
+    from repro.inference import accumulate_ranges, infer_counted_streaming
+
+    lines = ['{"a": %d, "b": [%d, "x"]}' % (i, i) for i in range(4000)]
+    lines[1999], lines[2000] = '{"first": tru', "[1, 2"
+    with _lines_corpus(tmp_path, lines) as corpus:
+        with pytest.raises(JsonError) as serial:
+            accumulate_ranges(corpus.buffer(), corpus.spans)
+        with pytest.raises(JsonError) as caught:
+            infer_distributed_text(corpus, partitions=2, processes=2)
+        assert str(caught.value) == str(serial.value)
+        assert "unexpected character 't'" in str(serial.value)
+        with pytest.raises(JsonError) as serial:
+            infer_counted_streaming(lines)
+        with pytest.raises(JsonError) as caught:
+            infer_counted_parallel(corpus, partitions=2, processes=2)
+        assert str(caught.value) == str(serial.value)
+
 
 def test_counting_parallel_single_process_fallback(tmp_path):
     docs = tweets(50, seed=13)
@@ -199,3 +219,52 @@ def test_adaptive_feed_is_identical_across_the_boundary(tmp_path):
     assert adaptive.plan is not None and adaptive.plan.mode in ("serial", "parallel")
     assert from_corpus.result is reference
     assert from_corpus.document_count == len(docs)
+
+
+def test_one_worker_entry_is_start_method_agnostic(tmp_path, monkeypatch):
+    """A task is plain picklable data and the worker imports what it
+    runs, so a ``forkserver`` pool (the Linux default from Python 3.14)
+    changes no result: line ranges, counted ranges, gzip members and
+    subtree chunks all equal the serial fold."""
+    import json
+    import multiprocessing
+
+    import pytest
+
+    from repro.datasets import compress_corpus
+    from repro.inference import (
+        distributed,
+        infer_compressed_parallel,
+        infer_subtree_text,
+    )
+
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no forkserver start method on this platform")
+    context = multiprocessing.get_context("forkserver")
+    pools = []
+
+    class Recording:
+        def Pool(self, processes):
+            pools.append(processes)
+            return context.Pool(processes=processes)
+
+    monkeypatch.setattr(distributed, "_POOL_CONTEXT", Recording())
+    table = global_table()
+    docs = tweets(80, seed=21)
+    lines = ndjson_lines(docs)
+    reference = infer_type(docs)
+    with _lines_corpus(tmp_path, lines) as corpus:
+        run = infer_distributed_text(corpus, partitions=2, processes=2)
+        assert run.result is reference
+        counted = infer_counted_parallel(corpus, partitions=2, processes=2)
+        assert counted.result == infer_counted(docs)
+    packed = tmp_path / "corpus.ndjson.gz"
+    assert compress_corpus(packed, lines, member_lines=10) == 8
+    run = infer_compressed_parallel(packed, processes=2)
+    assert run is not None and table.canonical(run.result) is reference
+    assert run.document_count == len(docs)
+    with _lines_corpus(tmp_path, [json.dumps(docs)]) as corpus:
+        run = infer_subtree_text(corpus, processes=2, min_split_bytes=0)
+    assert run.processes == 2
+    assert table.canonical(run.result) is infer_type([docs])
+    assert pools == [2, 2, 2, 2]

@@ -350,6 +350,22 @@ def test_malformed_huge_array_raises_the_serial_error(tmp_path, monkeypatch):
     assert str(caught.value) == str(serial.value)
 
 
+def test_failed_chunk_raises_a_small_error():
+    """A worker ships a failed chunk's error home by pickle.  The C
+    decoder's error keeps the whole chunk's text (megabytes, on a huge
+    document), so a malformed value fails with the small chunk error."""
+    import pickle
+
+    from repro.errors import InferenceError
+
+    data = b'{"a": 1 "b": 2}, ' + b"1, " * 20000 + b"2"
+    with pytest.raises(InferenceError) as caught:
+        type_subtree_chunks(
+            EventTypeEncoder(InternTable()), data, "array", [(0, len(data))]
+        )
+    assert len(pickle.dumps(caught.value)) < 1000
+
+
 def test_driver_both_equivalences(tmp_path):
     lines = [DRIVER_DOCS[1]]
     for equivalence in (Equivalence.KIND, Equivalence.LABEL):
