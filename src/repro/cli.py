@@ -17,18 +17,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.errors import ReproError
-
-
-def _read_documents(path: str) -> list[Any]:
-    # stream_documents reads every path and "-" through the line-block
-    # reader, so every subcommand accepts compressed corpora and reports
-    # the same line-relative errors.
-    from repro.datasets.ndjson import stream_documents
-
-    return list(stream_documents(path))
 
 
 def _positive_int(flag: str, value: str, alternatives: str = "") -> int:
@@ -123,15 +114,24 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_skeleton(args: argparse.Namespace) -> int:
-    from repro.inference import build_skeleton, document_coverage, path_coverage
+    from collections import Counter
 
-    docs = _read_documents(args.data)
-    skeleton = build_skeleton(docs, args.k)
+    from repro.datasets.ndjson import stream_documents
+    from repro.inference.skeleton import (
+        Skeleton,
+        counted_coverage,
+        rank_structures,
+        structure_of,
+    )
+
+    counts = Counter(structure_of(doc) for doc in stream_documents(args.data))
+    skeleton = Skeleton(rank_structures(counts)[: args.k], sum(counts.values()))
     print(
         f"# skeleton of order {skeleton.order} over {skeleton.document_count} documents"
     )
-    print(f"# document coverage {document_coverage(skeleton, docs):6.1%}, "
-          f"path coverage {path_coverage(skeleton, docs):6.1%}")
+    doc_coverage, path_coverage = counted_coverage(skeleton, counts)
+    print(f"# document coverage {doc_coverage:6.1%}, "
+          f"path coverage {path_coverage:6.1%}")
     for i, structure in enumerate(skeleton.structures):
         paths = ", ".join(".".join(p) for p in sorted(structure.paths)[:6])
         more = len(structure.paths) - 6

@@ -62,9 +62,11 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "Skeleton": "skeleton",
     "Structure": "skeleton",
     "build_skeleton": "skeleton",
+    "counted_coverage": "skeleton",
     "document_coverage": "skeleton",
     "mine_structures": "skeleton",
     "path_coverage": "skeleton",
+    "rank_structures": "skeleton",
     "structure_of": "skeleton",
     "Decomposition": "relational",
     "FunctionalDependency": "relational",
@@ -77,7 +79,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "SchemaProfile": "profiling",
     "candidate_features": "profiling",
     "train_profile": "profiling",
-    "CountedParallelRun": "distributed",
     "DistributedRun": "distributed",
     "ParallelRun": "distributed",
     "SchedCalibration": "calibration",

@@ -15,17 +15,24 @@ The counted algebra mirrors :mod:`repro.types.terms`:
 
 Merging adds counts; the underlying plain type of a merge equals the plain
 merge of the underlying types (a property test pins this commuting square).
+
+Counting is one more fold of the plain machinery: every route runs the
+plain fold's loop with a :class:`~repro.inference.engine.CountingAccumulator`
+(one :func:`merge_counted` per line batch) whose lines are typed by
+:class:`CountedEncoder`, and equals ``merge_counted([counted_type_of(d)
+for d in docs])`` by ``==``, member order included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Hashable, Iterable, Optional, Tuple
 
 from repro.errors import InferenceError
 from repro.jsonvalue.model import JsonKind, is_integer_value, kind_of
-from repro.jsonvalue.parser import ParseOptions, parse
 from repro.types import Equivalence, Type, union
+from repro.types.build import TextFrontEnd
 from repro.types.terms import (
     ArrType,
     AtomType,
@@ -218,7 +225,7 @@ def counted_type_of(value: Any, equivalence: Equivalence = Equivalence.KIND) -> 
                 # arrays O(depth) instead of O(depth²).
                 items = parts[0]
             else:
-                items = merge_counted(parts, equivalence, _empty_ok=True)
+                items = merge_counted(parts, equivalence)
             done = CUnion((CArr(items, 1, frame[4]),))
         stack.pop()
         if stack:
@@ -240,6 +247,20 @@ def _counted_open(value: Any, kind: JsonKind) -> list:
     return [False, iter(value), [], None, len(value)]
 
 
+class CountedEncoder(TextFrontEnd):
+    """The counted map phase over JSON text: the plain encoder's decode
+    and parse (same nesting limit, same errors), then
+    :func:`counted_type_of`."""
+
+    __slots__ = ("equivalence",)
+
+    def __init__(self, equivalence: Equivalence = Equivalence.KIND) -> None:
+        self.equivalence = equivalence
+
+    def encode(self, value: Any) -> CUnion:
+        return counted_type_of(value, self.equivalence)
+
+
 def counted_type_of_text(
     text: str,
     equivalence: Equivalence = Equivalence.KIND,
@@ -247,14 +268,9 @@ def counted_type_of_text(
     max_depth: int = 512,
 ) -> CUnion:
     """Counted type of one JSON text: ``counted_type_of(parse(text),
-    equivalence)`` with the nesting limit ``max_depth``.
-
-    The C decoder behind :func:`repro.jsonvalue.parser.parse` builds the
-    value; malformed text raises the parser's exact error.
-    """
-    return counted_type_of(
-        parse(text, ParseOptions(max_depth=max_depth)), equivalence
-    )
+    equivalence)`` with the nesting limit ``max_depth``; malformed text
+    raises the parser's exact error."""
+    return CountedEncoder(equivalence).encode_text(text, max_depth=max_depth)
 
 
 def counted_type_of_bytes(
@@ -265,17 +281,10 @@ def counted_type_of_bytes(
     *,
     max_depth: int = 512,
 ) -> CUnion:
-    """Counted type of one JSON document held as UTF-8 bytes:
-    ``counted_type_of_text(str(memoryview(data)[start:end], "utf-8"),
-    equivalence, max_depth=max_depth)``.
-
-    ``data`` is anything the buffer protocol covers (``bytes``, an mmap,
-    a ``memoryview``).  Undecodable input raises the decode's
-    ``UnicodeDecodeError``; malformed JSON raises the parser's exact
-    error, with character offsets relative to ``start``.
-    """
-    return counted_type_of_text(
-        str(memoryview(data)[start:end], "utf-8"), equivalence, max_depth=max_depth
+    """Counted type of one JSON document held as UTF-8 bytes (see
+    :meth:`~repro.types.build.TextFrontEnd.encode_bytes`)."""
+    return CountedEncoder(equivalence).encode_bytes(
+        data, start, end, max_depth=max_depth
     )
 
 
@@ -285,19 +294,13 @@ def counted_type_of_bytes(
 
 
 def merge_counted(
-    types: Iterable[CUnion],
-    equivalence: Equivalence = Equivalence.KIND,
-    *,
-    _empty_ok: bool = False,
+    types: Iterable[CUnion], equivalence: Equivalence = Equivalence.KIND
 ) -> CUnion:
-    """Merge counted unions; counts add within each fused class."""
+    """Merge counted unions in one pass; counts add within each fused
+    class, and classes keep first-appearance order."""
     members: list[CType] = []
     for t in types:
         members.extend(t.members)
-    if not members:
-        if _empty_ok:
-            return CUnion(())
-        return CUnion(())
 
     classes: dict[Hashable, list[CType]] = {}
     order: list[Hashable] = []
@@ -336,7 +339,7 @@ def _fuse(members: list[CType], equivalence: Equivalence) -> CType:
         return CAtom(tag, total)
     if isinstance(first, CArr):
         item = merge_counted(
-            (m.item for m in members), equivalence, _empty_ok=True  # type: ignore[union-attr]
+            (m.item for m in members), equivalence  # type: ignore[union-attr]
         )
         return CArr(
             item,
@@ -351,7 +354,7 @@ def _fuse(members: list[CType], equivalence: Equivalence) -> CType:
         fields = tuple(
             CField(
                 name,
-                merge_counted((f.type for f in occurrences), equivalence, _empty_ok=True),
+                merge_counted((f.type for f in occurrences), equivalence),
                 sum(f.count for f in occurrences),
             )
             for name, occurrences in by_name.items()
@@ -363,17 +366,17 @@ def _fuse(members: list[CType], equivalence: Equivalence) -> CType:
 def infer_counted(
     documents: Iterable[Any], equivalence: Equivalence = Equivalence.KIND
 ) -> CUnion:
-    """Full counting-types inference over a collection.
-
-    Folds through the engine's
-    :class:`~repro.inference.engine.CountingAccumulator`, so the stream
-    is never materialized and state stays O(fused schema).
-    """
-    from repro.inference.engine import CountingAccumulator
+    """Full counting-types inference over a collection, one
+    :func:`merge_counted` per batch of documents: the stream is never
+    materialized and state stays O(fused schema)."""
+    from repro.inference.engine import _RANGE_BATCH_LINES, CountingAccumulator
 
     accumulator = CountingAccumulator(equivalence)
-    for document in documents:
-        accumulator.add(document)
+    documents = iter(documents)
+    while batch := [
+        counted_type_of(d, equivalence) for d in islice(documents, _RANGE_BATCH_LINES)
+    ]:
+        accumulator.add_types(batch)
     if accumulator.is_empty():
         raise InferenceError("cannot infer a counted schema from an empty collection")
     return accumulator.result()
@@ -382,39 +385,15 @@ def infer_counted(
 def infer_counted_streaming(
     lines: Iterable[str], equivalence: Equivalence = Equivalence.KIND
 ) -> CUnion:
-    """Counting-types inference over NDJSON lines without building DOMs.
+    """Counting-types inference over NDJSON lines without building DOMs:
+    :func:`~repro.inference.engine.accumulate_lines`' loop (blank lines
+    skipped) with a counting accumulator."""
+    from repro.inference.engine import CountingAccumulator, _fold_lines
 
-    The text-path twin of :func:`infer_counted`: each line's counted type
-    comes from :func:`counted_type_of_text` and folds through the
-    engine's :class:`~repro.inference.engine.CountingAccumulator`.
-    Blank lines are skipped.
-    """
-    from repro.inference.engine import CountingAccumulator
-
-    accumulator = CountingAccumulator(equivalence)
-    for line in lines:
-        if not line or line.isspace():
-            continue
-        accumulator.add_counted(counted_type_of_text(line, equivalence))
+    accumulator = _fold_lines(CountingAccumulator(equivalence), lines)
     if accumulator.is_empty():
         raise InferenceError("cannot infer a counted schema from an empty stream")
     return accumulator.result()
-
-
-def _add_counted_spans(accumulator, data: bytes, spans) -> None:
-    """Fold the line spans of ``data`` into a counting accumulator, one
-    :func:`counted_type_of_bytes` per line; blank lines are skipped by
-    the bytes folds' one rule (:func:`~repro.inference.engine._blank_span`),
-    so counts reconcile with every serial path."""
-    from repro.inference.engine import _blank_span
-
-    equivalence = accumulator.equivalence
-    for start, end in spans:
-        if _blank_span(data, start, end):
-            continue
-        accumulator.add_counted(
-            counted_type_of_bytes(data, start, end, equivalence)
-        )
 
 
 def infer_counted_compressed(
@@ -423,20 +402,14 @@ def infer_counted_compressed(
     *,
     format: Optional[str] = None,
 ) -> CUnion:
-    """Counting-types inference straight off a gzip/zstd NDJSON corpus.
-
-    The compressed twin of :func:`infer_counted_streaming`: the chunked
-    decompression reader yields line-aligned byte blocks and every line
-    span is typed by :func:`counted_type_of_bytes` — no decompressed
-    corpus is ever held whole.  Blank lines are skipped with the bytes
-    fold's exact ``str.isspace`` parity.
-    """
-    from repro.datasets.compressed import iter_block_line_spans, iter_line_blocks
+    """Counting-types inference straight off a gzip/zstd NDJSON corpus:
+    :func:`~repro.inference.streaming.fold_line_blocks`' loop (one block
+    in memory, batched lines flushed before a decompression error) with
+    a counting accumulator."""
     from repro.inference.engine import CountingAccumulator
+    from repro.inference.streaming import _fold_blocks
 
-    accumulator = CountingAccumulator(equivalence)
-    for block in iter_line_blocks(source, format=format):
-        _add_counted_spans(accumulator, block, iter_block_line_spans(block))
+    accumulator = _fold_blocks(CountingAccumulator(equivalence), source, format)
     if accumulator.is_empty():
         raise InferenceError("cannot infer a counted schema from an empty stream")
     return accumulator.result()

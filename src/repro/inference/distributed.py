@@ -201,7 +201,8 @@ def infer_distributed(
 
 @dataclass
 class ParallelRun:
-    """Outcome of a real multi-process inference."""
+    """Outcome of a real multi-process inference (``result`` is a
+    counted union for the counting fold)."""
 
     result: Type
     partitions: int
@@ -214,17 +215,6 @@ class ParallelRun:
     @property
     def document_count(self) -> int:
         return sum(self.partition_documents)
-
-
-@dataclass
-class CountedParallelRun:
-    """Outcome of a multi-process counting-types inference."""
-
-    result: Any  # CUnion — typed loosely to keep the counting import lazy
-    partitions: int
-    processes: int
-    equivalence: Equivalence
-    document_count: int
 
 
 def partition_bounds(total: int, partitions: int) -> list[tuple[int, int]]:
@@ -310,28 +300,19 @@ def _fold_ranges(task: RangeTask) -> tuple[Any, int, bytes, bytes]:
             max_depth=task.depth,
         )
         return parts, 0, b"", b""
-    if task.fold == "counted":
-        from functools import partial
+    from repro.inference.engine import RangeFolder
 
-        from repro.inference.counting import _add_counted_spans
-
-        accumulator = CountingAccumulator(task.equivalence)
-        feed, finish = partial(_add_counted_spans, accumulator), None
-    else:
-        from repro.inference.engine import RangeFolder
-
-        accumulator = TypeAccumulator(task.equivalence)
-        folder = RangeFolder(accumulator)
-        feed, finish = folder.feed, folder.finish
+    fold = CountingAccumulator if task.fold == "counted" else TypeAccumulator
+    accumulator = fold(task.equivalence)
+    folder = RangeFolder(accumulator)
     head = tail = b""
     if task.format is None:
         for start, end in task.ranges:
             data = _read_range(task.path, start, end)
-            feed(data, iter_line_spans(data))
+            folder.feed(data, iter_line_spans(data))
     else:
-        head, tail = _feed_members(task, feed)
-    if finish is not None:
-        finish()
+        head, tail = _feed_members(task, folder.feed)
+    folder.finish()
     return accumulator.result(), accumulator.document_count, head, tail
 
 
@@ -424,41 +405,44 @@ class _WorkerPool:
 
 
 def _combine(results: list, accumulator) -> tuple[list[int], int]:
-    """Add range results to ``accumulator``, in range order.
+    """Add range results to ``accumulator``, in corpus order.
 
     Boundary lines are stitched from ``tail_i + head_{i+1}`` and typed
-    here (a final tail is the corpus's last line); each partial adds
-    through the monoid.  Returns the per-range document counts and the
-    count of boundary documents.
+    here, each before the partial of the range it opens (a final tail
+    is the corpus's last line); each partial adds through the monoid.
+    Corpus order keeps a counted union's member order that of the
+    serial fold.  Returns the per-range document counts and the count
+    of boundary documents.
     """
     from repro.datasets.ndjson import split_corpus_bytes
     from repro.inference.engine import _blank_span
 
+    def add_lines(lines) -> int:
+        added = 0
+        for line in lines:
+            if not _blank_span(line, 0, len(line)):
+                accumulator.add_bytes(line)
+                added += 1
+        return added
+
     counts: list[int] = []
-    boundary: list[bytes] = []
+    documents = 0
     pending = b""
     for partial, count, head, tail in results:
         if head:
             # pending + head ends with the break that closed the range's
             # first line; the final (empty) segment is the interior.
-            boundary += split_corpus_bytes(pending + head)[:-1]
+            documents += add_lines(split_corpus_bytes(pending + head)[:-1])
             pending = tail
         else:
             pending += tail
-        if count and isinstance(accumulator, CountingAccumulator):
-            accumulator.add_counted(partial, documents=count)
-        elif count:
-            accumulator.add_type(partial)
+        if count:
+            accumulator.add_type(partial, documents=count)
         counts.append(count)
     if pending:
         lines = split_corpus_bytes(pending)
         # A terminator at true EOF makes no extra line, as in the index.
-        boundary += lines[:-1] if lines[-1] == b"" else lines
-    documents = 0
-    for line in boundary:
-        if not _blank_span(line, 0, len(line)):
-            accumulator.add_bytes(line)
-            documents += 1
+        documents += add_lines(lines[:-1] if lines[-1] == b"" else lines)
     return counts, documents
 
 
@@ -522,9 +506,10 @@ def infer_counted_parallel(
     equivalence: Equivalence = Equivalence.KIND,
     *,
     processes: Optional[int] = None,
-) -> CountedParallelRun:
+) -> ParallelRun:
     """Counting-types inference over an
-    :class:`~repro.datasets.ndjson.MmapCorpus` on real worker processes.
+    :class:`~repro.datasets.ndjson.MmapCorpus` on real worker processes:
+    :func:`infer_distributed_text` with a counting accumulator.
 
     The counted algebra is a monoid too: per-partition counted unions
     merge by adding counts, so the parallel reduce preserves every
@@ -540,12 +525,12 @@ def infer_counted_parallel(
         raise InferenceError(
             "cannot infer a counted schema from an empty stream"
         )
-    return CountedParallelRun(
+    return ParallelRun(
         result=combined.result(),
         partitions=len(counts),
         processes=processes,
         equivalence=equivalence,
-        document_count=combined.document_count,
+        partition_documents=counts,
     )
 
 

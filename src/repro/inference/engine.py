@@ -22,8 +22,10 @@ Laws (property-tested in ``tests/test_engine_properties.py``):
 - ``combine`` is associative and commutative up to that same result;
 - the empty accumulator is the identity (``result() == BOT``).
 
-:class:`CountingAccumulator` gives the counting-types algebra
-(:mod:`repro.inference.counting`) the same streaming surface.
+:class:`CountingAccumulator` puts the counting-types algebra
+(:mod:`repro.inference.counting`) on the same batch surface, one n-ary
+``merge_counted`` per batch, so the line loops below
+(:func:`accumulate_lines`, :class:`RangeFolder`) fold either algebra.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.errors import InferenceError
 from repro.jsonvalue.lexer import WHITESPACE_PATTERN, WHITESPACE_PATTERN_BYTES
 from repro.jsonvalue.parser import c_scan_once, nesting_exceeds
 from repro.types import Equivalence, Type
-from repro.types.build import EventTypeEncoder, TypeEncoder
+from repro.types.build import EventTypeEncoder, TextFrontEnd
 from repro.types.intern import InternTable, global_table
 
 _BYTES_WS_RUN = re.compile(WHITESPACE_PATTERN_BYTES)
@@ -67,7 +69,65 @@ def _blank_span(data, start: int, end: int) -> bool:
     return False
 
 
-class TypeAccumulator:
+class _BatchFold:
+    """The batch surface every accumulator shares.
+
+    A subclass supplies ``add_types`` (absorb a batch in one merge
+    pass), ``combine``, ``result`` and its map phase ``_new_encoder`` (a
+    :class:`~repro.types.build.TextFrontEnd`); every other ``add_*`` is
+    a batch of one.
+    """
+
+    __slots__ = ("equivalence", "_encoder", "_count")
+
+    def __init__(self, equivalence: Equivalence) -> None:
+        self.equivalence = equivalence
+        # Built on first use, so accumulators fed only types never pay
+        # for the encoder's setup.
+        self._encoder = None
+        self._count = 0
+
+    def add(self, document: Any) -> None:
+        """Type one document and absorb it."""
+        self.add_types((self._text_encoder().encode(document),))
+
+    def add_text(self, text: str) -> None:
+        """Type one raw JSON text (parser errors) and absorb it."""
+        self.add_types((self._text_encoder().encode_text(text),))
+
+    def add_bytes(self, data, start: int = 0, end: Optional[int] = None) -> None:
+        """:meth:`add_text` of a UTF-8 byte range (``bytes``, an mmap, a
+        memoryview); undecodable input raises ``UnicodeDecodeError``."""
+        self.add_types((self._text_encoder().encode_bytes(data, start, end),))
+
+    def add_type(self, t: Any, *, documents: int = 1) -> None:
+        """Absorb one typed document, or a worker's partial type that
+        covers ``documents`` documents."""
+        self.add_types((t,))
+        self._count += documents - 1
+
+    def _text_encoder(self):
+        encoder = self._encoder
+        if encoder is None:
+            encoder = self._encoder = self._new_encoder()
+        return encoder
+
+    def _check_equivalence(self, other: "_BatchFold") -> None:
+        if other.equivalence is not self.equivalence:
+            raise InferenceError(
+                "cannot combine accumulators with different equivalences: "
+                f"{self.equivalence.value} vs {other.equivalence.value}"
+            )
+
+    @property
+    def document_count(self) -> int:
+        return self._count
+
+    def is_empty(self) -> bool:
+        return self._count == 0
+
+
+class TypeAccumulator(_BatchFold):
     """Streaming parametric merge with O(classes) state.
 
     The state is ``merge_many``'s top-level class partition kept between
@@ -75,24 +135,15 @@ class TypeAccumulator:
     class.  ``add_types`` absorbs a batch in one
     :meth:`~repro.types.intern.InternTable.fuse_into` pass over the
     batch's distinct, not-yet-seen types and the representatives of
-    the classes they fall into; ``add`` / ``add_text`` / ``add_bytes``
-    / ``add_type`` absorb one document or type, a batch of one.
-    ``combine`` folds another accumulator in (the monoid operation, used
-    per partition by :mod:`repro.inference.distributed`); ``result``
-    yields the merged type, bit-identical to ``merge_all`` over
-    everything absorbed so far.  ``result`` does not consume the
+    the classes they fall into.  Documents are encoded straight into
+    canonical interned terms (:class:`~repro.types.build.EventTypeEncoder`).
+    ``combine`` folds another accumulator in (the monoid operation);
+    ``result`` yields the merged type, bit-identical to ``merge_all``
+    over everything absorbed so far.  ``result`` does not consume the
     accumulator — it can be sampled mid-stream.
     """
 
-    __slots__ = (
-        "equivalence",
-        "_table",
-        "_encoder",
-        "_event_encoder",
-        "_classes",
-        "_memo",
-        "_count",
-    )
+    __slots__ = ("_table", "_classes", "_memo")
 
     def __init__(
         self,
@@ -100,15 +151,8 @@ class TypeAccumulator:
         *,
         table: Optional[InternTable] = None,
     ) -> None:
-        self.equivalence = equivalence
+        super().__init__(equivalence)
         self._table = table if table is not None else global_table()
-        # Fused map phase: documents are encoded straight into canonical
-        # interned terms (no raw type_of tree), lazily so type-only
-        # accumulators never pay for the encoder's leaf setup.  The
-        # event encoder is the text-feed analogue (raw NDJSON lines in,
-        # canonical types out).
-        self._encoder: Optional[TypeEncoder] = None
-        self._event_encoder: Optional[EventTypeEncoder] = None
         # class key -> fused, reduced, interned representative, in
         # first-appearance order (merge_all parity; union() sorts
         # anyway, but keeping the order makes the equivalence exact by
@@ -123,7 +167,6 @@ class TypeAccumulator:
         # instead of pinning one type per distinct document, keeping the
         # accumulator's memory O(classes + constant).
         self._memo: set[Type] = set()
-        self._count = 0
 
     _MEMO_LIMIT = 8192
 
@@ -134,41 +177,8 @@ class TypeAccumulator:
         """The intern table this accumulator canonicalizes into."""
         return self._table
 
-    def add(self, document: Any) -> None:
-        """Type one document (fused encoder) and absorb it."""
-        encoder = self._encoder
-        if encoder is None:
-            encoder = self._encoder = TypeEncoder(self._table)
-        self.add_types((encoder.encode(document),))
-
-    def add_text(self, text: str) -> None:
-        """Type one raw JSON text and absorb it.
-
-        The C decoder parses the text and the encoder walks the value
-        into its canonical interned type; malformed text raises the
-        parser's error.
-        """
-        self.add_types((self._text_encoder().encode_text(text),))
-
-    def add_bytes(self, data, start: int = 0, end: Optional[int] = None) -> None:
-        """Type one raw UTF-8 document held as bytes and absorb it.
-
-        :meth:`add_text` of the decoded range: ``data`` may be
-        ``bytes``, an mmap, or a memoryview; undecodable input
-        raises the decode's ``UnicodeDecodeError``.
-        """
-        self.add_types((self._text_encoder().encode_bytes(data, start, end),))
-
-    def _text_encoder(self) -> EventTypeEncoder:
-        """The text-feed encoder bound to this accumulator's table."""
-        encoder = self._event_encoder
-        if encoder is None:
-            encoder = self._event_encoder = EventTypeEncoder(self._table)
-        return encoder
-
-    def add_type(self, t: Type) -> None:
-        """Absorb one already-typed document (or any type term)."""
-        self.add_types((t,))
+    def _new_encoder(self) -> EventTypeEncoder:
+        return EventTypeEncoder(self._table)
 
     def add_types(self, types: Iterable[Type]) -> None:
         """Absorb a batch of typed documents in one merge pass.
@@ -194,11 +204,7 @@ class TypeAccumulator:
 
     def combine(self, other: "TypeAccumulator") -> None:
         """Fold another accumulator into this one (monoid operation)."""
-        if other.equivalence is not self.equivalence:
-            raise InferenceError(
-                "cannot combine accumulators with different equivalences: "
-                f"{self.equivalence.value} vs {other.equivalence.value}"
-            )
+        self._check_equivalence(other)
         # fuse_into re-interns the representatives in case the other
         # accumulator used a different table (e.g. it crossed a process
         # boundary).
@@ -215,13 +221,6 @@ class TypeAccumulator:
         """The merged type of everything absorbed (``BOT`` when empty)."""
         return self._table.merge_many(self._classes.values(), self.equivalence)
 
-    @property
-    def document_count(self) -> int:
-        return self._count
-
-    def is_empty(self) -> bool:
-        return self._count == 0
-
     def class_count(self) -> int:
         """Number of live equivalence classes — the state size."""
         return len(self._classes)
@@ -235,65 +234,42 @@ class TypeAccumulator:
         return sum(rep.size() for rep in self._classes.values())
 
 
-class CountingAccumulator:
+class CountingAccumulator(_BatchFold):
     """Streaming counting-types merge (DBPL '17 algebra).
 
-    Same surface as :class:`TypeAccumulator`; state is one counted union
-    whose size is bounded by the fused schema, not the document count.
+    The state is one counted union, bounded by the fused schema, not
+    the document count; ``add_types`` absorbs a batch in one n-ary
+    :func:`~repro.inference.counting.merge_counted` over state and batch.
     """
 
-    __slots__ = ("equivalence", "_acc", "_count")
+    __slots__ = ("_acc",)
 
     def __init__(self, equivalence: Equivalence = Equivalence.KIND) -> None:
-        # Imported lazily: repro.inference.counting triggers the package
-        # __init__, which imports modules that import this engine.
+        # Imported lazily, so routes that never count never load
+        # repro.inference.counting.
         from repro.inference.counting import CUnion
 
-        self.equivalence = equivalence
+        super().__init__(equivalence)
         self._acc: "CUnion" = CUnion(())
-        self._count = 0
 
-    def add(self, document: Any) -> None:
-        from repro.inference.counting import counted_type_of
+    def _new_encoder(self):
+        from repro.inference.counting import CountedEncoder
 
-        self.add_counted(counted_type_of(document, self.equivalence))
+        return CountedEncoder(self.equivalence)
 
-    def add_counted(self, counted: Any, *, documents: int = 1) -> None:
-        """Absorb one counted union.
-
-        ``documents`` is how many source documents it represents: 1 for
-        a per-document type, the partition's document count when folding
-        a pre-merged partial (as the parallel reduce does).
-        """
+    def add_types(self, types: Iterable[Any]) -> None:
         from repro.inference.counting import merge_counted
 
-        self._acc = merge_counted(
-            (self._acc, counted), self.equivalence, _empty_ok=True
-        )
-        self._count += documents
+        batch = [self._acc, *types]
+        self._acc = merge_counted(batch, self.equivalence)
+        self._count += len(batch) - 1
 
     def combine(self, other: "CountingAccumulator") -> None:
-        if other.equivalence is not self.equivalence:
-            raise InferenceError(
-                "cannot combine accumulators with different equivalences: "
-                f"{self.equivalence.value} vs {other.equivalence.value}"
-            )
-        from repro.inference.counting import merge_counted
-
-        self._acc = merge_counted(
-            (self._acc, other._acc), self.equivalence, _empty_ok=True
-        )
-        self._count += other._count
+        self._check_equivalence(other)
+        self.add_type(other._acc, documents=other._count)
 
     def result(self) -> Any:
         return self._acc
-
-    @property
-    def document_count(self) -> int:
-        return self._count
-
-    def is_empty(self) -> bool:
-        return self._count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +322,11 @@ def accumulate_lines(
     as the bytes feed absorbs them; a line's error still surfaces before
     any error of a later line or of reading one.
     """
-    acc = TypeAccumulator(equivalence, table=table)
+    return _fold_lines(TypeAccumulator(equivalence, table=table), lines)
+
+
+def _fold_lines(acc, lines: Iterable[str]):
+    """:func:`accumulate_lines`' loop into ``acc``, any accumulator."""
     encode_text = acc._text_encoder().encode_text
     batch: list[str] = []
 
@@ -383,7 +363,8 @@ class RangeFolder:
     mmap.  Each flush types up to ``_RANGE_BATCH_LINES`` lines with one
     ``encode_lines`` call and absorbs them with one
     :meth:`TypeAccumulator.add_types` merge pass.  ``finish`` flushes
-    the tail batch.
+    the tail batch.  The default encoder is the accumulator's own, so
+    a :class:`CountingAccumulator` folds counts through the same loop.
 
     Error ordering is the serial contract: a line surfaces its error no
     later than the first flush after it, and a line whose blank check
@@ -396,19 +377,15 @@ class RangeFolder:
 
     def __init__(
         self,
-        accumulator: TypeAccumulator,
+        accumulator: _BatchFold,
         *,
-        encoder: Optional[EventTypeEncoder] = None,
+        encoder: Optional[TextFrontEnd] = None,
     ) -> None:
         self._acc = accumulator
         self._encoder = (
-            encoder if encoder is not None else EventTypeEncoder(accumulator.table)
+            encoder if encoder is not None else accumulator._text_encoder()
         )
         self._batch: list[bytes] = []
-
-    @property
-    def accumulator(self) -> TypeAccumulator:
-        return self._acc
 
     def _flush(self) -> None:
         batch = self._batch

@@ -16,12 +16,17 @@ The reproduction:
   skeleton; **path coverage** = fraction of (document, path) occurrences
   whose path appears somewhere in the skeleton.  E6 reproduces the
   coverage-vs-k curve: heavily clustered collections saturate quickly.
+
+``repro skeleton`` reads its input once: :func:`rank_structures` and
+:func:`counted_coverage` work from structure counts, and the list
+functions below stay as their oracles.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 from repro.errors import InferenceError
 from repro.jsonvalue.model import iter_paths
@@ -85,13 +90,12 @@ def _paths_to_tree(paths: frozenset[PathKey]) -> dict:
 
 def mine_structures(documents: Iterable[Any]) -> list[Structure]:
     """Group documents by structure, most frequent first."""
-    counts: dict[frozenset[PathKey], int] = {}
-    total = 0
-    for doc in documents:
-        total += 1
-        s = structure_of(doc)
-        counts[s] = counts.get(s, 0) + 1
-    if not total:
+    return rank_structures(Counter(structure_of(doc) for doc in documents))
+
+
+def rank_structures(counts: Mapping[frozenset[PathKey], int]) -> list[Structure]:
+    """Counted structures, most frequent first (ties by sorted paths)."""
+    if not counts:
         raise InferenceError("cannot mine structures from an empty collection")
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], sorted(kv[0])))
     return [Structure(paths, count) for paths, count in ordered]
@@ -131,3 +135,21 @@ def path_coverage(skeleton: Skeleton, documents: Iterable[Any]) -> float:
     if not total:
         raise InferenceError("coverage needs at least one path")
     return covered / total
+
+
+def counted_coverage(
+    skeleton: Skeleton, counts: Mapping[frozenset[PathKey], int]
+) -> tuple[float, float]:
+    """``(document_coverage, path_coverage)`` from structure counts:
+    Σ support of the skeleton / documents, and Σ count·|s ∩ skeleton
+    paths| / Σ count·|s|."""
+    documents = sum(counts.values())
+    if not documents:
+        raise InferenceError("coverage needs at least one document")
+    covered = sum(counts.get(s.paths, 0) for s in skeleton.structures)
+    skeleton_paths = skeleton.all_paths()
+    paths = sum(count * len(s) for s, count in counts.items())
+    if not paths:
+        raise InferenceError("coverage needs at least one path")
+    hits = sum(count * len(s & skeleton_paths) for s, count in counts.items())
+    return covered / documents, hits / paths

@@ -161,14 +161,22 @@ def fold_line_blocks(
     lines surface before a later decompression failure, exactly as a
     plain serial fold would order them.
     """
+    from repro.inference.engine import TypeAccumulator
+
+    return _fold_blocks(
+        TypeAccumulator(equivalence, table=table), source, format, block_bytes
+    )
+
+
+def _fold_blocks(accumulator, source, format=None, block_bytes=None):
+    """:func:`fold_line_blocks`' loop into ``accumulator``, any accumulator."""
     from repro.datasets.compressed import (
         CompressedCorpusError,
         iter_block_line_spans,
         iter_line_blocks,
     )
-    from repro.inference.engine import RangeFolder, TypeAccumulator
+    from repro.inference.engine import RangeFolder
 
-    accumulator = TypeAccumulator(equivalence, table=table)
     folder = RangeFolder(accumulator)
     blocks = iter_line_blocks(source, format=format, block_bytes=block_bytes)
     while True:

@@ -21,7 +21,8 @@ differential property tests in ``tests/test_build_fused_differential.py``.
 :meth:`EventTypeEncoder.encode_lines`): the stdlib C decoder behind
 :func:`repro.jsonvalue.parser.parse` turns the text into a value, and
 :meth:`TypeEncoder.encode` walks it.  Errors come from ``parse``, so
-the text and DOM paths fail identically.
+the text and DOM paths fail identically.  That front end is
+:class:`TextFrontEnd`, shared with the counted map phase.
 """
 
 from __future__ import annotations
@@ -274,23 +275,20 @@ class TypeEncoder:
         return result
 
 
-class EventTypeEncoder(TypeEncoder):
-    """The fused map phase over JSON text: text → canonical type.
+class TextFrontEnd:
+    """JSON text in, ``self.encode`` of the decoded value out; a subclass
+    supplies only ``encode``.
 
     Every document is decoded by :func:`repro.jsonvalue.parser.parse` —
     the stdlib C decoder, with the token parser behind it as the one
-    source of errors — and the value is walked by
-    :meth:`TypeEncoder.encode`.  Each result is, by object identity, the
-    node ``table.intern(type_of(parse(text)))`` names, and malformed
-    text raises exactly what ``parse`` raises (same class, message and
-    offset).  Duplicate object keys follow the parser's default
-    last-wins policy.
+    source of errors — so malformed text raises exactly what ``parse``
+    raises (same class, message and offset).
     """
 
     __slots__ = ()
 
-    def encode_text(self, text: str, *, max_depth: int = 512) -> Type:
-        """The canonical interned type of one JSON text."""
+    def encode_text(self, text: str, *, max_depth: int = 512):
+        """The encoding of one JSON text."""
         return self.encode(parse(text, _options(max_depth)))
 
     def encode_bytes(
@@ -300,10 +298,10 @@ class EventTypeEncoder(TypeEncoder):
         end: Optional[int] = None,
         *,
         max_depth: int = 512,
-    ) -> Type:
-        """The canonical interned type of one JSON document held as
-        UTF-8 bytes: ``encode_text(str(memoryview(data)[start:end],
-        "utf-8"), max_depth=max_depth)``.
+    ):
+        """The encoding of one JSON document held as UTF-8 bytes:
+        ``encode_text(str(memoryview(data)[start:end], "utf-8"),
+        max_depth=max_depth)``.
 
         ``data`` is anything the buffer protocol covers: ``bytes``, an
         ``mmap.mmap``, a ``memoryview``.  Undecodable input raises the
@@ -316,16 +314,24 @@ class EventTypeEncoder(TypeEncoder):
         )
 
     def encode_lines(self, lines, *, max_depth: int = 512) -> list:
-        """Canonical interned types for a batch of raw NDJSON lines.
+        """Encodings of a batch of raw NDJSON lines.
 
         ``lines`` is a sequence of ``bytes``, one non-blank JSON document
         each; the result list is aligned with it.  Exactly
-        ``[encode_bytes(line) for line in lines]``: same types by
-        identity, same errors, raised at the first failing line.
+        ``[encode_bytes(line) for line in lines]``: same results, same
+        errors, raised at the first failing line.
         """
         options = _options(max_depth)
         encode = self.encode
         return [encode(parse(line.decode("utf-8"), options)) for line in lines]
+
+
+class EventTypeEncoder(TypeEncoder, TextFrontEnd):
+    """The fused map phase over JSON text: text → canonical type, by
+    object identity the node ``table.intern(type_of(parse(text)))``
+    names (duplicate keys last-wins, as the parser's default)."""
+
+    __slots__ = ()
 
     @property
     def line_cache_stats(self) -> tuple:

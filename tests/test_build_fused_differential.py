@@ -194,7 +194,6 @@ def _counted_reference(value, equivalence):
         items = merge_counted(
             (_counted_reference(v, equivalence) for v in value),
             equivalence,
-            _empty_ok=True,
         )
         return CUnion((CArr(items, 1, len(value)),))
     fields = tuple(

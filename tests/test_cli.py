@@ -276,6 +276,60 @@ class TestSkeleton:
         assert "structure #0" in out
         assert "document coverage" in out
 
+    @pytest.mark.parametrize("k", [3, 1000])
+    def test_one_pass_report_equals_the_oracles(self, tmp_path, k, capsys):
+        """The one-pass report (structure counts, coverages from the
+        counts) prints what the list-of-documents oracles compute, with
+        tied counts and with k beyond the number of structures."""
+        from repro.datasets import heterogeneous_collection
+        from repro.inference import (
+            build_skeleton,
+            document_coverage,
+            path_coverage,
+        )
+
+        docs = heterogeneous_collection(60, seed=3)
+        path = tmp_path / "mixed.ndjson"
+        path.write_text("\n".join(ndjson_lines(docs)) + "\n")
+        skeleton = build_skeleton(docs, k)
+        counts = [s.count for s in skeleton.structures]
+        assert any(a == b for a, b in zip(counts, counts[1:]))  # ties
+        expected = [
+            f"# skeleton of order {skeleton.order} over {len(docs)} documents",
+            f"# document coverage {document_coverage(skeleton, docs):6.1%}, "
+            f"path coverage {path_coverage(skeleton, docs):6.1%}",
+        ]
+        for i, structure in enumerate(skeleton.structures):
+            paths = ", ".join(".".join(p) for p in sorted(structure.paths)[:6])
+            more = len(structure.paths) - 6
+            suffix = f" (+{more} paths)" if more > 0 else ""
+            expected.append(
+                f"structure #{i}: {structure.count} docs — {paths}{suffix}"
+            )
+        assert main(["skeleton", str(path), "--k", str(k)]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+        if k == 1000:
+            assert skeleton.order < k
+
+    @pytest.mark.parametrize(
+        "content, out, error",
+        [
+            ("", "", "cannot mine structures from an empty collection"),
+            (
+                "{}\n{}\n",
+                "# skeleton of order 1 over 2 documents\n",
+                "coverage needs at least one path",
+            ),
+        ],
+        ids=["empty", "path-free"],
+    )
+    def test_empty_and_path_free_corpora(self, tmp_path, content, out, error, capsys):
+        path = tmp_path / "corpus.ndjson"
+        path.write_text(content)
+        assert main(["skeleton", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, f"error: {error}\n")
+
     @pytest.mark.parametrize("k", ["0", "-1", "two"])
     def test_order_must_be_a_positive_integer(self, data_file, k, capsys):
         with pytest.raises(SystemExit) as exited:

@@ -411,7 +411,8 @@ def test_cli_infer_reads_compressed(tmp_path, capsys):
 
 def test_serial_error_ordering_json_before_stream_failure(tmp_path):
     # A malformed JSON line sits *before* the corrupt second member: the
-    # serial fold must report the JSON error, not the stream error.
+    # serial fold, plain or counted, must report the JSON error, not the
+    # stream error.
     from repro.jsonvalue.parser import JsonParseError
 
     first = compress_member(b'{"ok": 1}\n{"broken": \n')
@@ -421,6 +422,8 @@ def test_serial_error_ordering_json_before_stream_failure(tmp_path):
     path.write_bytes(first + bytes(second))
     with pytest.raises(JsonParseError):
         fold_line_blocks(path)
+    with pytest.raises(JsonParseError):
+        infer_counted_compressed(path)
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,7 @@ def _route_counting_bytes(docs, lines, equivalence):
     for line in lines:
         if not line or line.isspace():
             continue
-        accumulator.add_counted(counted_type_of_bytes(line.encode("utf-8"), equivalence=equivalence))
+        accumulator.add_type(counted_type_of_bytes(line.encode("utf-8"), equivalence=equivalence))
     return accumulator.result().plain()
 
 
@@ -404,13 +404,60 @@ def test_compressed_routes_yield_the_interned_identical_type(
     )
 
 
-@pytest.mark.parametrize("corpus", sorted(CORPORA), ids=str)
+def _batch_boundary_docs():
+    """1,300 small documents: more than one 1,024-line batch, with
+    shapes that first appear just before and just after the batch
+    boundary (a record with new labels, a float where ints were, a
+    top-level array and string) and near the end."""
+    late = {
+        1020: {"late": [1, "x"]},
+        1023: 2.5,
+        1024: [{"z": None}],
+        1025: "s",
+        1030: {"a": 1.5, "b": []},
+        1290: {"a": 7, "tail": True},
+    }
+    return [
+        late.get(i, {"a": i, "b": [i % 3] * (i % 4)}) for i in range(1300)
+    ]
+
+
+COUNTING_CORPORA = {**CORPORA, "batch-boundary": _batch_boundary_docs}
+
+
+@pytest.mark.parametrize("corpus", sorted(COUNTING_CORPORA), ids=str)
 def test_counting_text_path_preserves_counts(corpus):
-    """The counted text path must agree with the counted DOM path on the
-    full counted structure, not just the stripped type."""
-    docs = CORPORA[corpus]()
+    """Every counting route must equal the one-call reference
+    ``merge_counted([counted_type_of(d) for d in docs])`` on the full
+    counted structure — counts and union member order included — not
+    just the stripped type: the DOM fold, the str line fold, the gzip
+    line-block fold, and the range worker over 1–4 partitions, inline
+    and on two processes."""
+    from repro.inference import (
+        counted_type_of,
+        infer_counted_compressed,
+        infer_counted_parallel,
+        merge_counted,
+    )
+
+    docs = COUNTING_CORPORA[corpus]()
     lines = ndjson_lines(docs)
     for equivalence in EQUIVALENCES:
-        assert infer_counted_streaming(lines, equivalence) == infer_counted(
-            docs, equivalence
+        reference = merge_counted(
+            [counted_type_of(d, equivalence) for d in docs], equivalence
         )
+        assert infer_counted(docs, equivalence) == reference
+        assert infer_counted_streaming(lines, equivalence) == reference
+        assert _with_compressed(
+            lines, "gzip", lambda p: infer_counted_compressed(p, equivalence)
+        ) == reference
+        for partitions in (1, 2, 3, 4):
+            for processes in (1, 2):
+                run = _with_corpus(
+                    lines,
+                    lambda corpus: infer_counted_parallel(
+                        corpus, partitions, equivalence, processes=processes
+                    ),
+                )
+                assert run.result == reference, (partitions, processes)
+                assert run.document_count == len(docs)

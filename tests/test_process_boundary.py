@@ -268,3 +268,40 @@ def test_one_worker_entry_is_start_method_agnostic(tmp_path, monkeypatch):
     assert run.processes == 2
     assert table.canonical(run.result) is infer_type([docs])
     assert pools == [2, 2, 2, 2]
+
+
+def test_counted_gzip_member_ranges_combine_like_the_serial_fold(tmp_path):
+    """Counted partials of gzip member ranges combine through the same
+    ``_combine`` call as plain ones, and the boundary lines — here split
+    across members — are typed by the counting accumulator too."""
+    import gzip
+
+    from repro.inference import infer_counted_streaming
+    from repro.inference.distributed import RangeTask, _combine, _fold_ranges
+    from repro.inference.engine import CountingAccumulator
+    from repro.types import Equivalence
+
+    lines = ndjson_lines(github_events(24, seed=5))
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    # Four members, each cut in the middle of a line.
+    cuts = [0, *(len(data) * i // 4 + 7 for i in (1, 2, 3)), len(data)]
+    members = [gzip.compress(data[a:b]) for a, b in zip(cuts, cuts[1:])]
+    path = tmp_path / "split.ndjson.gz"
+    path.write_bytes(b"".join(members))
+    offsets = [0]
+    for member in members:
+        offsets.append(offsets[-1] + len(member))
+    for equivalence in (Equivalence.KIND, Equivalence.LABEL):
+        tasks = [
+            RangeTask(str(path), "gzip", ((a, b),), "counted", equivalence)
+            for a, b in zip(offsets, offsets[1:])
+        ]
+        accumulator = CountingAccumulator(equivalence)
+        counts, boundary = _combine(
+            [_fold_ranges(task) for task in tasks], accumulator
+        )
+        # Each range's first line is stitched in the parent: the
+        # corpus's first line and the three lines cut across members.
+        assert boundary == 4
+        assert sum(counts) + boundary == accumulator.document_count == len(lines)
+        assert accumulator.result() == infer_counted_streaming(lines, equivalence)
