@@ -45,7 +45,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -69,20 +68,32 @@ _SPLIT_ENV = "REPRO_SPLIT_BYTES_PER_SECOND"
 _DECOMPRESS_ENV = "REPRO_DECOMPRESS_BYTES_PER_SECOND"
 
 
-@dataclass(frozen=True)
 class SchedCalibration:
     """The scheduler's machine constants and where they came from.
 
     ``source`` is ``"measured"``, ``"profile"``, or ``"default"`` —
     benchmarks and the CLI surface it so a run can prove it consumed
-    the persisted profile rather than a fallback.
+    the persisted profile rather than a fallback.  Immutable.
     """
 
-    worker_startup_seconds: float
-    source: str = "default"
-    scan_bytes_per_second: float = DEFAULT_SCAN_BYTES_PER_SECOND
-    split_bytes_per_second: float = DEFAULT_SPLIT_BYTES_PER_SECOND
-    decompress_bytes_per_second: float = DEFAULT_DECOMPRESS_BYTES_PER_SECOND
+    def __init__(
+        self,
+        worker_startup_seconds: float,
+        source: str = "default",
+        scan_bytes_per_second: float = DEFAULT_SCAN_BYTES_PER_SECOND,
+        split_bytes_per_second: float = DEFAULT_SPLIT_BYTES_PER_SECOND,
+        decompress_bytes_per_second: float = DEFAULT_DECOMPRESS_BYTES_PER_SECOND,
+    ) -> None:
+        object.__setattr__(self, "worker_startup_seconds", worker_startup_seconds)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "scan_bytes_per_second", scan_bytes_per_second)
+        object.__setattr__(self, "split_bytes_per_second", split_bytes_per_second)
+        object.__setattr__(
+            self, "decompress_bytes_per_second", decompress_bytes_per_second
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 _DEFAULT = SchedCalibration(DEFAULT_WORKER_STARTUP_SECONDS, "default")
@@ -145,14 +156,31 @@ def _read_profile(path: Path) -> Optional[SchedCalibration]:
 
 
 def save_calibration(calibration: SchedCalibration, path: Path) -> bool:
-    """Persist a measurement; returns False when the path is unwritable."""
-    record = asdict(calibration)
-    record["source"] = "measured"
-    record["measured_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    """Persist a measurement; returns False when the path is unwritable.
+
+    The profile is written to a temporary file beside ``path`` and
+    renamed over it, so a crash or a concurrent reader never sees a
+    truncated profile (which would load as the defaults on every later
+    run, never re-measured).
+    """
+    record = {
+        "worker_startup_seconds": calibration.worker_startup_seconds,
+        "source": "measured",
+        "scan_bytes_per_second": calibration.scan_bytes_per_second,
+        "split_bytes_per_second": calibration.split_bytes_per_second,
+        "decompress_bytes_per_second": calibration.decompress_bytes_per_second,
+        "measured_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+    }
+    staging = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+        staging.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+        os.replace(staging, path)
     except OSError:
+        try:
+            staging.unlink(missing_ok=True)
+        except OSError:
+            pass
         return False
     return True
 

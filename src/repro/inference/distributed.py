@@ -41,11 +41,9 @@ a faithful substitute for the cluster.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.errors import InferenceError
@@ -58,25 +56,40 @@ from repro.types import Equivalence, Type, merge_interned, type_to_string
 from repro.types.build import TypeEncoder
 
 
-@dataclass
 class StageCost:
-    """Cost accounting for one stage of the dataflow."""
+    """Cost accounting for one stage of the dataflow: its tasks, the
+    critical-path cost (``max_task_units``), the total work across tasks,
+    and the bytes of partial types leaving the stage."""
 
-    name: str
-    tasks: int
-    max_task_units: int  # critical-path cost of the stage
-    total_units: int  # total work across tasks
-    shipped_bytes: int  # bytes of partial types leaving the stage
+    def __init__(
+        self,
+        name: str,
+        tasks: int,
+        max_task_units: int,
+        total_units: int,
+        shipped_bytes: int,
+    ) -> None:
+        self.name = name
+        self.tasks = tasks
+        self.max_task_units = max_task_units
+        self.total_units = total_units
+        self.shipped_bytes = shipped_bytes
 
 
-@dataclass
 class DistributedRun:
     """Outcome of a simulated distributed inference."""
 
-    result: Type
-    partitions: int
-    equivalence: Equivalence
-    stages: list[StageCost] = field(default_factory=list)
+    def __init__(
+        self,
+        result: Type,
+        partitions: int,
+        equivalence: Equivalence,
+        stages: "list[StageCost] | None" = None,
+    ) -> None:
+        self.result = result
+        self.partitions = partitions
+        self.equivalence = equivalence
+        self.stages = [] if stages is None else stages
 
     @property
     def reduce_rounds(self) -> int:
@@ -199,18 +212,28 @@ def infer_distributed(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ParallelRun:
     """Outcome of a real multi-process inference (``result`` is a
-    counted union for the counting fold)."""
+    counted union for the counting fold).  ``plan`` is set when the run
+    was routed by the adaptive scheduler."""
 
-    result: Type
-    partitions: int
-    processes: int
-    equivalence: Equivalence
-    partition_documents: list[int] = field(default_factory=list)
-    # Set when the run was routed by the adaptive scheduler.
-    plan: Optional["SchedulePlan"] = None
+    def __init__(
+        self,
+        result: Type,
+        partitions: int,
+        processes: int,
+        equivalence: Equivalence,
+        partition_documents: "list[int] | None" = None,
+        plan: Optional["SchedulePlan"] = None,
+    ) -> None:
+        self.result = result
+        self.partitions = partitions
+        self.processes = processes
+        self.equivalence = equivalence
+        self.partition_documents = (
+            [] if partition_documents is None else partition_documents
+        )
+        self.plan = plan
 
     @property
     def document_count(self) -> int:
@@ -245,7 +268,6 @@ def partition_bounds(total: int, partitions: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RangeTask:
     """One worker's share: fold these byte ranges of this file with this fold.
 
@@ -254,16 +276,30 @@ class RangeTask:
     member-aligned compressed bytes.  ``fold`` is ``"types"`` (the
     parametric fold), ``"counted"`` (the counting fold) or ``"chunks"``
     (the subtree chunks of one ``kind`` container, each typed at most
-    ``depth`` levels deep).
+    ``depth`` levels deep).  Tasks are immutable and pickle as plain
+    data.
     """
 
-    path: str
-    format: Optional[str]
-    ranges: tuple
-    fold: str
-    equivalence: Equivalence = Equivalence.KIND
-    kind: str = ""
-    depth: int = 512
+    def __init__(
+        self,
+        path: str,
+        format: Optional[str],
+        ranges: tuple,
+        fold: str,
+        equivalence: Equivalence = Equivalence.KIND,
+        kind: str = "",
+        depth: int = 512,
+    ) -> None:
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "format", format)
+        object.__setattr__(self, "ranges", ranges)
+        object.__setattr__(self, "fold", fold)
+        object.__setattr__(self, "equivalence", equivalence)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "depth", depth)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def _read_range(path: str, start: int, end: int) -> bytes:
@@ -362,10 +398,12 @@ def _feed_members(task: RangeTask, feed) -> tuple[bytes, bytes]:
 # ---------------------------------------------------------------------------
 
 
-# Where every worker pool comes from: the platform's default start
-# method.  Any ``multiprocessing`` context serves, since a task is plain
-# picklable data and the worker imports what it runs.
-_POOL_CONTEXT = multiprocessing
+# Where every worker pool comes from: ``None`` is the platform's default
+# start method, imported when the first pool starts, so a serial plan
+# never loads ``multiprocessing``.  Any ``multiprocessing`` context
+# serves, since a task is plain picklable data and the worker imports
+# what it runs.
+_POOL_CONTEXT = None
 
 
 class _WorkerPool:
@@ -388,7 +426,10 @@ class _WorkerPool:
             if self.processes == 1 or len(tasks) == 1:
                 return [_fold_ranges(task) for task in tasks]
             if self.pool is None:
-                self.pool = _POOL_CONTEXT.Pool(processes=self.processes)
+                context = _POOL_CONTEXT
+                if context is None:
+                    import multiprocessing as context
+                self.pool = context.Pool(processes=self.processes)
             return list(self.pool.imap(_fold_ranges, tasks))
         except Exception:
             if exact:
@@ -792,17 +833,16 @@ def auto_jobs() -> int:
 
     Prefers ``os.sched_getaffinity`` (container/cgroup and taskset
     aware — ``cpu_count`` over-reports inside CPU-limited containers),
-    falling back to ``multiprocessing.cpu_count``.
+    falling back to ``os.cpu_count``.
     """
     if hasattr(os, "sched_getaffinity"):
         try:
             return max(1, len(os.sched_getaffinity(0)))
         except OSError:  # pragma: no cover - exotic platforms
             pass
-    return max(1, multiprocessing.cpu_count())
+    return max(1, os.cpu_count() or 1)
 
 
-@dataclass(frozen=True)
 class SchedulePlan:
     """The adaptive scheduler's decision for one corpus.
 
@@ -813,18 +853,35 @@ class SchedulePlan:
     CLI can report *why* the scheduler chose what it chose.
     ``calibration_source`` records where the cost-model constants came
     from (``"env"``, ``"profile"``, ``"measured"``, or ``"default"`` —
-    see :mod:`repro.inference.calibration`).
+    see :mod:`repro.inference.calibration`).  Plans are immutable.
     """
 
-    mode: str
-    jobs: int
-    documents: int
-    cpus: int
-    sample_docs_per_sec: float
-    estimated_serial_seconds: float
-    estimated_parallel_seconds: float
-    reason: str
-    calibration_source: str = "default"
+    def __init__(
+        self,
+        mode: str,
+        jobs: int,
+        documents: int,
+        cpus: int,
+        sample_docs_per_sec: float,
+        estimated_serial_seconds: float,
+        estimated_parallel_seconds: float,
+        reason: str,
+        calibration_source: str = "default",
+    ) -> None:
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "jobs", jobs)
+        object.__setattr__(self, "documents", documents)
+        object.__setattr__(self, "cpus", cpus)
+        object.__setattr__(self, "sample_docs_per_sec", sample_docs_per_sec)
+        object.__setattr__(self, "estimated_serial_seconds", estimated_serial_seconds)
+        object.__setattr__(
+            self, "estimated_parallel_seconds", estimated_parallel_seconds
+        )
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "calibration_source", calibration_source)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def partitions(self) -> int:
@@ -849,22 +906,33 @@ _SAMPLE_BUDGET_SECONDS = 0.05
 _SAMPLE_MINIMUM = 8
 
 
-@dataclass(frozen=True)
 class _Terms:
     """One source's terms of the cost model.
 
     ``units`` bounds the workers (independent lines, member candidates;
     a subtree carve makes a chunk per worker); ``split_seconds`` is the
     parent's carving before workers start; ``what`` names the source in
-    the plan's reason.
+    the plan's reason.  Immutable.
     """
 
-    what: str
-    units: int
-    serial_seconds: float = 0.0
-    split_seconds: float = 0.0
-    mode: str = "parallel"
-    sample_docs_per_sec: float = 0.0
+    def __init__(
+        self,
+        what: str,
+        units: int,
+        serial_seconds: float = 0.0,
+        split_seconds: float = 0.0,
+        mode: str = "parallel",
+        sample_docs_per_sec: float = 0.0,
+    ) -> None:
+        object.__setattr__(self, "what", what)
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "serial_seconds", serial_seconds)
+        object.__setattr__(self, "split_seconds", split_seconds)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "sample_docs_per_sec", sample_docs_per_sec)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def _schedule(jobs: Optional[int], measure, *, documents: int = 0) -> SchedulePlan:

@@ -31,7 +31,6 @@ Laws (property-tested in ``tests/test_engine_properties.py``):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from json import JSONDecodeError
 from typing import Any, Hashable, Iterable, Optional, Sequence
 
@@ -481,7 +480,6 @@ _SUBTREE_EXACT_LIMIT = 1 << 20
 _SUBTREE_MAX_SPINE = 8
 
 
-@dataclass(frozen=True)
 class SubtreeSplit:
     """A plan for typing one document as parallel top-level chunks.
 
@@ -491,12 +489,24 @@ class SubtreeSplit:
     byte span of the preceding members, ``None`` when there are none).
     ``chunks`` are ``(start, end)`` byte spans of ``kind``'s element or
     member lists; each must parse completely once wrapped in the
-    container's brackets.
+    container's brackets.  Plans are immutable and equal by fields.
     """
 
-    frames: tuple
-    kind: str  # "object" | "array"
-    chunks: tuple
+    def __init__(self, frames: tuple, kind: str, chunks: tuple) -> None:
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "kind", kind)  # "object" | "array"
+        object.__setattr__(self, "chunks", chunks)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
     @property
     def spine_depth(self) -> int:

@@ -21,7 +21,6 @@ can be arbitrarily partitioned — which is what
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.errors import InferenceError
@@ -35,13 +34,19 @@ from repro.types import (
 )
 
 
-@dataclass(frozen=True)
 class InferenceReport:
-    """The inferred type plus the measurements the papers report."""
+    """The inferred type plus the measurements the papers report
+    (immutable)."""
 
-    inferred: Type
-    equivalence: Equivalence
-    document_count: int
+    def __init__(
+        self, inferred: Type, equivalence: Equivalence, document_count: int
+    ) -> None:
+        object.__setattr__(self, "inferred", inferred)
+        object.__setattr__(self, "equivalence", equivalence)
+        object.__setattr__(self, "document_count", document_count)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def schema_size(self) -> int:

@@ -9,7 +9,6 @@ raise :class:`SchemaCompileError` at compile time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.errors import SchemaError, ValidationError
@@ -32,29 +31,47 @@ class InstanceValidationError(ValidationError):
         self.result = result
 
 
-@dataclass(frozen=True)
 class ValidationFailure:
-    """One reason an instance failed validation.
+    """One reason an instance failed validation (immutable, equal by
+    fields).
 
     ``instance_path`` points into the instance, ``schema_path`` into the
     schema document, and ``keyword`` names the violated assertion.
     """
 
-    instance_path: JsonPointer
-    schema_path: JsonPointer
-    keyword: str
-    message: str
+    def __init__(
+        self,
+        instance_path: JsonPointer,
+        schema_path: JsonPointer,
+        keyword: str,
+        message: str,
+    ) -> None:
+        object.__setattr__(self, "instance_path", instance_path)
+        object.__setattr__(self, "schema_path", schema_path)
+        object.__setattr__(self, "keyword", keyword)
+        object.__setattr__(self, "message", message)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
     def __str__(self) -> str:
         where = str(self.instance_path) or "<root>"
         return f"{where}: {self.message} [{self.keyword} at {self.schema_path or '#'}]"
 
 
-@dataclass
 class ValidationResult:
     """The outcome of validating one instance against one schema."""
 
-    failures: list[ValidationFailure] = field(default_factory=list)
+    def __init__(self, failures: "list[ValidationFailure] | None" = None) -> None:
+        self.failures = [] if failures is None else failures
 
     @property
     def valid(self) -> bool:

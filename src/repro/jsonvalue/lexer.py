@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.errors import JsonError
@@ -49,21 +48,32 @@ class TokenType(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
 class Token:
-    """One lexical token.
+    """One lexical token (immutable).
 
     ``value`` is the decoded Python value for STRING/NUMBER/TRUE/FALSE/NULL
     tokens and ``None`` for punctuation. ``offset``/``end_offset`` index into
     the source text (useful for raw-slice tricks in the fast parsers).
     """
 
-    type: TokenType
-    value: object
-    offset: int
-    end_offset: int
-    line: int
-    column: int
+    def __init__(
+        self,
+        type: TokenType,
+        value: object,
+        offset: int,
+        end_offset: int,
+        line: int,
+        column: int,
+    ) -> None:
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "end_offset", end_offset)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 _WHITESPACE = " \t\n\r"

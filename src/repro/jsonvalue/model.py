@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Any, Iterator, Tuple
 
 
@@ -161,20 +160,40 @@ def unfreeze(frozen: Any) -> Any:
     return frozen
 
 
-@dataclass(frozen=True)
 class StructuralStats:
-    """Aggregate structural measurements of a JSON value.
+    """Aggregate structural measurements of a JSON value (immutable,
+    equal by fields).
 
     ``node_count`` counts every value (scalars, arrays, objects);
     ``max_depth`` is 1 for scalars; ``leaf_count`` counts scalars only.
     """
 
-    node_count: int
-    max_depth: int
-    leaf_count: int
-    object_count: int
-    array_count: int
-    key_count: int
+    def __init__(
+        self,
+        node_count: int,
+        max_depth: int,
+        leaf_count: int,
+        object_count: int,
+        array_count: int,
+        key_count: int,
+    ) -> None:
+        object.__setattr__(self, "node_count", node_count)
+        object.__setattr__(self, "max_depth", max_depth)
+        object.__setattr__(self, "leaf_count", leaf_count)
+        object.__setattr__(self, "object_count", object_count)
+        object.__setattr__(self, "array_count", array_count)
+        object.__setattr__(self, "key_count", key_count)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
     def __add__(self, other: "StructuralStats") -> "StructuralStats":
         return StructuralStats(

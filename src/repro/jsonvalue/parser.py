@@ -34,7 +34,6 @@ which raises the positioned error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Literal, Optional
 
 from repro.errors import JsonError
@@ -63,13 +62,24 @@ class JsonParseError(JsonError):
         return (type(self), (self.raw_message, self.token))
 
 
-@dataclass(frozen=True)
 class ParseOptions:
-    """Knobs for :func:`parse`. The defaults accept any RFC 8259 document."""
+    """Knobs for :func:`parse` (immutable). The defaults accept any RFC
+    8259 document."""
 
-    max_depth: int = 512
-    duplicate_keys: DuplicatePolicy = "last"
-    require_top_level_container: bool = False
+    def __init__(
+        self,
+        max_depth: int = 512,
+        duplicate_keys: DuplicatePolicy = "last",
+        require_top_level_container: bool = False,
+    ) -> None:
+        object.__setattr__(self, "max_depth", max_depth)
+        object.__setattr__(self, "duplicate_keys", duplicate_keys)
+        object.__setattr__(
+            self, "require_top_level_container", require_top_level_container
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 DEFAULT_OPTIONS = ParseOptions()

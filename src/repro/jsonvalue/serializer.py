@@ -10,7 +10,6 @@ the benchmarks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from repro.errors import JsonError
@@ -28,7 +27,6 @@ _SHORT_ESCAPES = {
 }
 
 
-@dataclass(frozen=True)
 class DumpOptions:
     """Knobs for :func:`dumps`.
 
@@ -36,13 +34,23 @@ class DumpOptions:
     an integer yields pretty-printed output.  ``ensure_ascii`` escapes all
     non-ASCII characters with ``\\uXXXX``.  ``allow_nan`` permits the
     JavaScript extensions ``NaN``/``Infinity`` (off by default: RFC 8259
-    forbids them).
+    forbids them).  Immutable.
     """
 
-    indent: int | None = None
-    sort_keys: bool = False
-    ensure_ascii: bool = False
-    allow_nan: bool = False
+    def __init__(
+        self,
+        indent: int | None = None,
+        sort_keys: bool = False,
+        ensure_ascii: bool = False,
+        allow_nan: bool = False,
+    ) -> None:
+        object.__setattr__(self, "indent", indent)
+        object.__setattr__(self, "sort_keys", sort_keys)
+        object.__setattr__(self, "ensure_ascii", ensure_ascii)
+        object.__setattr__(self, "allow_nan", allow_nan)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 DEFAULT_DUMP_OPTIONS = DumpOptions()

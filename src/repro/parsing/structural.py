@@ -29,7 +29,6 @@ span, and matching-bracket lookup.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.errors import JsonError
@@ -102,22 +101,38 @@ def _string_mask(structural_quotes: int, length: int) -> int:
     return mask
 
 
-@dataclass
 class StructuralIndex:
-    """The leveled structural index of one JSON text."""
+    """The leveled structural index of one JSON text.
 
-    text: str
-    string_mask: int
-    colons: int
-    commas: int
-    open_braces: int
-    close_braces: int
-    open_brackets: int
-    close_brackets: int
-    # per-level bitmaps, index 0 = depth 1 (inside the top-level container)
-    colon_levels: list[int]
-    comma_levels: list[int]
-    max_level: int
+    ``colon_levels`` and ``comma_levels`` are per-level bitmaps, index 0
+    = depth 1 (inside the top-level container).
+    """
+
+    def __init__(
+        self,
+        text: str,
+        string_mask: int,
+        colons: int,
+        commas: int,
+        open_braces: int,
+        close_braces: int,
+        open_brackets: int,
+        close_brackets: int,
+        colon_levels: list[int],
+        comma_levels: list[int],
+        max_level: int,
+    ) -> None:
+        self.text = text
+        self.string_mask = string_mask
+        self.colons = colons
+        self.commas = commas
+        self.open_braces = open_braces
+        self.close_braces = close_braces
+        self.open_brackets = open_brackets
+        self.close_brackets = close_brackets
+        self.colon_levels = colon_levels
+        self.comma_levels = comma_levels
+        self.max_level = max_level
 
     @classmethod
     def build(cls, text: str, *, levels: int = 1) -> "StructuralIndex":
@@ -353,7 +368,6 @@ _LBRACE, _RBRACE, _LBRACKET, _RBRACKET = 0x7B, 0x7D, 0x5B, 0x5D
 _QUOTE, _COMMA = 0x22, 0x2C
 
 
-@dataclass(frozen=True)
 class SubtreeScan:
     """The exact depth-1 carve of one document's byte range.
 
@@ -362,13 +376,17 @@ class SubtreeScan:
     ``(key_start, key_body_start, key_body_end, value_start, value_end)``
     for an object — ``key_start`` is the opening quote (so a member span
     runs ``key_start:value_end``), the body span excludes the quotes
-    (the raw key bytes, escapes still encoded).
+    (the raw key bytes, escapes still encoded).  Immutable.
     """
 
-    kind: str  # "object" | "array"
-    open: int
-    close: int
-    parts: tuple
+    def __init__(self, kind: str, open: int, close: int, parts: tuple) -> None:
+        object.__setattr__(self, "kind", kind)  # "object" | "array"
+        object.__setattr__(self, "open", open)
+        object.__setattr__(self, "close", close)
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def _skip_container(data, pos: int, end: int) -> int:

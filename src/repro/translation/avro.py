@@ -23,7 +23,6 @@ tagless byte row; without one you are stuck shipping the text.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Tuple
 
 from repro.errors import TranslationError
@@ -33,65 +32,94 @@ PRIMITIVES = ("null", "boolean", "long", "double", "string")
 
 
 class AvroSchema:
-    """Base class of Avro-like schema nodes."""
+    """Base class of Avro-like schema nodes.
+
+    Nodes are immutable values: equal (and hashed) by class and fields,
+    the attributes each node's constructor sets, in order.
+    """
 
     __slots__ = ()
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class APrimitive(AvroSchema):
     name: str
 
-    def __post_init__(self) -> None:
-        if self.name not in PRIMITIVES:
-            raise TranslationError(f"unknown Avro primitive {self.name!r}")
+    def __init__(self, name: str) -> None:
+        if name not in PRIMITIVES:
+            raise TranslationError(f"unknown Avro primitive {name!r}")
+        object.__setattr__(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class AField(AvroSchema):
     name: str
     type: AvroSchema
+
+    def __init__(self, name: str, type: AvroSchema) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "type", type)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.name}: {self.type}"
 
 
-@dataclass(frozen=True)
 class ARecord(AvroSchema):
     name: str
     fields: Tuple[AField, ...]
+
+    def __init__(self, name: str, fields: Tuple[AField, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "fields", fields)
 
     def __str__(self) -> str:
         inner = ", ".join(str(f) for f in self.fields)
         return f"record {self.name} {{{inner}}}"
 
 
-@dataclass(frozen=True)
 class AArray(AvroSchema):
     items: AvroSchema
+
+    def __init__(self, items: AvroSchema) -> None:
+        object.__setattr__(self, "items", items)
 
     def __str__(self) -> str:
         return f"array<{self.items}>"
 
 
-@dataclass(frozen=True)
 class AUnion(AvroSchema):
     branches: Tuple[AvroSchema, ...]
 
-    def __post_init__(self) -> None:
-        if not self.branches:
+    def __init__(self, branches: Tuple[AvroSchema, ...]) -> None:
+        if not branches:
             raise TranslationError("Avro unions need at least one branch")
+        object.__setattr__(self, "branches", branches)
 
     def __str__(self) -> str:
         return "union[" + ", ".join(str(b) for b in self.branches) + "]"
 
 
-@dataclass(frozen=True)
 class AMap(AvroSchema):
     values: AvroSchema
+
+    def __init__(self, values: AvroSchema) -> None:
+        object.__setattr__(self, "values", values)
 
     def __str__(self) -> str:
         return f"map<{self.values}>"

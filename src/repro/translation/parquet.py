@@ -26,7 +26,6 @@ level, so an optional object keeps typed leaf columns and an explicit
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Tuple
 
 from repro.errors import TranslationError
@@ -44,37 +43,66 @@ _LEAF_KINDS = ("bool", "long", "double", "string", "null", "json", "empty_object
 
 
 class PNode:
-    """Base class of compiled Parquet-like schema nodes."""
+    """Base class of compiled Parquet-like schema nodes.
+
+    Nodes are immutable values: equal (and hashed) by class and fields,
+    the attributes each node's constructor sets, in order.
+    """
 
     __slots__ = ()
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class PLeaf(PNode):
     kind: str  # one of _LEAF_KINDS
-    nullable: bool = False  # +1 definition level when value is not null
+    nullable: bool  # +1 definition level when value is not null
 
-    def __post_init__(self) -> None:
-        if self.kind not in _LEAF_KINDS:
-            raise TranslationError(f"unknown leaf kind {self.kind!r}")
+    def __init__(self, kind: str, nullable: bool = False) -> None:
+        if kind not in _LEAF_KINDS:
+            raise TranslationError(f"unknown leaf kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "nullable", nullable)
 
 
-@dataclass(frozen=True)
 class PField(PNode):
     name: str
     node: PNode
     required: bool  # optional fields add a definition level
 
+    def __init__(self, name: str, node: PNode, required: bool) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "required", required)
 
-@dataclass(frozen=True)
+
 class PRecord(PNode):
     fields: Tuple[PField, ...]
-    nullable: bool = False  # +1 definition level when the record is not null
+    nullable: bool  # +1 definition level when the record is not null
+
+    def __init__(self, fields: Tuple[PField, ...], nullable: bool = False) -> None:
+        object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "nullable", nullable)
 
 
-@dataclass(frozen=True)
 class PList(PNode):
     element: PNode  # adds one repetition and one definition level
+
+    def __init__(self, element: PNode) -> None:
+        object.__setattr__(self, "element", element)
 
 
 def compile_schema(t: Type, memo: "dict | None" = None) -> PNode:
@@ -146,17 +174,27 @@ def _compile(t: Type, memo: "dict | None") -> PNode:
     raise TranslationError(f"cannot compile {t!r} for columnar storage")
 
 
-@dataclass
 class Column:
-    """One leaf column: parallel level and value arrays."""
+    """One leaf column: parallel level and value arrays (``values`` holds
+    only the defined values)."""
 
-    path: str
-    kind: str
-    max_repetition: int
-    max_definition: int
-    repetition_levels: list = field(default_factory=list)
-    definition_levels: list = field(default_factory=list)
-    values: list = field(default_factory=list)  # only defined values
+    def __init__(
+        self,
+        path: str,
+        kind: str,
+        max_repetition: int,
+        max_definition: int,
+        repetition_levels: "list | None" = None,
+        definition_levels: "list | None" = None,
+        values: "list | None" = None,
+    ) -> None:
+        self.path = path
+        self.kind = kind
+        self.max_repetition = max_repetition
+        self.max_definition = max_definition
+        self.repetition_levels = [] if repetition_levels is None else repetition_levels
+        self.definition_levels = [] if definition_levels is None else definition_levels
+        self.values = [] if values is None else values
 
     def entry_count(self) -> int:
         return len(self.repetition_levels)
@@ -187,13 +225,13 @@ def _plain_size(kind: str, values: list) -> int:
     return 0  # null
 
 
-@dataclass
 class ColumnStore:
     """The shredded representation of a collection."""
 
-    schema: PNode
-    columns: dict  # path -> Column
-    row_count: int
+    def __init__(self, schema: PNode, columns: dict, row_count: int) -> None:
+        self.schema = schema
+        self.columns = columns  # path -> Column
+        self.row_count = row_count
 
     def total_encoded_size(self) -> int:
         return sum(c.encoded_size() for c in self.columns.values())

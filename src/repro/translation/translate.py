@@ -47,7 +47,6 @@ column rather than falling back to the ``json`` escape-hatch column.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from repro.errors import TranslationError
@@ -90,26 +89,32 @@ class TextifyPlan:
 
     __slots__ = ()
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-@dataclass(frozen=True)
+
 class _Clean(TextifyPlan):
     pass
 
 
-@dataclass(frozen=True)
 class _Fallback(TextifyPlan):
     pass
 
 
-@dataclass(frozen=True)
 class ArrPlan(TextifyPlan):
     item: TextifyPlan
 
+    def __init__(self, item: TextifyPlan) -> None:
+        object.__setattr__(self, "item", item)
 
-@dataclass(frozen=True)
+
 class RecPlan(TextifyPlan):
     children: dict  # name -> non-clean child plan
     labels: frozenset  # every field name the schema knows
+
+    def __init__(self, children: dict, labels: frozenset) -> None:
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "labels", labels)
 
 
 CLEAN = _Clean()
@@ -161,7 +166,6 @@ def textify(value: Any, plan: TextifyPlan, path: str = "") -> Any:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Resolution:
     """The outcome of resolving a type for translation.
 
@@ -175,6 +179,14 @@ class Resolution:
     resolved: Type
     fallbacks: tuple
     plan: TextifyPlan
+
+    def __init__(self, resolved: Type, fallbacks: tuple, plan: TextifyPlan) -> None:
+        object.__setattr__(self, "resolved", resolved)
+        object.__setattr__(self, "fallbacks", fallbacks)
+        object.__setattr__(self, "plan", plan)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def textify(self, value: Any) -> Any:
         return textify(value, self.plan)
@@ -328,7 +340,6 @@ def compiled_avro(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TranslationReport:
     """Outcome of one schema-aware translation.
 
@@ -339,14 +350,25 @@ class TranslationReport:
     row).
     """
 
-    document_count: int
-    columnar: ColumnStore
-    avro_rows: Optional[list]
-    fallback_count: int
-    typed_leaf_columns: int
-    json_leaf_columns: int
-    input_bytes: int
-    row_bytes: Optional[int] = None
+    def __init__(
+        self,
+        document_count: int,
+        columnar: ColumnStore,
+        avro_rows: Optional[list],
+        fallback_count: int,
+        typed_leaf_columns: int,
+        json_leaf_columns: int,
+        input_bytes: int,
+        row_bytes: Optional[int] = None,
+    ) -> None:
+        self.document_count = document_count
+        self.columnar = columnar
+        self.avro_rows = avro_rows
+        self.fallback_count = fallback_count
+        self.typed_leaf_columns = typed_leaf_columns
+        self.json_leaf_columns = json_leaf_columns
+        self.input_bytes = input_bytes
+        self.row_bytes = row_bytes
 
     @property
     def columnar_bytes(self) -> int:
@@ -498,7 +520,6 @@ def translate_interned(
     )
 
 
-@dataclass
 class TranslationRun:
     """A single-pass infer→translate run over a corpus source.
 
@@ -507,11 +528,19 @@ class TranslationRun:
     ``None`` for purely in-memory runs (use :func:`write_artifacts`).
     """
 
-    translation: TranslationReport
-    inferred: Type
-    resolved: Type
-    equivalence: Equivalence
-    artifacts: Optional[dict] = None
+    def __init__(
+        self,
+        translation: TranslationReport,
+        inferred: Type,
+        resolved: Type,
+        equivalence: Equivalence,
+        artifacts: Optional[dict] = None,
+    ) -> None:
+        self.translation = translation
+        self.inferred = inferred
+        self.resolved = resolved
+        self.equivalence = equivalence
+        self.artifacts = artifacts
 
 
 class _RowSink:
@@ -781,12 +810,12 @@ def _write_columns_and_schema(run: TranslationRun, out_dir) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ObliviousReport:
     """The no-schema baseline: documents stay JSON text."""
 
-    document_count: int
-    blobs: list
+    def __init__(self, document_count: int, blobs: list) -> None:
+        self.document_count = document_count
+        self.blobs = blobs
 
     @property
     def total_bytes(self) -> int:

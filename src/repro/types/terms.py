@@ -10,12 +10,14 @@ modelled on Baazizi, Colazzo, Ghelli & Sartiani (EDBT '17 / VLDB J '19):
 - union types ``T1 + T2 + ...``;
 - ``Bot`` (the empty type, identity for union) and ``Any`` (the top type).
 
-All terms are immutable, hashable dataclasses with a canonical form
+All terms are immutable, hashable values with a canonical form
 (:func:`repro.types.simplify.simplify` flattens and sorts unions), so they
 can key dictionaries in merge trees and be compared structurally in tests.
 
-Equality and hashing are hand-written rather than dataclass-generated so
-that the hash-consed kernel (:mod:`repro.types.intern`) gets fast paths:
+Terms are plain classes with explicit constructors; assigning an
+attribute raises ``AttributeError``, so the kernel sets its marks and
+caches through ``object.__setattr__``.  Equality and hashing give the
+hash-consed kernel (:mod:`repro.types.intern`) fast paths:
 
 - ``t == t`` short-circuits on identity before any recursion;
 - two *interned* terms of the same table are equal iff identical, so a
@@ -24,13 +26,12 @@ that the hash-consed kernel (:mod:`repro.types.intern`) gets fast paths:
   (terms are immutable, so the caches can never go stale); ``size()``
   runs from an explicit stack, so deep terms cost no recursion.
 
-Structural equality between non-interned terms is unchanged from the
-dataclass semantics the seed had.
+Structural equality between non-interned terms is the seed's: equal
+only for the same class and equal fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Tuple
 
 from repro.errors import InferenceError
@@ -90,6 +91,9 @@ class Type:
         state.pop("_size", None)
         return state
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
     def children(self) -> Iterator["Type"]:
         """Yield direct sub-terms."""
         return iter(())
@@ -104,9 +108,14 @@ class Type:
         return type_to_string(self)
 
 
-@dataclass(frozen=True, repr=False)
 class BotType(Type):
     """The empty type ⊥: matches no value; identity for union."""
+
+    def __eq__(self, other: object) -> bool:
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
     def sort_key(self) -> tuple:
         return (0,)
@@ -115,9 +124,14 @@ class BotType(Type):
         return "BOT"
 
 
-@dataclass(frozen=True, repr=False)
 class AnyType(Type):
     """The top type ⊤: matches every value."""
+
+    def __eq__(self, other: object) -> bool:
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
     def sort_key(self) -> tuple:
         return (9,)
@@ -131,7 +145,6 @@ ATOMIC_TAGS = ("null", "bool", "int", "flt", "num", "str")
 _ATOM_RANK = {tag: i for i, tag in enumerate(ATOMIC_TAGS)}
 
 
-@dataclass(frozen=True, repr=False, eq=False)
 class AtomType(Type):
     """An atomic type: ``null``, ``bool``, ``int``, ``flt``, ``num`` or ``str``.
 
@@ -141,9 +154,10 @@ class AtomType(Type):
 
     tag: str
 
-    def __post_init__(self) -> None:
-        if self.tag not in _ATOM_RANK:
-            raise InferenceError(f"unknown atomic tag {self.tag!r}")
+    def __init__(self, tag: str) -> None:
+        if tag not in _ATOM_RANK:
+            raise InferenceError(f"unknown atomic tag {tag!r}")
+        object.__setattr__(self, "tag", tag)
 
     @property
     def kind(self) -> str:
@@ -156,7 +170,7 @@ class AtomType(Type):
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if other.__class__ is not AtomType:
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return self.tag == other.tag
 
@@ -178,8 +192,8 @@ AnyType._normal = True
 AtomType._normal = True
 
 
-# Shared singleton-ish instances (dataclass equality makes these optional,
-# but the names read better at call sites).
+# Shared singleton-ish instances (structural equality makes these
+# optional, but the names read better at call sites).
 BOT = BotType()
 ANY = AnyType()
 NULL = AtomType("null")
@@ -204,7 +218,6 @@ def _interned_distinct(left: Type, right: Type) -> bool:
     return token is not None and token is right._interned
 
 
-@dataclass(frozen=True, repr=False, eq=False)
 class ArrType(Type):
     """Array type ``[T]``: every element matches item type ``T``.
 
@@ -213,6 +226,9 @@ class ArrType(Type):
     """
 
     item: Type
+
+    def __init__(self, item: Type) -> None:
+        object.__setattr__(self, "item", item)
 
     def children(self) -> Iterator[Type]:
         yield self.item
@@ -223,7 +239,7 @@ class ArrType(Type):
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if other.__class__ is not ArrType:
+        if other.__class__ is not self.__class__:
             return NotImplemented
         if _interned_distinct(self, other):
             return False
@@ -240,7 +256,6 @@ class ArrType(Type):
         return f"Arr({self.item!r})"
 
 
-@dataclass(frozen=True, repr=False, eq=False)
 class FieldType(Type):
     """One record member: name, value type, and a required flag.
 
@@ -250,7 +265,12 @@ class FieldType(Type):
 
     name: str
     type: Type
-    required: bool = True
+    required: bool
+
+    def __init__(self, name: str, type: Type, required: bool = True) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "required", required)
 
     def children(self) -> Iterator[Type]:
         yield self.type
@@ -261,7 +281,7 @@ class FieldType(Type):
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if other.__class__ is not FieldType:
+        if other.__class__ is not self.__class__:
             return NotImplemented
         if _interned_distinct(self, other):
             return False
@@ -283,7 +303,6 @@ class FieldType(Type):
         return f"{self.name}{mark}: {self.type!r}"
 
 
-@dataclass(frozen=True, repr=False, eq=False)
 class RecType(Type):
     """Record type ``{l1: T1, l2?: T2}``.
 
@@ -295,14 +314,13 @@ class RecType(Type):
 
     fields: Tuple[FieldType, ...]
 
-    def __post_init__(self) -> None:
-        names = [f.name for f in self.fields]
+    def __init__(self, fields: Tuple[FieldType, ...]) -> None:
+        names = [f.name for f in fields]
         if names != sorted(names):
-            object.__setattr__(
-                self, "fields", tuple(sorted(self.fields, key=lambda f: f.name))
-            )
-        if len({f.name for f in self.fields}) != len(self.fields):
+            fields = tuple(sorted(fields, key=lambda f: f.name))
+        if len(set(names)) != len(names):
             raise ValueError("duplicate field names in record type")
+        object.__setattr__(self, "fields", fields)
 
     @classmethod
     def of(cls, mapping: Mapping[str, Type], optional: frozenset[str] = frozenset()) -> "RecType":
@@ -336,7 +354,7 @@ class RecType(Type):
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if other.__class__ is not RecType:
+        if other.__class__ is not self.__class__:
             return NotImplemented
         if _interned_distinct(self, other):
             return False
@@ -353,7 +371,6 @@ class RecType(Type):
         return "Rec(" + ", ".join(repr(f) for f in self.fields) + ")"
 
 
-@dataclass(frozen=True, repr=False, eq=False)
 class UnionType(Type):
     """Union type ``T1 + T2 + ...``.
 
@@ -363,7 +380,10 @@ class UnionType(Type):
     given (needed so ``simplify`` can build the canonical form).
     """
 
-    members: Tuple[Type, ...] = field(default=())
+    members: Tuple[Type, ...]
+
+    def __init__(self, members: Tuple[Type, ...] = ()) -> None:
+        object.__setattr__(self, "members", members)
 
     def children(self) -> Iterator[Type]:
         return iter(self.members)
@@ -374,7 +394,7 @@ class UnionType(Type):
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if other.__class__ is not UnionType:
+        if other.__class__ is not self.__class__:
             return NotImplemented
         if _interned_distinct(self, other):
             return False

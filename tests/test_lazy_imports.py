@@ -1,6 +1,11 @@
 """Lazy package exports: each CLI route imports only the modules it runs,
 and the export tables stay faithful to the modules they name.
 
+No route imports ``dataclasses`` (or ``inspect``, which it pulls in):
+the record classes of every module a route loads are plain classes, and
+a ``--jobs auto`` run whose plan is serial never loads
+``multiprocessing``.
+
 Every check runs in a fresh interpreter, since what a process has
 already imported is exactly what is under test.
 """
@@ -31,8 +36,8 @@ LAZY_PACKAGES = [
 ]
 
 
-def _python(args, *, stdin=None):
-    env = dict(os.environ)
+def _python(args, *, stdin=None, env=None):
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, *args], input=stdin, capture_output=True, env=env,
@@ -71,6 +76,10 @@ SERIAL_FOLD = (
 )
 # Validation parses documents and checks them: no type algebra.
 VALIDATE = ("repro.types", "repro.inference", "repro.translation")
+# Class generation costs each process the import (with ``inspect``,
+# ``ast``, ``dis`` and ``tokenize``) and about half a millisecond per
+# class: no route pays it.
+STARTUP = ("dataclasses", "inspect")
 
 
 _RUN_ROUTE = textwrap.dedent("""
@@ -80,15 +89,14 @@ _RUN_ROUTE = textwrap.dedent("""
     try:
         runpy.run_module("repro", run_name="__main__", alter_sys=True)
     finally:
-        loaded = (m for m in sys.modules if m == "repro" or m.startswith("repro."))
-        print("loaded:", *sorted(loaded), file=sys.stderr)
+        print("loaded:", *sorted(sys.modules), file=sys.stderr)
 """)
 
 
-def _loaded_repro_modules(args, *, stdin=None) -> set[str]:
-    """The ``repro`` modules ``python -m repro ARGS`` has imported when it
-    exits."""
-    done = _python(["-c", _RUN_ROUTE, *args], stdin=stdin)
+def _loaded_modules(args, *, stdin=None, env=None) -> set[str]:
+    """The modules, ``repro`` and stdlib alike, that ``python -m repro
+    ARGS`` has imported when it exits."""
+    done = _python(["-c", _RUN_ROUTE, *args], stdin=stdin, env=env)
     assert done.returncode == 0, done.stderr.decode()
     last = done.stderr.decode().splitlines()[-1].split()
     assert last[0] == "loaded:"
@@ -117,29 +125,29 @@ def corpus(tmp_path_factory):
 class TestRouteImports:
     def test_infer_file(self, corpus):
         _, data, _ = corpus
-        modules = _loaded_repro_modules(["infer", str(data)])
-        assert _forbidden(modules, EVERY_ROUTE + SERIAL_FOLD) == []
+        modules = _loaded_modules(["infer", str(data)])
+        assert _forbidden(modules, EVERY_ROUTE + SERIAL_FOLD + STARTUP) == []
         assert "repro.inference.streaming" in modules
 
     def test_infer_stdin(self, corpus):
         _, data, _ = corpus
-        modules = _loaded_repro_modules(["infer", "-"], stdin=data.read_bytes())
-        assert _forbidden(modules, EVERY_ROUTE + SERIAL_FOLD) == []
+        modules = _loaded_modules(["infer", "-"], stdin=data.read_bytes())
+        assert _forbidden(modules, EVERY_ROUTE + SERIAL_FOLD + STARTUP) == []
 
     def test_validate(self, corpus):
         _, data, schema = corpus
-        modules = _loaded_repro_modules(
+        modules = _loaded_modules(
             ["validate", str(data), "--schema", str(schema)]
         )
-        assert _forbidden(modules, EVERY_ROUTE + VALIDATE) == []
+        assert _forbidden(modules, EVERY_ROUTE + VALIDATE + STARTUP) == []
         assert "repro.jsonschema.validator" in modules
 
     def test_translate_out(self, corpus):
         root, data, _ = corpus
-        modules = _loaded_repro_modules(
+        modules = _loaded_modules(
             ["translate", str(data), "--out", str(root / "artifacts")]
         )
-        assert _forbidden(modules, EVERY_ROUTE + SERIAL_FOLD) == []
+        assert _forbidden(modules, EVERY_ROUTE + SERIAL_FOLD + STARTUP) == []
         assert "repro.translation.stream" in modules
 
     @pytest.mark.parametrize("source", ["file", "stdin"])
@@ -152,12 +160,49 @@ class TestRouteImports:
         data = tmp_path / "dup.ndjson"
         data.write_bytes(raw)
         if source == "file":
-            modules = _loaded_repro_modules(["translate", str(data)])
+            modules = _loaded_modules(["translate", str(data)])
         else:
-            modules = _loaded_repro_modules(["translate", "-"], stdin=raw)
-        assert _forbidden(modules, EVERY_ROUTE + SERIAL_FOLD) == []
+            modules = _loaded_modules(["translate", "-"], stdin=raw)
+        assert _forbidden(modules, EVERY_ROUTE + SERIAL_FOLD + STARTUP) == []
         assert "repro.translation.stream" in modules
         assert "repro.parsing.fadjs" not in modules
+
+
+class TestJobsAutoImports:
+    """``--jobs auto`` plans, and may start a pool; it still generates no
+    classes, and loads ``multiprocessing`` only for a pool."""
+
+    @pytest.fixture()
+    def profile(self, tmp_path):
+        # An existing calibration profile: no plan measures start-up.
+        path = tmp_path / "sched.json"
+        path.write_text('{"worker_startup_seconds": 0.0}')
+        return {"REPRO_SCHED_PROFILE": str(path)}
+
+    def test_gzip_members(self, tmp_path, profile):
+        from repro.datasets import compress_corpus
+
+        packed = tmp_path / "events.ndjson.gz"
+        lines = ndjson_lines(github_events(40, seed=3))
+        assert compress_corpus(packed, lines, member_lines=10) == 4
+        modules = _loaded_modules(
+            ["infer", str(packed), "--jobs", "auto"], env=profile
+        )
+        assert _forbidden(modules, EVERY_ROUTE + STARTUP) == []
+        assert "repro.inference.distributed" in modules
+
+    def test_line_parallel_file(self, corpus, profile):
+        _, data, _ = corpus
+        modules = _loaded_modules(["infer", str(data), "--jobs", "auto"], env=profile)
+        assert _forbidden(modules, EVERY_ROUTE + STARTUP) == []
+        assert "repro.inference.distributed" in modules
+
+    def test_serial_plan_loads_no_multiprocessing(self, tmp_path, profile):
+        one = tmp_path / "one.ndjson"
+        one.write_text('{"a": 1}\n')
+        modules = _loaded_modules(["infer", str(one), "--jobs", "auto"], env=profile)
+        assert _forbidden(modules, EVERY_ROUTE + STARTUP + ("multiprocessing",)) == []
+        assert "repro.inference.distributed" in modules
 
 
 # ---------------------------------------------------------------------------

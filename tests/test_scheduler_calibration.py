@@ -5,6 +5,7 @@ consume it (`repro.inference.calibration` /
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +86,40 @@ class TestCalibrationProfile:
         )
         # the hand-broken file is not silently overwritten
         assert fresh_profile.read_text() == "{not json"
+
+    def test_saved_profile_records_every_constant(self, fresh_profile):
+        saved = calibration_module.SchedCalibration(0.25, "measured", 1e6, 2e6, 3e6)
+        assert calibration_module.save_calibration(saved, fresh_profile)
+        record = json.loads(fresh_profile.read_text())
+        assert list(record) == [
+            "worker_startup_seconds", "source", "scan_bytes_per_second",
+            "split_bytes_per_second", "decompress_bytes_per_second", "measured_at",
+        ]
+        assert [record[key] for key in list(record)[:5]] == [
+            0.25, "measured", 1e6, 2e6, 3e6,
+        ]
+        assert [p.name for p in fresh_profile.parent.iterdir()] == ["sched.json"]
+
+    def test_a_failed_write_leaves_the_previous_profile(
+        self, fresh_profile, monkeypatch
+    ):
+        """A profile write that dies midway (a crash, a full disk) must
+        not leave a truncated profile, which would load as the defaults
+        on every later run without re-measuring."""
+        fresh_profile.write_text(json.dumps({"worker_startup_seconds": 0.5}))
+        write_text = Path.write_text
+
+        def torn_write(self, data, *args, **kwargs):
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        measured = calibration_module.SchedCalibration(0.25, "measured")
+        assert not calibration_module.save_calibration(measured, fresh_profile)
+        loaded = calibration_module.load_calibration()
+        assert loaded.source == "profile"
+        assert loaded.worker_startup_seconds == 0.5
+        assert [p.name for p in fresh_profile.parent.iterdir()] == ["sched.json"]
 
     def test_nonpositive_profile_values_rejected(self, fresh_profile):
         fresh_profile.write_text(
