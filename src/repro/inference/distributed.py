@@ -406,6 +406,16 @@ def _feed_members(task: RangeTask, feed) -> tuple[bytes, bytes]:
 _POOL_CONTEXT = None
 
 
+def _try_fold_ranges(task: RangeTask):
+    """:func:`_fold_ranges` for a speculative route: an expected failure
+    comes back as ``None``, a plain marker, instead of an exception that
+    the pool would pickle with a formatted traceback."""
+    try:
+        return _fold_ranges(task)
+    except Exception:
+        return None
+
+
 class _WorkerPool:
     """Runs :func:`_fold_ranges` over tasks, on a pool of ``processes``
     workers started on first use (inline for one process or one task).
@@ -414,7 +424,9 @@ class _WorkerPool:
     *exact* route re-raises the error of the first failing range, which
     holds the first bad line, as the serial fold reports it; a
     *speculative* route gets ``None`` on any failure and declines to the
-    serial fold, which owns the error report.
+    serial fold, which owns the error report.  Its workers return the
+    ``None`` marker (:func:`_try_fold_ranges`), so an expected failure
+    costs no traceback.
     """
 
     def __init__(self, processes: int) -> None:
@@ -430,11 +442,13 @@ class _WorkerPool:
                 if context is None:
                     import multiprocessing as context
                 self.pool = context.Pool(processes=self.processes)
-            return list(self.pool.imap(_fold_ranges, tasks))
+            entry = _fold_ranges if exact else _try_fold_ranges
+            results = list(self.pool.imap(entry, tasks))
         except Exception:
             if exact:
                 raise
             return None
+        return None if None in results else results
 
     def __enter__(self) -> "_WorkerPool":
         return self
@@ -707,18 +721,22 @@ def _subtree_span_type(
                 ],
                 exact=False,
             )
-            if results is None:
-                skip = split.spine_depth + 1
-                continue
-            chunk_parts = [parts for group, *_ in results for parts in group]
+            chunk_parts = (
+                None if results is None
+                else [parts for group, *_ in results for parts in group]
+            )
         else:
             try:
                 chunk_parts = type_subtree_chunks(
                     encoder, buffer, split.kind, chunks, max_depth=chunk_depth
                 )
             except Exception:
-                skip = split.spine_depth + 1
-                continue
+                chunk_parts = None
+        if chunk_parts is None:
+            if end - start <= exact_limit:
+                return None  # the exact carve cannot lie: no re-plan
+            skip = split.spine_depth + 1
+            continue
         try:
             # Spine heads (the members preceding a dominant last member)
             # are small; type them parent-side.
@@ -757,11 +775,13 @@ def infer_subtree_text(
     exactly as :func:`~repro.inference.engine.accumulate_ranges` runs
     them.  The result is interned-identical to the serial fold of every
     line, with identical errors.  A span whose speculative chunking
-    fails validation is carved again by the exact depth-1 scan and
-    typed in this process, one chunk of about 256 KiB decoded at a
-    time, so memory stays bounded; only a span that carve also declines
-    (malformed, or not a splittable container) is parsed whole,
-    which raises the exact error.
+    fails validation is carved again by the exact depth-1 scan (the C
+    decoder over 256 KiB windows of the buffer), and its chunks of
+    about 256 KiB are typed on the pool the speculative attempt started
+    (in this process when there is none), one chunk decoded at a time,
+    so memory stays bounded.  Only a span that carve also declines
+    (malformed, or not a splittable container) is parsed whole, which
+    raises the exact error.
     """
     from repro.inference.engine import RangeFolder, _blank_span
     from repro.types.build import EventTypeEncoder
@@ -794,11 +814,11 @@ def infer_subtree_text(
                 buffer, path, start, end, pool=workers, targets=targets, **common
             )
             if t is None:
-                # The speculative carve declined: carve exactly, in this
-                # process, into about 256 KiB chunks, so only one chunk
-                # is ever decoded at a time.
+                # The speculative carve declined: carve exactly into
+                # about 256 KiB chunks and type them on the same pool;
+                # each worker decodes one chunk at a time.
                 t = _subtree_span_type(
-                    buffer, path, start, end, pool=None,
+                    buffer, path, start, end, pool=workers,
                     targets=max(2, (end - start) >> 18),
                     exact_limit=end - start, **common,
                 )

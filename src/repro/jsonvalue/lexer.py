@@ -144,7 +144,6 @@ NUMBER_BOUNDARY_CHARS = ".eE0123456789"
 # Validity itself is the decoder's business.
 # --------------------------------------------------------------------------
 
-INT_PATTERN_BYTES = INT_PATTERN.encode("ascii")
 WHITESPACE_PATTERN_BYTES = WHITESPACE_PATTERN.encode("ascii")
 STRING_BODY_PATTERN_BYTES = STRING_BODY_PATTERN.encode("ascii")
 

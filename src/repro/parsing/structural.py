@@ -32,10 +32,8 @@ import re
 from typing import Iterator, Optional
 
 from repro.errors import JsonError
-from repro.jsonvalue.lexer import (
-    FULL_STRING_BODY_PATTERN_BYTES,
-    INT_PATTERN_BYTES,
-)
+from repro.jsonvalue.lexer import FULL_STRING_BODY_PATTERN_BYTES
+from repro.jsonvalue.parser import c_scan_once
 
 
 def _char_bitmap(text: str, ch: str) -> int:
@@ -317,11 +315,13 @@ class StructuralIndex:
 #
 # Two carving strategies share one contract:
 #
-# - :func:`scan_depth1_spans` — the exact linear pass: one resumable
-#   C-speed token search (whole string literals and brackets per match,
-#   never per-byte Python) drives a quote/escape-aware depth counter and
-#   yields every depth-1 member/element span precisely.  Used below a
-#   size threshold and by the edge-case tests.
+# - :func:`scan_depth1_spans` — the exact pass: the stdlib C decoder
+#   (``c_scan_once``) reads one depth-1 element, or one member's key
+#   and value, at a time from UTF-8 windows of about 256 KiB, and a
+#   running byte cursor maps each span back to buffer offsets, so
+#   nothing walks the bytes one at a time in Python and only one window
+#   plus one element is ever decoded.  Used below a size threshold,
+#   after a declined speculative carve, and by the edge-case tests.
 # - :func:`propose_chunks` — the speculative carver for huge buffers:
 #   evenly spaced byte offsets are snapped forward to element-separator
 #   shapes (``}<ws>,<ws>{`` and friends) found by C-speed searches, so
@@ -342,30 +342,27 @@ class StructuralIndex:
 # ---------------------------------------------------------------------------
 
 _SPLIT_WS = re.compile(rb"[ \t\n\r]*")
-# One token per C-speed search: a whole string literal (escapes
-# included; lenient — the typing pass re-validates), or one bracket.
-_SPLIT_TOKEN = re.compile(rb'"[^"\\]*(?:\\[^\r\n][^"\\]*)*"|[{}\[\]]')
-# Depth-1 scalar tokens, exact lexer grammar (the splitter's spans must
-# be exactly the spans the serial machine would scan).
-_SPLIT_SCALAR = re.compile(
-    b'"' + FULL_STRING_BODY_PATTERN_BYTES + b'"'
-    + b"|" + INT_PATTERN_BYTES + rb"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
-    + b"|true|false|null"
-)
-_SPLIT_KEY = re.compile(
-    b'"(' + FULL_STRING_BODY_PATTERN_BYTES + b')"' + rb"[ \t\n\r]*:"
-)
 # Speculative element separators, by element kind.  The bracket/quote
 # anchors stay inside the flanking chunks; only the ``<ws>,<ws>`` core
 # is dropped, which is what makes the dropped bytes self-validating.
 _SEP_RECORD = re.compile(rb"\}[ \t\n\r]*,[ \t\n\r]*\{")
 _SEP_ARRAY = re.compile(rb"\][ \t\n\r]*,[ \t\n\r]*\[")
 _SEP_MEMBER = re.compile(rb"[\}\]][ \t\n\r]*,[ \t\n\r]*\"")
+# A member whose value opens a container: the spine candidates.
+_SPINE_MEMBER = re.compile(
+    b'"(' + FULL_STRING_BODY_PATTERN_BYTES + b')"'
+    + rb"[ \t\n\r]*:[ \t\n\r]*([\[{])"
+)
 _SEP_COMMA = re.compile(rb",")
 _ANY_BRACKET = re.compile(rb"[{\[]")
 
 _LBRACE, _RBRACE, _LBRACKET, _RBRACKET = 0x7B, 0x7D, 0x5B, 0x5D
-_QUOTE, _COMMA = 0x22, 0x2C
+_COMMA = 0x2C
+
+# The exact carve decodes the buffer through UTF-8 windows of this many
+# bytes; a window grows only to fit one element larger than it.
+_SCAN_WINDOW = 1 << 18
+_TEXT_WS = re.compile(r"[ \t\n\r]*").match
 
 
 class SubtreeScan:
@@ -389,121 +386,123 @@ class SubtreeScan:
         raise AttributeError(f"cannot assign to field {name!r}")
 
 
-def _skip_container(data, pos: int, end: int) -> int:
-    """Position just after the bracket matching the opener at ``pos``,
-    or ``-1``.  One token-search per string literal or bracket; depth is
-    a plain counter, so nesting depth never touches the Python stack."""
-    search = _SPLIT_TOKEN.search
-    depth = 0
-    while True:
-        m = search(data, pos, end)
-        if m is None:
-            return -1
-        first = data[m.start()]
-        if first == _QUOTE:
-            pos = m.end()
-            continue
-        if first == _LBRACE or first == _LBRACKET:
-            depth += 1
-        else:
-            depth -= 1
-            if depth == 0:
-                return m.end()
-            if depth < 0:
-                return -1
-        pos = m.end()
-
-
 def scan_depth1_spans(data, start: int = 0, end: Optional[int] = None):
-    """Exact one-pass split of a top-level container into child spans.
+    """Exact split of a top-level container into child spans.
 
     Returns a :class:`SubtreeScan`, or ``None`` when the range is not a
-    splittable container document (top-level scalar, malformed shape,
-    trailing garbage, …) — the caller then types the range serially, so
-    errors and under-approximations resolve exactly as the serial scan
-    would.
+    splittable container document (top-level scalar, malformed shape or
+    value, invalid UTF-8, trailing garbage, …) — the caller then types
+    the range serially, so errors and under-approximations resolve
+    exactly as the serial scan would.  The buffer is decoded
+    ``_SCAN_WINDOW`` bytes at a time (see :func:`_depth1_parts`).
     """
     if end is None:
         end = len(data)
-    ws = _SPLIT_WS.match
-    pos = ws(data, start, end).end()
+    pos = _SPLIT_WS.match(data, start, end).end()
     if pos >= end:
         return None
     top = data[pos]
-    if top == _LBRACE:
-        is_object = True
-        close_byte = _RBRACE
-    elif top == _LBRACKET:
-        is_object = False
-        close_byte = _RBRACKET
-    else:
+    if top != _LBRACE and top != _LBRACKET:
         return None
-    open_ = pos
-    pos += 1
-    parts = []
-    scalar = _SPLIT_SCALAR.match
-    key = _SPLIT_KEY.match
-    first = True
-    close = -1
-    while True:
-        pos = ws(data, pos, end).end()
-        if pos >= end:
-            return None
-        c = data[pos]
-        if first and c == close_byte:
-            close = pos
-            break
-        if is_object:
-            km = key(data, pos, end)
-            if km is None:
-                return None
-            key_start = pos
-            body_start, body_end = km.span(1)
-            pos = ws(data, km.end(), end).end()
-            if pos >= end:
-                return None
-            c = data[pos]
-            vstart = pos
-            if c == _LBRACE or c == _LBRACKET:
-                vend = _skip_container(data, pos, end)
-            else:
-                sm = scalar(data, pos, end)
-                vend = -1 if sm is None else sm.end()
-            if vend < 0:
-                return None
-            parts.append((key_start, body_start, body_end, vstart, vend))
-            pos = vend
-        else:
-            vstart = pos
-            if c == _LBRACE or c == _LBRACKET:
-                vend = _skip_container(data, pos, end)
-            else:
-                sm = scalar(data, pos, end)
-                vend = -1 if sm is None else sm.end()
-            if vend < 0:
-                return None
-            parts.append((vstart, vend))
-            pos = vend
-        first = False
-        pos = ws(data, pos, end).end()
-        if pos >= end:
-            return None
-        c = data[pos]
-        if c == _COMMA:
-            pos += 1
-            continue
-        if c == close_byte:
-            close = pos
-            break
+    try:
+        with memoryview(data) as view:
+            found = _depth1_parts(view, pos + 1, end, top == _LBRACE)
+    except (ValueError, RecursionError):
+        # Invalid UTF-8 (``UnicodeDecodeError`` is a ``ValueError``), or
+        # a value nested deeper than the C decoder recurses.
         return None
-    if ws(data, close + 1, end).end() != end:
+    if found is None:
+        return None
+    parts, close = found
+    if _SPLIT_WS.match(data, close + 1, end).end() != end:
         return None  # trailing bytes after the document
     return SubtreeScan(
-        kind="object" if is_object else "array",
-        open=open_,
+        kind="object" if top == _LBRACE else "array",
+        open=pos,
         close=close,
         parts=tuple(parts),
     )
+
+
+def _depth1_parts(view, pos: int, end: int, is_object: bool):
+    """``(parts, close)`` of the container whose opener ends at byte
+    ``pos``, or ``None``.
+
+    Each step reads one item, ``<ws> [key <ws> : <ws>] value <ws>``, and
+    the ``,`` or closer after it, with the C decoder over a window of
+    the buffer decoded from the step's first byte.  A window ends on a
+    UTF-8 lead byte, so it never splits a character, and a running byte
+    cursor maps the step's character offsets to buffer offsets.  A step
+    that fails, or reaches the end of a window that is not the end of
+    the range, may have been cut (``12|3``, ``1|e5``, half a string, an
+    element larger than the window), so it runs again on a window that
+    starts where the step starts, twice as large if it already did.
+    Only a step that fails in a window reaching ``end`` declines.
+    """
+    inner = _SPLIT_WS.match(view, pos, end).end()
+    if inner < end and view[inner] == (_RBRACE if is_object else _RBRACKET):
+        return [], inner  # "{}" / "[]"
+    close_char = "}" if is_object else "]"
+    ws = _TEXT_WS
+    scan = c_scan_once
+    parts = []
+    window = size = _SCAN_WINDOW
+    while True:
+        stop = min(end, pos + size)
+        final = stop == end
+        if not final:
+            # Back the cut off to a lead byte (at most three
+            # continuation bytes precede it in valid UTF-8).
+            lead = stop
+            while lead > stop - 3 and view[lead] & 0xC0 == 0x80:
+                lead -= 1
+            stop = lead
+        text = str(view[pos:stop], "utf-8")
+        n = len(text)
+        ascii = text.isascii()
+        window_start = pos
+        step = 0  # the current step's first character, at byte ``pos``
+        seen, seen_at = 0, pos  # running cursor: text[seen] is at byte seen_at
+        while True:
+            j = ws(text, step).end()
+            try:
+                if is_object:
+                    if text[j : j + 1] != '"':
+                        break
+                    k = scan(text, j)[1]
+                    colon = ws(text, k).end()
+                    if text[colon : colon + 1] != ":":
+                        break
+                    v = ws(text, colon + 1).end()
+                else:
+                    v = j
+                e = scan(text, v)[1]
+            except (StopIteration, ValueError):
+                break
+            after = ws(text, e).end()
+            if text[after : after + 1] not in (",", close_char):
+                break
+            marks = (j, k - 1, v, e, after) if is_object else (v, e, after)
+            if ascii:
+                offsets = [window_start + m for m in marks]
+            else:
+                offsets = []
+                for m in marks:
+                    seen_at += len(text[seen:m].encode())
+                    seen = m
+                    offsets.append(seen_at)
+            if is_object:
+                parts.append((offsets[0], offsets[0] + 1, *offsets[1:4]))
+            else:
+                parts.append((offsets[0], offsets[1]))
+            if text[after] == close_char:
+                return parts, offsets[-1]
+            step = after + 1
+            pos = offsets[-1] + 1
+        # The step at byte ``pos`` did not complete in this window.
+        if final:
+            return None
+        size = size * 2 if pos == window_start else window
 
 
 def document_bounds(data, start: int = 0, end: Optional[int] = None):
@@ -601,16 +600,12 @@ def propose_spine(data, open_: int, close: int):
     ``None`` when the shape does not match; validation is again
     downstream.
     """
-    pattern = re.compile(
-        b'"(' + FULL_STRING_BODY_PATTERN_BYTES + b')"'
-        + rb"[ \t\n\r]*:[ \t\n\r]*([\[{])"
-    )
     vclose = close - 1
     while vclose > open_ and data[vclose] in b" \t\n\r":
         vclose -= 1
     pos = open_ + 1
     for _ in range(16):  # candidate budget: this is O(1) speculation
-        m = pattern.search(data, pos, close)
+        m = _SPINE_MEMBER.search(data, pos, close)
         if m is None:
             return None
         pos = m.end()

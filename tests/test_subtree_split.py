@@ -18,8 +18,10 @@ digit-key line-cache regression that rode along with this change.
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datasets import open_corpus
 from repro.inference import infer_subtree_text
@@ -30,6 +32,7 @@ from repro.inference.engine import (
     plan_subtree_split,
     type_subtree_chunks,
 )
+from repro.parsing import structural
 from repro.parsing.structural import document_bounds, scan_depth1_spans
 from repro.types import Equivalence
 from repro.types.build import EventTypeEncoder
@@ -138,6 +141,123 @@ class TestScanner:
         assert document_bounds(b'{"a": 1}') == ("object", 0, 7)
         assert document_bounds(b"42") is None
         assert document_bounds(b"[1, 2}") is None
+
+
+def _parts_as_values(data, scan):
+    """What each part's byte slices decode to: the element, or the
+    member's ``(key, value)``; ``json.loads`` is the oracle."""
+    if scan.kind == "array":
+        return [json.loads(data[s:e]) for s, e in scan.parts]
+    out = []
+    for ks, kb, ke, vs, ve in scan.parts:
+        assert data[ks] == ord('"') and kb == ks + 1 and data[ke] == ord('"')
+        out.append((json.loads(data[ks : ke + 1]), json.loads(data[vs:ve])))
+    return out
+
+
+def _scan(data, window):
+    """``scan_depth1_spans`` decoding ``window`` bytes at a time."""
+    with mock.patch.object(structural, "_SCAN_WINDOW", window):
+        return scan_depth1_spans(data)
+
+
+def _fields(scan):
+    return None if scan is None else (scan.kind, scan.open, scan.close, scan.parts)
+
+
+_WS = st.text(" \t\n\r", max_size=3)
+_JSON_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=6
+) | st.sampled_from(["é", "日本語", "𝄞", "\\", '"', "\n"])
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**30), 10**30)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _dump(value, gap) -> str:
+    """``value`` as JSON with a drawn whitespace run at every gap."""
+    if isinstance(value, list):
+        items = [gap() + _dump(v, gap) + gap() for v in value]
+        return "[" + (",".join(items) if items else gap()) + "]"
+    if isinstance(value, dict):
+        items = [
+            gap() + json.dumps(k, ensure_ascii=False) + gap() + ":"
+            + gap() + _dump(v, gap) + gap()
+            for k, v in value.items()
+        ]
+        return "{" + (",".join(items) if items else gap()) + "}"
+    return json.dumps(value, ensure_ascii=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.data(),
+    st.lists(_JSON_VALUES, max_size=6) | st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=6),
+    st.integers(1, 40),
+)
+def test_every_part_slices_to_its_element_or_member(data, value, window):
+    gap = lambda: data.draw(_WS)  # noqa: E731 - one draw per gap
+    raw = (gap() + _dump(value, gap) + gap()).encode("utf-8")
+    scan = _scan(raw, window)
+    assert scan is not None and scan.kind == ("array" if isinstance(value, list) else "object")
+    expected = value if isinstance(value, list) else list(value.items())
+    assert _parts_as_values(raw, scan) == expected
+    # Windowing never changes the carve.
+    assert _fields(scan) == _fields(scan_depth1_spans(raw))
+
+
+# Every window size from one byte up cuts each document at every
+# position: the carve must not depend on where the cuts fall.
+WINDOW_CUT_DOCS = {
+    "element straddling a cut": '[{"k": "%s"}, [1, 2], "tail"]' % ("x" * 40),
+    "4-byte character at a cut": '["𝄞𝄞𝄞", {"𝄞": "𝄞"}, "a𝄞"]',
+    "number ending at a cut": "[123456, 1e5, -1.25E-3, 0, 7]",
+    "element larger than the window": '{"big": %s, "b": 1}' % json.dumps(list(range(60))),
+    "whitespace at a cut": '[ 1 ,\n\t2 ,   "three"   ]   ',
+}
+
+
+@pytest.mark.parametrize("doc", WINDOW_CUT_DOCS.values(), ids=WINDOW_CUT_DOCS.keys())
+def test_window_cuts_never_change_the_carve(doc):
+    data = doc.encode("utf-8")
+    reference = scan_depth1_spans(data)
+    assert reference is not None
+    assert _parts_as_values(data, reference) == (
+        json.loads(doc) if doc.lstrip().startswith("[") else list(json.loads(doc).items())
+    )
+    for window in range(1, len(data) + 2):
+        assert _fields(_scan(data, window)) == _fields(reference), window
+
+
+DECLINED_DOCS = {
+    "leading zero": '[1, {"a": [01]}, 2]',
+    "leading zero at depth 1": "[1, 01]",
+    "NaN": '[1, {"a": NaN}]',
+    "trailing comma in an array": '[{"a": 1}, {"a": 2},]',
+    "trailing comma in an object": '{"a": 1, "b": 2,}',
+    "5,000-digit int": '[1, {"n": %s}]' % ("9" * 5000),
+    "trailing garbage": '[{"a": 1}, {"a": 2}] x',
+    "unterminated": '[{"a": 1}, {"a": "b',
+    "deeper than the decoder recurses": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("doc", DECLINED_DOCS.values(), ids=DECLINED_DOCS.keys())
+@pytest.mark.parametrize("window", [3, 16, 1 << 18])
+def test_malformed_values_decline(doc, window):
+    assert _scan(doc.encode("utf-8"), window) is None
+
+
+def test_invalid_utf8_declines():
+    for window in (2, 5, 1 << 18):
+        assert _scan(b'["a", "\xff\xfe", "b"]', window) is None
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +468,97 @@ def test_malformed_huge_array_raises_the_serial_error(tmp_path, monkeypatch):
             infer_subtree_text(corpus, processes=1)
     assert [carved for carved, _ in calls] == [False, False]
     assert str(caught.value) == str(serial.value)
+
+
+def _observe_pool_runs(monkeypatch):
+    """Record ``(exact, processes, chunk ranges)`` per pool run."""
+    from repro.inference import distributed
+
+    runs: list = []
+    run = distributed._WorkerPool.run
+
+    def observed_run(self, tasks, *, exact):
+        runs.append((exact, self.processes, sum(len(t.ranges) for t in tasks)))
+        return run(self, tasks, exact=exact)
+
+    monkeypatch.setattr(distributed._WorkerPool, "run", observed_run)
+    return runs
+
+
+def test_declined_huge_array_types_its_exact_chunks_on_the_pool(tmp_path, monkeypatch):
+    line = _declined_array_line()
+    calls, _ = _observe_decline_route(monkeypatch)
+    runs = _observe_pool_runs(monkeypatch)
+    with open_corpus(_corpus_path(tmp_path, [line])) as corpus:
+        run = infer_subtree_text(corpus, processes=2)
+    # The speculative chunks fail on the workers; the exact carve's
+    # chunks (about 256 KiB each) go to the same two workers, last.
+    assert [carved for carved, _ in calls] == [False, True]
+    assert len(runs) >= 2
+    assert all(not exact and processes == 2 for exact, processes, _ in runs)
+    assert runs[-1][2] == 12  # one chunk per element: twelve elements
+    assert run.processes == 2
+    table = InternTable()
+    assert table.canonical(run.result) is _reference([line], table)
+
+
+def test_malformed_declined_array_raises_the_serial_error_on_the_pool(tmp_path, monkeypatch):
+    line = _declined_array_line().replace('"id": 7}', '"id": 7,}', 1)
+    path = _corpus_path(tmp_path, [line])
+    with open_corpus(path) as corpus:
+        with pytest.raises(Exception) as serial:
+            accumulate_ranges(corpus.buffer(), corpus.spans, table=InternTable())
+    calls, _ = _observe_decline_route(monkeypatch)
+    with open_corpus(path) as corpus:
+        with pytest.raises(serial.type) as caught:
+            infer_subtree_text(corpus, processes=2)
+    assert [carved for carved, _ in calls] == [False, False]
+    assert str(caught.value) == str(serial.value)
+
+
+def test_a_failed_exact_chunk_declines_without_a_second_carve(monkeypatch):
+    """The exact carve cannot lie, so a chunk that fails on it (one
+    element nested past the 512-level limit) declines at once."""
+    from repro.inference import distributed
+    from repro.parsing import structural
+
+    scans: list = []
+    scan = structural.scan_depth1_spans
+
+    def counted(*args, **kwargs):
+        scans.append(args[1:3])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(structural, "scan_depth1_spans", counted)
+    deep = "[" * 600 + "]" * 600
+    data = ("[" + ", ".join(['{"a": 1}'] * 50 + [deep] + ['{"a": 2}'] * 50) + "]").encode()
+    table = InternTable()
+    t = distributed._subtree_span_type(
+        data, None, 0, len(data), encoder=EventTypeEncoder(table), table=table,
+        pool=None, targets=4, min_bytes=0, exact_limit=len(data),
+    )
+    assert t is None
+    assert scans == [(0, len(data))]
+
+
+def test_speculative_workers_return_a_marker_not_an_exception(tmp_path):
+    """A failed chunk on a speculative route comes back as ``None``, so
+    the pool never pickles an exception with a formatted traceback; an
+    exact route still raises the first failing range's error."""
+    from repro.errors import InferenceError
+    from repro.inference.distributed import RangeTask, _try_fold_ranges, _WorkerPool
+
+    path = tmp_path / "chunks.json"
+    path.write_bytes(b'{"a": 1}, {"a": 2}{"a": 3}')
+    good = RangeTask(str(path), None, ((0, 8),), "chunks", kind="array")
+    bad = RangeTask(str(path), None, ((10, 26),), "chunks", kind="array")
+    assert _try_fold_ranges(bad) is None
+    assert _try_fold_ranges(good) is not None
+    with _WorkerPool(2) as pool:
+        assert pool.run([good, bad], exact=False) is None
+        assert pool.run([good, good], exact=False) is not None
+        with pytest.raises(InferenceError):
+            pool.run([good, bad], exact=True)
 
 
 def test_failed_chunk_raises_a_small_error():
