@@ -326,15 +326,18 @@ def _fold_ranges(task: RangeTask) -> tuple[Any, int, bytes, bytes]:
         from repro.types.build import EventTypeEncoder
         from repro.types.intern import InternTable
 
-        lo = task.ranges[0][0]
-        data = _read_range(task.path, lo, task.ranges[-1][1])
-        parts = type_subtree_chunks(
-            EventTypeEncoder(InternTable()),
-            data,
-            task.kind,
-            [(start - lo, end - lo) for start, end in task.ranges],
-            max_depth=task.depth,
-        )
+        # One chunk's bytes at a time: the worker never holds its whole
+        # group.
+        encoder = EventTypeEncoder(InternTable())
+        parts = []
+        for start, end in task.ranges:
+            parts += type_subtree_chunks(
+                encoder,
+                _read_range(task.path, start, end),
+                task.kind,
+                [(0, end - start)],
+                max_depth=task.depth,
+            )
         return parts, 0, b"", b""
     from repro.inference.engine import RangeFolder
 
@@ -663,6 +666,8 @@ _SUBTREE_MIN_BYTES = 4 << 20
 # separators sat one level deeper than assumed); each retry forces the
 # planner to descend past the level that lied.
 _SUBTREE_ATTEMPTS = 3
+# Probes per cut when a re-cut moves the cuts a probe proved wrong.
+_SUBTREE_RESNAPS = 8
 
 
 def _subtree_span_type(
@@ -678,6 +683,8 @@ def _subtree_span_type(
     min_bytes: int,
     max_depth: int = 512,
     exact_limit: int = _SUBTREE_EXACT_LIMIT,
+    probes: int = 0,
+    proofs: Optional[list] = None,
 ):
     """Type one document span through the subtree-parallel pipeline.
 
@@ -688,19 +695,30 @@ def _subtree_span_type(
     :func:`~repro.inference.engine.plan_subtree_split`: a span no larger
     than it is carved by the exact depth-1 scan, which cannot lie, so a
     chunk that fails there fails for good.
+
+    Every chunk of a speculative plan is probed
+    (:func:`~repro.parsing.structural.probe_chunk`) before any chunk is
+    typed: a chunk the probe proves wrong would fail on the workers, so
+    the plan is re-planned at once, one level deeper, and the result is
+    what the typing pass would give.  When the first plan is proven
+    wrong, it is appended to ``proofs``: the caller may then re-cut the
+    span with ``probes``, which moves each cut past the closer that
+    proved it wrong (see :func:`~repro.parsing.structural.propose_chunks`)
+    and makes one plan only.
     """
     from repro.inference.engine import (
         combine_subtree,
         plan_subtree_split,
         type_subtree_chunks,
     )
+    from repro.parsing.structural import probe_chunk
 
     skip = 0
     previous = None
-    for _ in range(_SUBTREE_ATTEMPTS):
+    for attempt in range(1 if probes else _SUBTREE_ATTEMPTS):
         split = plan_subtree_split(
             buffer, start, end, targets=targets, min_bytes=min_bytes,
-            exact_limit=exact_limit, skip_chunk_levels=skip,
+            exact_limit=exact_limit, skip_chunk_levels=skip, probes=probes,
         )
         if split is None or split == previous:
             return None
@@ -709,6 +727,13 @@ def _subtree_span_type(
         if chunk_depth <= 1:
             return None
         chunks = split.chunks
+        if end - start > exact_limit and any(
+            probe_chunk(buffer, a, b, split.kind) is not None for a, b in chunks
+        ):
+            if attempt == 0 and proofs is not None:
+                proofs.append(split)
+            skip = split.spine_depth + 1
+            continue
         if pool is not None and len(chunks) > 1:
             groups = partition_bounds(len(chunks), min(pool.processes, len(chunks)))
             results = pool.run(
@@ -774,14 +799,18 @@ def infer_subtree_text(
     monoid.  Smaller lines fold through the batched bytes pipeline
     exactly as :func:`~repro.inference.engine.accumulate_ranges` runs
     them.  The result is interned-identical to the serial fold of every
-    line, with identical errors.  A span whose speculative chunking
-    fails validation is carved again by the exact depth-1 scan (the C
-    decoder over 256 KiB windows of the buffer), and its chunks of
-    about 256 KiB are typed on the pool the speculative attempt started
-    (in this process when there is none), one chunk decoded at a time,
-    so memory stays bounded.  Only a span that carve also declines
-    (malformed, or not a splittable container) is parsed whole, which
-    raises the exact error.
+    line, with identical errors.  Each speculative chunking is probed
+    before any worker types it (see :func:`_subtree_span_type`).  When
+    the probe proves the first chunking's cuts sat too deep, the span is
+    re-cut once, each cut moved past the closer that proved it, and
+    typed on the pool.  A span whose speculative chunks fail on the
+    workers instead, or whose re-cut fails there, is carved again by the
+    exact depth-1 scan (the C decoder over 256 KiB windows of the
+    buffer), and its chunks of about 256 KiB are typed on the pool the
+    speculative attempt started (in this process when there is none),
+    one chunk decoded at a time, so memory stays bounded.  Only a span
+    that carve also declines (malformed, or not a splittable container)
+    is parsed whole, which raises the exact error.
     """
     from repro.inference.engine import RangeFolder, _blank_span
     from repro.types.build import EventTypeEncoder
@@ -810,9 +839,19 @@ def infer_subtree_text(
             folder.finish()
             if _blank_span(buffer, start, end):
                 continue
+            proofs: list = []
             t = _subtree_span_type(
-                buffer, path, start, end, pool=workers, targets=targets, **common
+                buffer, path, start, end, pool=workers, targets=targets,
+                proofs=proofs, **common,
             )
+            if t is None and proofs:
+                # A probe proved the first plan's cuts wrong before any
+                # worker ran: re-cut past the closers that proved it,
+                # once; the workers still validate every chunk.
+                t = _subtree_span_type(
+                    buffer, path, start, end, pool=workers, targets=targets,
+                    probes=_SUBTREE_RESNAPS, **common,
+                )
             if t is None:
                 # The speculative carve declined: carve exactly into
                 # about 256 KiB chunks and type them on the same pool;

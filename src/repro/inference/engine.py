@@ -467,9 +467,10 @@ def accumulate_ranges(
 # members resolve duplicate keys last-wins, which chunk-ordered folding
 # preserves; ``rec_of`` sorts fields, erasing chunk boundaries.  Any
 # speculation failure (a separator matched inside a string, malformed
-# input, depth overflow) fails chunk validation, and the caller re-carves
-# exactly (then, failing that, parses the whole document) — exact errors,
-# never a silently wrong type.
+# input, depth overflow) fails chunk validation (or a probe proves it
+# first), and the caller re-cuts or re-carves exactly (then, failing
+# that, parses the whole document) — exact errors, never a silently
+# wrong type.
 
 # Below this size the splitter runs the exact linear depth-1 scan; above
 # it, speculative separator searches keep the parent's carving cost
@@ -523,6 +524,7 @@ def plan_subtree_split(
     exact_limit: int = _SUBTREE_EXACT_LIMIT,
     max_spine: int = _SUBTREE_MAX_SPINE,
     skip_chunk_levels: int = 0,
+    probes: int = 0,
 ):
     """Plan the chunking of one document's byte range, or ``None``.
 
@@ -536,7 +538,10 @@ def plan_subtree_split(
     that really sat one level deeper, e.g. ``[ {"rows": [{...},{...}]} ]``),
     the driver re-plans with ``split.spine_depth + 1`` to force the
     descent past the level that lied.  The exact tier is never skipped —
-    it cannot lie.
+    it cannot lie.  ``probes`` passes through to
+    :func:`~repro.parsing.structural.propose_chunks`: each speculative
+    cut is probed and re-snapped past a closer that proves it lies, and
+    a level left with no cut descends the spine.
     """
     from repro.parsing.structural import (
         document_bounds,
@@ -580,7 +585,7 @@ def plan_subtree_split(
             return None
         kind, open_, close = bounds
         chunks = (
-            propose_chunks(data, open_, close, kind, targets)
+            propose_chunks(data, open_, close, kind, targets, probes)
             if len(frames) >= skip_chunk_levels
             else None
         )

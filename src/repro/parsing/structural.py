@@ -335,10 +335,17 @@ class StructuralIndex:
 # whitespace are checked explicitly — so the document bytes are tiled by
 # verified regions and any speculation failure (separator bytes found
 # inside a string, at the wrong depth, malformed input, …) surfaces as a
-# validation failure, never as a silently different type.  The driver
-# then re-carves with the exact scan, and failing that scans the whole
-# document serially, which raises the parser-exact error (or, for
-# under-approximated valid shapes, returns the correct type).
+# validation failure, never as a silently different type.  Before any
+# worker types a speculative chunk, :func:`probe_chunk` reads its first
+# window with the exact carve's item step: a closer right after a
+# complete item proves the cut sat deeper than depth 1, so the driver
+# re-plans without starting a worker, and then re-cuts with
+# ``propose_chunks(..., probes=N)``, which moves each such cut past the
+# closer that proved it.  When the workers fail a chunk instead, or the
+# re-cut fails on them, the driver re-carves with the exact scan, and
+# failing that scans the whole document serially, which raises the
+# parser-exact error (or, for under-approximated valid shapes, returns
+# the correct type).
 # ---------------------------------------------------------------------------
 
 _SPLIT_WS = re.compile(rb"[ \t\n\r]*")
@@ -362,6 +369,8 @@ _COMMA = 0x2C
 # The exact carve decodes the buffer through UTF-8 windows of this many
 # bytes; a window grows only to fit one element larger than it.
 _SCAN_WINDOW = 1 << 18
+# A probe of a speculative chunk decodes at most this many bytes.
+_PROBE_WINDOW = 1 << 16
 _TEXT_WS = re.compile(r"[ \t\n\r]*").match
 
 
@@ -428,61 +437,34 @@ def _depth1_parts(view, pos: int, end: int, is_object: bool):
     """``(parts, close)`` of the container whose opener ends at byte
     ``pos``, or ``None``.
 
-    Each step reads one item, ``<ws> [key <ws> : <ws>] value <ws>``, and
-    the ``,`` or closer after it, with the C decoder over a window of
-    the buffer decoded from the step's first byte.  A window ends on a
-    UTF-8 lead byte, so it never splits a character, and a running byte
-    cursor maps the step's character offsets to buffer offsets.  A step
-    that fails, or reaches the end of a window that is not the end of
-    the range, may have been cut (``12|3``, ``1|e5``, half a string, an
-    element larger than the window), so it runs again on a window that
-    starts where the step starts, twice as large if it already did.
-    Only a step that fails in a window reaching ``end`` declines.
+    Each step reads one item (:func:`_read_items`) and the ``,`` or
+    closer after it, with the C decoder over a window of the buffer
+    decoded from the step's first byte.  A window ends on a UTF-8 lead
+    byte (:func:`_window_stop`), so it never splits a character, and a
+    running byte cursor maps the step's character offsets to buffer
+    offsets.  A step that fails, or reaches the end of a window that is
+    not the end of the range, may have been cut (``12|3``, ``1|e5``,
+    half a string, an element larger than the window), so it runs again
+    on a window that starts where the step starts, twice as large if it
+    already did.  Only a step that fails in a window reaching ``end``
+    declines.
     """
     inner = _SPLIT_WS.match(view, pos, end).end()
     if inner < end and view[inner] == (_RBRACE if is_object else _RBRACKET):
         return [], inner  # "{}" / "[]"
     close_char = "}" if is_object else "]"
-    ws = _TEXT_WS
-    scan = c_scan_once
     parts = []
     window = size = _SCAN_WINDOW
     while True:
-        stop = min(end, pos + size)
-        final = stop == end
-        if not final:
-            # Back the cut off to a lead byte (at most three
-            # continuation bytes precede it in valid UTF-8).
-            lead = stop
-            while lead > stop - 3 and view[lead] & 0xC0 == 0x80:
-                lead -= 1
-            stop = lead
+        stop = _window_stop(view, pos + size, end)
         text = str(view[pos:stop], "utf-8")
-        n = len(text)
         ascii = text.isascii()
         window_start = pos
-        step = 0  # the current step's first character, at byte ``pos``
         seen, seen_at = 0, pos  # running cursor: text[seen] is at byte seen_at
-        while True:
-            j = ws(text, step).end()
-            try:
-                if is_object:
-                    if text[j : j + 1] != '"':
-                        break
-                    k = scan(text, j)[1]
-                    colon = ws(text, k).end()
-                    if text[colon : colon + 1] != ":":
-                        break
-                    v = ws(text, colon + 1).end()
-                else:
-                    v = j
-                e = scan(text, v)[1]
-            except (StopIteration, ValueError):
-                break
-            after = ws(text, e).end()
+        for marks in _read_items(text, is_object):
+            after = marks[-1]
             if text[after : after + 1] not in (",", close_char):
                 break
-            marks = (j, k - 1, v, e, after) if is_object else (v, e, after)
             if ascii:
                 offsets = [window_start + m for m in marks]
             else:
@@ -497,12 +479,82 @@ def _depth1_parts(view, pos: int, end: int, is_object: bool):
                 parts.append((offsets[0], offsets[1]))
             if text[after] == close_char:
                 return parts, offsets[-1]
-            step = after + 1
             pos = offsets[-1] + 1
         # The step at byte ``pos`` did not complete in this window.
-        if final:
+        if stop == end:
             return None
         size = size * 2 if pos == window_start else window
+
+
+def _window_stop(view, stop: int, end: int) -> int:
+    """``stop`` capped at ``end``, or backed off to a UTF-8 lead byte
+    (at most three continuation bytes precede one in valid UTF-8)."""
+    if stop >= end:
+        return end
+    lead = stop
+    while lead > stop - 3 and view[lead] & 0xC0 == 0x80:
+        lead -= 1
+    return lead
+
+
+def _read_items(text: str, is_object: bool):
+    """The item step: yield the character marks of each item of
+    ``text``, ``<ws> [key <ws> : <ws>] value <ws>``, read by the C
+    decoder — ``(key, key_end, value, value_end, after)`` for a member
+    (``key_end`` is the closing quote), ``(value, value_end, after)``
+    for an element, where ``after`` is the first character past the
+    item (``len(text)`` at the end of the text).  Stops after an item
+    that no ``,`` follows, or at the first item that does not decode.
+    """
+    ws = _TEXT_WS
+    scan = c_scan_once
+    step = 0
+    while True:
+        j = ws(text, step).end()
+        try:
+            if is_object:
+                if text[j : j + 1] != '"':
+                    return
+                k = scan(text, j)[1]
+                colon = ws(text, k).end()
+                if text[colon : colon + 1] != ":":
+                    return
+                v = ws(text, colon + 1).end()
+            else:
+                v = j
+            e = scan(text, v)[1]
+        except (StopIteration, ValueError):
+            return
+        after = ws(text, e).end()
+        yield (j, k - 1, v, e, after) if is_object else (v, e, after)
+        if text[after : after + 1] != ",":
+            return
+        step = after + 1
+
+
+def probe_chunk(data, start: int, end: int, kind: str) -> Optional[int]:
+    """Byte offset of a closer that proves ``data[start:end]`` is not a
+    ``kind`` item list, or ``None`` when its first window cannot tell.
+
+    Reads at most ``_PROBE_WINDOW`` bytes with the exact carve's item
+    step.  A ``]`` or ``}`` right after a complete item, inside the
+    window, closes a container the chunk never opened: the cut that
+    starts the chunk sat deeper than depth 1, and typing the chunk
+    (:func:`~repro.inference.engine.type_subtree_chunks`) fails there.
+    A window edge, or an item that does not decode (a number or string
+    the window cut, or input the typing pass reports), proves nothing.
+    """
+    with memoryview(data) as view:
+        stop = _window_stop(view, start + _PROBE_WINDOW, end)
+        try:
+            text = str(view[start:stop], "utf-8")
+            for marks in _read_items(text, kind == "object"):
+                after = marks[-1]
+                if text[after : after + 1] in ("]", "}"):
+                    return start + len(text[:after].encode())
+        except (ValueError, RecursionError):
+            pass
+    return None
 
 
 def document_bounds(data, start: int = 0, end: Optional[int] = None):
@@ -529,7 +581,7 @@ def document_bounds(data, start: int = 0, end: Optional[int] = None):
 
 
 def propose_chunks(
-    data, open_: int, close: int, kind: str, targets: int
+    data, open_: int, close: int, kind: str, targets: int, probes: int = 0
 ) -> Optional[list]:
     """Speculative chunk spans tiling ``(open_, close)`` exclusive.
 
@@ -538,7 +590,11 @@ def propose_chunks(
     parse as a complete element list (array) or member list (object) —
     the typing pass verifies that, so a separator matched inside a
     string or at the wrong depth fails loudly there, never silently.
-    Returns ``None`` when fewer than two chunks can be proposed.
+    With ``probes``, each cut is probed (:func:`probe_chunk`) up to that
+    many times: a cut the probe proves deeper than depth 1 re-snaps to
+    the next separator from the closer that proved it on, and one still
+    proven wrong at its last probe is dropped.  Returns ``None`` when
+    fewer than two chunks can be proposed.
     """
     interior_start = open_ + 1
     size = close - interior_start
@@ -574,6 +630,10 @@ def propose_chunks(
         if drop_comma:
             cut, resume = m.start(), m.end()
         else:
+            m = _resnap(data, sep, m, close, kind, probes)
+            if m is None:
+                cursor += step
+                continue
             cut, resume = m.start() + 1, m.end() - 1
         boundaries.append((cut, resume))
         cursor = max(resume + 1, m.start() + step)
@@ -586,6 +646,22 @@ def propose_chunks(
         prev = resume
     chunks.append((prev, close))
     return chunks
+
+
+def _resnap(data, sep, m, close: int, kind: str, probes: int):
+    """The separator match ``m`` once no probe proves the chunk after it
+    wrong, at most ``probes`` probes; ``None`` when the last one still
+    does, or no separator is left.  A proven cut moves to the first
+    separator from the closer that proved it on: one that closer opens
+    sits one level up."""
+    for left in range(probes, 0, -1):
+        closer = probe_chunk(data, m.end() - 1, close, kind)
+        if closer is None:
+            return m
+        m = sep.search(data, closer, close) if left > 1 else None
+        if m is None:
+            return None
+    return m
 
 
 def propose_spine(data, open_: int, close: int):

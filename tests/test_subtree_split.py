@@ -577,6 +577,186 @@ def test_failed_chunk_raises_a_small_error():
     assert len(pickle.dumps(caught.value)) < 1000
 
 
+def test_chunk_worker_reads_one_chunk_at_a_time(tmp_path, monkeypatch):
+    """A ``chunks`` task reads and types each of its ranges on its own,
+    so a worker holds one chunk's bytes, not its whole group's."""
+    from repro.inference import distributed
+    from repro.inference.distributed import RangeTask, _fold_ranges
+
+    chunks = ['{"a": 1}, {"a": [2, 3]}', '{"b": "x"}', '{"a": null}, {"c": 1.5}, {"a": 4}']
+    path = tmp_path / "chunks.json"
+    data = ("[" + ", ".join(chunks) + "]").encode()
+    path.write_bytes(data)
+    ranges, pos = [], 1
+    for chunk in chunks:
+        ranges.append((pos, pos + len(chunk)))
+        pos += len(chunk) + 2
+    reads: list = []
+    read_range = distributed._read_range
+
+    def spied(path, start, end):
+        reads.append(end - start)
+        return read_range(path, start, end)
+
+    monkeypatch.setattr(distributed, "_read_range", spied)
+    parts, *_ = _fold_ranges(RangeTask(str(path), None, tuple(ranges), "chunks", kind="array"))
+    assert max(reads) == max(end - start for start, end in ranges)
+    table = InternTable()
+    split = plan_subtree_split(data, targets=3)
+    assert combine_subtree(table, split, parts) is EventTypeEncoder(table).encode_bytes(data)
+
+
+# ---------------------------------------------------------------------------
+# the probe: a lying cut caught before any worker types its chunk
+# ---------------------------------------------------------------------------
+
+
+def _probe(data, start, end, kind, window):
+    with mock.patch.object(structural, "_PROBE_WINDOW", window):
+        return structural.probe_chunk(data, start, end, kind)
+
+
+def _chunk_fails(data, start, end, kind) -> bool:
+    try:
+        type_subtree_chunks(EventTypeEncoder(InternTable()), data, kind, [(start, end)])
+    except Exception:  # noqa: BLE001 - any failure rejects the chunk
+        return True
+    return False
+
+
+# Values with nested arrays of records: the cuts a record separator
+# search snaps to inside them are the lies the probe must catch.
+_NESTED = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**30), 10**30)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=3)
+    | st.lists(st.dictionaries(_JSON_TEXT, inner, max_size=3), min_size=1, max_size=3),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.data(),
+    st.lists(_NESTED, min_size=1, max_size=5)
+    | st.dictionaries(_JSON_TEXT, _NESTED, min_size=1, max_size=5),
+    st.integers(1, 40),
+    st.sampled_from(["array", "object"]),
+)
+def test_the_probe_rejects_only_chunks_the_typing_pass_rejects(data, value, window, kind):
+    gap = lambda: data.draw(_WS)  # noqa: E731 - one draw per gap
+    raw = _dump(value, gap).encode("utf-8")
+    # Chunks start at an item at any depth, half the time one that a
+    # full-window probe finds a closer within ``window`` bytes of, and
+    # end before a comma or a closer at any depth: the cuts a separator
+    # search can make.
+    starts = [
+        i for i in range(1, len(raw))
+        if raw[i] not in b" \t\n\r" and raw[:i].rstrip()[-1:] in (b",", b"[", b"{", b":")
+    ]
+    near = [
+        i for i in starts
+        if (_probe(raw, i, len(raw), kind, 1 << 16) or len(raw)) < i + window
+    ]
+    ends = [i for i in range(1, len(raw)) if raw[i] in b",]}"]
+    start = data.draw(st.sampled_from(near) | st.sampled_from(starts) if near else st.sampled_from(starts))
+    end = data.draw(st.just(len(raw) - 1) | st.sampled_from([e for e in ends if e >= start]))
+    closer = _probe(raw, start, end, kind, window)
+    if closer is not None:
+        assert start <= closer < end and raw[closer] in b"]}"
+        assert _chunk_fails(raw, start, end, kind)
+        # A larger window reads the same items to the same closer.
+        assert _probe(raw, start, end, kind, 1 << 16) == closer
+
+
+# Chunks with a value of each delicate kind where windows end: a valid
+# chunk, and a lying one whose first closer follows ``before``.  The
+# probe may stop short, but never proves a lie that is not, nor finds a
+# lie anywhere but at that closer.
+PROBE_EDGE_CHUNKS = {
+    "exponent": ("array", "1.5e3, 2", "1.5e3", "], [2"),
+    "negative zero": ("array", "-0, 1", "[-0, -0.0]", "}, {\"a\": -0"),
+    "escaped quote": ("array", '"a\\"]", "b"', '"a\\"", "]"', '], "b"'),
+    "4-byte character": ("array", '"𝄞𝄞", "𝄞"', '"𝄞"', '], "𝄞"'),
+    "member": ("object", '"k": 1.5e3, "j": -0', '"k": "\\"}"', '}, "j": 1'),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, valid, before, after", PROBE_EDGE_CHUNKS.values(), ids=PROBE_EDGE_CHUNKS.keys()
+)
+def test_the_probe_never_misreads_a_window_edge(kind, valid, before, after):
+    closer = len(before.encode("utf-8"))
+    for text, expected in ((valid, set()), (before + after, {closer})):
+        data = text.encode("utf-8")
+        found = {
+            _probe(data, 0, len(data), kind, window) for window in range(1, len(data) + 2)
+        }
+        assert found - {None} == expected
+        assert _chunk_fails(data, 0, len(data), kind) is bool(expected)
+    # The first window that holds the closer proves the lie.
+    assert _probe(data, 0, len(data), kind, closer + 1) == closer
+
+
+def test_a_probed_cut_resnaps_past_the_closer_that_proved_it():
+    data = json.dumps(
+        [{"c": [{"x": i} for i in range(12)]}, {"c": []}, {"c": [{"x": 9}, {"x": 9}]}, {"c": []}]
+    ).encode()
+    close = len(data) - 1
+    resume = structural.propose_chunks(data, 0, close, "array", 2)[1][0]
+    assert structural.probe_chunk(data, resume, close, "array") is not None
+    # One probe proves the cut wrong and leaves no move: no chunks.
+    assert structural.propose_chunks(data, 0, close, "array", 2, probes=1) is None
+    chunks = structural.propose_chunks(data, 0, close, "array", 2, probes=2)
+    ends = {end for _, end in scan_depth1_spans(data).parts}
+    assert chunks[0][1] in ends and not _chunk_fails(data, *chunks[1], "array")
+
+
+@pytest.fixture(scope="module")
+def lying_events_array() -> str:
+    """A 4.2 MiB GitHub events array whose speculative cut lands in a
+    small nested ``commits`` array, well inside the probe's window."""
+    from repro.datasets import github_events
+
+    events = github_events(9500, seed=2)
+    return json.dumps(events, separators=(",", ":"), ensure_ascii=False)
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    ["%s", '{"meta":{"source":"github","v":1},"events":%s}', "[%s]"],
+    ids=["array", "spine", "wrapper"],
+)
+def test_a_proven_lie_is_recut_before_any_worker_runs(tmp_path, monkeypatch, lying_events_array, wrap):
+    from repro.inference import distributed
+
+    line = wrap % lying_events_array
+    assert len(line) >= 4 << 20
+    calls, _ = _observe_decline_route(monkeypatch)
+    runs: list = []
+    run = distributed._WorkerPool.run
+
+    def observed_run(self, tasks, *, exact):
+        runs.append((len(calls), exact, self.processes))
+        return run(self, tasks, exact=exact)
+
+    monkeypatch.setattr(distributed._WorkerPool, "run", observed_run)
+    with open_corpus(_corpus_path(tmp_path, [line])) as corpus:
+        result = infer_subtree_text(corpus, processes=2)
+    # The first call declines without a pool run (the probe proved its
+    # cuts wrong); the re-cut, the second call, carves in one
+    # speculative pool run on two workers.
+    assert [carved for carved, _ in calls] == [False, True]
+    assert runs == [(1, False, 2)]
+    assert result.processes == 2
+    table = InternTable()
+    assert table.canonical(result.result) is _reference([line], table)
+
+
 def test_driver_both_equivalences(tmp_path):
     lines = [DRIVER_DOCS[1]]
     for equivalence in (Equivalence.KIND, Equivalence.LABEL):
