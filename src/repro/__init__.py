@@ -9,7 +9,7 @@ on a common from-scratch JSON substrate.
 Subpackages
 -----------
 ``repro.jsonvalue``
-    JSON data model, parser, streaming events, serializer, pointers, paths.
+    JSON data model, parser, serializer, pointers, paths.
 ``repro.jsonschema``
     JSON Schema (Draft-07 core) validator with ``$ref`` support.
 ``repro.joi``

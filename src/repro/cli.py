@@ -52,42 +52,27 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     from repro.jsonvalue.serializer import PRETTY, dumps
     from repro.types import Equivalence, type_to_string
 
-    # The type/jsonschema outputs run the fused text→type pipeline on
-    # raw lines: no document DOM is built, regular files fold as mapped
-    # byte ranges (through the adaptive scheduler under --jobs) and
-    # other sources as line-aligned blocks.  Codegen needs the documents
-    # whole: it reads the source once and parses them from its spans.
+    # Every format renders the fused text→type fold's result: no
+    # document DOM is built, regular files fold as mapped byte ranges
+    # (through the adaptive scheduler under --jobs) and other sources as
+    # line-aligned blocks.
     equivalence = Equivalence(args.equivalence)
-    if args.format in ("typescript", "swift"):
-        return _infer_codegen(args, equivalence)
     report = infer_report_path(args.data, equivalence, jobs=args.jobs)
     print(f"# {report.document_count} documents, schema size {report.schema_size}")
     if args.format == "type":
         print(type_to_string(report.inferred))
-    else:
+    elif args.format == "jsonschema":
         print(dumps(report.to_jsonschema(), PRETTY))
-    return 0
+    elif args.format == "typescript":
+        from repro.pl.codegen import algebra_to_typescript
+        from repro.pl.typescript import declaration
 
-
-def _infer_codegen(args: argparse.Namespace, equivalence) -> int:
-    from repro.inference.streaming import report_with_spans
-    from repro.jsonvalue.parser import parse_lines
-    from repro.pl.codegen import swift_declaration_for, typescript_declaration_for
-
-    with report_with_spans(args.data, equivalence, jobs=args.jobs) as (
-        report,
-        sections,
-    ):
-        docs = list(parse_lines(
-            data[start:end].decode("utf-8")
-            for data, spans in sections
-            for start, end in spans
-        ))
-    print(f"# {report.document_count} documents, schema size {report.schema_size}")
-    if args.format == "typescript":
-        print(typescript_declaration_for(docs, args.name), end="")
+        print(declaration(algebra_to_typescript(report.inferred), args.name), end="")
     else:  # swift
-        print(swift_declaration_for(docs, args.name), end="")
+        from repro.pl.codegen import _swift_source, algebra_to_swift
+
+        swift_type = algebra_to_swift(report.inferred, args.name)
+        print(_swift_source(swift_type, args.name), end="")
     return 0
 
 

@@ -1006,7 +1006,7 @@ def _schedule(jobs: Optional[int], measure, *, documents: int = 0) -> SchedulePl
     worker requested, one usable CPU, or fewer than two independent
     units plan serial before anything is measured or modeled; so does a
     modeled win under ``_PARALLEL_ADVANTAGE`` — spawning workers that
-    lose to the serial fold (the E16 regression: 0.94x at ``--jobs 2``
+    lose to the serial fold (a fixed pool measured 0.94x at ``--jobs 2``
     on one usable CPU) is the one outcome this scheduler exists to
     prevent.
     """

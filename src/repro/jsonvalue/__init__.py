@@ -8,7 +8,6 @@ implements, from scratch:
   hand-written parser defines the semantics and every error; ``parse``
   lets the standard library's C decoder speed up only the documents it
   accepts, with identical values, and parses everything else by hand,
-- a constant-memory streaming event parser (:mod:`repro.jsonvalue.events`),
 - a serializer with compact and pretty modes (:mod:`repro.jsonvalue.serializer`),
 - JSON Pointer, RFC 6901 (:mod:`repro.jsonvalue.pointer`),
 - a small JSONPath dialect used by projections and skeleton mining
@@ -43,10 +42,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ParseOptions": "parser",
     "parse": "parser",
     "parse_lines": "parser",
-    "JsonEvent": "events",
-    "JsonEventType": "events",
-    "iter_events": "events",
-    "values_from_events": "events",
     "DumpOptions": "serializer",
     "dumps": "serializer",
     "dump_lines": "serializer",

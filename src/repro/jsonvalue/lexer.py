@@ -1,10 +1,10 @@
 """Tokenizer for RFC 8259 JSON text.
 
 Produces :class:`Token` objects carrying byte offsets and line/column
-positions, which the DOM parser, the streaming event parser, and the
-Mison-style structural index all consume.  The lexer is strict by default
-(no NaN/Infinity, no comments, no trailing garbage is its caller's concern)
-and decodes string escapes including surrogate pairs.
+positions, which the DOM parser and the Mison-style structural index
+consume.  The lexer is strict by default (no NaN/Infinity, no comments,
+no trailing garbage is its caller's concern) and decodes string escapes
+including surrogate pairs.
 """
 
 from __future__ import annotations

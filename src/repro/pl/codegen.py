@@ -134,7 +134,11 @@ def swift_declaration_for(docs: Iterable[Any], name: str = "Root") -> str:
     from repro.types import Equivalence, merge_all, type_of
 
     inferred = merge_all((type_of(d) for d in docs), Equivalence.KIND)
-    swift_type = algebra_to_swift(inferred, name)
+    return _swift_source(algebra_to_swift(inferred, name), name)
+
+
+def _swift_source(swift_type: sw.SwiftType, name: str) -> str:
+    """A struct renders as its declaration, anything else as an alias."""
     if isinstance(swift_type, sw.SwiftStruct):
         return sw.render_struct(swift_type)
     return f"typealias {name} = {sw.render_type(swift_type)}\n"

@@ -9,7 +9,7 @@
 - :mod:`repro.translation.translate` — schema-aware vs schema-oblivious
   translation pipelines (experiment E9): the DOM reference path, the
   interned-memoized DOM walk (both test oracles), and the single-pass
-  infer→translate→write flow (experiment E21);
+  infer→translate→write flow;
 - :mod:`repro.translation.stream` — the translate machine that flow
   runs on every source: a fused column program compiled from the
   resolution + Parquet + Avro trees, walked once over each document's

@@ -39,7 +39,8 @@ resolved type, the degraded column paths, and a structural
 object identity, which silently broke as soon as the resolved type was
 re-interned or crossed a pickle boundary; the plan survives both.)
 
-The report compares output sizes; the benchmark (E21) adds timing.
+The report compares output sizes; the CLI benchmark's ``translate-out``
+workload adds timing.
 Quality is measured too: the fraction of leaf values that kept a typed
 column rather than falling back to the ``json`` escape-hatch column.
 """

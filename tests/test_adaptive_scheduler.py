@@ -1,7 +1,7 @@
 """Tests for the adaptive parallel scheduler (`repro.inference.distributed`).
 
-The scheduler exists to fix one concrete regression (E16: `--jobs N`
-measuring 0.94–1.01x serial): it must *never* schedule a worker pool
+The scheduler exists to fix one concrete regression (fixed `--jobs N`
+pools measuring 0.94–1.01x serial): it must *never* schedule a worker pool
 whose modeled cost exceeds the serial fold — one usable CPU or a tiny
 corpus mean serial — while still scheduling workers when the model says
 they win.  It plans mapped corpus files only (sources that are not

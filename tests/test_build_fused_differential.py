@@ -7,7 +7,7 @@ The contract of the fused map phase is exact:
 for every JSON value — identical by *interned identity*, not merely
 structurally equal.  These tests pin that law with hypothesis-generated
 values (including deep nesting and repeated shapes), for the DOM encoder,
-the global-table convenience, the streaming event path, and the engine's
+the global-table convenience, the streaming text path, and the engine's
 ``add``; plus the recursion-freedom the seed encoder cannot offer, and
 the counted map phase against a recursive reference implementation.
 """

@@ -47,6 +47,23 @@ class TestInfer:
         out = capsys.readouterr().out
         assert "interface Ev {" in out
 
+    def test_codegen_renders_the_equivalence_it_is_given(self, tmp_path, capsys):
+        # Codegen renders the inferred type, so --equivalence label keeps
+        # the two record shapes apart instead of merging them by kind.
+        path = tmp_path / "shapes.ndjson"
+        path.write_text('{"a": 1}\n{"b": "x"}\n')
+        assert main(["infer", str(path), "--format", "typescript"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "interface Root {\n  a?: number;\n  b?: string;\n}\n"
+        )
+        label = ["--equivalence", "label"]
+        assert main(["infer", str(path), "--format", "typescript", *label]) == 0
+        assert capsys.readouterr().out.endswith(
+            "type Root = {\n  a: number;\n} | {\n  b: string;\n};\n"
+        )
+        assert main(["infer", str(path), "--format", "swift", *label]) == 2
+        assert "cannot represent union" in capsys.readouterr().err
+
     def test_swift_union_error_is_clean(self, tmp_path, capsys):
         path = tmp_path / "mixed.ndjson"
         path.write_text('{"v": 1}\n{"v": "x"}\n')

@@ -33,7 +33,11 @@ from repro.datasets import (
     zstd_available,
 )
 from repro.datasets import compressed
-from repro.datasets.compressed import _line_aligned_cut, iter_block_line_spans
+from repro.datasets.compressed import (
+    _line_aligned_cut,
+    estimate_ratio,
+    iter_block_line_spans,
+)
 from repro.inference import (
     accumulate_ranges,
     fold_line_blocks,
@@ -339,6 +343,9 @@ def test_plan_compressed_schedule_modes(tmp_path, monkeypatch):
     compress_corpus(multi, SAMPLE_LINES, member_lines=5)
     single = tmp_path / "single.gz"
     compress_corpus(single, SAMPLE_LINES)
+    # The cost model sizes the corpus from the probed expansion ratio.
+    assert estimate_ratio(single) > 1.0
+    assert estimate_ratio(multi) > 1.0
 
     plan = plan_compressed_schedule(multi, jobs=1)
     assert plan.mode == "serial" and "one worker" in plan.reason

@@ -10,6 +10,7 @@ from repro.datasets import (
     github_events,
     iter_ndjson_lines,
     ndjson_lines,
+    nyt_articles,
     open_corpus,
     read_ndjson_lines,
     split_corpus_bytes,
@@ -23,11 +24,15 @@ from repro.types.intern import global_table
 
 
 def test_write_then_read_round_trips(tmp_path):
-    docs = tweets(40, seed=21)
-    path = tmp_path / "docs.ndjson"
-    assert write_ndjson(path, docs) == len(docs)
-    assert read_ndjson_lines(path) == ndjson_lines(docs)
-    assert list(stream_documents(path)) == docs
+    for make in (tweets, github_events, nyt_articles):
+        docs = make(40, seed=21)
+        path = tmp_path / f"{make.__name__}.ndjson"
+        assert write_ndjson(path, docs) == len(docs)
+        assert read_ndjson_lines(path) == ndjson_lines(docs)
+        assert list(stream_documents(path)) == docs
+        # The mmap corpus decodes the same lines the block reader yields.
+        with open_corpus(path) as corpus:
+            assert list(corpus) == read_ndjson_lines(path)
 
 
 def test_iter_lines_accepts_handles_and_iterables(tmp_path):

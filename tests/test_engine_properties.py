@@ -176,7 +176,7 @@ class TestBatchFold:
 
 class TestBoundedState:
     """The accumulator's state stops growing once a collection's variants
-    have all been seen (the bounded-state claim of E14, at tier-1 size)."""
+    have all been seen: O(classes) memory, independent of collection size."""
 
     def test_state_is_equal_after_1k_and_4k_documents(self):
         docs = tweets(4000, seed=14)

@@ -48,7 +48,7 @@ class TestTypeOfText:
     def test_empty_text_rejected(self):
         from repro.errors import ReproError
 
-        # Zero documents: the event parser rejects the empty text.
+        # Zero documents: the parser rejects the empty text.
         with pytest.raises(ReproError):
             type_of_text("")
 

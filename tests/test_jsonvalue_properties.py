@@ -3,7 +3,6 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.jsonvalue.events import iter_events, values_from_events
 from repro.jsonvalue.model import freeze, iter_paths, strict_equal, unfreeze
 from repro.jsonvalue.parser import parse
 from repro.jsonvalue.pointer import JsonPointer
@@ -34,13 +33,6 @@ def test_stdlib_agrees_with_our_parser(value):
 
     ours = dumps(value)
     assert parse(stdlib_json.dumps(stdlib_json.loads(ours))) == parse(ours)
-
-
-@given(json_values())
-def test_event_stream_rebuilds_value(value):
-    text = dumps(value)
-    (rebuilt,) = values_from_events(iter_events(text))
-    assert strict_equal(rebuilt, value)
 
 
 @given(json_values())

@@ -824,11 +824,18 @@ class TestSchedulerSubtreeMode:
         from repro.inference import distributed as dist
 
         monkeypatch.setattr(dist, "auto_jobs", lambda: 4)
-        path = _corpus_path(tmp_path, ['{"k": %d}' % i for i in range(200)])
+        lines = ['{"k": %d}' % i for i in range(200)]
+        path = _corpus_path(tmp_path, lines)
         with open_corpus(path) as corpus:
             plan = dist.plan_schedule(corpus)
+            # Through the subtree entry itself, at the default threshold:
+            # no line splits and no pool starts.
+            run = infer_subtree_text(corpus, processes=4)
         assert plan.mode in ("serial", "parallel")
         assert not plan.subtree
+        assert run.partitions == 1 and run.processes == 1
+        table = InternTable()
+        assert table.canonical(run.result) is _reference(lines, table)
 
 
 # ---------------------------------------------------------------------------

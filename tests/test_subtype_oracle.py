@@ -18,15 +18,17 @@ seed record constructors.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
+from repro.datasets import tweets
 from repro.types import (
     ANY,
     ArrType,
     BOOL,
     BOT,
+    Equivalence,
     FLT,
     FieldType,
     INT,
@@ -101,9 +103,30 @@ class TestSoundnessOracle:
 # ---------------------------------------------------------------------------
 
 
+def _deep_type(levels: int, leaf):
+    """Alternate array and record layers around ``leaf``."""
+    t = leaf
+    for i in range(levels):
+        t = RecType.of({"a": t, "b": ArrType(t)}) if i % 2 else ArrType(t)
+    return t
+
+
+_TWEETS = tweets(200, seed=15)
+_TWEETS_LABEL = merge_all([type_of(d) for d in _TWEETS], Equivalence.LABEL)
+_TWEETS_KIND = merge_all([type_of(d) for d in _TWEETS], Equivalence.KIND)
+
+
 class TestReferenceAgreement:
     @given(json_types, json_types)
     @settings(max_examples=200)
+    # A 16-level pair: the worklist and its memo well past the depth the
+    # strategies reach.
+    @example(_deep_type(16, INT), _deep_type(16, NUM))
+    @example(_deep_type(16, NUM), _deep_type(16, INT))
+    # A document against the wide LABEL union of its corpus, and that
+    # union against the corpus's KIND merge.
+    @example(type_of(_TWEETS[0]), _TWEETS_LABEL)
+    @example(_TWEETS_LABEL, _TWEETS_KIND)
     def test_memoized_agrees_with_reference(self, s, t):
         expected = is_subtype_reference(s, t)
         assert is_subtype(s, t) == expected

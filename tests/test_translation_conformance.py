@@ -40,6 +40,7 @@ from repro.translation import (
     write_artifacts,
 )
 from repro.types import Equivalence, merge_all, type_of
+from repro.types.terms import ArrType, AtomType, RecType, UnionType
 
 def _nested_records(n: int, seed: int = 22) -> list:
     """Variable-structure records: variable-length arrays, int|flt
@@ -61,7 +62,25 @@ def _nested_records(n: int, seed: int = 22) -> list:
     ]
 
 
+def _flat_records(n: int, seed: int = 21) -> list:
+    """Constant-structure records (the telemetry shape): every document
+    has the same keys, in the same order, with the same kinds."""
+    rng = random.Random(seed)
+    return [
+        {
+            "id": i,
+            "user": {"name": f"user-{rng.randint(0, 10**6)}",
+                     "verified": bool(i % 7)},
+            "score": rng.random() * 100,
+            "geo": {"lat": rng.random() * 90, "lon": rng.random() * 180},
+            "level": rng.randint(0, 5),
+        }
+        for i in range(n)
+    ]
+
+
 CORPORA = {
+    "flat": lambda: _flat_records(120),
     "twitter": lambda: tweets(120),
     "github": lambda: github_events(120),
     "nyt": lambda: nyt_articles(120),
@@ -266,14 +285,38 @@ def test_empty_field_name_fallback_path_matches_its_column():
     assert dom.columnar.columns["0.[]."].kind == "json"
 
 
+def _seed_fallback_paths(t, path=""):
+    """The seed resolve rule: a union stays typed only as null + one
+    atom, or as exactly int|flt; any other union falls back."""
+    if isinstance(t, ArrType):
+        return _seed_fallback_paths(t.item, f"{path}.[]" if path else "[]")
+    if isinstance(t, RecType):
+        return [
+            p
+            for f in t.fields
+            for p in _seed_fallback_paths(f.type, f"{path}.{f.name}" if path else f.name)
+        ]
+    if isinstance(t, UnionType):
+        members = list(t.members)
+        tags = {m.tag for m in members if isinstance(m, AtomType)}
+        rest = [m for m in members if not (isinstance(m, AtomType) and m.tag == "null")]
+        nullable_atom = len(rest) == 1 < len(members) and isinstance(rest[0], AtomType)
+        widened = len(members) == 2 and tags == {"int", "flt"}
+        if not (nullable_atom or widened):
+            return [path]
+    return []
+
+
 def test_tweets_coordinates_no_longer_fall_back():
     # The optional-object shape null | {…} used to degrade to JSON text;
     # on the tweets corpus that cost the coordinates subtrees.  The
-    # resolver now types them, so the corpus translates fallback-free.
+    # resolver now types them, so the corpus translates fallback-free
+    # where the seed rule degraded them.
     docs = tweets(300)
     inferred = merge_all((type_of(d) for d in docs), Equivalence.KIND)
     _, fallbacks = resolve_type(inferred)
     assert fallbacks == []
+    assert _seed_fallback_paths(inferred) != []
 
 
 def test_unknown_field_raises_translation_error_with_path():
