@@ -19,6 +19,19 @@ from repro.types import ArrType, BOT, Equivalence, INT, RecType, merge_all, type
 
 from tests.strategies import json_values
 
+# Truncated, unbalanced and trailing-data documents: the text routes must
+# reject each with the error ``parse`` raises for it.
+MALFORMED = ["{", "[", '{"a"}', '{"a": 1', "[1, ", "[1] 2", '{"a": 1}}', "[1,]"]
+
+
+def _error(fn):
+    """``(class, message)`` of what ``fn`` raises, or ``None``."""
+    try:
+        fn()
+    except JsonError as exc:
+        return (type(exc), str(exc))
+    return None
+
 
 class TestTypeOfText:
     @pytest.mark.parametrize(
@@ -26,6 +39,7 @@ class TestTypeOfText:
         [
             "null",
             "true",
+            "0",
             "42",
             "2.5",
             '"s"',
@@ -34,12 +48,22 @@ class TestTypeOfText:
             "[1, 2, 3]",
             '[1, "a", null]',
             '{"a": {"b": [1.5]}, "c": []}',
+            '{"a": [1, 2.5, {"b": null}], "c": true}',
+            "[[], {}, [{}]]",
         ],
     )
     def test_equals_dom_path(self, text):
         from repro.jsonvalue.parser import parse
 
         assert type_of_text(text) == type_of(parse(text))
+
+    @pytest.mark.parametrize("text", MALFORMED)
+    def test_malformed_raises_the_parse_error(self, text):
+        from repro.jsonvalue.parser import parse
+
+        error = _error(lambda: type_of_text(text))
+        assert error is not None
+        assert error == _error(lambda: parse(text))
 
     def test_simple_shapes(self):
         assert type_of_text('{"a": 1}') == RecType.of({"a": INT})
@@ -75,6 +99,14 @@ class TestInferStreaming:
         accumulator = accumulate_lines(lines)
         assert accumulator.result() == expected
         assert accumulator.document_count == 2600
+
+    @pytest.mark.parametrize("line", MALFORMED)
+    def test_malformed_line_raises_the_parse_error(self, line):
+        from repro.jsonvalue.parser import parse
+
+        error = _error(lambda: accumulate_lines(['{"a": 1}', line, "[]"]))
+        assert error is not None
+        assert error == _error(lambda: parse(line))
 
     def test_a_batched_line_fails_before_a_later_read(self):
         def lines():

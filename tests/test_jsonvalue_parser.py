@@ -48,6 +48,7 @@ class TestErrors:
         [
             "",
             "{",
+            "[",
             "}",
             "[1,]",
             "{1: 2}",
@@ -55,8 +56,13 @@ class TestErrors:
             '{"a": }',
             '{"a": 1,}',
             "[1 2]",
+            "[1, ",
+            '{"a"}',
+            '{"a": 1',
             '{"a": 1} extra',
+            '{"a": 1}}',
             "[1] [2]",
+            "[1] 2",
             '{"a": 1 "b": 2}',
         ],
     )
@@ -112,6 +118,11 @@ class TestParseLines:
         lines = ['{"a": 1}', "", '{"a": 2}']
         docs = list(parse_lines(lines))
         assert docs == [{"a": 1}, {"a": 2}]
+
+    def test_top_level_null_is_a_document(self):
+        # A ``null`` line is a document, not a skipped or missing value.
+        docs = list(parse_lines(["null", "[1]", '{"a": 2}']))
+        assert docs == [None, [1], {"a": 2}]
 
     def test_blank_line_error_when_not_skipping(self):
         with pytest.raises(JsonParseError):
