@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         "The scheduler times a small sample of the corpus, models each "
         "mode (per-worker "
         "startup + the fold split across usable CPUs + splitting huge "
-        "documents, with the constants loaded from "
+        "documents, with the worker startup loaded from "
         "the per-machine calibration profile at ~/.cache/repro/sched.json — "
         "measured once, REPRO_SCHED_PROFILE overrides the path), and falls "
         "back to the serial fold whenever the modeled win is negative — so "
@@ -213,9 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         "files (gzip, or zstd with the optional zstandard module) instead "
         "stream through the chunked decompression fold; with jobs, a "
         "multi-member container lets workers decompress and fold "
-        "independent member byte ranges in parallel, priced by a "
-        "decompress-rate calibration constant "
-        "(REPRO_DECOMPRESS_BYTES_PER_SECOND overrides) — single-member "
+        "independent member byte ranges in parallel, priced by fixed "
+        "decompress and scan rates — single-member "
         "streams are inherently sequential and stay serial.",
     )
     # No --shared-memory flag; benchmarks/suite/trace_job.py reads the attribute.

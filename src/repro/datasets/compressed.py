@@ -543,11 +543,6 @@ class CompressedCorpus(Sequence[str]):
                 return line
         raise IndexError("corpus line index out of range")  # pragma: no cover
 
-    @property
-    def compressed_bytes(self) -> int:
-        """Size of the compressed file on disk."""
-        return os.path.getsize(self.path)
-
     def close(self) -> None:
         self._closed = True
 

@@ -81,7 +81,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "train_profile": "profiling",
     "DistributedRun": "distributed",
     "ParallelRun": "distributed",
-    "SchedCalibration": "calibration",
     "SchedulePlan": "distributed",
     "auto_jobs": "distributed",
     "load_calibration": "calibration",

@@ -910,9 +910,9 @@ class SchedulePlan:
     parallelism: huge documents carved into top-level chunks); the
     estimate fields record the cost model's inputs so benchmarks and the
     CLI can report *why* the scheduler chose what it chose.
-    ``calibration_source`` records where the cost-model constants came
-    from (``"env"``, ``"profile"``, ``"measured"``, or ``"default"`` —
-    see :mod:`repro.inference.calibration`).  Plans are immutable.
+    ``calibration_source`` records where the worker start-up came from
+    (``"env"``, ``"profile"``, ``"measured"``, or ``"default"`` — see
+    :mod:`repro.inference.calibration`).  Plans are immutable.
     """
 
     def __init__(
@@ -957,6 +957,15 @@ class SchedulePlan:
 
 
 _PARALLEL_ADVANTAGE = 1.15  # modeled win required before spawning workers
+# Bytes rates of the huge-document and compressed cost models, where a
+# timed per-line sample is useless (one line may be the corpus, and
+# lines do not exist before decompression): serial typing of raw bytes,
+# the structural splitter's carve (separator searches, near memory
+# bandwidth) and gzip/zstd output in decompressed bytes.  Constants, not
+# calibrated: only worker start-up is measured per machine.
+_SCAN_BYTES_PER_SECOND = 80e6
+_SPLIT_BYTES_PER_SECOND = 2e9
+_DECOMPRESS_BYTES_PER_SECOND = 250e6
 _SAMPLE_SIZE = 200
 # The timed sample is throwaway work; cap it by wall clock as well as
 # count so corpora of few-but-huge lines don't pay a large fraction of
@@ -1001,7 +1010,7 @@ def _schedule(jobs: Optional[int], measure, *, documents: int = 0) -> SchedulePl
     cost plus the serial fold divided across the CPUs that can really
     run (requested jobs capped by :func:`auto_jobs` and the source's
     independent units); workers read their own byte ranges, so nothing
-    is shipped.  The constants come from the persisted per-machine
+    is shipped.  Worker start-up comes from the persisted per-machine
     calibration profile (:mod:`repro.inference.calibration`).  One
     worker requested, one usable CPU, or fewer than two independent
     units plan serial before anything is measured or modeled; so does a
@@ -1055,7 +1064,7 @@ def _schedule(jobs: Optional[int], measure, *, documents: int = 0) -> SchedulePl
     )
 
 
-def _line_terms(corpus, sample_size: int) -> _Terms:
+def _line_terms(corpus) -> _Terms:
     """Terms of a mapped corpus: bytes rates when huge documents hold
     most of its bytes (the subtree mode), else the timed line sample.
 
@@ -1066,14 +1075,13 @@ def _line_terms(corpus, sample_size: int) -> _Terms:
     skipped as the fold skips them), which dominates the fold and does
     not depend on the equivalence.
     """
-    from repro.inference import calibration
     from repro.types.build import EventTypeEncoder
     from repro.types.intern import InternTable
 
     documents = len(corpus)
     if documents == 0:
         return _Terms("empty corpus", 0)
-    if documents <= max(1, sample_size) and corpus.max_line_bytes >= _SUBTREE_MIN_BYTES:
+    if documents <= _SAMPLE_SIZE and corpus.max_line_bytes >= _SUBTREE_MIN_BYTES:
         total = corpus.size_bytes
         huge = sum(
             end - start
@@ -1084,8 +1092,8 @@ def _line_terms(corpus, sample_size: int) -> _Terms:
             return _Terms(
                 f"huge-document corpus ({huge / 1e6:.0f} MB in splittable lines)",
                 sys.maxsize,
-                total / calibration.scan_bytes_per_second(),
-                total / calibration.split_bytes_per_second(),
+                total / _SCAN_BYTES_PER_SECOND,
+                total / _SPLIT_BYTES_PER_SECOND,
                 mode="subtree",
             )
     # A private table: samples must not pollute the global table's
@@ -1093,7 +1101,7 @@ def _line_terms(corpus, sample_size: int) -> _Terms:
     encode_text = EventTypeEncoder(InternTable()).encode_text
     sampled = 0
     start_time = time.perf_counter()
-    for index in range(min(documents, max(1, sample_size))):
+    for index in range(min(documents, _SAMPLE_SIZE)):
         line = corpus[index]
         if line and not line.isspace():
             encode_text(line)
@@ -1117,7 +1125,6 @@ def _member_terms(path: str, fmt: Optional[str]) -> _Terms:
     lines do not exist until decompression runs.  Independent units are
     the member/frame candidates: one DEFLATE stream cannot be split."""
     from repro.datasets.compressed import estimate_ratio, member_candidates
-    from repro.inference import calibration
 
     if fmt is None:
         return _Terms("not a compressed corpus", 0)
@@ -1128,8 +1135,7 @@ def _member_terms(path: str, fmt: Optional[str]) -> _Terms:
     return _Terms(
         f"{candidates} independent {fmt} member candidates",
         candidates,
-        total / calibration.decompress_bytes_per_second()
-        + total / calibration.scan_bytes_per_second(),
+        total / _DECOMPRESS_BYTES_PER_SECOND + total / _SCAN_BYTES_PER_SECOND,
     )
 
 
@@ -1138,14 +1144,11 @@ def plan_schedule(
     *,
     jobs: Optional[int] = None,
     shared_memory=None,  # unread; benchmarks/suite/trace_job.py passes it
-    sample_size: int = _SAMPLE_SIZE,
 ) -> SchedulePlan:
     """Decide serial, line-parallel or subtree execution for an
     :class:`~repro.datasets.ndjson.MmapCorpus` (:func:`_schedule` over
     :func:`_line_terms`)."""
-    return _schedule(
-        jobs, lambda: _line_terms(corpus, sample_size), documents=len(corpus)
-    )
+    return _schedule(jobs, lambda: _line_terms(corpus), documents=len(corpus))
 
 
 def plan_compressed_schedule(
@@ -1168,7 +1171,6 @@ def infer_adaptive_text(
     equivalence: Equivalence = Equivalence.KIND,
     *,
     jobs: Optional[int] = None,
-    sample_size: int = _SAMPLE_SIZE,
 ) -> ParallelRun:
     """Inference over an :class:`~repro.datasets.ndjson.MmapCorpus`
     behind the adaptive scheduler.
@@ -1182,7 +1184,7 @@ def infer_adaptive_text(
     batched line pipeline.  The result is bit-identical to every other
     path.
     """
-    plan = plan_schedule(corpus, jobs=jobs, sample_size=sample_size)
+    plan = plan_schedule(corpus, jobs=jobs)
     if plan.subtree:
         run = infer_subtree_text(corpus, equivalence, processes=plan.jobs)
     elif plan.parallel:

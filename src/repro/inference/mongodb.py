@@ -71,12 +71,6 @@ class FieldSummary:
     def probability(self, parent_count: int) -> float:
         return self.count / parent_count if parent_count else 0.0
 
-    def type_names(self) -> list[str]:
-        return sorted(self.types)
-
-    def has_multiple_types(self) -> bool:
-        return len(self.types) > 1
-
 
 class FieldSummaryMap:
     """A set of field summaries under one parent (document or array elems)."""
@@ -94,10 +88,6 @@ class StreamingAnalyzer:
         self._rng = random.Random(seed)
         self._root = FieldSummaryMap()
         self._seen = 0
-
-    @property
-    def documents_seen(self) -> int:
-        return self._seen
 
     def feed(self, document: Any) -> None:
         """Consume one document (must be an object, as in MongoDB)."""

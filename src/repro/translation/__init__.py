@@ -7,9 +7,8 @@
   definition/repetition levels (Dremel), batch ``shred`` plus the
   streaming :class:`~repro.translation.parquet.Shredder`;
 - :mod:`repro.translation.translate` — schema-aware vs schema-oblivious
-  translation pipelines (experiment E9): the DOM reference path, the
-  interned-memoized DOM walk (both test oracles), and the single-pass
-  infer→translate→write flow;
+  translation pipelines (experiment E9): the DOM reference path (the
+  test oracle) and the single-pass infer→translate→write flow;
 - :mod:`repro.translation.stream` — the translate machine that flow
   runs on every source: a fused column program compiled from the
   resolution + Parquet + Avro trees, walked once over each document's
@@ -43,7 +42,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "schema_aware_translate": "translate",
     "schema_oblivious_translate": "translate",
     "textify": "translate",
-    "translate_interned": "translate",
     "translate_report_path": "translate",
     "write_artifacts": "translate",
 })

@@ -196,9 +196,6 @@ class Column:
         self.definition_levels = [] if definition_levels is None else definition_levels
         self.values = [] if values is None else values
 
-    def entry_count(self) -> int:
-        return len(self.repetition_levels)
-
     def encoded_size(self) -> int:
         """Approximate byte size: packed levels + plainly encoded values."""
         size = 0

@@ -28,10 +28,10 @@ is invariant under record key order (each column is fed only by its own
 path; several entries per row come only from arrays, in element order),
 so walking fields in schema order emits exactly what the DOM shredder
 emits.  A repeated key needs no special case: the decoder keeps the last
-value, as the DOM translators do.
+value, as the DOM translator does.
 
 **Fallback (JSON-text) columns capture the raw source slice verbatim**,
-where the DOM translators re-serialise the parsed value.  So a record or
+where the DOM translator re-serialises the parsed value.  So a record or
 list *with a fallback beneath it* is walked over the document text
 instead, member by member: a key regex, then the C decoder's
 ``scan_once`` (:data:`~repro.jsonvalue.parser.c_scan_once`) for each

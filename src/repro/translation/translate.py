@@ -13,24 +13,21 @@ both sides of that comparison:
   text blob (a single string column / NDJSON bytes), which is what a tool
   must do when it cannot rely on structure.
 
-Three translation paths produce the artifacts, pinned byte-identical by
+Two translation paths produce the artifacts, pinned byte-identical by
 the translation conformance tier:
 
 - :func:`schema_aware_translate` — the DOM reference: materialise the
   documents, seed-merge a type when none is given, textify, ``shred``,
   ``encode_rows``;
-- :func:`translate_interned` — the same DOM walk on interned types:
-  subtree resolution and Avro/Parquet schema compilation memoized on
-  interned node identity (shared subtrees translate once, keyed to the
-  intern-table epoch like the subtype checker), documents streamed once
-  through a :class:`~repro.translation.parquet.Shredder` and a fused
-  :class:`~repro.translation.avro.RowEncoder`;
 - :func:`translate_report_path` — the CLI's single-pass
   infer→translate→write flow from any corpus source: bytes fold →
-  resolved schema → the stream machine (:mod:`repro.translation.stream`:
-  one walk of a compiled column program over each decoded document) →
-  Avro rows + columnar store, whose ``columns.json`` the stdlib C
-  encoder renders.  The two DOM paths are its test oracles.
+  resolved schema (subtree resolution and Avro/Parquet schema
+  compilation memoized on interned node identity, keyed to the
+  intern-table epoch like the subtype checker) → the stream machine
+  (:mod:`repro.translation.stream`: one walk of a compiled column
+  program over each decoded document) → Avro rows + columnar store,
+  whose ``columns.json`` the stdlib C encoder renders.  The DOM path
+  is its test oracle.
 
 Union resolution is carried by an explicit :class:`Resolution` — the
 resolved type, the degraded column paths, and a structural
@@ -441,8 +438,8 @@ def schema_aware_translate(
 
     The DOM reference path: documents are materialised, the schema is
     seed-merged when none is given, and the artifacts are produced by the
-    batch ``shred``/``encode_rows`` primitives.  The interned pipeline
-    (:func:`translate_interned`) must match its output byte for byte.
+    batch ``shred``/``encode_rows`` primitives.  The stream flow
+    (:func:`translate_report_path`) must match its output byte for byte.
     """
     docs = list(documents)
     if inferred is None:
@@ -455,69 +452,6 @@ def schema_aware_translate(
     input_bytes = sum(len(dumps(d).encode("utf-8")) for d in docs)
     return _build_report(
         store, rows, resolution.fallbacks, len(docs), input_bytes
-    )
-
-
-# ---------------------------------------------------------------------------
-# the interned pipeline
-# ---------------------------------------------------------------------------
-
-
-def translate_interned(
-    documents: Iterable[Any],
-    inferred: Optional[Type] = None,
-    *,
-    equivalence: Equivalence = Equivalence.KIND,
-    table: Optional[InternTable] = None,
-    input_bytes: Optional[int] = None,
-) -> TranslationReport:
-    """Translate on interned types: memoized resolution and schema
-    compilation, one streaming pass over the documents.
-
-    Byte-identical artifacts to :func:`schema_aware_translate` (the
-    conformance tier's gate), reached differently: resolution and the
-    compiled Avro/Parquet schemas are epoch-keyed memo hits after the
-    first collection with a shared shape, and each document flows
-    through the shredder and the fused row encoder without building a
-    prepared-documents list.  ``input_bytes`` (when the caller already
-    knows the source size, e.g. raw corpus bytes) skips the per-document
-    re-serialization the report otherwise needs.
-    """
-    if table is None:
-        table = global_table()
-    if inferred is None:
-        from repro.inference.engine import TypeAccumulator
-
-        documents = list(documents)
-        if documents:
-            accumulator = TypeAccumulator(equivalence, table=table)
-            for doc in documents:
-                accumulator.add(doc)
-            inferred = accumulator.result()
-        else:
-            inferred = merge_all((), equivalence)
-    resolution = resolve_interned(inferred, table=table)
-
-    shredder = Shredder(compiled_parquet(resolution.resolved, table=table))
-    encoder = avro.RowEncoder(compiled_avro(resolution.resolved, table=table))
-    plan = resolution.plan
-    rows: list = []
-    count = 0
-    measured = 0
-    measure = input_bytes is None
-    for doc in documents:
-        count += 1
-        if measure:
-            measured += len(dumps(doc).encode("utf-8"))
-        prepared = textify(doc, plan)
-        shredder.add(prepared)
-        rows.append(encoder.encode_row(prepared))
-    return _build_report(
-        shredder.finish(),
-        rows,
-        resolution.fallbacks,
-        count,
-        measured if measure else input_bytes,
     )
 
 
@@ -609,8 +543,8 @@ def translate_report_path(
     emitting column entries and Avro row bytes directly; a document it
     cannot prove delegates to the DOM path (textify, shredder + row
     encoder).  Fallback (JSON-text) columns capture the **raw source
-    slice verbatim**, where the DOM translators
-    (:func:`translate_interned`, the test oracle) re-serialise —
+    slice verbatim**, where the DOM translator
+    (:func:`schema_aware_translate`, the test oracle) re-serialise —
     identical on serializer-canonical corpora.
 
     ``out`` (a directory) spills artifacts while translating: encoded

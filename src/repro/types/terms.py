@@ -418,20 +418,3 @@ def walk(t: Type) -> Iterator[Type]:
         current = stack.pop()
         yield current
         stack.extend(reversed(list(current.children())))
-
-
-def is_atomic(t: Type) -> bool:
-    return isinstance(t, AtomType)
-
-
-def atom_for_kind_join(left: AtomType, right: AtomType) -> Optional[AtomType]:
-    """Join two atoms of the same JSON kind, or None if kinds differ.
-
-    ``int`` ∨ ``flt`` = ``num``; joining any number atom with ``num`` gives
-    ``num``; identical atoms join to themselves.
-    """
-    if left.tag == right.tag:
-        return left
-    if left.kind == right.kind == "number":
-        return NUM
-    return None

@@ -38,6 +38,7 @@ from repro.datasets.compressed import (
     estimate_ratio,
     iter_block_line_spans,
 )
+from repro.inference import distributed
 from repro.inference import (
     accumulate_ranges,
     fold_line_blocks,
@@ -358,8 +359,8 @@ def test_plan_compressed_schedule_modes(tmp_path, monkeypatch):
     # Pin the constants so the decision is deterministic: free workers,
     # slow decompression → parallel wins whenever CPUs allow.
     monkeypatch.setenv("REPRO_WORKER_STARTUP_SECONDS", "0")
-    monkeypatch.setenv("REPRO_DECOMPRESS_BYTES_PER_SECOND", "1")
-    monkeypatch.setenv("REPRO_SCAN_BYTES_PER_SECOND", "1")
+    monkeypatch.setattr(distributed, "_DECOMPRESS_BYTES_PER_SECOND", 1)
+    monkeypatch.setattr(distributed, "_SCAN_BYTES_PER_SECOND", 1)
     plan = plan_compressed_schedule(multi, jobs=4)
     if plan.cpus > 1:
         assert plan.calibration_source == "env"
@@ -372,8 +373,8 @@ def test_plan_compressed_schedule_modes(tmp_path, monkeypatch):
 
     # Expensive workers → serial even with many members.
     monkeypatch.setenv("REPRO_WORKER_STARTUP_SECONDS", "1e9")
-    monkeypatch.setenv("REPRO_DECOMPRESS_BYTES_PER_SECOND", "1e12")
-    monkeypatch.setenv("REPRO_SCAN_BYTES_PER_SECOND", "1e12")
+    monkeypatch.setattr(distributed, "_DECOMPRESS_BYTES_PER_SECOND", 1e12)
+    monkeypatch.setattr(distributed, "_SCAN_BYTES_PER_SECOND", 1e12)
     plan = plan_compressed_schedule(multi, jobs=4)
     assert plan.mode == "serial"
 

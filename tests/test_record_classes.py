@@ -26,12 +26,6 @@ from typing import NamedTuple, Optional
 
 import pytest
 
-from repro.inference.calibration import (
-    DEFAULT_DECOMPRESS_BYTES_PER_SECOND,
-    DEFAULT_SCAN_BYTES_PER_SECOND,
-    DEFAULT_SPLIT_BYTES_PER_SECOND,
-    SchedCalibration,
-)
 from repro.inference.distributed import (
     DistributedRun,
     ParallelRun,
@@ -172,16 +166,6 @@ CASES = [
          ("10-line corpus", 10, 0.0, 0.0, "parallel", 0.0),
          {"serial_seconds": 0.0, "split_seconds": 0.0, "mode": "parallel",
           "sample_docs_per_sec": 0.0}, True),
-    Case(SchedCalibration,
-         ("worker_startup_seconds", "source", "scan_bytes_per_second",
-          "split_bytes_per_second", "decompress_bytes_per_second"),
-         (0.08, "default", DEFAULT_SCAN_BYTES_PER_SECOND,
-          DEFAULT_SPLIT_BYTES_PER_SECOND, DEFAULT_DECOMPRESS_BYTES_PER_SECOND),
-         {"source": "default",
-          "scan_bytes_per_second": DEFAULT_SCAN_BYTES_PER_SECOND,
-          "split_bytes_per_second": DEFAULT_SPLIT_BYTES_PER_SECOND,
-          "decompress_bytes_per_second": DEFAULT_DECOMPRESS_BYTES_PER_SECOND},
-         True),
     # translation: Avro schemas
     Case(APrimitive, ("name",), ("long",), {}, True, other=("string",)),
     Case(AField, ("name", "type"), ("a", LONG), {}, True, other=("b", LONG)),

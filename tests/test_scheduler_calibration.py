@@ -5,6 +5,10 @@ consume it (`repro.inference.calibration` /
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -12,7 +16,13 @@ import pytest
 from repro.inference import calibration as calibration_module
 from repro.inference import distributed as distributed_module
 from repro.inference.distributed import plan_schedule
-from repro.datasets import ndjson_lines, open_corpus, tweets, write_ndjson
+from repro.datasets import (
+    compress_corpus,
+    ndjson_lines,
+    open_corpus,
+    tweets,
+    write_ndjson,
+)
 
 
 @pytest.fixture()
@@ -34,16 +44,10 @@ def many_cpus(monkeypatch):
 
 class TestCalibrationProfile:
     def test_profile_file_is_loaded_not_remeasured(self, fresh_profile):
-        fresh_profile.write_text(
-            json.dumps(
-                {"worker_startup_seconds": 0.5, "scan_bytes_per_second": 1e6}
-            )
-        )
-        loaded = calibration_module.load_calibration()
-        assert loaded.source == "profile"
-        assert loaded.worker_startup_seconds == 0.5
+        fresh_profile.write_text(json.dumps({"worker_startup_seconds": 0.5}))
+        assert calibration_module.load_calibration() == (0.5, "profile")
         assert calibration_module.worker_startup_seconds() == 0.5
-        assert calibration_module.scan_bytes_per_second() == 1e6
+        assert calibration_module.calibration_source() == "profile"
 
     @pytest.mark.parametrize(
         "extra",
@@ -58,45 +62,35 @@ class TestCalibrationProfile:
         fresh_profile.write_text(
             json.dumps({"worker_startup_seconds": 0.5, **extra})
         )
-        loaded = calibration_module.load_calibration()
-        assert loaded.source == "profile"
-        assert loaded.worker_startup_seconds == 0.5
+        assert calibration_module.load_calibration() == (0.5, "profile")
 
     def test_missing_profile_measures_once_and_persists(self, fresh_profile):
-        loaded = calibration_module.load_calibration()
-        assert loaded.source == "measured"
-        assert loaded.worker_startup_seconds > 0
+        startup, source = calibration_module.load_calibration()
+        assert source == "measured"
+        assert startup > 0
         assert fresh_profile.exists()
         record = json.loads(fresh_profile.read_text())
-        assert record["worker_startup_seconds"] == loaded.worker_startup_seconds
+        assert record["worker_startup_seconds"] == startup
         assert "ship_bytes_per_second" not in record
         # a second load (fresh cache) reads the persisted file
         calibration_module._LOADED.clear()
-        again = calibration_module.load_calibration()
-        assert again.source == "profile"
-        assert again.worker_startup_seconds == loaded.worker_startup_seconds
+        assert calibration_module.load_calibration() == (startup, "profile")
 
     def test_malformed_profile_falls_back_to_defaults(self, fresh_profile):
         fresh_profile.write_text("{not json")
-        loaded = calibration_module.load_calibration()
-        assert loaded.source == "default"
-        assert (
-            loaded.worker_startup_seconds
-            == calibration_module.DEFAULT_WORKER_STARTUP_SECONDS
+        assert calibration_module.load_calibration() == (
+            calibration_module.DEFAULT_WORKER_STARTUP_SECONDS,
+            "default",
         )
         # the hand-broken file is not silently overwritten
         assert fresh_profile.read_text() == "{not json"
 
     def test_saved_profile_records_every_constant(self, fresh_profile):
-        saved = calibration_module.SchedCalibration(0.25, "measured", 1e6, 2e6, 3e6)
-        assert calibration_module.save_calibration(saved, fresh_profile)
+        assert calibration_module.save_calibration(0.25, fresh_profile)
         record = json.loads(fresh_profile.read_text())
-        assert list(record) == [
-            "worker_startup_seconds", "source", "scan_bytes_per_second",
-            "split_bytes_per_second", "decompress_bytes_per_second", "measured_at",
-        ]
-        assert [record[key] for key in list(record)[:5]] == [
-            0.25, "measured", 1e6, 2e6, 3e6,
+        assert list(record) == ["worker_startup_seconds", "source", "measured_at"]
+        assert [record["worker_startup_seconds"], record["source"]] == [
+            0.25, "measured",
         ]
         assert [p.name for p in fresh_profile.parent.iterdir()] == ["sched.json"]
 
@@ -104,7 +98,7 @@ class TestCalibrationProfile:
         self, fresh_profile, monkeypatch
     ):
         """A profile write that dies midway (a crash, a full disk) must
-        not leave a truncated profile, which would load as the defaults
+        not leave a truncated profile, which would load as the default
         on every later run without re-measuring."""
         fresh_profile.write_text(json.dumps({"worker_startup_seconds": 0.5}))
         write_text = Path.write_text
@@ -114,37 +108,24 @@ class TestCalibrationProfile:
             raise OSError("No space left on device")
 
         monkeypatch.setattr(Path, "write_text", torn_write)
-        measured = calibration_module.SchedCalibration(0.25, "measured")
-        assert not calibration_module.save_calibration(measured, fresh_profile)
-        loaded = calibration_module.load_calibration()
-        assert loaded.source == "profile"
-        assert loaded.worker_startup_seconds == 0.5
+        assert not calibration_module.save_calibration(0.25, fresh_profile)
+        assert calibration_module.load_calibration() == (0.5, "profile")
         assert [p.name for p in fresh_profile.parent.iterdir()] == ["sched.json"]
 
-    def test_nonpositive_profile_values_rejected(self, fresh_profile):
-        fresh_profile.write_text(
-            json.dumps(
-                {"worker_startup_seconds": -1, "scan_bytes_per_second": 0}
-            )
-        )
-        assert calibration_module.load_calibration().source == "default"
+    def test_negative_profile_startup_rejected(self, fresh_profile):
+        fresh_profile.write_text(json.dumps({"worker_startup_seconds": -1}))
+        assert calibration_module.load_calibration()[1] == "default"
 
     def test_env_overrides_beat_the_profile(self, fresh_profile, monkeypatch):
-        fresh_profile.write_text(
-            json.dumps(
-                {"worker_startup_seconds": 0.5, "scan_bytes_per_second": 1e6}
-            )
-        )
+        fresh_profile.write_text(json.dumps({"worker_startup_seconds": 0.5}))
         monkeypatch.setenv("REPRO_WORKER_STARTUP_SECONDS", "0.25")
         assert calibration_module.worker_startup_seconds() == 0.25
         assert calibration_module.calibration_source() == "env"
-        # the scan rate still comes from the profile
-        assert calibration_module.scan_bytes_per_second() == 1e6
+        # the profile is never read while the override is set
+        assert not calibration_module._LOADED
 
     def test_measure_calibration_is_sane(self):
-        measured = calibration_module.measure_calibration()
-        assert 0 < measured.worker_startup_seconds < 30
-        assert measured.source == "measured"
+        assert 0 < calibration_module.measure_calibration() < 30
 
 
 def _plan_lines(tmp_path, lines, **kwargs):
@@ -181,3 +162,127 @@ class TestPlanConsumesCalibration:
             plan = plan_schedule(corpus, jobs=2)
             assert plan.sample_docs_per_sec > 0
             assert plan.documents == 2000
+
+
+# ---------------------------------------------------------------------------
+# the bytes rates are constants: pinned start-up plans without a profile
+# ---------------------------------------------------------------------------
+
+
+def _huge_document(tmp_path) -> Path:
+    """One single-line document over the subtree mode's 4 MiB floor."""
+    path = tmp_path / "huge.json"
+    rows = [{"id": i, "name": "x" * 40, "tags": ["a", "b"]} for i in range(60000)]
+    path.write_text(json.dumps({"rows": rows}) + "\n", encoding="utf-8")
+    return path
+
+
+def _gzip_members(tmp_path) -> Path:
+    """A 16-member gzip corpus of 2,000 tweets."""
+    path = tmp_path / "tweets.ndjson.gz"
+    lines = ndjson_lines(tweets(400, seed=3)) * 5
+    assert compress_corpus(path, lines, member_lines=125) == 16
+    return path
+
+
+_PLAN_BOTH = textwrap.dedent("""
+    import sys
+    from repro.datasets import open_corpus
+    from repro.inference import distributed
+
+    distributed.auto_jobs = lambda: 4
+    with open_corpus(sys.argv[1]) as corpus:
+        huge = distributed.plan_schedule(corpus, jobs=4)
+    packed = distributed.plan_compressed_schedule(sys.argv[2], jobs=4)
+    print(huge.mode, huge.calibration_source, packed.calibration_source,
+          "multiprocessing" in sys.modules)
+""")
+
+
+def test_pinned_startup_plans_without_measuring(tmp_path):
+    """With the start-up pinned and no profile, planning a huge document
+    and a multi-member gzip corpus reads only constants: no measuring
+    worker starts (so ``multiprocessing`` stays unloaded) and no profile
+    is written.  Runs in a fresh interpreter, which is what is under
+    test."""
+    profile = tmp_path / "cache" / "sched.json"
+    src = Path(distributed_module.__file__).resolve().parents[2]
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(src),
+        "REPRO_SCHED_PROFILE": str(profile),
+        "REPRO_WORKER_STARTUP_SECONDS": "0.005",
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", _PLAN_BOTH, str(_huge_document(tmp_path)),
+         str(_gzip_members(tmp_path))],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    # Both sources reached the cost model ("env" is its start-up's source).
+    assert done.stdout.split() == ["subtree", "env", "env", "False"]
+    assert not profile.exists()
+    assert not profile.parent.exists()
+
+
+# A profile as earlier versions wrote it: the start-up, its source and
+# three bytes rates (at the values every measurement wrote), which no
+# plan reads any more.
+_EARLIER_PROFILE = {
+    "worker_startup_seconds": 0.001,
+    "source": "measured",
+    "scan_bytes_per_second": 80e6,
+    "split_bytes_per_second": 2e9,
+    "decompress_bytes_per_second": 250e6,
+    "measured_at": "2026-01-01T00:00:00",
+}
+
+
+class TestEarlierProfileKeepsThePlans:
+    """A profile with the retired rate keys loads as the profile, and the
+    plans priced from it keep their modes, jobs and estimates: the
+    constants are the rates earlier versions read from it."""
+
+    @pytest.fixture(autouse=True)
+    def _earlier_profile(self, fresh_profile, many_cpus):
+        fresh_profile.write_text(json.dumps(_EARLIER_PROFILE))
+
+    def test_loads_as_the_profile(self):
+        assert calibration_module.load_calibration() == (0.001, "profile")
+
+    def test_huge_document_plan(self, tmp_path):
+        with open_corpus(_huge_document(tmp_path)) as corpus:
+            total = corpus.size_bytes
+            plan = plan_schedule(corpus, jobs=4)
+        assert (plan.mode, plan.jobs, plan.calibration_source) == (
+            "subtree", 4, "profile",
+        )
+        assert plan.estimated_serial_seconds == pytest.approx(total / 80e6)
+        assert plan.estimated_parallel_seconds == pytest.approx(
+            0.001 * 4 + total / 2e9 + total / 80e6 / 4
+        )
+
+    def test_gzip_members_plan(self, tmp_path):
+        from repro.datasets.compressed import estimate_ratio
+
+        path = _gzip_members(tmp_path)
+        total = os.path.getsize(path) * estimate_ratio(path, "gzip")
+        plan = distributed_module.plan_compressed_schedule(path, jobs=4)
+        assert (plan.mode, plan.jobs, plan.calibration_source) == (
+            "parallel", 4, "profile",
+        )
+        serial = total / 250e6 + total / 80e6
+        assert plan.estimated_serial_seconds == pytest.approx(serial)
+        assert plan.estimated_parallel_seconds == pytest.approx(
+            0.001 * 4 + serial / 4
+        )
+
+    def test_line_corpus_plan(self, tmp_path):
+        lines = ndjson_lines(tweets(400, seed=3)) * 25  # 10k docs
+        plan = _plan_lines(tmp_path, lines, jobs=4)
+        assert (plan.mode, plan.jobs, plan.calibration_source) == (
+            "parallel", 4, "profile",
+        )
+        assert plan.estimated_parallel_seconds == pytest.approx(
+            0.001 * 4 + plan.estimated_serial_seconds / 4
+        )

@@ -7,7 +7,7 @@ emitting Parquet column entries and Avro row bytes in one pass — no
 textify, no separate shredder and encoder walks; records and lists with
 a JSON-text fallback beneath them walk the text, one decoder value at a
 time.  This tier turns hypothesis loose on the pin, with
-:func:`translate_interned` over the parsed lines as the oracle:
+:func:`schema_aware_translate` over the parsed lines as the oracle:
 
 - on serializer-canonical corpora (lines produced by the repo's
   ``dumps``) ``translate_report_path`` and the oracle produce identical
@@ -42,7 +42,7 @@ from repro.jsonvalue.parser import parse_lines
 from repro.jsonvalue.serializer import dumps
 from repro.translation import (
     column_store_json,
-    translate_interned,
+    schema_aware_translate,
     translate_report_path,
 )
 from repro.types import Equivalence
@@ -66,7 +66,7 @@ def _assert_matches_dom(path, lines, equivalence=Equivalence.KIND):
     """Translate the corpus file at ``path`` and its parsed ``lines``
     through the DOM oracle; the artifacts must be identical."""
     stream = translate_report_path(path, equivalence).translation
-    dom = translate_interned(list(parse_lines(lines)), equivalence=equivalence)
+    dom = schema_aware_translate(list(parse_lines(lines)), equivalence=equivalence)
     assert stream.avro_rows == dom.avro_rows
     assert column_store_json(stream.columnar) == column_store_json(
         dom.columnar
@@ -165,7 +165,7 @@ def test_fallback_columns_capture_raw_slice_verbatim(tmp_path):
         '"s"',
         "true",
     ]
-    dom = translate_interned(list(parse_lines(lines)))
+    dom = schema_aware_translate(list(parse_lines(lines)))
     assert dom.columnar.columns["a"].values == [
         "[1,2]",  # the DOM re-serialisation
         '"s"',

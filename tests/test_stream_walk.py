@@ -37,8 +37,8 @@ from repro.translation import (
     avro,
     column_store_json,
     resolve_interned,
+    schema_aware_translate,
     stream,
-    translate_interned,
     translate_report_path,
 )
 from repro.translation.translate import compiled_avro, compiled_parquet, textify
@@ -79,7 +79,7 @@ def _write(tmp_path, lines, name="corpus.ndjson"):
 
 
 def _oracle(lines):
-    return translate_interned(list(parse_lines(lines)))
+    return schema_aware_translate(list(parse_lines(lines)))
 
 
 def _error(call):

@@ -11,7 +11,7 @@ scan).
 Covers the scanner (``scan_depth1_spans``), the planner
 (``plan_subtree_split`` + ``combine_subtree``), the driver
 (``infer_subtree_text``, serial and multiprocess), the scheduler's
-third mode, the calibration constants feeding its cost model, and the
+third mode, the calibration profiles feeding its cost model, and the
 digit-key line-cache regression that rode along with this change.
 """
 
@@ -793,9 +793,11 @@ class TestSchedulerSubtreeMode:
     def _pinned_calibration(self, monkeypatch):
         # Deterministic cost model: the machine's measured profile must
         # not decide whether this 5 MB corpus clears the 1.15x bar.
+        from repro.inference import distributed as dist
+
         monkeypatch.setenv("REPRO_WORKER_STARTUP_SECONDS", "0.001")
-        monkeypatch.setenv("REPRO_SCAN_BYTES_PER_SECOND", "80e6")
-        monkeypatch.setenv("REPRO_SPLIT_BYTES_PER_SECOND", "2e9")
+        monkeypatch.setattr(dist, "_SCAN_BYTES_PER_SECOND", 80e6)
+        monkeypatch.setattr(dist, "_SPLIT_BYTES_PER_SECOND", 2e9)
 
     def test_huge_single_document_plans_subtree(self, tmp_path, monkeypatch):
         from repro.inference import distributed as dist
@@ -839,24 +841,16 @@ class TestSchedulerSubtreeMode:
 
 
 # ---------------------------------------------------------------------------
-# calibration constants for the subtree cost model
+# calibration profiles from earlier versions
 # ---------------------------------------------------------------------------
 
 
 class TestCalibrationConstants:
-    def test_env_overrides(self, monkeypatch):
-        from repro.inference import calibration
-
-        monkeypatch.setenv("REPRO_SCAN_BYTES_PER_SECOND", "123e6")
-        monkeypatch.setenv("REPRO_SPLIT_BYTES_PER_SECOND", "456e6")
-        assert calibration.scan_bytes_per_second() == 123e6
-        assert calibration.split_bytes_per_second() == 456e6
-        assert calibration.calibration_source() == "env"
-
     def test_profile_with_retired_cache_speedup_key_loads(self, tmp_path, monkeypatch):
-        # Profiles saved while the line-shape cache and the pickled-lines
-        # transport existed carry ``cache_hit_speedup`` and
-        # ``ship_bytes_per_second``; they are ignored, not an error.
+        # Profiles saved while the line-shape cache, the pickled-lines
+        # transport and the calibrated bytes rates existed carry
+        # ``cache_hit_speedup``, ``ship_bytes_per_second`` and the rate
+        # keys; they are ignored, not an error.
         from repro.inference import calibration
 
         profile = tmp_path / "sched.json"
@@ -876,16 +870,10 @@ class TestCalibrationConstants:
             encoding="utf-8",
         )
         monkeypatch.setenv("REPRO_SCHED_PROFILE", str(profile))
-        loaded = calibration.load_calibration(measure_if_missing=False)
-        assert loaded.source == "profile"
-        assert loaded.worker_startup_seconds == 0.05
-        assert loaded.scan_bytes_per_second == 90e6
-        assert not hasattr(loaded, "cache_hit_speedup")
-        assert not hasattr(loaded, "ship_bytes_per_second")
+        assert calibration.load_calibration() == (0.05, "profile")
 
     def test_profile_back_compat_without_new_keys(self, tmp_path, monkeypatch):
-        # A profile written before the subtree mode must still load,
-        # with the new constants at their defaults.
+        # A profile written before the subtree mode must still load.
         from repro.inference import calibration
 
         profile = tmp_path / "sched.json"
@@ -900,11 +888,7 @@ class TestCalibrationConstants:
             encoding="utf-8",
         )
         monkeypatch.setenv("REPRO_SCHED_PROFILE", str(profile))
-        loaded = calibration.load_calibration(measure_if_missing=False)
-        assert loaded is not None
-        assert loaded.worker_startup_seconds == 0.05
-        assert loaded.scan_bytes_per_second == calibration.DEFAULT_SCAN_BYTES_PER_SECOND
-        assert loaded.split_bytes_per_second == calibration.DEFAULT_SPLIT_BYTES_PER_SECOND
+        assert calibration.load_calibration() == (0.05, "profile")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
-"""Translation conformance tier: the stream flow and the interned
-pipeline are byte-identical to the DOM reference.
+"""Translation conformance tier: the stream flow is byte-identical to
+the DOM reference.
 
-Three implementations produce the translation artifacts — the
-materialised reference (:func:`schema_aware_translate`), the
-interned-memoized DOM walk (:func:`translate_interned`), and the
+Two implementations produce the translation artifacts — the
+materialised reference (:func:`schema_aware_translate`) and the
 single-pass stream flow (:func:`translate_report_path`).  This tier pins
 them to each other: identical Avro row bytes and identical canonical
 column-store renderings on the benchmark corpora under both
@@ -35,7 +34,6 @@ from repro.translation import (
     resolve_interned,
     resolve_type,
     schema_aware_translate,
-    translate_interned,
     translate_report_path,
     write_artifacts,
 )
@@ -99,15 +97,6 @@ def _assert_identical(left, right):
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 @pytest.mark.parametrize("equivalence", [Equivalence.KIND, Equivalence.LABEL])
-def test_interned_matches_dom_on_benchmark_corpora(corpus, equivalence):
-    docs = CORPORA[corpus]()
-    dom = schema_aware_translate(docs, equivalence=equivalence)
-    interned = translate_interned(docs, equivalence=equivalence)
-    _assert_identical(dom, interned)
-
-
-@pytest.mark.parametrize("corpus", sorted(CORPORA))
-@pytest.mark.parametrize("equivalence", [Equivalence.KIND, Equivalence.LABEL])
 def test_stream_engine_matches_dom_on_benchmark_corpora(
     tmp_path, corpus, equivalence
 ):
@@ -149,7 +138,7 @@ def test_translate_report_path_matches_in_memory(tmp_path, monkeypatch, source):
     run = translate_report_path(
         _source(source, tmp_path, monkeypatch, raw.encode("utf-8"))
     )
-    reference = translate_interned(docs)
+    reference = schema_aware_translate(docs)
     assert run.translation.avro_rows == reference.avro_rows
     assert column_store_json(run.translation.columnar) == column_store_json(
         reference.columnar
@@ -251,7 +240,7 @@ def test_nullable_numeric_union_stays_typed():
     inferred = merge_all((type_of(d) for d in docs), Equivalence.KIND)
     resolved, fallbacks = resolve_type(inferred)
     assert fallbacks == []
-    report = translate_interned(docs)
+    report = schema_aware_translate(docs)
     assert report.fallback_count == 0
     assert report.columnar.columns["v"].kind != "json"
     assert report.columnar.columns["v"].values == [1.5, 2]
@@ -263,7 +252,7 @@ def test_nullable_record_union_keeps_leaves_typed():
         {"geo": None},
         {"geo": {"lat": 3.0, "lon": 4.0}},
     ]
-    report = translate_interned(docs)
+    report = schema_aware_translate(docs)
     assert report.fallback_count == 0
     assert sorted(report.columnar.columns) == ["geo.lat", "geo.lon"]
     assert report.columnar.columns["geo.lat"].values == [1.5, 3.0]
@@ -280,8 +269,8 @@ def test_empty_field_name_fallback_path_matches_its_column():
     _, fallbacks = resolve_type(inferred)
     assert fallbacks == ["0.[]."]
     dom = schema_aware_translate(docs)
-    interned = translate_interned(docs)
-    _assert_identical(dom, interned)
+    stream = translate_report_path([dumps(d) for d in docs]).translation
+    _assert_identical(dom, stream)
     assert dom.columnar.columns["0.[]."].kind == "json"
 
 
@@ -323,7 +312,5 @@ def test_unknown_field_raises_translation_error_with_path():
     inferred = merge_all(
         (type_of(d) for d in [{"a": {"x": 1}}]), Equivalence.KIND
     )
-    with pytest.raises(TranslationError, match=r"a\.y"):
-        translate_interned([{"a": {"x": 1, "y": 2}}], inferred)
     with pytest.raises(TranslationError, match=r"a\.y"):
         schema_aware_translate([{"a": {"x": 1, "y": 2}}], inferred)

@@ -1,10 +1,9 @@
-"""Translation fuzz tier: generated corpora through both pipelines.
+"""Translation fuzz tier: generated corpora through the DOM reference.
 
 The conformance tier pins the benchmark corpora; this tier turns
-hypothesis loose on the same contracts:
+hypothesis loose on the same contracts (the stream flow's own fuzz
+tier is ``tests/test_stream_translate_fuzz.py``):
 
-- the interned streaming pipeline is byte-identical to the DOM reference
-  on arbitrary generated document collections (rows and columns);
 - the fused :class:`~repro.translation.avro.RowEncoder` produces exactly
   the bytes of the reference ``encode_rows``, and those bytes decode
   back to the encoded documents;
@@ -22,28 +21,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError, TranslationError
-from repro.translation import (
-    avro,
-    column_store_json,
-    resolve_type,
-    schema_aware_translate,
-    translate_interned,
-)
+from repro.translation import avro, resolve_type, schema_aware_translate
 from repro.types import Equivalence, merge_all, type_of
 from tests.strategies import json_documents, json_objects
-
-
-@given(json_documents(), st.sampled_from([Equivalence.KIND, Equivalence.LABEL]))
-@settings(max_examples=60, deadline=None)
-def test_interned_pipeline_matches_dom_reference(docs, equivalence):
-    dom = schema_aware_translate(docs, equivalence=equivalence)
-    interned = translate_interned(docs, equivalence=equivalence)
-    assert interned.avro_rows == dom.avro_rows
-    assert column_store_json(interned.columnar) == column_store_json(
-        dom.columnar
-    )
-    assert interned.fallback_count == dom.fallback_count
-    assert interned.typed_leaf_columns == dom.typed_leaf_columns
 
 
 def _widened_equal(a, b):
@@ -136,11 +116,10 @@ def test_unseen_fields_raise_translation_error(docs):
     for d in subset:
         subset_fields.update(d)
     assume(any(set(d) - subset_fields for d in docs))
-    for pipeline in (schema_aware_translate, translate_interned):
-        try:
-            pipeline(docs, inferred)
-        except TranslationError:
-            pass
+    try:
+        schema_aware_translate(docs, inferred)
+    except TranslationError:
+        pass
 
 
 @given(json_documents(max_size=4), json_objects(max_leaves=8))
@@ -150,8 +129,7 @@ def test_mismatched_schema_never_leaks_internal_errors(docs, other):
     # schema of an unrelated document.  Any failure must stay inside the
     # ReproError hierarchy — no KeyError, no AssertionError.
     inferred = type_of(other)
-    for pipeline in (schema_aware_translate, translate_interned):
-        try:
-            pipeline(docs, inferred)
-        except ReproError:
-            pass
+    try:
+        schema_aware_translate(docs, inferred)
+    except ReproError:
+        pass
