@@ -9,6 +9,8 @@ column-store renderings on the benchmark corpora under both
 equivalences, and through every corpus source (plain file, gzip file,
 stdin, line list) — which must also agree with each other on
 non-canonical spellings, where fallback columns keep the source text.
+The reference itself is pinned to its input: its columns reassemble
+and its rows decode back on the same corpora.
 
 It also carries the regression contracts of the resolver rework:
 explicit resolutions pickle, fallback relabeling is strict (the root
@@ -28,8 +30,11 @@ import pytest
 
 from repro.datasets import github_events, nyt_articles, tweets
 from repro.errors import TranslationError
+from repro.jsonvalue.model import sort_keys_deep, strict_equal
 from repro.jsonvalue.serializer import dumps
 from repro.translation import (
+    assemble,
+    avro,
     column_store_json,
     resolve_interned,
     resolve_type,
@@ -108,6 +113,28 @@ def test_stream_engine_matches_dom_on_benchmark_corpora(
     stream = translate_report_path(str(path), equivalence)
     dom = schema_aware_translate(docs, equivalence=equivalence)
     _assert_identical(dom, stream.translation)
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+@pytest.mark.parametrize("equivalence", [Equivalence.KIND, Equivalence.LABEL])
+def test_dom_artifacts_round_trip_on_benchmark_corpora(corpus, equivalence):
+    # The DOM reference is the oracle of every other tier, so pin it to
+    # its input: the columns reassemble the resolved (fallback-textified)
+    # documents, and the rows decode under the resolved schema and
+    # re-encode to the same bytes.
+    docs = CORPORA[corpus]()
+    report = schema_aware_translate(docs, equivalence=equivalence)
+    resolution = resolve_interned(
+        merge_all((type_of(d) for d in docs), equivalence)
+    )
+    prepared = [resolution.textify(d) for d in docs]
+    rebuilt = assemble(report.columnar)
+    assert len(rebuilt) == len(docs)
+    for expected, back in zip(prepared, rebuilt):
+        assert strict_equal(sort_keys_deep(expected), sort_keys_deep(back))
+    schema = avro.from_algebra(resolution.resolved)
+    decoded = [avro.decode(schema, row) for row in report.avro_rows]
+    assert avro.encode_rows(schema, decoded) == report.avro_rows
 
 
 SOURCES = ["file", "gzip", "stdin", "lines"]
