@@ -13,7 +13,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "generate_collection": "generator",
     "heterogeneous_collection": "generator",
     "ndjson_lines": "generator",
-    "CompressedCorpus": "compressed",
     "CompressedCorpusError": "compressed",
     "CorruptStreamError": "compressed",
     "TruncatedStreamError": "compressed",
@@ -24,11 +23,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "member_candidates": "compressed",
     "zstd_available": "compressed",
     "MmapCorpus": "ndjson",
-    "iter_line_spans": "ndjson",
     "iter_ndjson_lines": "ndjson",
     "open_corpus": "ndjson",
     "read_ndjson_lines": "ndjson",
-    "split_corpus_bytes": "ndjson",
     "stream_documents": "ndjson",
     "stream_types": "ndjson",
     "write_ndjson": "ndjson",

@@ -21,11 +21,11 @@ lines, decode and fail alike, and none is ever materialised whole:
   :func:`repro.inference.distributed.infer_compressed_parallel` groups
   into member-aligned byte ranges for the one range worker
   (:func:`repro.inference.distributed._fold_ranges`), the same entry
-  that folds plain line ranges and subtree chunks;
-- :class:`CompressedCorpus` is the lazy ``Sequence[str]`` view
-  :func:`repro.datasets.ndjson.open_corpus` returns for compressed
-  paths, line-index-identical to :class:`~repro.datasets.ndjson.MmapCorpus`
-  over the decompressed bytes.
+  that folds plain line ranges and subtree chunks.
+
+A compressed corpus has no byte-addressable lines, so it is only ever
+streamed: :func:`repro.datasets.ndjson.open_corpus`, which maps plain
+files, raises :class:`CompressedCorpusError` for one.
 
 ``zstandard`` is an **optional** dependency: detection works from magic
 bytes alone, but decoding a zstd corpus without the module raises a
@@ -42,13 +42,12 @@ splitter.
 
 from __future__ import annotations
 
-import operator
 import os
 import re
 import sys
 import zlib
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from repro.errors import ReproError
 
@@ -464,100 +463,6 @@ def iter_block_line_spans(block: bytes) -> Iterator[tuple]:
     gives exactly the block's lines.
     """
     return iter(index_lines(block))
-
-
-class CompressedCorpus(Sequence[str]):
-    """A compressed NDJSON corpus as a lazy ``Sequence[str]``.
-
-    The compressed twin of :class:`~repro.datasets.ndjson.MmapCorpus`,
-    returned by :func:`repro.datasets.ndjson.open_corpus` for gzip/zstd
-    paths: identical line-index semantics over the *decompressed* bytes
-    (universal newlines, terminators stripped, blank lines preserved, no
-    phantom line after a trailing newline), pinned by the regression
-    tests in ``tests/test_datasets_ndjson.py``.
-
-    Iteration streams (one block in memory); ``len`` streams once and
-    caches; random access streams to the index — compressed containers
-    have no line index, so prefer iteration, or the inference entry
-    points which never random-access.  ``close`` exists for
-    ``with``-parity with :class:`~repro.datasets.ndjson.MmapCorpus` and
-    holds no resources between calls.
-    """
-
-    __slots__ = ("path", "format", "_length", "_closed")
-
-    def __init__(self, path: Union[str, Path], format: Optional[str] = None) -> None:
-        self.path = str(path)
-        fmt = format or detect_compression(self.path)
-        if fmt is None:
-            raise CompressedCorpusError(
-                "not a recognized compressed corpus (no gzip/zstd magic)",
-                self.path,
-                0,
-            )
-        self.format = fmt
-        self._length: Optional[int] = None
-        self._closed = False
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ValueError("I/O operation on closed CompressedCorpus")
-
-    def __iter__(self) -> Iterator[str]:
-        self._check_open()
-        from repro.datasets.ndjson import iter_ndjson_lines
-
-        return iter_ndjson_lines(self.path)
-
-    def __len__(self) -> int:
-        self._check_open()
-        if self._length is None:
-            count = 0
-            for _ in self:
-                count += 1
-            self._length = count
-        return self._length
-
-    def __getitem__(self, index):
-        self._check_open()
-        if isinstance(index, slice):
-            wanted = range(*index.indices(len(self)))
-            if not len(wanted):
-                return []
-            want = set(wanted)
-            found: dict = {}
-            for i, line in enumerate(self):
-                if i in want:
-                    found[i] = line
-                    if len(found) == len(want):
-                        break
-            return [found[i] for i in wanted]
-        index = operator.index(index)
-        length = len(self)
-        if index < 0:
-            index += length
-        if not 0 <= index < length:
-            raise IndexError("corpus line index out of range")
-        for i, line in enumerate(self):
-            if i == index:
-                return line
-        raise IndexError("corpus line index out of range")  # pragma: no cover
-
-    def close(self) -> None:
-        self._closed = True
-
-    def __enter__(self) -> "CompressedCorpus":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        counted = self._length if self._length is not None else "?"
-        return (
-            f"CompressedCorpus({self.path!r}, format={self.format!r}, "
-            f"lines={counted})"
-        )
 
 
 # gzip member start: magic + deflate method + a FLG byte with the

@@ -26,52 +26,21 @@ if TYPE_CHECKING:
 
 LineSource = Union[str, Path, Iterable[str]]
 
-# Line-break grammar shared by the byte-range index and the worker-side
-# re-split of file byte ranges: "\r\n" first (one break, not
+# Line-break grammar of the corpus line index (:func:`index_lines`),
+# which every route splits lines with: "\r\n" first (one break, not
 # two), then the universal-newline singles — the translation Python's
 # text mode applies.
 LINE_BREAK_PATTERN = r"\r\n|\r|\n"
 _LINE_BREAK_BYTES = re.compile(LINE_BREAK_PATTERN.encode("ascii"))
 
 
-def split_corpus_bytes(data: bytes) -> list[bytes]:
-    """Split an *undecoded* corpus byte range into its line bytes.
-
-    Inverse of the byte-range index: for any contiguous range of corpus
-    lines (original separators included), returns exactly those lines'
-    raw UTF-8 bytes, ready for the bytes-native fold
-    (:func:`repro.inference.engine.accumulate_ranges` /
-    :meth:`~repro.types.build.EventTypeEncoder.encode_lines`).
-    """
-    return _LINE_BREAK_BYTES.split(data)
-
-
-def iter_line_spans(data, start: int = 0, end: Optional[int] = None):
-    """Yield the ``(start, end)`` byte span of every line in a range.
-
-    The in-place form of :func:`split_corpus_bytes` for buffers that
-    should not be sliced up front (an mmap): spans exclude
-    the separators, blank segments are preserved, and the final segment
-    is yielded even when empty — exactly the segments the split
-    functions return for the same bytes.
-    """
-    if end is None:
-        end = len(data)
-    pos = start
-    for match in _LINE_BREAK_BYTES.finditer(data, start, end):
-        yield pos, match.start()
-        pos = match.end()
-    yield pos, end
-
-
 def index_lines(data) -> list[tuple[int, int]]:
     """The corpus line index of a buffer: the ``(start, end)`` byte span
     of every line, terminators excluded, in one C-speed scan.
 
-    The line grammar every corpus route shares: universal newlines
-    (:data:`LINE_BREAK_PATTERN`), blank lines preserved, and no phantom
-    line after a trailing terminator (unlike :func:`iter_line_spans`,
-    whose final segment may be empty).
+    The line grammar every corpus route shares, serial and worker
+    alike: universal newlines (:data:`LINE_BREAK_PATTERN`), blank lines
+    preserved, and no phantom line after a trailing terminator.
     """
     size = len(data)
     spans: list[tuple[int, int]] = []
@@ -225,8 +194,9 @@ class MmapCorpus(Sequence[str]):
 
     def byte_range(self, start_line: int, stop_line: int) -> tuple[int, int]:
         """Byte range covering lines ``[start_line, stop_line)`` with
-        their original separators in between — re-splittable with
-        :func:`split_corpus_bytes` into exactly those lines."""
+        their original separators in between — :func:`index_lines` of
+        those bytes gives exactly those lines, but for a final empty
+        line, which no fold counts as a document."""
         if not 0 <= start_line < stop_line <= len(self._spans):
             raise IndexError(
                 f"line range [{start_line}, {stop_line}) out of bounds "
@@ -256,22 +226,24 @@ class MmapCorpus(Sequence[str]):
         )
 
 
-def open_corpus(path: Union[str, Path]):
-    """Open an NDJSON corpus as a lazy ``Sequence[str]``.
+def open_corpus(path: Union[str, Path]) -> MmapCorpus:
+    """Map a plain NDJSON file as a zero-copy :class:`MmapCorpus`.
 
-    Plain files map as a zero-copy :class:`MmapCorpus`; gzip/zstd files
-    (detected by magic bytes) open as a
-    :class:`~repro.datasets.compressed.CompressedCorpus` with identical
-    line-index semantics over the decompressed bytes — the same
-    universal-newline grammar, terminators stripped, blank lines
-    preserved, no phantom line after a trailing terminator, and an
-    empty (or empty-decompressing) corpus has zero lines.
+    A gzip/zstd file (detected by magic bytes) has no byte-addressable
+    lines to map, so it raises
+    :class:`~repro.datasets.compressed.CompressedCorpusError`; stream
+    it with :func:`iter_ndjson_lines` or
+    :func:`~repro.datasets.compressed.iter_line_blocks` instead.
     """
-    from repro.datasets.compressed import CompressedCorpus, detect_compression
+    from repro.datasets.compressed import CompressedCorpusError, detect_compression
 
     fmt = detect_compression(path)
     if fmt is not None:
-        return CompressedCorpus(path, fmt)
+        raise CompressedCorpusError(
+            f"cannot map a {fmt} corpus; stream it with iter_ndjson_lines "
+            "or iter_line_blocks",
+            str(path),
+        )
     return MmapCorpus(path)
 
 

@@ -319,7 +319,7 @@ def _fold_ranges(task: RangeTask) -> tuple[Any, int, bytes, bytes]:
     lines may continue in the neighbouring ranges (see
     :func:`_feed_members`); they are empty for line-aligned ranges.
     """
-    from repro.datasets.ndjson import iter_line_spans
+    from repro.datasets.ndjson import index_lines
 
     if task.fold == "chunks":
         from repro.inference.engine import type_subtree_chunks
@@ -348,7 +348,7 @@ def _fold_ranges(task: RangeTask) -> tuple[Any, int, bytes, bytes]:
     if task.format is None:
         for start, end in task.ranges:
             data = _read_range(task.path, start, end)
-            folder.feed(data, iter_line_spans(data))
+            folder.feed(data, index_lines(data))
     else:
         head, tail = _feed_members(task, folder.feed)
     folder.finish()
@@ -368,7 +368,7 @@ def _feed_members(task: RangeTask, feed) -> tuple[bytes, bytes]:
     ``(b"", output)``: one fragment of a line spanning ranges.
     """
     from repro.datasets.compressed import _iter_decompressed, _line_aligned_cut
-    from repro.datasets.ndjson import _LINE_BREAK_BYTES, iter_line_spans
+    from repro.datasets.ndjson import _LINE_BREAK_BYTES, index_lines
 
     head = None
     pending = b""
@@ -392,7 +392,7 @@ def _feed_members(task: RangeTask, feed) -> tuple[bytes, bytes]:
                 continue
             block = data[:cut]
             pending = data[cut:]
-            feed(block, iter_line_spans(block))
+            feed(block, index_lines(block))
     return head or b"", pending
 
 
@@ -472,14 +472,14 @@ def _combine(results: list, accumulator) -> tuple[list[int], int]:
     serial fold.  Returns the per-range document counts and the count
     of boundary documents.
     """
-    from repro.datasets.ndjson import split_corpus_bytes
+    from repro.datasets.ndjson import index_lines
     from repro.inference.engine import _blank_span
 
-    def add_lines(lines) -> int:
+    def add_lines(data: bytes) -> int:
         added = 0
-        for line in lines:
-            if not _blank_span(line, 0, len(line)):
-                accumulator.add_bytes(line)
+        for start, end in index_lines(data):
+            if not _blank_span(data, start, end):
+                accumulator.add_bytes(data, start, end)
                 added += 1
         return added
 
@@ -489,18 +489,15 @@ def _combine(results: list, accumulator) -> tuple[list[int], int]:
     for partial, count, head, tail in results:
         if head:
             # pending + head ends with the break that closed the range's
-            # first line; the final (empty) segment is the interior.
-            documents += add_lines(split_corpus_bytes(pending + head)[:-1])
+            # first line, so it indexes as whole lines.
+            documents += add_lines(pending + head)
             pending = tail
         else:
             pending += tail
         if count:
             accumulator.add_type(partial, documents=count)
         counts.append(count)
-    if pending:
-        lines = split_corpus_bytes(pending)
-        # A terminator at true EOF makes no extra line, as in the index.
-        documents += add_lines(lines[:-1] if lines[-1] == b"" else lines)
+    documents += add_lines(pending)
     return counts, documents
 
 

@@ -427,7 +427,7 @@ def accumulate_ranges(
     ``data`` is any byte buffer (an :class:`~repro.datasets.ndjson.MmapCorpus`
     buffer, a memoryview, plain ``bytes``) and ``spans`` the
     ``(start, end)`` byte range of each line, e.g.
-    ``corpus.spans`` or :func:`repro.datasets.ndjson.iter_line_spans`
+    ``corpus.spans`` or :func:`repro.datasets.ndjson.index_lines`
     output.  The ranges run through :meth:`EventTypeEncoder.encode_lines`
     in fixed batches: each line is decoded, parsed by the C decoder and
     typed.  Blank lines (including the rare non-ASCII

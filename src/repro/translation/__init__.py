@@ -1,8 +1,8 @@
 """Schema-aware data translation (tutorial §5).
 
 - :mod:`repro.translation.avro` — Avro-like schemas and binary row codec
-  (batch ``encode``/``encode_rows`` plus the fused :class:`~repro.
-  translation.avro.RowEncoder`);
+  (``encode``/``decode`` and the row step ``encode_row``, which
+  ``encode_rows`` maps over a collection);
 - :mod:`repro.translation.parquet` — Parquet-like columnar shredding with
   definition/repetition levels (Dremel), batch ``shred`` plus the
   streaming :class:`~repro.translation.parquet.Shredder`;
@@ -13,7 +13,7 @@
   runs on every source: a fused column program compiled from the
   resolution + Parquet + Avro trees, walked once over each document's
   decoded value (and over the text where a JSON-text fallback keeps its
-  source slice), feeds the shredder and row encoder directly.
+  source slice), feeds the shredder and writes the Avro rows directly.
 """
 
 from repro._exports import lazy_exports

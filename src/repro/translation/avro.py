@@ -162,6 +162,17 @@ def _write_long(out: bytearray, n: int) -> None:
     _write_varint(out, _zigzag(n))
 
 
+def _write_string(out: bytearray, value: str) -> None:
+    try:
+        raw = value.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate, say "\ud800"
+        raise TranslationError(
+            f"cannot encode string {value!r} as UTF-8: {exc.reason}"
+        ) from None
+    _write_long(out, len(raw))
+    out.extend(raw)
+
+
 class _Reader:
     __slots__ = ("data", "pos")
 
@@ -225,9 +236,7 @@ def _encode(schema: AvroSchema, value: Any, out: bytearray) -> None:
         # string
         if not isinstance(value, str):
             raise TranslationError(f"expected string, got {value!r}")
-        raw = value.encode("utf-8")
-        _write_long(out, len(raw))
-        out.extend(raw)
+        _write_string(out, value)
         return
     if isinstance(schema, ARecord):
         if not isinstance(value, dict):
@@ -254,9 +263,7 @@ def _encode(schema: AvroSchema, value: Any, out: bytearray) -> None:
         if value:
             _write_long(out, len(value))
             for key, item in value.items():
-                raw = key.encode("utf-8")
-                _write_long(out, len(raw))
-                out.extend(raw)
+                _write_string(out, key)
                 _encode(schema.values, item, out)
         _write_long(out, 0)
         return
@@ -474,100 +481,18 @@ def _from_algebra(t: "Type", name: str, memo: "dict | None") -> AvroSchema:  # n
     raise TranslationError(f"cannot translate {t!r} to Avro")
 
 
+def encode_row(schema: AvroSchema, document: Any) -> bytes:
+    """Encode one document as a row.
+
+    Optional fields absent from the document are treated as ``null``
+    (the union idiom from :func:`from_algebra`).
+    """
+    return encode(schema, _fill_missing(schema, document))
+
+
 def encode_rows(schema: AvroSchema, documents: Iterable[Any]) -> list[bytes]:
-    """Encode a collection, one byte row per document.
-
-    Optional fields absent from a document are treated as ``null`` (the
-    union idiom from :func:`from_algebra`).
-    """
-    rows = []
-    for doc in documents:
-        rows.append(encode(schema, _fill_missing(schema, doc)))
-    return rows
-
-
-class RowEncoder:
-    """Single-walk document→row encoder for resolved-schema unions.
-
-    ``encode_rows`` walks every document three times per union position:
-    once in :func:`_fill_missing` to pick a branch and copy the document
-    with absent optional fields filled, then twice more inside
-    :func:`encode` for the strict/lenient branch passes.  The schemas
-    the translation resolver produces only ever contain two-branch
-    ``union[null, T]`` nodes, where the branch index is decided by
-    ``value is None`` alone — this encoder fuses the fill into the walk
-    and emits straight to the output buffer, no copies, no recursive
-    branch probes.
-
-    On schema-conforming documents the rows are **byte-identical** to
-    ``encode(schema, _fill_missing(schema, doc))`` — the translation
-    conformance tier pins this against the reference path.  Exotic union
-    shapes (more than two branches, non-null first branch) defer to the
-    reference fill+encode for that subtree, so the encoder is total; a
-    non-conforming document still raises :class:`TranslationError`,
-    though possibly naming the offending leaf rather than the union.
-    """
-
-    __slots__ = ("schema",)
-
-    def __init__(self, schema: AvroSchema) -> None:
-        self.schema = schema
-
-    def encode_row(self, value: Any) -> bytes:
-        out = bytearray()
-        self._emit(self.schema, value, out)
-        return bytes(out)
-
-    def encode_rows(self, documents: Iterable[Any]) -> list:
-        return [self.encode_row(doc) for doc in documents]
-
-    def _emit(self, schema: AvroSchema, value: Any, out: bytearray) -> None:
-        cls = schema.__class__
-        if cls is ARecord:
-            if not isinstance(value, dict):
-                raise TranslationError(
-                    f"expected record {schema.name}, got {value!r}"
-                )
-            for field in schema.fields:
-                ftype = field.type
-                if field.name in value:
-                    self._emit(ftype, value[field.name], out)
-                elif ftype.__class__ is AUnion and _is_optional_union(ftype):
-                    _write_long(out, 0)  # the null branch of union[null, T]
-                elif ftype.__class__ is APrimitive and ftype.name == "null":
-                    pass  # null encodes to zero bytes
-                elif _accepts(ftype, None):
-                    _encode(ftype, _fill_missing(ftype, None), out)
-                else:
-                    raise TranslationError(
-                        f"document is missing required field {field.name!r}"
-                    )
-            return
-        if cls is AUnion:
-            if _is_optional_union(schema):
-                if value is None:
-                    _write_long(out, 0)
-                else:
-                    _write_long(out, 1)
-                    self._emit(schema.branches[1], value, out)
-                return
-            _encode(schema, _fill_missing(schema, value), out)
-            return
-        if cls is AArray:
-            if not isinstance(value, list):
-                raise TranslationError(f"expected array, got {value!r}")
-            if value:
-                _write_long(out, len(value))
-                for item in value:
-                    self._emit(schema.items, item, out)
-            _write_long(out, 0)
-            return
-        # Primitives encode directly; maps (never produced by
-        # from_algebra over resolved types) take the reference path.
-        if cls is APrimitive:
-            _encode(schema, value, out)
-            return
-        _encode(schema, _fill_missing(schema, value), out)
+    """Encode a collection, one byte row per document (:func:`encode_row`)."""
+    return [encode_row(schema, doc) for doc in documents]
 
 
 def _is_optional_union(schema: AUnion) -> bool:
@@ -605,20 +530,14 @@ def _fill_missing(schema: AvroSchema, value: Any) -> Any:
 
 
 def missing_field_bytes(schema: AvroSchema) -> Optional[bytes]:
-    """The exact bytes :meth:`RowEncoder._emit` writes for an *absent*
-    record field of type ``schema``, or ``None`` when absence raises
-    (a missing required field).
+    """The bytes :func:`encode_row` writes for an *absent* record field
+    of type ``schema``, or ``None`` when absence raises (a missing
+    required field).
 
     The stream translate machine precompiles these per field at program
     build time, so an absent optional field costs one buffer append at
-    translate time instead of re-deciding the cascade per document.
+    translate time instead of re-deciding the fill per document.
     """
-    if schema.__class__ is AUnion and _is_optional_union(schema):
-        return b"\x00"  # zigzag(0): the null branch of union[null, T]
-    if schema.__class__ is APrimitive and schema.name == "null":
-        return b""  # null encodes to zero bytes
-    if _accepts(schema, None):
-        out = bytearray()
-        _encode(schema, _fill_missing(schema, None), out)
-        return bytes(out)
-    return None
+    if not _accepts(schema, None):
+        return None
+    return encode_row(schema, None)

@@ -53,9 +53,9 @@ malformed text under a text-walked record — raises the internal
 ``_Decline``: the document's column entries are rolled back (each
 column's lengths were marked at document start) and the **whole
 document delegates to the DOM path** (textify → ``Shredder.add`` →
-``RowEncoder.encode_row``) with the value already decoded, or with
-``parse`` of the span when the text walk declined.  That path owns the
-exact result and error behaviour.  Declines are per-document, so a
+``avro.encode_row``, the oracle's own row step) with the value already
+decoded, or with ``parse`` of the span when the text walk declined.
+That path owns the exact result and error behaviour.  Declines are per-document, so a
 poisoned line never degrades its neighbours.
 """
 
@@ -300,7 +300,7 @@ class _FieldOp:
         self.op = op
         # None for required fields (absence declines → DOM error);
         # otherwise the emissions _emit_missing would produce and the
-        # bytes RowEncoder._emit would write.
+        # bytes avro.encode_row would write.
         self.missing_cols = missing_cols
         self.missing_avro = missing_avro
 
@@ -573,24 +573,28 @@ class StreamTranslator:
     """Translate documents by walking the column program over their
     decoded values, no DOM pass on clean documents.
 
-    Feeds the same :class:`Shredder` and :class:`RowEncoder` state a
-    DOM translator would; :meth:`translate_range` decodes one line's
-    byte span, appends its Parquet entries, bumps the shredder's row
-    count, and returns the encoded Avro row.  Any decline rolls the
+    Feeds the same :class:`Shredder` a DOM translator would and writes
+    the rows :func:`~repro.translation.avro.encode_row` would;
+    :meth:`translate_range` decodes one line's byte span, appends its
+    Parquet entries, bumps the shredder's row count, and returns the
+    encoded Avro row.  Any decline rolls the
     columns back and replays the document through the DOM path —
     result- and error-identical by construction (``delegated`` counts
     those).
     """
 
-    __slots__ = ("program", "shredder", "encoder", "plan", "_lists",
+    __slots__ = ("program", "shredder", "avro_schema", "plan", "_lists",
                  "delegated")
 
     def __init__(
-        self, resolution: Resolution, shredder: Shredder, encoder
+        self,
+        resolution: Resolution,
+        shredder: Shredder,
+        avro_schema: avro.AvroSchema,
     ) -> None:
         try:
             self.program = compile_column_program(
-                resolution, shredder.schema, encoder.schema, shredder.columns
+                resolution, shredder.schema, avro_schema, shredder.columns
             )
         except TranslationError:
             # Defensive: a resolved schema the program cannot express.
@@ -598,7 +602,7 @@ class StreamTranslator:
             # fast; the resolver's output shapes all compile today.
             self.program = None
         self.shredder = shredder
-        self.encoder = encoder
+        self.avro_schema = avro_schema
         self.plan = resolution.plan
         self._lists = [
             lst
@@ -643,7 +647,7 @@ class StreamTranslator:
         self.delegated += 1
         prepared = textify(value, self.plan)
         self.shredder.add(prepared)
-        return self.encoder.encode_row(prepared)
+        return avro.encode_row(self.avro_schema, prepared)
 
 
 def _roll_back(lists, marks) -> None:

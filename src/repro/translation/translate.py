@@ -541,8 +541,8 @@ def translate_report_path(
     (:class:`repro.translation.stream.StreamTranslator`) decodes each
     document's span once and walks its column program over the value,
     emitting column entries and Avro row bytes directly; a document it
-    cannot prove delegates to the DOM path (textify, shredder + row
-    encoder).  Fallback (JSON-text) columns capture the **raw source
+    cannot prove delegates to the DOM path (textify, shredder +
+    ``avro.encode_row``).  Fallback (JSON-text) columns capture the **raw source
     slice verbatim**, where the DOM translator
     (:func:`schema_aware_translate`, the test oracle) re-serialise —
     identical on serializer-canonical corpora.
@@ -573,11 +573,12 @@ def translate_report_path(
             shredder = Shredder(
                 compiled_parquet(resolution.resolved, table=table)
             )
-            encoder = avro.RowEncoder(
-                compiled_avro(resolution.resolved, table=table)
-            )
             count, input_bytes = _stream_translate_sections(
-                sections, resolution, shredder, encoder, sink
+                sections,
+                resolution,
+                shredder,
+                compiled_avro(resolution.resolved, table=table),
+                sink,
             )
         if count != report.document_count:
             raise TranslationError(
@@ -607,7 +608,7 @@ def translate_report_path(
     return run
 
 
-def _stream_translate_sections(sections, resolution, shredder, encoder, sink):
+def _stream_translate_sections(sections, resolution, shredder, avro_schema, sink):
     """The translate loop: each line's byte span through the stream
     machine.
 
@@ -618,7 +619,7 @@ def _stream_translate_sections(sections, resolution, shredder, encoder, sink):
     from repro.inference.engine import _blank_span
     from repro.translation.stream import StreamTranslator
 
-    translator = StreamTranslator(resolution, shredder, encoder)
+    translator = StreamTranslator(resolution, shredder, avro_schema)
     translate = translator.translate_range
     add = sink.add
     count = 0

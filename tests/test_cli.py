@@ -507,6 +507,76 @@ class TestDeepDocuments:
         ]
 
 
+class TestLoneSurrogates:
+    """The parser keeps a lone surrogate escape (``"\\ud800"``), which no
+    UTF-8 output can hold: wherever one must be written — a printed key,
+    an Avro string, ``columns.json`` — the job prints what it printed
+    before, then one ``error:`` line, and exits 2."""
+
+    IN_KEY = b'{"\\ud800": 1}\n'
+    IN_VALUE = b'{"a": "x\\ud800y"}\n{"a": "ok"}\n'
+    OUTPUT_ERROR = (
+        r"error: 'utf-8' codec can't encode character '\\ud800' "
+        r"in position \d+: surrogates not allowed\n"
+    )
+    AVRO_ERROR = (
+        "error: cannot encode string 'x\\ud800y' as UTF-8: "
+        "surrogates not allowed\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["infer"], "# 1 documents, schema size 3\n"),
+            (["skeleton"], "# skeleton of order 1 over 1 documents\n"),
+            # The report prints after the artifacts, so nothing before.
+            (["translate", "--out", "OUT"], ""),
+        ],
+        ids=["infer", "skeleton", "translate-out"],
+    )
+    def test_key(self, tmp_path, argv, prefix):
+        path = tmp_path / "key.ndjson"
+        path.write_bytes(self.IN_KEY)
+        argv = [argv[0], str(path)] + [
+            str(tmp_path / "out") if arg == "OUT" else arg for arg in argv[1:]
+        ]
+        code, stdout, stderr = _run_cli(argv)
+        assert code == 2
+        assert stdout.decode().startswith(prefix)
+        assert re.fullmatch(self.OUTPUT_ERROR, stderr.decode())
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["infer"], "# 2 documents, schema size 3\n{a: Str}\n"),
+            (["skeleton"], "# skeleton of order 1 over 2 documents\n"),
+        ],
+        ids=["infer", "skeleton"],
+    )
+    def test_value_is_typed_not_printed(self, tmp_path, argv, expected):
+        path = tmp_path / "value.ndjson"
+        path.write_bytes(self.IN_VALUE)
+        code, stdout, stderr = _run_cli([*argv, str(path)])
+        assert (code, stderr) == (0, b"")
+        assert stdout.decode().startswith(expected)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["translate", "FILE"], ["translate", "-"],
+         ["translate", "FILE", "--out", "OUT"]],
+        ids=" ".join,
+    )
+    def test_value_in_an_avro_row(self, tmp_path, argv):
+        path = tmp_path / "value.ndjson"
+        path.write_bytes(self.IN_VALUE)
+        paths = {"FILE": str(path), "OUT": str(tmp_path / "out")}
+        code, stdout, stderr = _run_cli(
+            [paths.get(arg, arg) for arg in argv], stdin=self.IN_VALUE
+        )
+        assert (code, stdout) == (2, b"")
+        assert stderr.decode() == self.AVRO_ERROR
+
+
 class TestStdinMatchesFile:
     @pytest.mark.parametrize(
         "raw",

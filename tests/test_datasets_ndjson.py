@@ -13,7 +13,6 @@ from repro.datasets import (
     nyt_articles,
     open_corpus,
     read_ndjson_lines,
-    split_corpus_bytes,
     stream_documents,
     stream_types,
     tweets,
@@ -111,7 +110,9 @@ class TestMmapCorpus:
             line.rstrip("\r\n") for line in text_mode
         ]
 
-    def test_byte_ranges_round_trip_through_split(self, tmp_path):
+    def test_byte_ranges_round_trip_through_the_index(self, tmp_path):
+        from repro.datasets.ndjson import index_lines
+
         path = tmp_path / "corpus.ndjson"
         path.write_bytes(b'{"a": 1}\r\n\r\nx\r{"b": 2}\n{"c": 3}')
         with open_corpus(path) as corpus:
@@ -120,10 +121,15 @@ class TestMmapCorpus:
             for start in range(len(corpus)):
                 for stop in range(start + 1, len(corpus) + 1):
                     byte_start, byte_end = corpus.byte_range(start, stop)
-                    parts = split_corpus_bytes(data[byte_start:byte_end])
+                    chunk = data[byte_start:byte_end]
+                    expected = lines[start:stop]
+                    if expected[-1] == "":
+                        # The range ends with the terminator before an
+                        # empty last line: no phantom line is indexed.
+                        expected.pop()
                     assert [
-                        part.decode("utf-8") for part in parts
-                    ] == lines[start:stop]
+                        chunk[s:e].decode("utf-8") for s, e in index_lines(chunk)
+                    ] == expected
 
     def test_byte_range_bounds_are_checked(self, tmp_path):
         path = tmp_path / "corpus.ndjson"
@@ -227,23 +233,18 @@ class TestMmapCorpusSequenceSemantics:
             list(corpus)
 
 
-def test_split_corpus_bytes_follows_the_line_grammar(tmp_path):
-    from repro.datasets import iter_line_spans
+def test_index_lines_follows_the_line_grammar():
+    from repro.datasets.ndjson import index_lines
 
     raw = b'{"a": 1}\r\n{"b": 2}\r{"c": 3}\n\n{"d": 4}'
-    assert split_corpus_bytes(raw) == [
+    assert [raw[s:e] for s, e in index_lines(raw)] == [
         b'{"a": 1}', b'{"b": 2}', b'{"c": 3}', b"", b'{"d": 4}'
     ]
-    spans = list(iter_line_spans(raw))
-    assert [raw[s:e] for s, e in spans] == split_corpus_bytes(raw)
-
-
-def test_iter_line_spans_subrange(tmp_path):
-    raw = b"aa\nbb\ncc"
-    from repro.datasets import iter_line_spans
-
-    assert [raw[s:e] for s, e in iter_line_spans(raw, 3, len(raw))] == [b"bb", b"cc"]
-    assert list(iter_line_spans(b"")) == [(0, 0)]
+    # LF-only buffers take the find loop, the rest the regex: one grammar.
+    assert index_lines(b"aa\nbb\ncc") == [(0, 2), (3, 5), (6, 8)]
+    assert index_lines(b"aa\rbb\r\ncc\n") == [(0, 2), (3, 5), (7, 9)]
+    assert index_lines(b"") == []
+    assert index_lines(b"\n") == [(0, 0)]
 
 
 class TestReadLineSpans:
@@ -288,10 +289,21 @@ class TestReadLineSpans:
 
 
 class TestOpenCorpusCompressed:
-    """`open_corpus` must agree with the pinned line-index semantics
-    whether the bytes arrive plain or compressed (issue 7 regression:
-    empty regular files and compressed files with no trailing newline
-    must match `iter_ndjson_lines` exactly)."""
+    """A compressed corpus is streamed, never mapped: its lines, read
+    through `iter_ndjson_lines` or carved from `iter_line_blocks`, are
+    the mapped plain file's line index (empty regular files and
+    compressed files with no trailing newline included), and
+    `open_corpus` refuses it."""
+
+    @staticmethod
+    def _block_lines(path, **options):
+        from repro.datasets.compressed import iter_block_line_spans, iter_line_blocks
+
+        return [
+            block[start:end].decode("utf-8")
+            for block in iter_line_blocks(path, **options)
+            for start, end in iter_block_line_spans(block)
+        ]
 
     @pytest.mark.parametrize("name", sorted(TestMmapCorpus.CONTENTS))
     def test_gzip_corpus_matches_plain_line_index(self, tmp_path, name):
@@ -302,13 +314,23 @@ class TestOpenCorpusCompressed:
         plain.write_bytes(raw)
         packed = tmp_path / "corpus.ndjson.gz"
         packed.write_bytes(gzip.compress(raw, mtime=0))
-        expected = list(iter_ndjson_lines(plain))
-        with open_corpus(packed) as corpus:
-            assert type(corpus).__name__ == "CompressedCorpus"
-            assert list(corpus) == expected
-            assert len(corpus) == len(expected)
-            assert [corpus[i] for i in range(len(corpus))] == expected
-            assert corpus[0 : len(corpus)] == expected
+        with open_corpus(plain) as corpus:
+            expected = list(corpus)
+        assert list(iter_ndjson_lines(packed)) == expected
+        assert self._block_lines(packed) == expected
+        # One decompressed byte per chunk: every carry path, a "\r\n"
+        # split across two chunks included.
+        assert self._block_lines(packed, block_bytes=1) == expected
+
+    def test_open_corpus_refuses_a_compressed_file(self, tmp_path):
+        import gzip
+
+        from repro.datasets import CompressedCorpusError
+
+        path = tmp_path / "corpus.ndjson.gz"
+        path.write_bytes(gzip.compress(b'{"a": 1}\n', mtime=0))
+        with pytest.raises(CompressedCorpusError, match="iter_ndjson_lines"):
+            open_corpus(path)
 
     def test_empty_regular_file_has_no_lines(self, tmp_path):
         path = tmp_path / "empty.ndjson"
@@ -324,40 +346,17 @@ class TestOpenCorpusCompressed:
 
         path = tmp_path / "corpus.ndjson.gz"
         path.write_bytes(gzip.compress(b'{"a": 1}\n{"b": 2}', mtime=0))
-        with open_corpus(path) as corpus:
-            assert list(corpus) == ['{"a": 1}', '{"b": 2}']
-            assert len(corpus) == 2
-            assert corpus[-1] == '{"b": 2}'
+        expected = ['{"a": 1}', '{"b": 2}']
+        assert list(iter_ndjson_lines(path)) == expected
+        assert self._block_lines(path) == expected
 
     def test_compressed_empty_stream_has_no_lines(self, tmp_path):
         import gzip
 
         path = tmp_path / "corpus.ndjson.gz"
         path.write_bytes(gzip.compress(b"", mtime=0))
-        with open_corpus(path) as corpus:
-            assert len(corpus) == 0
-            assert list(corpus) == []
-
-    def test_compressed_sequence_semantics(self, tmp_path):
-        import gzip
-
-        lines = [f'{{"i": {i}}}' for i in range(7)]
-        path = tmp_path / "corpus.ndjson.gz"
-        path.write_bytes(gzip.compress(("\n".join(lines) + "\n").encode(), mtime=0))
-        with open_corpus(path) as corpus:
-            reference = list(lines)
-            assert corpus[-2] == reference[-2]
-            assert corpus[1:6:2] == reference[1:6:2]
-            assert corpus[::-1] == reference[::-1]
-            assert corpus[10:] == []
-            with pytest.raises(IndexError):
-                corpus[7]
-            with pytest.raises(IndexError):
-                corpus[-8]
-            with pytest.raises(TypeError):
-                corpus["0"]
-        with pytest.raises(ValueError):
-            len(corpus)
+        assert list(iter_ndjson_lines(path)) == []
+        assert self._block_lines(path) == []
 
     def test_iter_ndjson_lines_reads_compressed_paths(self, tmp_path):
         import gzip

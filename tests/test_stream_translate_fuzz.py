@@ -111,6 +111,45 @@ def test_stream_matches_dom_on_generated_corpora(
     _assert_matches_dom(path, lines, equivalence)
 
 
+@pytest.mark.parametrize("equivalence", EQUIVALENCES, ids=str)
+@given(json_documents(max_size=6), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_all_delegation_matches_dom_on_generated_corpora(
+    tmp_path_factory, equivalence, docs, compress
+):
+    """With the column program switched off every document takes the
+    DOM path (textify, ``Shredder.add``, ``avro.encode_row``), and the
+    artifacts are still the oracle's."""
+    from repro.errors import TranslationError
+    from repro.translation import stream
+
+    def no_program(*args):
+        raise TranslationError("column program switched off")
+
+    built = []
+    translator_class = stream.StreamTranslator
+
+    def collect(*args):
+        built.append(translator := translator_class(*args))
+        return translator
+
+    tmp_path = tmp_path_factory.mktemp("dom")
+    lines = [dumps(d) + "\n" for d in docs]
+    path = _write_corpus(tmp_path, lines, compress=compress)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stream, "compile_column_program", no_program)
+        patch.setattr(stream, "StreamTranslator", collect)
+        translated = translate_report_path(path, equivalence).translation
+        [translator] = built
+    assert translator.program is None
+    assert translator.delegated == translated.document_count == len(docs)
+    dom = schema_aware_translate(docs, equivalence=equivalence)
+    assert translated.avro_rows == dom.avro_rows
+    assert column_store_json(translated.columnar) == column_store_json(
+        dom.columnar
+    )
+
+
 @given(json_documents(min_size=2, max_size=5))
 @settings(max_examples=20, deadline=None)
 def test_stream_matches_dom_with_blank_interior_lines(tmp_path_factory, docs):

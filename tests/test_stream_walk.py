@@ -252,8 +252,9 @@ def _translator(docs):
         merge_all([type_of(d) for d in docs], Equivalence.KIND)
     )
     shredder = Shredder(compiled_parquet(resolution.resolved))
-    encoder = avro.RowEncoder(compiled_avro(resolution.resolved))
-    return stream.StreamTranslator(resolution, shredder, encoder)
+    return stream.StreamTranslator(
+        resolution, shredder, compiled_avro(resolution.resolved)
+    )
 
 
 def _translate_line(translator, line: str):
@@ -305,7 +306,7 @@ def test_declined_documents_raise_the_dom_error(docs, line):
     def dom():
         prepared = textify(parse(line), reference.plan)
         reference.shredder.add(prepared)
-        reference.encoder.encode_row(prepared)
+        avro.encode_row(reference.avro_schema, prepared)
 
     error = _error(lambda: _translate_line(translator, line))
     assert error is not None

@@ -70,6 +70,15 @@ class TestPrimitives:
         with pytest.raises(TranslationError):
             encode(schema, bad)
 
+    @pytest.mark.parametrize(
+        "schema,value",
+        [(STRING, "x\ud800y"), (AMap(LONG), {"\udfff": 1})],
+        ids=["string", "map-key"],
+    )
+    def test_lone_surrogate_is_a_translation_error(self, schema, value):
+        with pytest.raises(TranslationError, match="surrogates not allowed"):
+            encode(schema, value)
+
     def test_unknown_primitive(self):
         with pytest.raises(TranslationError):
             APrimitive("int32")
@@ -145,6 +154,12 @@ class TestFromAlgebra:
         schema = avro.from_algebra(t)
         rows = avro.encode_rows(schema, docs)
         assert decode(schema, rows[1]) == {"a": 2, "b": None}
+
+    def test_missing_field_bytes_encode_an_absent_value(self):
+        assert avro.missing_field_bytes(AUnion((NULL, LONG))) == b"\x00"
+        assert avro.missing_field_bytes(AUnion((LONG, NULL))) == b"\x02"
+        assert avro.missing_field_bytes(NULL) == b""
+        assert avro.missing_field_bytes(LONG) is None
 
     def test_union_type(self):
         from repro.types import INT, STR, union2
